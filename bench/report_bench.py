@@ -22,11 +22,15 @@ After merging, the run is screened:
   * --require-zero-alloc names benchmarks that MUST appear in the run,
     MUST report allocs_per_iter, and MUST report it as 0 — a missing
     counter is as fatal as a nonzero one, so the gate cannot rot silently;
-  * any benchmark whose cpu_ns regressed >10% vs the previous entry is
+  * any benchmark whose time regressed >10% vs the previous entry is
     flagged, and --baseline additionally compares against a pinned run
     (file + label) so drift against a recorded release number is visible
-    even when the previous run already regressed.
-Violations of the first two are fatal with --check (exit 1); cpu
+    even when the previous run already regressed. The time is cpu_ns,
+    except on `/real_time` rows (UseRealTime pipeline benches), whose
+    cpu_ns is only the driving thread's CPU time: those compare real_ns.
+    Runs recorded on a different (or unrecorded) core count are not
+    compared at all; an INFO line names the skipped run instead.
+Violations of the first two are fatal with --check (exit 1); time
 regressions stay warnings — CI runners are too noisy to gate on latency
 alone.
 
@@ -70,16 +74,32 @@ import sys
 REGRESSION_TOLERANCE = 1.10
 
 
-def warn_regressions(results: dict, against: dict, label: str) -> None:
-    for name, entry in sorted(results.items()):
-        if name not in against:
+def time_key(name: str) -> str:
+    """The time a row is judged by: wall time for UseRealTime rows (gbench
+    suffixes their names with /real_time), CPU time for the rest."""
+    return "real_ns" if name.endswith("/real_time") else "cpu_ns"
+
+
+def warn_regressions(last: dict, against: dict) -> None:
+    """Warns about rows of run `last` more than 10% slower than in run
+    `against`, if both runs were recorded on the same core count."""
+    label = against["label"]
+    cores, their_cores = last.get("cpu_count"), against.get("cpu_count")
+    if not cores or cores != their_cores:
+        print(f"INFO: not comparing with '{label}': recorded on "
+              f"{their_cores or 'an unrecorded number of'} cores, this run "
+              f"on {cores or 'an unrecorded number of'}", file=sys.stderr)
+        return
+    for name, entry in sorted(last["results"].items()):
+        if name not in against["results"]:
             continue
-        before = against[name]["cpu_ns"]
-        after = entry["cpu_ns"]
+        key = time_key(name)
+        before = against["results"][name].get(key, 0)
+        after = entry.get(key, 0)
         if before > 0 and after > before * REGRESSION_TOLERANCE:
             pct = 100.0 * (after / before - 1.0)
             print(f"WARNING: {name} regressed {pct:.1f}% vs "
-                  f"'{label}' ({before} -> {after} cpu ns)",
+                  f"'{label}' ({before} -> {after} {key[:-3]} ns)",
                   file=sys.stderr)
 
 
@@ -266,7 +286,7 @@ def screen(tracked: dict, check: bool, require_zero: list,
             status = 1
 
     if prev is not None:
-        warn_regressions(last["results"], prev["results"], prev["label"])
+        warn_regressions(last, prev)
     if baseline is not None:
         pinned = next((r for r in baseline.get("runs", [])
                        if r["label"] == baseline_label), None)
@@ -274,8 +294,7 @@ def screen(tracked: dict, check: bool, require_zero: list,
             print(f"WARNING: baseline label '{baseline_label}' not found",
                   file=sys.stderr)
         else:
-            warn_regressions(last["results"], pinned["results"],
-                             baseline_label)
+            warn_regressions(last, pinned)
     return status
 
 
@@ -363,8 +382,9 @@ def main() -> int:
         last = tracked["runs"][-1]
         speedup = {}
         for name, entry in last["results"].items():
-            if name in base and entry["cpu_ns"] > 0:
-                speedup[name] = round(base[name]["cpu_ns"] / entry["cpu_ns"], 2)
+            key = time_key(name)
+            if name in base and entry[key] > 0:
+                speedup[name] = round(base[name][key] / entry[key], 2)
         last["speedup_vs"] = {tracked["runs"][0]["label"]: speedup}
 
     baseline = None

@@ -139,6 +139,9 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
     metrics.retired->Inc();
     for (auto& [timer_name, timer] : timers_) timer->Cancel();
     if (group_.observer() != nullptr) group_.observer()->OnRetired(*this);
+    if (group_.retirement_listener_ != nullptr) {
+      group_.retirement_listener_->OnMachineRetired(*this);
+    }
   }
   return DeliverResult::kTransitioned;
 }

@@ -69,6 +69,17 @@ class Observer {
   virtual void OnRetired(const MachineInstance&) {}
 };
 
+/// The group owner's lifecycle hook, separate from the Observer (which is
+/// the analysis engine's view and may be null): the fact base installs one
+/// on its call groups to learn which calls may have completed without
+/// scanning them.
+class RetirementListener {
+ public:
+  virtual ~RetirementListener() = default;
+  /// `machine` reached a kFinal state; fired after Observer::OnRetired.
+  virtual void OnMachineRetired(const MachineInstance& machine) = 0;
+};
+
 class MachineInstance {
  public:
   enum class DeliverResult {
@@ -145,6 +156,12 @@ class MachineGroup {
   /// Routes the named channel (e.g. "SIP->RTP") to a destination machine.
   void RouteChannel(std::string channel, MachineInstance& dst);
 
+  /// Installs the owner's retirement hook (null removes it). It must
+  /// outlive the group; ResetForReuse keeps it.
+  void set_retirement_listener(RetirementListener* listener) {
+    retirement_listener_ = listener;
+  }
+
   /// Resets the group for reuse under a new call name: every machine back
   /// to its initial configuration, variable valuations and sync queues
   /// emptied, pending timers cancelled, flight ring forgotten. Machine set
@@ -213,6 +230,7 @@ class MachineGroup {
   std::string name_;
   sim::Scheduler& scheduler_;
   Observer* observer_;
+  RetirementListener* retirement_listener_ = nullptr;
   EngineMetrics metrics_;  // copy: one indirection per update, no null check
   mutable obs::FlightRecorder recorder_;
   VariableStore global_;

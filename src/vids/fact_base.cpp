@@ -38,6 +38,7 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
     m_calls_created_ = &registry->GetCounter("vids.calls_created");
     m_calls_deleted_ = &registry->GetCounter("vids.calls_deleted");
     m_sweeps_ = &registry->GetCounter("vids.sweeps");
+    m_sweep_examined_ = &registry->GetCounter("vids.sweep_examined");
     m_sweep_ns_ = &registry->GetHistogram("vids.sweep_ns");
     m_active_calls_ = &registry->GetGauge("vids.active_calls");
     m_keyed_groups_ = &registry->GetGauge("vids.keyed_groups");
@@ -99,6 +100,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     group = std::make_unique<efsm::MachineGroup>(call_id, scheduler_,
                                                  observer_,
                                                  &engine_metrics_);
+    group->set_retirement_listener(this);
     auto& sip = group->AddMachine(sip_spec_, std::string(kSipMachineName));
     auto& rtp = group->AddMachine(rtp_spec_, std::string(kRtpMachineName));
     (void)sip;
@@ -115,12 +117,13 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     rec.aux = FactAux::kCallCreated;
     group->flight_recorder().Record(rec);
   }
-  auto& entry = calls_[call_id];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
+  StringNode& node = *calls_.try_emplace(call_id).first;
+  node.second.group = std::move(group);
+  node.second.last_event = scheduler_.Now();
+  call_idle_.Push(node, node.second.last_event + config_.call_idle_timeout);
   m_active_calls_->Set(static_cast<int64_t>(calls_.size()));
   ArmSweepTimer();
-  return *entry.group;
+  return *node.second.group;
 }
 
 efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
@@ -168,12 +171,14 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
       group->AddMachine(scenarios_.drdos, "drdos");
       break;
   }
-  auto& entry = keyed_str_[name];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
+  StringNode& node = *keyed_str_.try_emplace(name).first;
+  node.second.group = std::move(group);
+  node.second.last_event = scheduler_.Now();
+  keyed_str_idle_.Push(node,
+                       node.second.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
-  return *entry.group;
+  return *node.second.group;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
@@ -190,12 +195,14 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
   auto group = std::make_unique<efsm::MachineGroup>(
       flood_key_scratch_, scheduler_, observer_, &engine_metrics_);
   group->AddMachine(scenarios_.invite_flood, "invite-flood");
-  auto& entry = keyed_str_[flood_key_scratch_];
-  entry.group = std::move(group);
-  entry.last_event = scheduler_.Now();
+  StringNode& node = *keyed_str_.try_emplace(flood_key_scratch_).first;
+  node.second.group = std::move(group);
+  node.second.last_event = scheduler_.Now();
+  keyed_str_idle_.Push(node,
+                       node.second.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
-  return *entry.group;
+  return *node.second.group;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
@@ -211,6 +218,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
   group->AddMachine(scenarios_.rtp_flood, "rtp-flood");
   group->AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
   entry.group = std::move(group);
+  keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
   return *entry.group;
@@ -227,6 +235,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
       &engine_metrics_);
   group->AddMachine(scenarios_.drdos, "drdos");
   entry.group = std::move(group);
+  keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
   return *entry.group;
@@ -306,6 +315,7 @@ void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
     const std::vector<std::string> reclaimed{it->second.group->name()};
     sweep_listener_(scheduler_.Now(), reclaimed);
   }
+  keyed_bin_idle_.Erase(*it);
   keyed_bin_.erase(it);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
 }
@@ -348,6 +358,79 @@ void CallStateFactBase::ArmSweepTimer() {
   });
 }
 
+void CallStateFactBase::OnMachineRetired(
+    const efsm::MachineInstance& machine) {
+  if (&machine.def() != &sip_spec_ && &machine.def() != &rtp_spec_) return;
+  const auto it = calls_.find(machine.group().name());
+  if (it == calls_.end() || it->second.completion_candidate) return;
+  it->second.completion_candidate = true;
+  completion_candidates_.push_back(&*it);
+}
+
+template <typename NodeT, typename Reclaim>
+uint64_t CallStateFactBase::DrainIdle(IdleHeap<NodeT>& heap,
+                                      sim::Duration timeout, sim::Time now,
+                                      Reclaim reclaim) {
+  // A filed deadline never exceeds the entry's current last_event +
+  // timeout (last_event only grows), so every entry that is idle at `now`
+  // is popped here, and one that is not yet idle is re-filed under its
+  // refreshed deadline, which is >= now.
+  uint64_t popped = 0;
+  while (!heap.empty() && heap.top_deadline() < now) {
+    ++popped;
+    NodeT& node = heap.top();
+    const sim::Time deadline = node.second.last_event + timeout;
+    if (deadline < now) {  // now - last_event > timeout
+      heap.Erase(node);
+      reclaim(node);
+    } else {
+      heap.RefileTop(deadline);
+    }
+  }
+  return popped;
+}
+
+void CallStateFactBase::ReclaimCall(StringNode& node, sim::Time now,
+                                    std::vector<std::string>& reclaimed) {
+  const std::string& call_id = node.first;
+  Entry& entry = node.second;
+  const sim::Time expiry = now + config_.tombstone_ttl;
+  TombstoneNode& tombstone =
+      *tombstones_.insert_or_assign(call_id, expiry).first;
+  tombstone_fifo_.push_back(TombstoneDue{expiry, &tombstone});
+  ++calls_deleted_;
+  m_calls_deleted_->Inc();
+  // Drop this call's media-endpoint index entries via the reverse index.
+  // The ownership check keeps endpoints that were re-negotiated to another
+  // call in the meantime.
+  for (const uint64_t key : entry.media_keys) {
+    const auto media_it = media_index_.find(key);
+    if (media_it != media_index_.end() &&
+        media_it->second.call_id == call_id) {
+      media_index_.erase(media_it);
+    }
+  }
+  reclaimed.push_back(call_id);
+  if (group_pool_.size() < kGroupPoolCap) {
+    // Park the group in initial configuration. The reset happens here, not
+    // at reuse, because a parked group must not keep live timers — a
+    // pending expiry would fire into a machine no call owns.
+    entry.group->ResetForReuse(std::string());
+    group_pool_.push_back(std::move(entry.group));
+  }
+  calls_.erase(calls_.find(call_id));
+}
+
+void CallStateFactBase::ReleaseDrainedStorage() {
+  call_idle_.Release();
+  keyed_str_idle_.Release();
+  keyed_bin_idle_.Release();
+  std::vector<StringNode*>().swap(completion_candidates_);
+  std::vector<TombstoneDue>().swap(tombstone_fifo_);
+  tombstone_head_ = 0;
+  std::vector<std::unique_ptr<efsm::MachineGroup>>().swap(group_pool_);
+}
+
 void CallStateFactBase::Sweep(sim::Time now) {
   if (now < next_sweep_) return;
   next_sweep_ = now + config_.sweep_interval;
@@ -356,56 +439,57 @@ void CallStateFactBase::Sweep(sim::Time now) {
   // Names of the groups reclaimed by this sweep, for the sweep listener
   // (the analysis engine evicts their alert-dedup signatures).
   std::vector<std::string> reclaimed;
+  uint64_t examined = completion_candidates_.size();
 
-  for (auto it = calls_.begin(); it != calls_.end();) {
-    const bool complete = CallComplete(*it->second.group);
-    const bool idle =
-        now - it->second.last_event > config_.call_idle_timeout;
-    if (complete || idle) {
-      tombstones_[it->first] = now + config_.tombstone_ttl;
-      ++calls_deleted_;
-      m_calls_deleted_->Inc();
-      // Drop this call's media-endpoint index entries via the reverse
-      // index. The ownership check keeps endpoints that were re-negotiated
-      // to another call in the meantime.
-      for (const uint64_t key : it->second.media_keys) {
-        const auto media_it = media_index_.find(key);
-        if (media_it != media_index_.end() &&
-            media_it->second.call_id == it->first) {
-          media_index_.erase(media_it);
-        }
-      }
-      reclaimed.push_back(it->first);
-      if (group_pool_.size() < kGroupPoolCap) {
-        // Park the group in initial configuration. The reset happens here,
-        // not at reuse, because a parked group must not keep live timers —
-        // a pending expiry would fire into a machine no call owns.
-        it->second.group->ResetForReuse(std::string());
-        group_pool_.push_back(std::move(it->second.group));
-      }
-      it = calls_.erase(it);
-    } else {
-      ++it;
+  // Completed calls. Candidates go first, while every queued node is still
+  // live: calls are erased only by Sweep, and reclaiming one retires no
+  // machine, so the queue does not change underneath this loop.
+  for (StringNode* node : completion_candidates_) {
+    node->second.completion_candidate = false;
+    if (CallComplete(*node->second.group)) {
+      call_idle_.Erase(*node);
+      ReclaimCall(*node, now, reclaimed);
     }
   }
-  for (auto it = keyed_str_.begin(); it != keyed_str_.end();) {
-    if (now - it->second.last_event > config_.keyed_idle_timeout) {
-      reclaimed.push_back(it->first);
-      it = keyed_str_.erase(it);
-    } else {
-      ++it;
+  completion_candidates_.clear();
+
+  examined += DrainIdle(call_idle_, config_.call_idle_timeout, now,
+                        [&](StringNode& node) {
+                          ReclaimCall(node, now, reclaimed);
+                        });
+  examined += DrainIdle(keyed_str_idle_, config_.keyed_idle_timeout, now,
+                        [&](StringNode& node) {
+                          reclaimed.push_back(node.first);
+                          keyed_str_.erase(keyed_str_.find(node.first));
+                        });
+  examined += DrainIdle(keyed_bin_idle_, config_.keyed_idle_timeout, now,
+                        [&](BinaryNode& node) {
+                          reclaimed.push_back(node.second.group->name());
+                          const uint64_t key = node.first;
+                          keyed_bin_.erase(key);
+                        });
+
+  // Tombstones: expiries are sweep instants plus one TTL, so the FIFO is
+  // in expiry order.
+  while (tombstone_head_ < tombstone_fifo_.size() &&
+         tombstone_fifo_[tombstone_head_].expiry <= now) {
+    ++examined;
+    const TombstoneDue due = tombstone_fifo_[tombstone_head_++];
+    if (due.node->second == due.expiry) {
+      tombstones_.erase(tombstones_.find(due.node->first));
     }
   }
-  for (auto it = keyed_bin_.begin(); it != keyed_bin_.end();) {
-    if (now - it->second.last_event > config_.keyed_idle_timeout) {
-      reclaimed.push_back(it->second.group->name());
-      it = keyed_bin_.erase(it);
-    } else {
-      ++it;
-    }
+  if (tombstone_head_ * 2 >= tombstone_fifo_.size()) {
+    // Amortized O(1) compaction: each record moves at most once per time
+    // the consumed prefix outgrows the rest.
+    tombstone_fifo_.erase(
+        tombstone_fifo_.begin(),
+        tombstone_fifo_.begin() + static_cast<ptrdiff_t>(tombstone_head_));
+    tombstone_head_ = 0;
   }
-  std::erase_if(tombstones_,
-                [now](const auto& kv) { return kv.second <= now; });
+
+  m_sweep_examined_->Inc(examined);
+  if (!HasTrackedState()) ReleaseDrainedStorage();
   if (sweep_listener_) sweep_listener_(now, reclaimed);
   m_sweep_ns_->Record(obs::MonotonicNanos() - sweep_start);
   UpdateGauges();
@@ -430,6 +514,10 @@ size_t CallStateFactBase::MemoryBytes() const {
     bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();
   }
   for (const auto& group : group_pool_) bytes += group->MemoryBytes();
+  bytes += call_idle_.MemoryBytes() + keyed_str_idle_.MemoryBytes() +
+           keyed_bin_idle_.MemoryBytes() +
+           completion_candidates_.capacity() * sizeof(StringNode*) +
+           tombstone_fifo_.capacity() * sizeof(TombstoneDue);
   return bytes;
 }
 

@@ -13,11 +13,22 @@
 // index that lets the Event Distributor hand RTP packets to the right call
 // group.
 //
+// Reclamation is deadline-ordered (DESIGN.md §9), so a sweep touches only
+// the entries that are due, never the whole table:
+//   - idle calls and keyed groups sit in intrusive deadline heaps filed
+//     under last_event + timeout and re-checked lazily, so the packet path
+//     keeps its single last_event store;
+//   - a call can only complete when its SIP or RTP machine retires, so the
+//     call groups report retirements to the fact base, which checks just
+//     those calls at the next sweep;
+//   - tombstones expire in creation order (every expiry is a sweep instant
+//     plus the same TTL), so a FIFO beside the map replaces a scan.
+//
 // Indexing is binary on the hot path: media endpoints and DRDoS victims key
 // hash maps by packed 48-bit endpoint / 32-bit IP values (no ToString()),
 // string-keyed maps are unordered with transparent string_view lookup, and
-// every call entry carries its media keys so Sweep() erases exactly the
-// deleted call's index entries instead of scanning the whole index.
+// every call entry carries its media keys so a reclaimed call erases
+// exactly its own index entries instead of scanning the whole index.
 #pragma once
 
 #include <functional>
@@ -32,6 +43,7 @@
 #include "efsm/engine.h"
 #include "net/address.h"
 #include "vids/config.h"
+#include "vids/deadline_heap.h"
 #include "vids/patterns.h"
 #include "vids/spec_machines.h"
 
@@ -50,7 +62,7 @@ struct FactAux {
   static constexpr uint64_t kTagMask = uint64_t{0xFF} << 56;
 };
 
-class CallStateFactBase {
+class CallStateFactBase : private efsm::RetirementListener {
  public:
   /// `registry`, when non-null, receives the fact-base gauges/counters and
   /// the shared engine metrics every machine group of this fact base
@@ -108,10 +120,15 @@ class CallStateFactBase {
   /// endpoint is unknown or its call no longer exists.
   efsm::MachineGroup* FindGroupByMedia(const net::Endpoint& endpoint) const;
 
-  /// Reclaims completed calls and idle groups. Cheap when nothing is due;
-  /// call it from the packet path. Also fired by the periodic sweep event
-  /// (armed on state creation) so reclamation does not depend on the next
-  /// packet arriving.
+  /// Reclaims completed calls and idle groups, at most once per
+  /// `sweep_interval`; call it from the packet path. Also fired by the
+  /// periodic sweep event (armed on state creation) so reclamation does not
+  /// depend on the next packet arriving. A sweep reclaims a call when
+  /// CallComplete holds or `now - last_event > call_idle_timeout`, a keyed
+  /// group when `now - last_event > keyed_idle_timeout`, and a tombstone
+  /// when its expiry is `<= now`. It costs O(due): it examines the calls
+  /// that retired a machine since the last sweep plus the index entries
+  /// filed under a deadline before `now` (counted in vids.sweep_examined).
   void Sweep(sim::Time now);
 
   /// Called at the end of every executed sweep with the names of the groups
@@ -138,7 +155,10 @@ class CallStateFactBase {
   uint64_t calls_created() const { return calls_created_; }
   uint64_t calls_deleted() const { return calls_deleted_; }
 
-  /// Total footprint of all tracked state — the §7.3 memory metric.
+  /// Total footprint of all tracked state and its reclamation index — the
+  /// §7.3 memory metric. Once a sweep finds nothing left to track it frees
+  /// the index and the recycled-group pool, so a drained fact base is back
+  /// at its freshly built footprint.
   size_t MemoryBytes() const;
   /// Footprint of one call's group, if it exists.
   std::optional<size_t> CallMemoryBytes(const std::string& call_id) const;
@@ -152,6 +172,10 @@ class CallStateFactBase {
     // Reverse index: packed media-endpoint keys negotiated by this call, so
     // deletion cleans media_index_ without a full scan.
     std::vector<uint64_t> media_keys;
+    // Position in the idle-deadline heap of the entry's map.
+    uint32_t idle_slot = kDeadlineUnfiled;
+    // Queued in completion_candidates_ (calls only).
+    bool completion_candidate = false;
   };
   struct MediaEntry {
     std::string call_id;
@@ -161,10 +185,52 @@ class CallStateFactBase {
   template <typename T>
   using StringKeyed =
       std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
+  using StringNode = StringKeyed<Entry>::value_type;
+  using BinaryNode = std::unordered_map<uint64_t, Entry>::value_type;
+  using TombstoneNode = StringKeyed<sim::Time>::value_type;
+
+  struct IdleSlotOf {
+    template <typename NodeT>
+    uint32_t& operator()(NodeT& node) const {
+      return node.second.idle_slot;
+    }
+  };
+  template <typename NodeT>
+  using IdleHeap = DeadlineHeap<NodeT, IdleSlotOf>;
+
+  struct TombstoneDue {
+    sim::Time expiry;
+    // Stable: a tombstones_ node is erased only by its latest record, and
+    // every earlier record for it comes due first.
+    TombstoneNode* node;
+  };
 
   /// A call is over when its SIP machine retired and its RTP machine either
   /// retired or never left INIT (non-call transactions like REGISTER).
   bool CallComplete(const efsm::MachineGroup& group) const;
+
+  /// Queues the call whose SIP or RTP machine just retired for a
+  /// CallComplete check at the next sweep. Those are the only transitions
+  /// that can make CallComplete true: retirement is permanent and no
+  /// rtp-spec transition re-enters INIT (vids_machines_test holds the
+  /// definition to that).
+  void OnMachineRetired(const efsm::MachineInstance& machine) override;
+
+  /// Pops every entry filed under a deadline before `now`: reclaims the
+  /// ones idle for longer than `timeout`, re-files the ones touched since.
+  /// Returns the number of entries popped.
+  template <typename NodeT, typename Reclaim>
+  static uint64_t DrainIdle(IdleHeap<NodeT>& heap, sim::Duration timeout,
+                            sim::Time now, Reclaim reclaim);
+
+  /// Deletes a call (already out of call_idle_): tombstone, media-index
+  /// entries, group parked in the pool or destroyed.
+  void ReclaimCall(StringNode& node, sim::Time now,
+                   std::vector<std::string>& reclaimed);
+
+  /// Frees the reclamation index and the group pool; only when the maps
+  /// are empty.
+  void ReleaseDrainedStorage();
 
   void UpdateGauges();
 
@@ -189,6 +255,7 @@ class CallStateFactBase {
   obs::Counter* m_calls_created_ = &obs::NullCounter();
   obs::Counter* m_calls_deleted_ = &obs::NullCounter();
   obs::Counter* m_sweeps_ = &obs::NullCounter();
+  obs::Counter* m_sweep_examined_ = &obs::NullCounter();
   obs::Histogram* m_sweep_ns_ = &obs::NullHistogram();
   obs::Gauge* m_active_calls_ = &obs::NullGauge();
   obs::Gauge* m_keyed_groups_ = &obs::NullGauge();
@@ -207,7 +274,8 @@ class CallStateFactBase {
   // call reuses one with all its buffer capacities warm. Bounded so an
   // INVITE flood cannot convert itself into pinned pool memory; sized to
   // absorb one sweep's reclaim batch at busy-hour call rates (hundreds of
-  // calls/s × one sweep interval), a few hundred KB worst case.
+  // calls/s × one sweep interval), a few hundred KB worst case. A sweep
+  // that leaves nothing tracked frees the pool with the index.
   static constexpr size_t kGroupPoolCap = 256;
   std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
 
@@ -218,6 +286,19 @@ class CallStateFactBase {
   std::unordered_map<uint64_t, Entry> keyed_bin_;
   StringKeyed<sim::Time> tombstones_;
   std::unordered_map<uint64_t, MediaEntry> media_index_;
+
+  // Reclamation index: one idle-deadline heap per entry map (every entry is
+  // filed in its map's heap from creation to erasure), the calls that
+  // retired a machine since the last sweep, and tombstone expiries in
+  // creation order. A tombstone record whose call id was tombstoned again
+  // (possible only through direct GetOrCreateCall use) is skipped when it
+  // comes due; the later record expires it.
+  IdleHeap<StringNode> call_idle_;
+  IdleHeap<StringNode> keyed_str_idle_;
+  IdleHeap<BinaryNode> keyed_bin_idle_;
+  std::vector<StringNode*> completion_candidates_;
+  std::vector<TombstoneDue> tombstone_fifo_;
+  size_t tombstone_head_ = 0;  // first unconsumed tombstone_fifo_ record
   sim::Time next_sweep_;
   sim::Scheduler::EventId sweep_event_;
   SweepListener sweep_listener_;

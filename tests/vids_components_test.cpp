@@ -3,11 +3,15 @@
 // keyed groups, media index, sweeps, tombstones).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "rtp/packet.h"
 #include "rtp/rtcp.h"
 #include "sdp/sdp.h"
 #include "sip/message.h"
 #include "vids/classifier.h"
+#include "vids/deadline_heap.h"
 #include "vids/fact_base.h"
 
 namespace vids::ids {
@@ -286,6 +290,312 @@ TEST_F(FactBaseFixture, SweepKeepsReboundMediaIndexEntry) {
   EXPECT_EQ(fact_base_.call_count(), 1u);
   EXPECT_EQ(fact_base_.CallByMedia(ep), "c2");
   EXPECT_EQ(fact_base_.FindGroupByMedia(ep), &c2);
+}
+
+// ------------------------------------------- deadline-ordered sweeping
+//
+// The sweep reclaims only what is due (DESIGN.md §9), yet must reclaim each
+// entry at the same sweep instant a scan of every entry would. These tests
+// run the fixture's scheduler from t=0, where the first tracked state arms
+// the periodic sweep, so sweeps land on whole seconds.
+
+sim::Time At(double seconds) {
+  return sim::Time::FromNanos(static_cast<int64_t>(seconds * 1e9));
+}
+
+efsm::Event SipEvent(std::string kind, std::string method, int64_t status) {
+  efsm::Event event;
+  event.name = std::string(kSipEvent);
+  event.args["kind"] = std::move(kind);
+  event.args["method"] = std::move(method);
+  event.args["status"] = status;
+  event.args["src_ip"] = std::string("10.1.0.1");
+  return event;
+}
+
+efsm::Event WithSdp(efsm::Event event, std::string ip, int64_t port) {
+  event.args["sdp_ip"] = std::move(ip);
+  event.args["sdp_port"] = port;
+  event.args["sdp_pt"] = int64_t{18};
+  return event;
+}
+
+// Runs a call from INVITE to BYE on its SIP machine. The offer takes the
+// RTP machine out of INIT and the BYE starts its grace timer T, after
+// which it lingers for rtp_close_linger and retires — no packet needed.
+// With `answer_bye` the 200 to the BYE retires the SIP machine as well.
+void RunDialog(efsm::MachineGroup& group, bool answer_bye) {
+  auto& sip = *group.Find(kSipMachineName);
+  group.DeliverData(sip, WithSdp(SipEvent("request", "INVITE", 0),
+                                 "10.1.0.10", 20000));
+  group.DeliverData(sip, WithSdp(SipEvent("response", "INVITE", 200),
+                                 "10.2.0.10", 30000));
+  group.DeliverData(sip, SipEvent("request", "ACK", 0));
+  group.DeliverData(sip, SipEvent("request", "BYE", 0));
+  if (answer_bye) group.DeliverData(sip, SipEvent("response", "BYE", 200));
+}
+
+TEST_F(FactBaseFixture, CallRetiredByItsLingerTimerIsReclaimedAtNextSweep) {
+  bool created = false;
+  auto& group = fact_base_.GetOrCreateCall("c1", created);
+  RunDialog(group, /*answer_bye=*/true);
+  const auto& rtp = *group.Find(kRtpMachineName);
+  ASSERT_TRUE(group.Find(kSipMachineName)->retired());
+  ASSERT_FALSE(rtp.retired());
+
+  // No packet arrives after the 200: the RTP machine retires on its linger
+  // timer at T + linger = 30.12 s, and the periodic sweep at 31 s — the
+  // first one after — reclaims and tombstones the call.
+  scheduler_.RunUntil(sim::Time() + config_.bye_inflight_grace +
+                      config_.rtp_close_linger);
+  EXPECT_TRUE(rtp.retired());
+  scheduler_.RunUntil(At(31) - sim::Duration::Nanos(1));
+  EXPECT_EQ(fact_base_.call_count(), 1u);
+  EXPECT_FALSE(fact_base_.IsTombstoned("c1"));
+  scheduler_.RunUntil(At(31));
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+  EXPECT_TRUE(fact_base_.IsTombstoned("c1"));
+  EXPECT_EQ(fact_base_.calls_deleted(), 1u);
+}
+
+TEST_F(FactBaseFixture, CallWithRetiredSipMachineWaitsForItsRtpMachine) {
+  bool created = false;
+  auto& group = fact_base_.GetOrCreateCall("c1", created);
+  scheduler_.RunUntil(At(5));
+  RunDialog(group, /*answer_bye=*/true);  // SIP retires at 5 s
+  const auto& rtp = *group.Find(kRtpMachineName);
+
+  // Every sweep from 6 s on sees a retired SIP machine beside an active RTP
+  // one. The first drops the call from its completion candidates; only the
+  // RTP machine's retirement (35.12 s) queues it again.
+  scheduler_.RunUntil(At(35));
+  EXPECT_FALSE(rtp.retired());
+  EXPECT_EQ(fact_base_.call_count(), 1u);
+  scheduler_.RunUntil(At(36) - sim::Duration::Nanos(1));
+  EXPECT_TRUE(rtp.retired());
+  EXPECT_EQ(fact_base_.call_count(), 1u);
+  scheduler_.RunUntil(At(36));
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+  EXPECT_TRUE(fact_base_.IsTombstoned("c1"));
+}
+
+TEST_F(FactBaseFixture, CallWithRetiredRtpMachineWaitsForItsSipMachine) {
+  bool created = false;
+  auto& group = fact_base_.GetOrCreateCall("c1", created);
+  RunDialog(group, /*answer_bye=*/false);  // BYE left unanswered
+  auto& sip = *group.Find(kSipMachineName);
+
+  // The RTP machine retires at 30.12 s; the sweep at 31 s finds the SIP
+  // machine still in tear-down and keeps the call.
+  scheduler_.RunUntil(At(40));
+  EXPECT_TRUE(group.Find(kRtpMachineName)->retired());
+  EXPECT_FALSE(sip.retired());
+  EXPECT_EQ(fact_base_.call_count(), 1u);
+
+  group.DeliverData(sip, SipEvent("response", "BYE", 200));
+  ASSERT_TRUE(sip.retired());
+  scheduler_.RunUntil(At(41) - sim::Duration::Nanos(1));
+  EXPECT_EQ(fact_base_.call_count(), 1u);
+  scheduler_.RunUntil(At(41));
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+}
+
+TEST_F(FactBaseFixture, TouchedKeyedGroupSurvivesUntilItsRefreshedDeadline) {
+  const net::Endpoint ep{net::IpAddress(10, 2, 0, 10), 30000};
+  fact_base_.GetOrCreateInviteFlood("bob@b");  // filed under 30 s
+  fact_base_.GetOrCreateMediaGroup(ep);
+  scheduler_.RunUntil(At(29.5));
+  fact_base_.GetOrCreateInviteFlood("bob@b");  // idle only after 59.5 s
+  fact_base_.GetOrCreateMediaGroup(ep);
+
+  // The sweep at 31 s pops both (filed 30 s < 31 s) and re-files them.
+  scheduler_.RunUntil(At(31));
+  EXPECT_EQ(fact_base_.keyed_count(), 2u);
+  scheduler_.RunUntil(At(59));
+  EXPECT_EQ(fact_base_.keyed_count(), 2u);
+  scheduler_.RunUntil(At(60));  // 60 - 29.5 > keyed_idle_timeout
+  EXPECT_EQ(fact_base_.keyed_count(), 0u);
+}
+
+TEST_F(FactBaseFixture, RecreatedMediaGroupOutlivesTheDroppedGroupsDeadline) {
+  const net::Endpoint ep{net::IpAddress(10, 2, 0, 10), 30000};
+  fact_base_.GetOrCreateMediaGroup(ep);  // filed under 30 s
+  scheduler_.RunUntil(At(20));
+  fact_base_.DropMediaKeyedGroup(ep);
+  EXPECT_EQ(fact_base_.keyed_count(), 0u);
+  fact_base_.GetOrCreateMediaGroup(ep);  // a new group, idle after 50 s
+
+  scheduler_.RunUntil(At(50));
+  EXPECT_EQ(fact_base_.keyed_count(), 1u);
+  scheduler_.RunUntil(At(51));
+  EXPECT_EQ(fact_base_.keyed_count(), 0u);
+}
+
+TEST_F(FactBaseFixture, RetombstonedCallIdKeepsItsLaterExpiry) {
+  // A REGISTER transaction completes once its SIP machine retires (the RTP
+  // machine never leaves INIT), so each round is reclaimed at the next
+  // sweep. Vids drops packets of a tombstoned Call-ID; recreating it here
+  // goes through the fact base directly.
+  const auto register_once = [this] {
+    bool created = false;
+    auto& group = fact_base_.GetOrCreateCall("reg", created);
+    auto& sip = *group.Find(kSipMachineName);
+    group.DeliverData(sip, SipEvent("request", "REGISTER", 0));
+    group.DeliverData(sip, SipEvent("response", "REGISTER", 200));
+  };
+  register_once();
+  scheduler_.RunUntil(At(1));  // reclaimed; tombstoned until 33 s
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+  EXPECT_TRUE(fact_base_.IsTombstoned("reg"));
+  scheduler_.RunUntil(At(10));
+  register_once();
+  scheduler_.RunUntil(At(11));  // reclaimed again; tombstoned until 43 s
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+
+  scheduler_.RunUntil(At(42));
+  EXPECT_TRUE(fact_base_.IsTombstoned("reg"));
+  scheduler_.RunUntil(At(43));
+  EXPECT_FALSE(fact_base_.IsTombstoned("reg"));
+}
+
+TEST_F(FactBaseFixture, DrainedFactBaseReturnsToItsEmptyFootprint) {
+  const size_t empty = fact_base_.MemoryBytes();
+  bool created = false;
+  for (int i = 0; i < 40; ++i) {
+    const std::string id = std::to_string(i);
+    RunDialog(fact_base_.GetOrCreateCall("done-" + id, created), true);
+    fact_base_.GetOrCreateCall("stuck-" + id, created);
+    const net::Endpoint ep{net::IpAddress(10, 2, 0, 10),
+                           static_cast<uint16_t>(30000 + 2 * i)};
+    fact_base_.IndexMedia(ep, "stuck-" + id);
+    fact_base_.GetOrCreateMediaGroup(ep);
+    fact_base_.GetOrCreateInviteFlood("aor-" + id);
+    fact_base_.GetOrCreateDrdosGroup(net::IpAddress(10, 3, 0, i));
+  }
+  EXPECT_GT(fact_base_.MemoryBytes(), empty);
+
+  // Traffic pauses: the abandoned calls idle out at 181 s and their
+  // tombstones expire 32 s later.
+  scheduler_.RunUntil(sim::Time() + config_.call_idle_timeout +
+                      config_.tombstone_ttl + sim::Duration::Seconds(5));
+  EXPECT_EQ(fact_base_.call_count(), 0u);
+  EXPECT_EQ(fact_base_.keyed_count(), 0u);
+  EXPECT_EQ(fact_base_.tombstone_count(), 0u);
+  EXPECT_EQ(fact_base_.media_index_count(), 0u);
+  EXPECT_EQ(fact_base_.MemoryBytes(), empty);
+  EXPECT_EQ(scheduler_.PendingEvents(), 0u);  // the periodic sweep stopped
+}
+
+TEST(FactBaseSweep, SweepExaminesOnlyDueEntries) {
+  // Equal timeouts, so the calls and keyed groups below fall due together.
+  DetectionConfig config;
+  config.keyed_idle_timeout = config.call_idle_timeout;
+  sim::Scheduler scheduler;
+  obs::MetricsRegistry registry;
+  CallStateFactBase fact_base(scheduler, config, nullptr, &registry);
+  const obs::Counter& examined = registry.GetCounter("vids.sweep_examined");
+  const obs::Counter& sweeps = registry.GetCounter("vids.sweeps");
+
+  constexpr int kEach = 10000;
+  bool created = false;
+  for (int i = 0; i < kEach; ++i) {
+    fact_base.GetOrCreateCall("call-" + std::to_string(i), created);
+    if (i % 2 == 0) {
+      fact_base.GetOrCreateInviteFlood("aor-" + std::to_string(i));
+    } else {
+      fact_base.GetOrCreateMediaGroup(
+          net::Endpoint{net::IpAddress(10, 2, static_cast<uint8_t>(i >> 8),
+                                       static_cast<uint8_t>(i & 0xFF)),
+                        30000});
+    }
+  }
+  ASSERT_EQ(fact_base.call_count() + fact_base.keyed_count(), 2u * kEach);
+
+  // 180 sweeps over 20k live entries, none of them due: nothing examined.
+  scheduler.RunUntil(sim::Time() + config.call_idle_timeout);
+  EXPECT_EQ(sweeps.value(), 180u);
+  EXPECT_EQ(examined.value(), 0u);
+  EXPECT_EQ(fact_base.call_count() + fact_base.keyed_count(), 2u * kEach);
+
+  // The next sweep finds every entry due: it examines each exactly once
+  // and reclaims them all.
+  scheduler.RunUntil(sim::Time() + config.call_idle_timeout +
+                     config.sweep_interval);
+  EXPECT_EQ(sweeps.value(), 181u);
+  EXPECT_EQ(examined.value(), 2u * kEach);
+  EXPECT_EQ(fact_base.call_count(), 0u);
+  EXPECT_EQ(fact_base.keyed_count(), 0u);
+  EXPECT_EQ(fact_base.calls_deleted(), static_cast<uint64_t>(kEach));
+}
+
+// The heap against an ordered multimap reference: random pushes, erases
+// of arbitrary nodes and top re-files keep the same minimum and leave every
+// node's stored position pointing at itself.
+TEST(DeadlineHeap, MatchesAnOrderedReferenceUnderRandomOperations) {
+  struct Payload {
+    uint32_t slot = kDeadlineUnfiled;
+  };
+  using Node = std::pair<const int, Payload>;
+  struct SlotOf {
+    uint32_t& operator()(Node& node) const { return node.second.slot; }
+  };
+  std::map<int, Payload> nodes;  // stable node addresses
+  DeadlineHeap<Node, SlotOf> heap;
+  std::multimap<int64_t, int> reference;  // deadline -> node key
+  std::map<int, int64_t> filed;
+  std::mt19937 rng(7);
+  int next_key = 0;
+
+  for (int step = 0; step < 20000; ++step) {
+    const int op = static_cast<int>(rng() % 3);
+    if (op == 0 || filed.empty()) {
+      const int64_t deadline = static_cast<int64_t>(rng() % 1000);
+      Node& node = *nodes.try_emplace(next_key).first;
+      heap.Push(node, sim::Time::FromNanos(deadline));
+      reference.emplace(deadline, next_key);
+      filed[next_key++] = deadline;
+    } else if (op == 1) {
+      auto victim = filed.begin();
+      std::advance(victim, static_cast<long>(rng() % filed.size()));
+      heap.Erase(*nodes.find(victim->first));
+      const auto range = reference.equal_range(victim->second);
+      for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == victim->first) {
+          reference.erase(it);
+          break;
+        }
+      }
+      EXPECT_EQ(nodes[victim->first].slot, kDeadlineUnfiled);
+      filed.erase(victim);
+    } else {
+      const int key = heap.top().first;
+      const int64_t later =
+          filed[key] + static_cast<int64_t>(rng() % 500);
+      const auto range = reference.equal_range(filed[key]);
+      for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == key) {
+          reference.erase(it);
+          break;
+        }
+      }
+      heap.RefileTop(sim::Time::FromNanos(later));
+      reference.emplace(later, key);
+      filed[key] = later;
+    }
+    ASSERT_EQ(heap.size(), filed.size());
+    if (!heap.empty()) {
+      ASSERT_EQ(heap.top_deadline().nanos(), reference.begin()->first);
+      ASSERT_EQ(filed.at(heap.top().first), reference.begin()->first);
+    }
+  }
+  for (const auto& [key, deadline] : filed) {
+    Node& node = *nodes.find(key);
+    ASSERT_NE(node.second.slot, kDeadlineUnfiled);
+    heap.Erase(node);
+  }
+  EXPECT_TRUE(heap.empty());
+  heap.Release();
+  EXPECT_EQ(heap.MemoryBytes(), 0u);
 }
 
 TEST_F(FactBaseFixture, SweepIsRateLimited) {

@@ -386,6 +386,12 @@ TEST_F(IdsFixture, IdleStateDiesWithZeroPackets) {
   EXPECT_EQ(vids_.metrics().GetGauge("vids.keyed_groups").value(), 0);
   EXPECT_EQ(vids_.metrics().GetGauge("vids.media_index_size").value(), 0);
   EXPECT_EQ(vids_.metrics().GetGauge("vids.tombstones").value(), 0);
+  // The sweeps that reclaimed it all examined each entry, and Vids exports
+  // that count with its other metrics.
+  const obs::Counter* examined =
+      vids_.metrics().FindCounter("vids.sweep_examined");
+  ASSERT_NE(examined, nullptr);
+  EXPECT_GT(examined->value(), 0u);
 }
 
 TEST_F(IdsFixture, RetainedAlertHistoryRespectsItsCap) {

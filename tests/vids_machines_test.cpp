@@ -521,6 +521,22 @@ TEST(MachineInventory, EveryShippedDefinitionValidatesCleanly) {
   }
 }
 
+// The fact base checks CallComplete only on calls whose SIP or RTP machine
+// just retired. That misses nothing only while "RTP machine back in INIT"
+// cannot become true later, i.e. no rtp-spec transition targets INIT; a
+// definition that broke this would leave completed calls to idle out.
+TEST(MachineInventory, NoRtpSpecTransitionReentersItsInitialState) {
+  const efsm::MachineDef rtp = BuildRtpSpecMachine(DetectionConfig{});
+  ASSERT_NE(rtp.initial_state(), efsm::kInvalidState);
+  ASSERT_FALSE(rtp.transitions().empty());
+  for (const auto& transition : rtp.transitions()) {
+    EXPECT_NE(transition.to, rtp.initial_state())
+        << "'" << transition.event_name << "' from "
+        << rtp.StateName(transition.from) << " re-enters "
+        << rtp.StateName(rtp.initial_state());
+  }
+}
+
 TEST_F(PatternFixture, DrdosCountsUnsolicitedResponses) {
   const auto def = BuildDrdosMachine(config_);
   auto& machine = group_.AddMachine(def, "drdos");
