@@ -181,11 +181,22 @@ int main() {
     scheduler.RunUntil(scheduler.Now() + ids::DetectionConfig{}.rtp_close_linger +
                        sim::Duration::Seconds(5));
     OpenCall(vids, 9999);
-    const size_t after = vids.fact_base().MemoryBytes();
-    std::printf("200 calls open: %zu KB -> all closed + swept: %zu KB\n",
-                before / 1024, after / 1024);
+    // Reset groups parked in the recycle pool are reusable capacity, not
+    // call state, so the deletion check judges tracked state without them.
+    const auto& fact_base = vids.fact_base();
+    const size_t after = fact_base.MemoryBytes();
+    const size_t pool = fact_base.PoolBytes();
+    const size_t tracked = after - pool;
+    std::printf("200 calls open: %zu KB -> all closed + swept: %zu KB "
+                "(%llu of 200 calls deleted)\n",
+                before / 1024, after / 1024,
+                static_cast<unsigned long long>(fact_base.calls_deleted()));
+    std::printf("recycle pool: %zu reset groups parked (cap %zu), %zu KB\n",
+                fact_base.pool_size(), ids::CallStateFactBase::kGroupPoolCap,
+                pool / 1024);
+    std::printf("tracked state without the pool: %zu KB\n", tracked / 1024);
     std::printf("state deleted at final call state -> %s\n",
-                after < before / 4 ? "OK" : "MISMATCH");
+                tracked < before / 4 ? "OK" : "MISMATCH");
   }
   return 0;
 }

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "capture/replay.h"
 #include "common/spsc_ring.h"
 #include "obs/metrics.h"
 #include "rtp/packet.h"
@@ -553,115 +552,15 @@ BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 void BM_ShardedIngestBatched(benchmark::State& state) {
   // Default batched configuration: up to batch_max slots per
   // release/acquire pair on both rings, bounded-latency partial flush, and
-  // the shard-local aggregate staging path (DESIGN.md §12).
-  RunShardedIngestBench(state, ids::ShardedConfig{});
+  // the shard-local aggregate staging path (DESIGN.md §12). Counted: the
+  // whole pipeline must stay allocation-free in steady state.
+  RunShardedIngestBench(state, ids::ShardedConfig{}, /*count_allocs=*/true);
 }
 BENCHMARK(BM_ShardedIngestBatched)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime();
-
-void BM_ShardedIngestMp(benchmark::State& state) {
-  // Multi-producer fan-out: BM_ShardedIngestMp/<producers>/<shards>. The
-  // timed thread is the MpIngest dispatcher — producers == 1 degenerates
-  // to the direct single-producer ingest (the <= 10% overhead row against
-  // BM_ShardedIngestBatched), while higher rows price what the fan-out
-  // buys: classification, routing and the shard-lane handoff move off the
-  // dispatcher onto feeder threads, so dispatch cost per packet drops to a
-  // claim sniff plus one SPSC push. Unlike the frozen-clock rows above,
-  // the stream advances 1 ns per packet: the multi-lane merge orders
-  // lanes by each port's vouched frontier, and several lanes pinned at
-  // one frozen instant would gate on each other forever. A nanosecond per
-  // packet keeps every warmup-parked flood window from rolling over even
-  // across a billion iterations.
-  const int producers = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  ids::ShardedConfig config;
-  config.shards = shards;
-  config.producers = producers;
-  config.ring_capacity = 4096;
-  ids::ShardedIds engine(config);
-  capture::MpIngest mp(engine, producers);
-
-  int64_t now_ns = 1;
-  constexpr int kCalls = 16;
-  std::vector<net::Datagram> media;
-  for (int i = 0; i < kCalls; ++i) {
-    const net::Endpoint offer{net::IpAddress(10, 1, 0, 10),
-                              static_cast<uint16_t>(20000 + 2 * i)};
-    net::Datagram invite;
-    invite.src = kProxyA;
-    invite.dst = kProxyB;
-    invite.kind = net::PayloadKind::kSip;
-    invite.payload =
-        TypicalInvite("mp-bench-" + std::to_string(i), offer).Serialize();
-    mp.Ingest(invite, true, sim::Time::FromNanos(now_ns++));
-
-    rtp::RtpHeader header;
-    header.ssrc = 0x6B000000u + static_cast<uint32_t>(i);
-    net::Datagram dgram;
-    dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10),
-                              static_cast<uint16_t>(30000 + 2 * i)};
-    dgram.dst = offer;
-    dgram.kind = net::PayloadKind::kRtp;
-    dgram.payload = header.Serialize();
-    media.push_back(std::move(dgram));
-  }
-
-  std::vector<uint16_t> seq(kCalls, 0);
-  std::vector<uint32_t> ts(kCalls, 0);
-  const auto patch = [](net::Datagram& dgram, uint16_t s, uint32_t t) {
-    dgram.payload[2] = static_cast<char>(s >> 8);
-    dgram.payload[3] = static_cast<char>(s & 0xFF);
-    dgram.payload[4] = static_cast<char>(t >> 24);
-    dgram.payload[5] = static_cast<char>((t >> 16) & 0xFF);
-    dgram.payload[6] = static_cast<char>((t >> 8) & 0xFF);
-    dgram.payload[7] = static_cast<char>(t & 0xFF);
-  };
-  // Warmup parks the flood machines AND laps every dispatch-ring slot, so
-  // each slot's payload string has its steady-state capacity before the
-  // allocation counter arms.
-  for (int k = 0; k < 300; ++k) {
-    for (int i = 0; i < kCalls; ++i) {
-      patch(media[static_cast<size_t>(i)], ++seq[static_cast<size_t>(i)],
-            ts[static_cast<size_t>(i)] += 80);
-      mp.Ingest(media[static_cast<size_t>(i)], true,
-                sim::Time::FromNanos(now_ns++));
-    }
-  }
-  mp.Quiesce();
-  engine.Flush(sim::Time::FromNanos(now_ns));
-  mp.Resume();
-
-  size_t next = 0;
-  {
-    AllocCounter allocs(state);
-    for (auto _ : state) {
-      const size_t i = next;
-      next = (next + 1) % kCalls;
-      patch(media[i], ++seq[i], ts[i] += 80);
-      mp.Ingest(media[i], true, sim::Time::FromNanos(++now_ns));
-    }
-  }
-  mp.Finish();
-  engine.Flush(sim::Time::FromNanos(now_ns));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["producers"] = producers;
-  state.counters["shards"] = shards;
-  state.counters["cores"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-  state.counters["ingest_stalls"] =
-      static_cast<double>(engine.ingest_stalls());
-}
-BENCHMARK(BM_ShardedIngestMp)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({1, 4})
-    ->Args({2, 4})
-    ->Args({4, 4})
     ->UseRealTime();
 
 void BM_ShardedPipelineSpans(benchmark::State& state) {

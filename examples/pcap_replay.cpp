@@ -6,12 +6,9 @@
 // timestamps into the engine — single-threaded Vids by default, the
 // sharded multi-worker engine with --shards=N — and prints decode stats
 // plus the alert list. CI replays the checked-in corpus at --shards=1 and
-// --shards=4 and asserts identical alert counts; the bench-smoke lane also
-// replays at --producers=2 --shards=4 and asserts the count again (the
-// multi-producer fan-out keeps the alert stream byte-identical).
+// --shards=4 and asserts identical alert counts.
 //
-// Usage: pcap_replay --pcap=FILE [--shards=N] [--producers=N]
-//                    [--inside=CIDR] [--quiet]
+// Usage: pcap_replay --pcap=FILE [--shards=N] [--inside=CIDR] [--quiet]
 //
 //   --inside=CIDR  packets whose source lies in CIDR are treated as coming
 //                  from inside the protected perimeter (default: all
@@ -36,7 +33,6 @@ int main(int argc, char** argv) {
 
   std::string pcap_path;
   int shards = 0;
-  int producers = 1;
   bool quiet = false;
   capture::PcapReadOptions read_options;
   for (int i = 1; i < argc; ++i) {
@@ -45,8 +41,6 @@ int main(int argc, char** argv) {
       pcap_path = arg + 7;
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
       shards = std::atoi(arg + 9);
-    } else if (std::strncmp(arg, "--producers=", 12) == 0) {
-      producers = std::atoi(arg + 12);
     } else if (std::strncmp(arg, "--inside=", 9) == 0) {
       const auto subnet = net::Subnet::Parse(arg + 9);
       if (!subnet) {
@@ -59,7 +53,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: pcap_replay --pcap=FILE [--shards=N] "
-                   "[--producers=N] [--inside=CIDR] [--quiet]\n");
+                   "[--inside=CIDR] [--quiet]\n");
       return 2;
     }
   }
@@ -73,16 +67,11 @@ int main(int argc, char** argv) {
   std::map<std::string, int> by_classification;
   size_t alert_count = 0;
 
-  if (producers > 1 && shards <= 0) {
-    std::fprintf(stderr, "pcap_replay: --producers needs --shards=N\n");
-    return 2;
-  }
   if (shards > 0) {
     ids::ShardedConfig config;
     config.shards = shards;
-    config.producers = producers < 1 ? 1 : producers;
     ids::ShardedIds engine(config);
-    replay = capture::RunSource(*source, engine, config.producers, 64);
+    replay = capture::RunSource(*source, engine);
     engine.Stop();
     alert_count = engine.alerts().size();
     for (const auto& alert : engine.alerts()) {
@@ -112,10 +101,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.skipped_fragment),
       static_cast<unsigned long long>(stats.skipped_malformed));
   std::printf("replayed %llu packets in %llu batches, stream end %.6fs, "
-              "shards=%d, producers=%d\n",
+              "shards=%d\n",
               static_cast<unsigned long long>(replay.packets),
               static_cast<unsigned long long>(replay.batches),
-              replay.end.ToSeconds(), shards, producers < 1 ? 1 : producers);
+              replay.end.ToSeconds(), shards);
   std::printf("alerts: %zu\n", alert_count);
   if (!quiet) {
     for (const auto& [classification, count] : by_classification) {

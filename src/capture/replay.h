@@ -7,32 +7,13 @@
 // timer-before-same-time-packet order the sharded WorkerLoop uses), and at
 // end of stream the engine runs up to the source's vouched clock() so
 // trailing windows close exactly where the capture ended.
-//
-// MpIngest is the multi-producer fan-out those drivers (and the soak
-// harness) share: it spreads a time-ordered packet stream over `producers`
-// ingest ports while keeping the alert stream byte-identical to the
-// 1-producer replay (DESIGN.md §15). The calling thread is both the
-// dispatcher and the coordinator: it stamps each packet with its global
-// arrival number, ingests the rare claim-carrying SIP packets INLINE on
-// port 0 (which upholds the engine's claim-ordered ingest contract — every
-// claim is in the ownership table before any later-sequenced packet is
-// even dispatched), and round-robins the media bulk to feeder threads
-// driving ports 1..P-1 over per-producer SPSC handoff queues. Feeders
-// heartbeat their ports from the dispatch watermark when idle so an
-// unlucky round-robin split can never stall a worker's merge.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <thread>
-#include <vector>
 
 #include "capture/packet_source.h"
-#include "common/spsc_ring.h"
 #include "sim/scheduler.h"
-#include "sip/lazy_message.h"
 #include "vids/ids.h"
 #include "vids/sharded_ids.h"
 
@@ -45,75 +26,6 @@ struct ReplayStats {
   bool ok = false;       ///< error() was empty at end of stream
 };
 
-/// Fans a time-ordered packet stream out over a sharded engine's ingest
-/// ports (file header). Owned and driven by ONE thread — the same thread
-/// that owns the engine's coordinator surface; Ingest() calls must carry
-/// non-decreasing times. `producers` is clamped to [1, engine.producers()];
-/// with one producer the dispatcher degenerates to the engine's inline
-/// single-threaded path (no feeder threads at all).
-class MpIngest {
- public:
-  MpIngest(ids::ShardedIds& engine, int producers);
-  /// Finish()es if the caller has not.
-  ~MpIngest();
-  MpIngest(const MpIngest&) = delete;
-  MpIngest& operator=(const MpIngest&) = delete;
-
-  /// Dispatch one packet; the call order is the global arrival order.
-  void Ingest(const net::Datagram& dgram, bool from_outside, sim::Time when);
-
-  /// Drains and parks every feeder thread: on return all dispatched
-  /// packets are fully ingested and no feeder will touch its port until
-  /// Resume(), so the caller may use the engine's coordinator surface
-  /// (Flush(), metrics, state reads) — the quiescent-ports contract.
-  void Quiesce();
-  void Resume();
-
-  /// Terminal: drains, stops and joins the feeders (idempotent). The
-  /// engine is NOT flushed — callers follow with engine.Flush(end).
-  void Finish();
-
-  int producers() const { return producers_; }
-
- private:
-  /// One dispatched packet on a feeder's handoff queue. Slots are reused
-  /// in place across ring laps (the payload string keeps its capacity), so
-  /// the steady-state dispatch path does not allocate.
-  struct DispatchItem {
-    int64_t when_ns = 0;
-    uint64_t seq = 0;
-    bool from_outside = false;
-    bool stop = false;  ///< end-of-stream sentinel: feeder exits
-    net::Datagram dgram;
-  };
-  struct Feeder {
-    explicit Feeder(size_t ring_slots) : ring(ring_slots) {}
-    common::SpscRing<DispatchItem> ring;
-    /// True while the feeder is parked (quiesce) or exited: it holds no
-    /// in-flight ingest and will not touch its port. Release by the
-    /// feeder, acquire by the dispatcher.
-    std::atomic<bool> parked{false};
-    std::thread thread;
-  };
-
-  void FeedPort(Feeder& feeder, ids::ShardedIds::IngestPort& port);
-  /// Dispatcher-side slow path while waiting on a feeder: keep the
-  /// coordinator surface and port 0's frontier moving so a backlogged
-  /// worker (or one merge-gated on idle port 0) cannot deadlock the wait.
-  void PumpWhileWaiting();
-
-  ids::ShardedIds& engine_;
-  int producers_;
-  sip::LazyMessage sniff_;
-  uint64_t seq_ = 0;
-  size_t rr_ = 0;
-  int64_t heartbeat_ns_ = 0;
-  bool finished_ = false;
-  std::atomic<int64_t> watermark_ns_{0};
-  std::atomic<bool> pause_{false};
-  std::vector<std::unique_ptr<Feeder>> feeders_;
-};
-
 /// Replays into a single-threaded Vids on `scheduler`.
 ReplayStats RunSource(PacketSource& source, ids::Vids& vids,
                       sim::Scheduler& scheduler, size_t batch_size = 64);
@@ -124,13 +36,5 @@ ReplayStats RunSource(PacketSource& source, ids::Vids& vids,
 /// everything up to stream end.
 ReplayStats RunSource(PacketSource& source, ids::ShardedIds& engine,
                       size_t batch_size = 64);
-
-/// Multi-producer replay over `producers` ingest ports via MpIngest;
-/// `producers <= 1` is exactly the overload above. Alerts are
-/// byte-identical for every producer count. The engine must be freshly
-/// constructed or Flush()ed, with no other threads driving its ports or
-/// coordinator surface during the call.
-ReplayStats RunSource(PacketSource& source, ids::ShardedIds& engine,
-                      int producers, size_t batch_size);
 
 }  // namespace vids::capture

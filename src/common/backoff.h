@@ -5,7 +5,7 @@
 // yield for a bounded number of spins (so a message that is nanoseconds
 // away is picked up with no added latency), then drop to a short sleep
 // (so an idle engine does not pin a core at 100%). The spin count and the
-// sleep are the two knobs; `ShardedConfig` exposes them per engine.
+// sleep are the named constants below.
 #pragma once
 
 #include <chrono>

@@ -1,12 +1,12 @@
 // Fixed-slot payload arena paired 1:1 with a ring's slots.
 //
-// The multi-producer ingest path (src/vids/sharded_ids.*) moves datagram
-// payload bytes from a producer to a shard worker through an SPSC lane. A
-// naive design would keep a std::string per ring slot and assign into it;
-// that works (capacity is reused across laps), but the strings' heap blocks
-// land wherever the allocator put them, so a producer filling a batch and a
-// worker draining one walk scattered cache lines. The arena replaces those
-// scattered blocks with ONE contiguous slab per lane:
+// The sharded engine (src/vids/sharded_ids.*) moves datagram payload
+// bytes from the coordinator to a shard worker through that shard's SPSC
+// down ring. A naive design would keep a std::string per ring slot and
+// assign into it; that works (capacity is reused across laps), but the
+// strings' heap blocks land wherever the allocator put them, so a producer
+// filling a batch and a worker draining one walk scattered cache lines. The arena replaces those
+// scattered blocks with ONE contiguous slab per ring:
 //
 //  - `slots * slot_bytes` bytes, allocated once at construction. Slot i of
 //    the arena belongs to slot i of the ring (same index: the producer
@@ -17,7 +17,7 @@
 //    bodies) fall back to the ring slot's own string — the arena is a fast
 //    path, never a correctness constraint.
 //  - Slot bytes are reused in place exactly like ring slots, so the
-//    steady-state handoff allocates nothing and the lane's working set is
+//    steady-state handoff allocates nothing and the ring's working set is
 //    one slab the hardware prefetcher can follow.
 //
 // Synchronization is inherited from the paired ring: the producer writes a

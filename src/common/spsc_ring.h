@@ -1,7 +1,7 @@
 // Single-producer / single-consumer lock-free ring buffer.
 //
 // The sharded IDS engine (src/vids/sharded_ids.*) moves packets from the
-// router thread to each shard worker — and alerts/aggregate events back —
+// coordinator thread to each shard worker — and alerts/aggregate events back —
 // over exactly-one-writer/exactly-one-reader queues, so the classic SPSC
 // ring with release/acquire index handoff is all the synchronization the
 // data plane needs. Design points:
@@ -156,10 +156,9 @@ class SpscRing {
   /// batch. Producer thread only. May overestimate — head_cache_ refreshes
   /// lazily — which is the right bias for a high-water-mark gauge: depth is
   /// never under-reported. The stale cache is bounded here: an apparent
-  /// size above capacity refreshes head_cache_ first, so a per-lane gauge
-  /// read by a producer that never hit backpressure (the common multi-lane
-  /// ingest case — each lane sees a fraction of the traffic and rarely
-  /// fills) can no longer report a many-lap phantom depth.
+  /// size above capacity refreshes head_cache_ first, so a depth gauge
+  /// read by a producer that never hit backpressure cannot report a
+  /// many-lap phantom depth.
   size_t SizeFromProducer() {
     const size_t tail = tail_.load(std::memory_order_relaxed) + pending_;
     if (tail - head_cache_ > mask_ + 1) {

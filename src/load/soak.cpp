@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "attacks/toolkit.h"
-#include "capture/replay.h"
 #include "common/rng.h"
 #include "rtp/packet.h"
 #include "sdp/sdp.h"
@@ -330,19 +329,13 @@ struct SoakDriver::Impl {
         scheduler(sch),
         vids(ids),
         sharded(sharded_ids),
-        rng(config.seed, "soak") {
-    if (sharded != nullptr && config.producers > 1) {
-      mp = std::make_unique<capture::MpIngest>(*sharded, config.producers);
-    }
-  }
+        rng(config.seed, "soak") {}
 
   void Feed(const net::Datagram& dgram, bool from_outside) {
     if (config.capture != nullptr) {
       config.capture->Append(scheduler.Now(), dgram, from_outside);
     }
-    if (mp != nullptr) {
-      mp->Ingest(dgram, from_outside, scheduler.Now());
-    } else if (sharded != nullptr) {
+    if (sharded != nullptr) {
       sharded->Ingest(dgram, from_outside, scheduler.Now());
     } else {
       vids->Inspect(dgram, from_outside);
@@ -545,7 +538,7 @@ struct SoakDriver::Impl {
 
   // ---------------- behavioral-attack scenarios (DESIGN.md §16) ----------
   // Fixed simulated-time schedules, independent of the Poisson benign
-  // stream, so every run (and every shard/producer count fed the same
+  // stream, so every run (and every shard count fed the same
   // stream) sees the identical packet sequence. Burst sizes are sized to
   // cross the default BehaviorConfig thresholds with margin while staying
   // inside the engine's fixed distinct-slot rings.
@@ -661,12 +654,8 @@ struct SoakDriver::Impl {
     if (sharded != nullptr) {
       // Barrier first: shard state may only be read once every in-flight
       // packet is processed and the shard clocks have caught up to now.
-      // With live feeder threads the ports must also be quiescent before
-      // Flush may touch them.
-      if (mp != nullptr) mp->Quiesce();
       sharded->Flush(scheduler.Now());
       samples.push_back(Snapshot(*sharded, scheduler.Now(), started, packets));
-      if (mp != nullptr) mp->Resume();
     } else {
       samples.push_back(Snapshot(*vids, scheduler.Now(), started, packets));
     }
@@ -685,7 +674,6 @@ struct SoakDriver::Impl {
   sim::Scheduler& scheduler;
   ids::Vids* vids;
   ids::ShardedIds* sharded;
-  std::unique_ptr<capture::MpIngest> mp;  // set iff sharded && producers > 1
   common::Stream rng;
   uint64_t started = 0;
   uint64_t packets = 0;
@@ -699,7 +687,6 @@ SoakDriver::SoakDriver(SoakConfig config) {
   if (config.shards > 0) {
     ids::ShardedConfig sharded;
     sharded.shards = config.shards;
-    sharded.producers = std::max(1, config.producers);
     sharded.ring_capacity = config.ring_capacity;
     sharded.detection = config.detection;
     sharded.max_retained_alerts = config.max_retained_alerts;
@@ -722,7 +709,6 @@ SoakReport SoakDriver::Run() {
   impl_->ArmSampler();
   const auto wall_start = std::chrono::steady_clock::now();
   scheduler_.Run();     // drains arrivals, pause, teardowns and reclamation
-  if (impl_->mp) impl_->mp->Finish();  // join feeders before the barrier
   if (sharded_) sharded_->Flush(scheduler_.Now());  // drain the pipeline too
   const auto wall_end = std::chrono::steady_clock::now();
   impl_->TakeSample();  // post-drain

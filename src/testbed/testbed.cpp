@@ -258,8 +258,10 @@ void Testbed::StartWorkload(WorkloadConfig workload) {
     UaNode* caller = uas_a_[i].get();
     auto caller_rng = std::make_shared<common::Stream>(
         rng_.Fork("workload:" + std::to_string(i)));
-    // Self-rescheduling call loop per caller.
-    auto place_next = std::make_shared<std::function<void()>>();
+    // Self-rescheduling call loop per caller, owned by call_loops_.
+    auto* place_next =
+        call_loops_.emplace_back(std::make_unique<std::function<void()>>())
+            .get();
     *place_next = [this, caller, caller_rng, place_next, workload] {
       const auto pause = sim::Duration::FromSeconds(
           caller_rng->NextExponential(workload.mean_intercall.ToSeconds()));

@@ -14,6 +14,7 @@
 // with VAD, 500-byte SIP messages.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -173,6 +174,10 @@ class Testbed {
 
   net::Host* attacker_host_ = nullptr;
   std::unique_ptr<attacks::AttackToolkit> attacker_;
+  /// One self-rescheduling call loop per network-A caller (StartWorkload).
+  /// Owned here so the scheduled closures can refer to their loop without
+  /// keeping it alive themselves.
+  std::vector<std::unique_ptr<std::function<void()>>> call_loops_;
   std::vector<net::InlineTap::Monitor> extra_monitors_;
 };
 

@@ -23,7 +23,7 @@
 // the inspect path; the sharded engine feeds the coordinator's instance
 // from the frontier-gated aggregate replay — both instances see the same
 // time-ordered event stream, so they emit byte-identical alerts regardless
-// of shard or producer count.
+// of shard count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct

@@ -513,11 +513,17 @@ size_t CallStateFactBase::MemoryBytes() const {
   for (const auto& [key, media] : media_index_) {
     bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();
   }
-  for (const auto& group : group_pool_) bytes += group->MemoryBytes();
+  bytes += PoolBytes();
   bytes += call_idle_.MemoryBytes() + keyed_str_idle_.MemoryBytes() +
            keyed_bin_idle_.MemoryBytes() +
            completion_candidates_.capacity() * sizeof(StringNode*) +
            tombstone_fifo_.capacity() * sizeof(TombstoneDue);
+  return bytes;
+}
+
+size_t CallStateFactBase::PoolBytes() const {
+  size_t bytes = 0;
+  for (const auto& group : group_pool_) bytes += group->MemoryBytes();
   return bytes;
 }
 

@@ -160,10 +160,18 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// the index and the recycled-group pool, so a drained fact base is back
   /// at its freshly built footprint.
   size_t MemoryBytes() const;
+  /// The part of MemoryBytes() held by reset groups parked in the recycle
+  /// pool (at most kGroupPoolCap of them) — reusable capacity, not state
+  /// of any tracked call.
+  size_t PoolBytes() const;
+  size_t pool_size() const { return group_pool_.size(); }
   /// Footprint of one call's group, if it exists.
   std::optional<size_t> CallMemoryBytes(const std::string& call_id) const;
 
   const DetectionConfig& config() const { return config_; }
+
+  /// Cap on the recycle pool (see group_pool_).
+  static constexpr size_t kGroupPoolCap = 256;
 
  private:
   struct Entry {
@@ -276,7 +284,6 @@ class CallStateFactBase : private efsm::RetirementListener {
   // absorb one sweep's reclaim batch at busy-hour call rates (hundreds of
   // calls/s × one sweep interval), a few hundred KB worst case. A sweep
   // that leaves nothing tracked frees the pool with the index.
-  static constexpr size_t kGroupPoolCap = 256;
   std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
 
   StringKeyed<Entry> calls_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <optional>
 
+#include "common/backoff.h"
 #include "rtp/rtcp.h"
 #include "vids/classifier.h"
 #include "vids/patterns.h"
@@ -54,60 +55,22 @@ void AssignAlert(Alert& dst, const Alert& src) {
 // agg_hold aging forces a full ship instead of unbounded staging growth.
 constexpr size_t kMaxHeldAggEvents = 1024;
 
-int64_t MinOf(const std::vector<int64_t>& values) {
-  int64_t m = INT64_MAX;
-  for (const int64_t v : values) m = std::min(m, v);
-  return m;
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ ingest port
-
-ShardedIds::IngestPort::IngestPort(ShardedIds& engine, int index)
-    : engine_(engine),
-      index_(index),
-      lane_open_ns_(static_cast<size_t>(engine.config_.shards), INT64_MAX),
-      lane_hwm_(static_cast<size_t>(engine.config_.shards), 0),
-      lane_stalls_(static_cast<size_t>(engine.config_.shards), 0),
-      m_stalls_(&metrics_.GetCounter("sharded.ingest_stalls")),
-      m_sip_routed_(&metrics_.GetCounter("sharded.sip_routed")),
-      m_owner_routed_(&metrics_.GetCounter("sharded.endpoint_owner_routed")),
-      m_hash_routed_(&metrics_.GetCounter("sharded.endpoint_hash_routed")),
-      m_early_retracts_(
-          &metrics_.GetCounter("sharded.early_media_retracts")),
-      m_retracts_(&metrics_.GetCounter("sharded.ownership_transfers")),
-      m_route_escalations_(
-          &metrics_.GetCounter("sharded.route_escalations")),
-      m_stale_claims_(
-          &metrics_.GetCounter("sharded.stale_claims_dropped")),
-      m_flush_full_(&metrics_.GetCounter("pipeline.flush.full")),
-      m_flush_deadline_(&metrics_.GetCounter("pipeline.flush.deadline")),
-      m_flush_barrier_(&metrics_.GetCounter("pipeline.flush.barrier")),
-      m_batch_committed_(&metrics_.GetHistogram("pipeline.batch.committed")) {}
-
-void ShardedIds::IngestPort::Ingest(const net::Datagram& dgram,
-                                    bool from_outside, sim::Time when,
-                                    uint64_t seq) {
-  engine_.IngestOn(*this, dgram, from_outside, when, seq);
-}
-
-void ShardedIds::IngestPort::Ingest(const net::Datagram& dgram,
-                                    bool from_outside, sim::Time when) {
-  engine_.IngestOn(*this, dgram, from_outside, when, auto_seq_++);
-}
-
-void ShardedIds::IngestPort::Heartbeat(sim::Time when) {
-  engine_.PortHeartbeat(*this, when);
-}
-
-void ShardedIds::IngestPort::Close() { engine_.PortClose(*this); }
 
 // ------------------------------------------------------------ construction
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
       behavior_(config_.detection.behavior),
+      m_stalls_(&coord_metrics_.GetCounter("sharded.ingest_stalls")),
+      m_sip_routed_(&coord_metrics_.GetCounter("sharded.sip_routed")),
+      m_owner_routed_(
+          &coord_metrics_.GetCounter("sharded.endpoint_owner_routed")),
+      m_hash_routed_(
+          &coord_metrics_.GetCounter("sharded.endpoint_hash_routed")),
+      m_early_retracts_(
+          &coord_metrics_.GetCounter("sharded.early_media_retracts")),
+      m_retracts_(&coord_metrics_.GetCounter("sharded.ownership_transfers")),
       m_agg_events_(&coord_metrics_.GetCounter("sharded.agg_events")),
       m_coord_alerts_(&coord_metrics_.GetCounter("sharded.coord_alerts")),
       m_coord_suppressed_(
@@ -116,18 +79,15 @@ ShardedIds::ShardedIds(ShardedConfig config)
       m_escalations_(&coord_metrics_.GetCounter("sharded.agg_escalations")),
       m_watchdog_stalls_(
           &coord_metrics_.GetCounter("sharded.watchdog_stalls")),
-      m_watchdog_producer_stalls_(
-          &coord_metrics_.GetCounter("sharded.watchdog_producer_stalls")),
       m_flush_full_(&coord_metrics_.GetCounter("pipeline.flush.full")),
+      m_flush_deadline_(
+          &coord_metrics_.GetCounter("pipeline.flush.deadline")),
       m_flush_barrier_(&coord_metrics_.GetCounter("pipeline.flush.barrier")),
       m_batch_committed_(
           &coord_metrics_.GetHistogram("pipeline.batch.committed")) {
-  // The ownership table packs the shard index into 8 bits.
-  config_.shards = std::clamp(config_.shards, 1, 255);
-  config_.producers = std::max(1, config_.producers);
+  config_.shards = std::max(1, config_.shards);
   config_.batch_max = std::max<size_t>(1, config_.batch_max);
   const int n = config_.shards;
-  owner_table_ = std::make_unique<MediaOwnerTable>(1024);
   if (config_.trace_sample_period > 0) {
     uint32_t period = 1;
     while (period < config_.trace_sample_period) period <<= 1;
@@ -168,9 +128,7 @@ ShardedIds::ShardedIds(ShardedConfig config)
   pending_.resize(static_cast<size_t>(n));
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>(config_.producers,
-                                         config_.ring_capacity,
-                                         config_.arena_slot_bytes);
+    auto shard = std::make_unique<Shard>(config_.ring_capacity);
     shard->index = i;
     shard->scheduler = std::make_unique<sim::Scheduler>();
     shard->vids = std::make_unique<Vids>(*shard->scheduler, config_.detection,
@@ -247,15 +205,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
         });
     shards_.push_back(std::move(shard));
   }
-  // Ports before workers: the merge gate reads ports_[p]->frontier_.
-  ports_.reserve(static_cast<size_t>(config_.producers));
-  for (int p = 0; p < config_.producers; ++p) {
-    ports_.push_back(
-        std::unique_ptr<IngestPort>(new IngestPort(*this, p)));
-  }
-  // Single-producer engines keep the PR 5 contract: port 0 runs on the
-  // coordinator thread, so its backpressure wait may (must) drain upstream.
-  ports_[0]->inline_drain_ = config_.producers == 1;
   for (auto& shard : shards_) {
     Shard* sp = shard.get();
     sp->thread = std::thread([this, sp] { WorkerLoop(*sp); });
@@ -272,13 +221,13 @@ void ShardedIds::PushUp(Shard& shard, Fill&& fill) {
   if (slot == nullptr) {
     // Publish whatever the open batch holds — the coordinator can only
     // free slots it can see — then wait for room. The coordinator drains
-    // up-rings whenever it waits on a full control lane and while it waits
+    // up-rings whenever it waits on a full down ring and while it waits
     // in Flush()/Stop(), so this cannot deadlock against a blocked
-    // producer. It can still be a long wait if the driver thread goes
+    // coordinator. It can still be a long wait if the driver thread goes
     // quiet between Ingest/Pump calls — back off to a short sleep instead
     // of spinning.
     shard.up.CommitPushN();
-    common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+    common::SpinBackoff backoff;
     do {
       ++shard.up_stalls;
       backoff.Pause();
@@ -444,261 +393,161 @@ void ShardedIds::PruneAggSketches(Shard& shard, int64_t now_ns) {
   prune(shard.agg.drdos_sketch);
 }
 
-bool ShardedIds::LanesQuiescent(Shard& shard, int64_t barrier_ns) {
-  for (size_t p = 0; p < shard.lanes.size(); ++p) {
-    // Frontier first (acquire), then the emptiness re-check: everything
-    // the frontier vouches for was committed before its release store, so
-    // "frontier past the barrier AND lane empty" proves nothing at or
-    // before the barrier is still in flight on this lane.
-    if (ports_[p]->frontier_.load(std::memory_order_acquire) < barrier_ns) {
-      return false;
-    }
-    if (shard.lanes[p]->ring.FrontN(1) != 0) return false;
+void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
+                               net::Datagram& scratch) {
+  // Sampled span: note the dequeue time and post the enqueue time where
+  // the alert callback can see it. Unsampled packets (and the
+  // sampling-off configuration) take one never-true branch.
+  const int64_t span_t0 = msg.span_enqueue_ns;
+  int64_t span_dequeue = 0;
+  if (span_t0 != 0) {
+    span_dequeue = obs::MonotonicNanos();
+    shard.span_open_enqueue_ns = span_t0;
   }
-  return true;
-}
-
-void ShardedIds::ProcessLaneMsg(Shard& shard, Lane& lane, size_t at,
-                                ShardMsg& msg, net::Datagram& scratch,
-                                int64_t& watermark) {
-  const sim::Time when = sim::Time::FromNanos(msg.when_ns);
-  if (msg.kind == ShardMsg::Kind::kPacket) {
-    // Sampled span: note the dequeue time and post the enqueue time where
-    // the alert callback can see it. Unsampled packets (and the
-    // sampling-off configuration) take one never-true branch.
-    const int64_t span_t0 = msg.span_enqueue_ns;
-    int64_t span_dequeue = 0;
-    if (span_t0 != 0) {
-      span_dequeue = obs::MonotonicNanos();
-      shard.span_open_enqueue_ns = span_t0;
-    }
-    scratch.src = msg.dgram.src;
-    scratch.dst = msg.dgram.dst;
-    scratch.kind = msg.dgram.kind;
-    scratch.padding_bytes = msg.dgram.padding_bytes;
-    scratch.sent_time = msg.dgram.sent_time;
-    scratch.id = msg.dgram.id;
-    if (msg.in_arena) {
-      // The payload bytes live in the lane's arena slot (same index as the
-      // ring slot) — one contiguous slab the producer memcpy'd into.
-      scratch.payload.assign(lane.arena.Slot(lane.ring.ConsumerIndex(at)),
-                             msg.arena_len);
-    } else {
-      // Oversized payload took the slot-string path. Swap, don't copy: the
-      // slot inherits the scratch's warm buffer for the producer's next
-      // assign.
-      scratch.payload.swap(msg.dgram.payload);
-    }
-    // Advance this shard's private clock so detection timers (flood
-    // windows, RTCP grace, sweeps) fire exactly as in the single engine:
-    // all events <= `when` run before the packet is inspected, matching
-    // the scheduler's timer-before-same-time-packet order.
-    AdvanceShardClock(shard, when);
-    shard.vids->Inspect(scratch, msg.from_outside);
-    if (span_t0 != 0) {
-      RecordSpan(shard, span_t0, span_dequeue);
-      shard.span_open_enqueue_ns = 0;
-    }
-    watermark = std::max(watermark, msg.when_ns);
-  } else {  // kRetractMedia
-    AdvanceShardClock(shard, when);
-    // This shard lost ownership of the endpoint: drop both the media index
-    // binding and the per-endpoint keyed counters, so exactly one shard
-    // counts the stream from the claim onward. Retracting an endpoint this
-    // shard never bound is a no-op, which is what makes the stale-claim
-    // double edges of MediaOwnerTable::ApplyClaim idempotent.
-    shard.vids->fact_base().RetractMedia(msg.endpoint);
-    shard.vids->fact_base().DropMediaKeyedGroup(msg.endpoint);
-    watermark = std::max(watermark, msg.when_ns);
+  scratch.src = msg.dgram.src;
+  scratch.dst = msg.dgram.dst;
+  scratch.kind = msg.dgram.kind;
+  scratch.padding_bytes = msg.dgram.padding_bytes;
+  scratch.sent_time = msg.dgram.sent_time;
+  scratch.id = msg.dgram.id;
+  if (msg.in_arena) {
+    // The payload bytes live in the arena slot paired with this ring slot
+    // — one contiguous slab the coordinator memcpy'd into.
+    scratch.payload.assign(shard.arena.Slot(shard.down.ConsumerIndex(at)),
+                           msg.arena_len);
+  } else {
+    // Oversized payload took the slot-string path. Swap, don't copy: the
+    // slot inherits the scratch's warm buffer for the coordinator's next
+    // assign.
+    scratch.payload.swap(msg.dgram.payload);
+  }
+  // Advance this shard's private clock so detection timers (flood
+  // windows, RTCP grace, sweeps) fire exactly as in the single engine:
+  // all events <= `when` run before the packet is inspected, matching
+  // the scheduler's timer-before-same-time-packet order.
+  AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+  shard.vids->Inspect(scratch, msg.from_outside);
+  if (span_t0 != 0) {
+    RecordSpan(shard, span_t0, span_dequeue);
+    shard.span_open_enqueue_ns = 0;
   }
 }
 
 void ShardedIds::WorkerLoop(Shard& shard) {
   net::Datagram scratch;
-  common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+  common::SpinBackoff backoff;
   const size_t batch_max = config_.batch_max;
   const int64_t hold_ns = config_.agg_hold.nanos();
   // Heartbeats only exist for the watchdog; the disabled configuration
   // (BM_ShardedIngest's pinned hot path) never reads the wall clock here.
   const bool heartbeat = watchdog_threshold_ns_ > 0;
-  const size_t lanes_n = shard.lanes.size();
-  std::vector<size_t> avail(lanes_n, 0);
-  std::vector<size_t> taken(lanes_n, 0);
   int64_t watermark = 0;
   bool stopping = false;
   while (!stopping) {
-    bool progress = false;
-    int stall_lane = -1;
-
-    // ---- control lane: barriers, hot-key broadcasts, test wedges ----
-    while (ShardMsg* ctl = shard.down.Front()) {
-      if (ctl->kind == ShardMsg::Kind::kAggHot) {
-        // Some shard escalated this key: bypass the hold locally too, so
-        // this shard's frontier keeps pace and the coordinator's merged
-        // replay of the hot key is not gated on our cold buffer.
-        const bool invite = ctl->agg == Vids::AggregateKind::kInviteRequest;
-        auto& sketches =
-            invite ? shard.agg.invite_sketch : shard.agg.drdos_sketch;
-        auto it = sketches.find(ctl->key);
-        if (it == sketches.end()) {
-          it = sketches.emplace(ctl->key, AggSketch{}).first;
-        }
-        AggSketch& s = it->second;
-        if (!s.hot) {
-          s.hot = true;
-          ++shard.agg.hot_keys;
-        }
-        s.last_event_ns = std::max(s.last_event_ns, ctl->when_ns);
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
-      if (ctl->kind == ShardMsg::Kind::kWedge) {
-        // Deliberate stall (tests): sleep before retiring the message. The
-        // control lane stays non-empty and the heartbeat store below is
-        // not reached — exactly the state the watchdog must detect, with
-        // waiting_on_lane still -1 (a wedged WORKER, not a producer).
-        while (shard.wedged.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
-      // kFlush / kStop: barriers logically ORDERED AFTER every ingest-lane
-      // message — honor them only once every lane is drained and every
-      // producer frontier has passed the barrier (Flush()/Stop() force the
-      // frontiers forward under the quiescent-ports contract).
-      const int64_t barrier =
-          ctl->kind == ShardMsg::Kind::kFlush ? ctl->when_ns : INT64_MAX;
-      if (!LanesQuiescent(shard, barrier)) break;
-      if (ctl->kind == ShardMsg::Kind::kFlush) {
-        AdvanceShardClock(shard, sim::Time::FromNanos(ctl->when_ns));
-        // The barrier promises every aggregate event up to `when` is
-        // replayable: ship the whole staging buffer before the ack.
-        ShipAggPrefix(shard, INT64_MAX);
-        PruneAggSketches(shard, ctl->when_ns);
-        PushUp(shard, [&](UpMsg& up) {
-          up.kind = UpMsg::Kind::kFlushAck;
-          up.when_ns = ctl->when_ns;
-          up.token = ctl->token;
-        });
-        watermark = std::max(watermark, ctl->when_ns);
-        shard.down.Pop();
-        progress = true;
-        continue;
-      }
-      // kStop: final ship so Stop()'s terminal replay sees every event.
-      ShipAggPrefix(shard, INT64_MAX);
-      stopping = true;
-      shard.down.Pop();
-      progress = true;
-      break;
-    }
-
-    // ---- ingest lanes: (when, seq)-ordered merge across producers ----
-    size_t consumed = 0;
-    if (!stopping) {
-      for (size_t p = 0; p < lanes_n; ++p) {
-        avail[p] = shard.lanes[p]->ring.FrontN(batch_max);
-        taken[p] = 0;
-      }
-      while (consumed < batch_max) {
-        // Minimal (when, seq) over the lanes' unconsumed fronts. seq is a
-        // global arrival number, so this reproduces the single-producer
-        // delivery order exactly.
-        size_t best = lanes_n;
-        int64_t best_when = 0;
-        uint64_t best_seq = 0;
-        for (size_t p = 0; p < lanes_n; ++p) {
-          if (taken[p] >= avail[p]) continue;
-          const ShardMsg& m = shard.lanes[p]->ring.At(taken[p]);
-          if (best == lanes_n || m.when_ns < best_when ||
-              (m.when_ns == best_when && m.seq < best_seq)) {
-            best = p;
-            best_when = m.when_ns;
-            best_seq = m.seq;
-          }
-        }
-        if (best == lanes_n) break;  // every lane visibly empty
-        // A visibly-empty lane may still hold an earlier message: avail[]
-        // is a batch-start snapshot, and the frontier's promise covers
-        // only FUTURE pushes (strictly later than f) — never commits that
-        // landed since the snapshot. So for every exhausted lane, load
-        // the frontier first (acquire — every commit it vouches for is
-        // visible after this), then ALWAYS re-read the ring. New arrivals
-        // re-enter the pick; only a fresh empty verdict makes the vouch
-        // sound, and a fresh-empty lane whose frontier is still short of
-        // the candidate gates the merge.
-        bool gated = false;
-        bool refreshed = false;
-        for (size_t p = 0; p < lanes_n; ++p) {
-          if (taken[p] < avail[p]) continue;
-          const int64_t f =
-              ports_[p]->frontier_.load(std::memory_order_acquire);
-          const size_t now_avail = shard.lanes[p]->ring.FrontN(batch_max);
-          if (now_avail > taken[p]) {
-            avail[p] = now_avail;
-            refreshed = true;
-          } else if (best_when > f) {
-            stall_lane = static_cast<int>(p);
-            gated = true;
-            break;
-          }
-        }
-        if (gated) break;
-        if (refreshed) continue;  // re-pick including the new arrivals
-        Lane& lane = *shard.lanes[best];
-        ProcessLaneMsg(shard, lane, taken[best], lane.ring.At(taken[best]),
-                       scratch, watermark);
-        ++taken[best];
-        ++consumed;
-      }
-      for (size_t p = 0; p < lanes_n; ++p) {
-        if (taken[p] != 0) shard.lanes[p]->ring.PopN(taken[p]);
-      }
-    }
-
-    if (consumed != 0 || progress) {
-      if (!stopping && shard.agg.live() != 0) {
-        // Cold events age out after agg_hold; while any key is hot the
-        // whole buffer ships every batch so replay tracks the frontier.
-        ShipAggPrefix(shard, shard.agg.hot_keys > 0 ? watermark
-                                                    : watermark - hold_ns);
-      }
-      // Worker-owned plain metric fields must be written before the commit
-      // below: the coordinator reads `shard.pipeline` after acquiring the
-      // flush ack published by this very batch.
-      if (consumed != 0) {
-        shard.batch_consumed->Record(static_cast<int64_t>(consumed));
-      }
-      // One release store publishes every upstream message of this round
-      // (alerts, aggregate ships, escalations, acks) ...
-      shard.up.CommitPushN();
-      // ... then the frontiers. agg_complete first: the events it vouches
-      // for are already committed above, so an acquire read that observes
-      // the new frontier also observes them in the ring (DESIGN.md §12).
-      const int64_t agg_complete =
-          shard.agg.live() == 0
-              ? watermark
-              : shard.agg.buf[shard.agg.begin].when_ns - 1;
-      shard.agg_complete_ns.store(agg_complete, std::memory_order_release);
-      shard.processed_ns.store(watermark, std::memory_order_release);
-      // Heartbeat last: it vouches for the whole retired round. A worker
-      // that wedges or blocks mid-batch never reaches this store.
-      if (heartbeat) {
-        shard.last_progress_ns.store(obs::MonotonicNanos(),
-                                     std::memory_order_release);
-      }
-      shard.waiting_on_lane.store(-1, std::memory_order_relaxed);
-      backoff.Reset();
-    } else {
-      // No work retired. Publish what (if anything) the merge is blocked
-      // on so the watchdog can tell a stalled producer from a stalled
-      // worker, and back off.
-      shard.waiting_on_lane.store(stall_lane, std::memory_order_relaxed);
+    const size_t avail = shard.down.FrontN(batch_max);
+    if (avail == 0) {
       backoff.Pause();
+      continue;
     }
+    // The ring delivers packets, retracts and control messages in push
+    // order, so a barrier is honored only after everything ingested
+    // before it.
+    size_t consumed = 0;
+    while (consumed < avail && !stopping) {
+      ShardMsg& msg = shard.down.At(consumed);
+      switch (msg.kind) {
+        case ShardMsg::Kind::kPacket:
+          ProcessPacket(shard, consumed, msg, scratch);
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kRetractMedia:
+          AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+          // This shard lost ownership of the endpoint: drop both the media
+          // index binding and the per-endpoint keyed counters, so exactly
+          // one shard counts the stream from the claim onward. Retracting
+          // an endpoint this shard never bound is a no-op.
+          shard.vids->fact_base().RetractMedia(msg.endpoint);
+          shard.vids->fact_base().DropMediaKeyedGroup(msg.endpoint);
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kFlush:
+          AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
+          // The barrier promises every aggregate event up to `when` is
+          // replayable: ship the whole staging buffer before the ack.
+          ShipAggPrefix(shard, INT64_MAX);
+          PruneAggSketches(shard, msg.when_ns);
+          PushUp(shard, [&](UpMsg& up) {
+            up.kind = UpMsg::Kind::kFlushAck;
+            up.when_ns = msg.when_ns;
+            up.token = msg.token;
+          });
+          watermark = std::max(watermark, msg.when_ns);
+          break;
+        case ShardMsg::Kind::kStop:
+          // Final ship so Stop()'s terminal replay sees every event.
+          ShipAggPrefix(shard, INT64_MAX);
+          stopping = true;
+          break;
+        case ShardMsg::Kind::kAggHot: {
+          // Some shard escalated this key: bypass the hold locally too, so
+          // this shard's frontier keeps pace and the coordinator's merged
+          // replay of the hot key is not gated on our cold buffer.
+          const bool invite = msg.agg == Vids::AggregateKind::kInviteRequest;
+          auto& sketches =
+              invite ? shard.agg.invite_sketch : shard.agg.drdos_sketch;
+          auto it = sketches.find(msg.key);
+          if (it == sketches.end()) {
+            it = sketches.emplace(msg.key, AggSketch{}).first;
+          }
+          AggSketch& sketch = it->second;
+          if (!sketch.hot) {
+            sketch.hot = true;
+            ++shard.agg.hot_keys;
+          }
+          sketch.last_event_ns = std::max(sketch.last_event_ns, msg.when_ns);
+          break;
+        }
+        case ShardMsg::Kind::kWedge:
+          // Deliberate stall (tests): sleep before retiring the message.
+          // The ring stays non-empty and the heartbeat store below is not
+          // reached — exactly the state the watchdog must detect.
+          while (shard.wedged.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          break;
+      }
+      ++consumed;
+    }
+    shard.down.PopN(consumed);
+
+    if (!stopping && shard.agg.live() != 0) {
+      // Cold events age out after agg_hold; while any key is hot the
+      // whole buffer ships every batch so replay tracks the frontier.
+      ShipAggPrefix(shard, shard.agg.hot_keys > 0 ? watermark
+                                                  : watermark - hold_ns);
+    }
+    // Worker-owned plain metric fields must be written before the commit
+    // below: the coordinator reads `shard.pipeline` after acquiring the
+    // flush ack published by this very batch.
+    shard.batch_consumed->Record(static_cast<int64_t>(consumed));
+    // One release store publishes every upstream message of this round
+    // (alerts, aggregate ships, escalations, acks) ...
+    shard.up.CommitPushN();
+    // ... then the frontiers. agg_complete first: the events it vouches
+    // for are already committed above, so an acquire read that observes
+    // the new frontier also observes them in the ring (DESIGN.md §12).
+    const int64_t agg_complete =
+        shard.agg.live() == 0 ? watermark
+                              : shard.agg.buf[shard.agg.begin].when_ns - 1;
+    shard.agg_complete_ns.store(agg_complete, std::memory_order_release);
+    shard.processed_ns.store(watermark, std::memory_order_release);
+    // Heartbeat last: it vouches for the whole retired round. A worker
+    // that wedges or blocks mid-batch never reaches this store.
+    if (heartbeat) {
+      shard.last_progress_ns.store(obs::MonotonicNanos(),
+                                   std::memory_order_release);
+    }
+    backoff.Reset();
   }
   // After this store no further up-messages are pushed; Stop() drains
   // until every worker has raised it, then joins.
@@ -732,19 +581,7 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   scheduler.RunUntil(when);
 }
 
-// ----------------------------------------------------- producer-side routing
-
-void ShardedIds::PublishFrontier(IngestPort& port, int64_t candidate_ns) {
-  // Strict semantics: frontier F promises every future committed message
-  // has when_ns > F. A port that has seen (or promised) nothing earlier
-  // than `candidate` may publish candidate − 1 — it might still push AT
-  // candidate. INT64_MAX is terminal (Close/Stop).
-  const int64_t f =
-      candidate_ns == INT64_MAX ? INT64_MAX : candidate_ns - 1;
-  if (f > port.frontier_.load(std::memory_order_relaxed)) {
-    port.frontier_.store(f, std::memory_order_release);
-  }
-}
+// ------------------------------------------------------ coordinator: routing
 
 int ShardedIds::ShardOfCallId(std::string_view call_id) const {
   return static_cast<int>(Fnv1a(call_id) % shards_.size());
@@ -754,30 +591,18 @@ int ShardedIds::HashShardOfEndpoint(uint64_t packed_key) const {
   return static_cast<int>(SplitMix64(packed_key) % shards_.size());
 }
 
-int ShardedIds::RouteEndpoint(IngestPort& port, const net::Endpoint& endpoint,
-                              int64_t when_ns, uint64_t seq) {
-  // Under the claim-ordered ingest contract every claim sequenced before
-  // this packet is already in the table; the seq-keyed lookup filters out
-  // any later-sequenced claim another producer applied early, so the
-  // answer is exactly the single-producer one.
-  bool pre_history = false;
-  const int owner =
-      owner_table_->OwnerAt(endpoint.PackedKey(), when_ns, seq, pre_history);
+int ShardedIds::RouteEndpoint(const net::Endpoint& endpoint, int64_t when_ns) {
+  const uint64_t key = endpoint.PackedKey();
+  const int owner = owners_.Lookup(key, when_ns);
   if (owner >= 0) {
-    port.m_owner_routed_->Inc();
+    m_owner_routed_->Inc();
     return owner;
   }
-  // Pre-history: the entry exists but both recorded claim eras postdate
-  // this packet (>2 claims landed between this packet's arrival and its
-  // routing) — the bounded slow path; the packet hash-routes like
-  // unnegotiated media.
-  if (pre_history) port.m_route_escalations_->Inc();
-  port.m_hash_routed_->Inc();
-  return HashShardOfEndpoint(endpoint.PackedKey());
+  m_hash_routed_->Inc();
+  return HashShardOfEndpoint(key);
 }
 
-void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
-                          int64_t when_ns, uint64_t seq) {
+void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
   // Line scan for "c=... <ip>" / "m=audio <port>". This mirrors what the
   // shard-side classifier will extract; the router only needs the endpoint
   // → shard binding, not a full SDP model.
@@ -806,28 +631,15 @@ void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
         const net::Endpoint endpoint{*ip,
                                      static_cast<uint16_t>(media_port)};
         const uint64_t key = endpoint.PackedKey();
-        const int hash_shard = HashShardOfEndpoint(key);
-        // Apply the claim to the shared table; whatever ownership edges it
-        // creates (first-claim early retract, renegotiation handover, or
-        // the double edge of a stale claim another producer outran) ride
-        // THIS port's lanes at THIS packet's (when, seq) — the worker's
-        // merge orders them exactly where the claim sits in the global
-        // arrival order, and a retract for an endpoint a shard never bound
-        // is a no-op, so every losing shard is retracted exactly once.
-        const MediaOwnerTable::ClaimResult r =
-            owner_table_->ApplyClaim(key, shard, when_ns, seq, hash_shard);
-        if (r.dropped_stale) port.m_stale_claims_->Inc();
-        for (int e = 0; e < r.edge_count; ++e) {
-          const MediaOwnerTable::RetractEdge edge = r.edges[e];
-          if (edge.early) {
-            port.m_early_retracts_->Inc();
-          } else {
-            port.m_retracts_->Inc();
-          }
-          PushLane(port, edge.shard, [&](ShardMsg& msg, Lane&, size_t) {
+        // The retract rides the losing shard's ring at this packet's time,
+        // so it lands exactly where the claim sits in the stream.
+        const MediaOwnerMap::Retract retract =
+            owners_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
+        if (retract.shard >= 0) {
+          (retract.early ? m_early_retracts_ : m_retracts_)->Inc();
+          PushDown(retract.shard, [&](ShardMsg& msg, size_t) {
             msg.kind = ShardMsg::Kind::kRetractMedia;
             msg.when_ns = when_ns;
-            msg.seq = seq;
             msg.endpoint = endpoint;
           });
         }
@@ -839,119 +651,80 @@ void ShardedIds::SnoopSdp(IngestPort& port, std::string_view body, int shard,
 }
 
 template <typename Fill>
-void ShardedIds::PushLane(IngestPort& port, int shard_index, Fill&& fill) {
-  Lane& lane =
-      *shards_[static_cast<size_t>(shard_index)]->lanes[static_cast<size_t>(
-          port.index_)];
-  // The arena slot paired with the slot BeginPushN hands out. Stable across
-  // the backpressure commit below (committing does not move tail+pending).
-  const size_t slot_index = lane.ring.ProducerNextIndex();
-  ShardMsg* slot = lane.ring.BeginPushN();
+void ShardedIds::PushDown(int shard_index, Fill&& fill) {
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
+  // The arena slot paired with the ring slot BeginPushN hands out.
+  size_t arena_slot = shard.down.ProducerNextIndex();
+  ShardMsg* slot = shard.down.BeginPushN();
   if (slot == nullptr) {
-    // Backpressure, not loss. Publish this port's open batches (the worker
-    // can only drain what it can see — and the commit lets the frontier
-    // advance so other producers' gates and the merges keep moving), then
-    // wait for room. The coordinator-thread port drains upstream while it
-    // waits, exactly the PR 5 rule that keeps the ring cycle deadlock-free;
-    // detached producer threads back off and rely on the driver pumping.
-    CommitPortLanes(port, FlushReason::kFull);
-    common::SpinBackoff backoff(config_.idle_spins, config_.idle_sleep_us);
+    // Backpressure, not loss. Publish every open batch (a worker can only
+    // drain what it can see) and keep draining the up-rings while waiting
+    // so a worker blocked pushing alerts upstream can make progress — this
+    // pair of rules is what makes the ring cycle deadlock-free.
+    CommitAllDown(m_flush_full_);
     do {
-      port.m_stalls_->Inc();
-      ++port.lane_stalls_[static_cast<size_t>(shard_index)];
-      if (port.inline_drain_) {
-        DrainUp();
-        std::this_thread::yield();
-      } else {
-        backoff.Pause();
-      }
-      slot = lane.ring.BeginPushN();
+      ++shard.down_stalls;
+      m_stalls_->Inc();
+      DrainUp();
+      std::this_thread::yield();
+      // Re-read: a hot-key broadcast from inside DrainUp may have pushed.
+      arena_slot = shard.down.ProducerNextIndex();
+      slot = shard.down.BeginPushN();
     } while (slot == nullptr);
   }
-  fill(*slot, lane, slot_index);
-  // Track the open batch's earliest message time: the frontier may not
-  // pass an uncommitted (worker-invisible) message.
-  if (port.lane_open_ns_[static_cast<size_t>(shard_index)] == INT64_MAX) {
-    port.lane_open_ns_[static_cast<size_t>(shard_index)] = slot->when_ns;
-    port.open_min_ns_ = std::min(port.open_min_ns_, slot->when_ns);
+  const size_t open = shard.down.open_push();
+  if (open == 1) ++open_batches_;
+  fill(*slot, arena_slot);
+  if (const auto depth = static_cast<uint64_t>(shard.down.SizeFromProducer());
+      depth > shard.down_hwm) {
+    shard.down_hwm = depth;
   }
-  if (const auto depth = static_cast<uint64_t>(lane.ring.SizeFromProducer());
-      depth > port.lane_hwm_[static_cast<size_t>(shard_index)]) {
-    port.lane_hwm_[static_cast<size_t>(shard_index)] = depth;
-  }
-  if (lane.ring.open_push() >= config_.batch_max) {
-    port.m_batch_committed_->Record(
-        static_cast<int64_t>(lane.ring.open_push()));
-    port.m_flush_full_->Inc();
-    lane.ring.CommitPushN();
-    port.lane_open_ns_[static_cast<size_t>(shard_index)] = INT64_MAX;
-    port.open_min_ns_ = MinOf(port.lane_open_ns_);
-    PublishFrontier(port,
-                    std::min(port.open_min_ns_, port.last_when_ns_));
-  }
+  if (open >= config_.batch_max) CommitDown(shard, m_flush_full_);
 }
 
-void ShardedIds::CommitPortLanes(IngestPort& port, FlushReason reason) {
-  obs::Counter* flush_reason = port.m_flush_barrier_;
-  switch (reason) {
-    case FlushReason::kFull: flush_reason = port.m_flush_full_; break;
-    case FlushReason::kDeadline: flush_reason = port.m_flush_deadline_; break;
-    case FlushReason::kBarrier: break;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    common::SpscRing<ShardMsg>& ring =
-        shards_[s]->lanes[static_cast<size_t>(port.index_)]->ring;
-    if (const size_t open = ring.open_push(); open != 0) {
-      port.m_batch_committed_->Record(static_cast<int64_t>(open));
-      flush_reason->Inc();
-      ring.CommitPushN();
-    }
-    port.lane_open_ns_[s] = INT64_MAX;
-  }
-  port.open_min_ns_ = INT64_MAX;
-  port.deadline_armed_ = false;
-  PublishFrontier(port, port.last_when_ns_);
+void ShardedIds::CommitDown(Shard& shard, obs::Counter* reason) {
+  const size_t open = shard.down.open_push();
+  if (open == 0) return;
+  m_batch_committed_->Record(static_cast<int64_t>(open));
+  reason->Inc();
+  shard.down.CommitPushN();
+  --open_batches_;
 }
 
-void ShardedIds::PortDeadlineCheck(IngestPort& port, int64_t when_ns) {
+void ShardedIds::CommitAllDown(obs::Counter* reason) {
+  for (auto& shard : shards_) CommitDown(*shard, reason);
+  deadline_armed_ = false;
+}
+
+void ShardedIds::DeadlineCheck(int64_t when_ns) {
   // Bounded-latency flush: a partial batch is published once it has been
-  // open for batch_flush_us, enforced in both clock domains — source time
-  // first (an integer compare, no clock read), then wall clock — so a
+  // open for kBatchFlushMicros, enforced in both clock domains — source
+  // time first (an integer compare, no clock read), then wall clock — so a
   // faster-than-real-time replay cannot hold a pre-gap packet unpublished
   // while the stream's own clock races far past it. The batch_max == 1
-  // configuration commits in PushLane and never touches either clock.
-  if (config_.batch_max <= 1) return;
-  if (port.open_min_ns_ == INT64_MAX) {
-    port.deadline_armed_ = false;
+  // configuration commits in PushDown and never touches either clock.
+  if (open_batches_ == 0) {
+    deadline_armed_ = false;
     return;
   }
-  if (!port.deadline_armed_) {
-    port.deadline_armed_ = true;
-    port.deadline_since_ = std::chrono::steady_clock::now();
-    port.deadline_src_ns_ = when_ns;
+  if (!deadline_armed_) {
+    deadline_armed_ = true;
+    deadline_since_ns_ = obs::MonotonicNanos();
+    deadline_src_ns_ = when_ns;
     return;
   }
-  if (when_ns - port.deadline_src_ns_ >= config_.batch_flush_us * 1000 ||
-      std::chrono::steady_clock::now() - port.deadline_since_ >=
-          std::chrono::microseconds(config_.batch_flush_us)) {
-    CommitPortLanes(port, FlushReason::kDeadline);
+  constexpr int64_t kDeadlineNs = kBatchFlushMicros * 1000;
+  if (when_ns - deadline_src_ns_ >= kDeadlineNs ||
+      obs::MonotonicNanos() - deadline_since_ns_ >= kDeadlineNs) {
+    CommitAllDown(m_flush_deadline_);
   }
 }
 
-bool ShardedIds::CarriesClaims(const net::Datagram& dgram,
-                               sip::LazyMessage& scratch) {
-  // Same dispatch test as IngestOn below: not RTCP-foldable, not a trusted
-  // RTP hint, and the lazy SIP parser accepts it.
-  if (rtp::LooksLikeRtcp(dgram.payload) && dgram.dst.port >= 1) return false;
-  return dgram.kind != net::PayloadKind::kRtp && scratch.Index(dgram.payload);
-}
-
-void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
-                          bool from_outside, sim::Time when, uint64_t seq) {
-  if (workers_joined_ || port.closed_) return;  // stopped engines drop quietly
+void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
+                        sim::Time when) {
+  if (workers_joined_) return;  // stopped engines drop quietly
   const int64_t when_ns = when.nanos();
-  port.last_when_ns_ = std::max(port.last_when_ns_, when_ns);
-  port.last_when_pub_.store(port.last_when_ns_, std::memory_order_relaxed);
+  last_ingest_ns_ = std::max(last_ingest_ns_, when_ns);
 
   // Replicate the classifier's dispatch order (classifier.cpp) so the
   // router and the shard-side classifier agree on what a packet is:
@@ -966,31 +739,30 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     // halves of one stream meet on one shard, as in Vids::HandleRtcp.
     const net::Endpoint media{dgram.dst.ip,
                               static_cast<uint16_t>(dgram.dst.port - 1)};
-    target = RouteEndpoint(port, media, when_ns, seq);
+    target = RouteEndpoint(media, when_ns);
   } else if (dgram.kind != net::PayloadKind::kRtp &&
-             port.lazy_.Index(dgram.payload)) {
-    const auto call_id = port.lazy_.CallId();
+             lazy_.Index(dgram.payload)) {
+    const auto call_id = lazy_.CallId();
     target = ShardOfCallId(call_id.value_or(std::string_view()));
-    port.m_sip_routed_->Inc();
-    if (call_id.has_value() && !port.lazy_.body().empty()) {
-      SnoopSdp(port, port.lazy_.body(), target, when_ns, seq);
+    m_sip_routed_->Inc();
+    if (call_id.has_value() && !lazy_.body().empty()) {
+      SnoopSdp(lazy_.body(), target, when_ns);
     }
   } else {
-    target = RouteEndpoint(port, dgram.dst, when_ns, seq);
+    target = RouteEndpoint(dgram.dst, when_ns);
   }
 
-  // Span sampling: one in trace_sample_period packets (per port) gets its
-  // enqueue wall time stamped into the slot; the worker closes the span.
-  // With sampling off this is a single always-false branch — no clock read.
+  // Span sampling: one in trace_sample_period packets gets its enqueue
+  // wall time stamped into the slot; the worker closes the span. With
+  // sampling off this is a single always-false branch — no clock read.
   int64_t span_ns = 0;
-  if (trace_on_ && ((++port.trace_tick_ & trace_mask_) == 0)) {
+  if (trace_on_ && ((++trace_tick_ & trace_mask_) == 0)) {
     span_ns = obs::MonotonicNanos();
   }
 
-  PushLane(port, target, [&](ShardMsg& msg, Lane& lane, size_t slot_index) {
+  PushDown(target, [&](ShardMsg& msg, size_t arena_slot) {
     msg.kind = ShardMsg::Kind::kPacket;
     msg.when_ns = when_ns;
-    msg.seq = seq;
     msg.span_enqueue_ns = span_ns;  // always assigned: slots are reused
     msg.from_outside = from_outside;
     msg.dgram.src = dgram.src;
@@ -999,12 +771,13 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     msg.dgram.padding_bytes = dgram.padding_bytes;
     msg.dgram.sent_time = dgram.sent_time;
     msg.dgram.id = dgram.id;
-    if (lane.arena.Fits(dgram.payload.size())) {
-      // Fast path: payload bytes go to the lane's contiguous slab; the
-      // slot's own string is left untouched (its stale bytes are dead —
-      // arena_len is the source of truth).
-      lane.arena.Store(slot_index, dgram.payload.data(),
-                       dgram.payload.size());
+    Shard& shard = *shards_[static_cast<size_t>(target)];
+    if (shard.arena.Fits(dgram.payload.size())) {
+      // Fast path: payload bytes go to the contiguous slab; the slot's own
+      // string is left untouched (its stale bytes are dead — arena_len is
+      // the source of truth).
+      shard.arena.Store(arena_slot, dgram.payload.data(),
+                        dgram.payload.size());
       msg.in_arena = true;
       msg.arena_len = static_cast<uint32_t>(dgram.payload.size());
     } else {
@@ -1014,101 +787,16 @@ void ShardedIds::IngestOn(IngestPort& port, const net::Datagram& dgram,
     }
   });
 
-  PortDeadlineCheck(port, when_ns);
-
-  if (port.inline_drain_) {
-    // Coordinator-thread port (single-producer engines): keep the legacy
-    // bookkeeping and the opportunistic upstream drain so alerts surface
-    // and the aggregate replay keeps pace without explicit Pump() calls.
-    last_ingest_ns_ = std::max(last_ingest_ns_, when_ns);
-    if ((++ingest_count_ & 31U) == 0) DrainUp();
-  }
+  if (config_.batch_max > 1) DeadlineCheck(when_ns);
+  // Opportunistic upstream drain so alerts surface and the aggregate
+  // replay keeps pace without explicit Pump() calls.
+  if ((++ingest_count_ & 31U) == 0) DrainUp();
 }
 
-void ShardedIds::PortHeartbeat(IngestPort& port, sim::Time when) {
-  if (port.closed_ || workers_joined_) return;
-  port.last_when_ns_ = std::max(port.last_when_ns_, when.nanos());
-  port.last_when_pub_.store(port.last_when_ns_, std::memory_order_relaxed);
-  PortDeadlineCheck(port, port.last_when_ns_);
-  PublishFrontier(port, std::min(port.open_min_ns_, port.last_when_ns_));
-}
-
-void ShardedIds::PortClose(IngestPort& port) {
-  if (port.closed_) return;
-  CommitPortLanes(port, FlushReason::kBarrier);
-  port.closed_ = true;
-  PublishFrontier(port, INT64_MAX);
-}
-
-void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
-                        sim::Time when) {
-  IngestPort& p0 = *ports_[0];
-  IngestOn(p0, dgram, from_outside, when, p0.auto_seq_++);
-}
-
-// ------------------------------------------------------------ coordinator
-
-template <typename Fill>
-void ShardedIds::PushDown(int shard_index, Fill&& fill) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  ShardMsg* slot = shard.down.BeginPushN();
-  if (slot == nullptr) {
-    // Backpressure, not loss. Publish the open batch (the worker can only
-    // drain what it can see) and keep draining the up-rings while waiting
-    // so a worker blocked pushing alerts upstream can make progress — this
-    // pair of rules is what makes the ring cycle deadlock-free.
-    if (const size_t open = shard.down.open_push(); open != 0) {
-      m_batch_committed_->Record(static_cast<int64_t>(open));
-      m_flush_full_->Inc();
-    }
-    shard.down.CommitPushN();
-    do {
-      ++shard.down_stalls;
-      DrainUp();
-      std::this_thread::yield();
-      slot = shard.down.BeginPushN();
-    } while (slot == nullptr);
-  }
-  fill(*slot);
-  if (const auto depth = static_cast<uint64_t>(shard.down.SizeFromProducer());
-      depth > shard.down_hwm) {
-    shard.down_hwm = depth;
-  }
-  if (shard.down.open_push() >= config_.batch_max) {
-    m_batch_committed_->Record(static_cast<int64_t>(shard.down.open_push()));
-    m_flush_full_->Inc();
-    shard.down.CommitPushN();
-  }
-}
-
-void ShardedIds::CommitAllDown(FlushReason reason) {
-  obs::Counter* flush_reason =
-      reason == FlushReason::kFull ? m_flush_full_ : m_flush_barrier_;
-  for (auto& shard : shards_) {
-    if (const size_t open = shard->down.open_push(); open != 0) {
-      m_batch_committed_->Record(static_cast<int64_t>(open));
-      flush_reason->Inc();
-      shard->down.CommitPushN();
-    }
-  }
-}
-
-int64_t ShardedIds::LatestIngestNs() const {
-  int64_t t = last_ingest_ns_;
-  for (const auto& port : ports_) {
-    t = std::max(t, port->last_when_pub_.load(std::memory_order_relaxed));
-  }
-  return t;
-}
+// -------------------------------------------------- coordinator: upstream
 
 void ShardedIds::Pump() {
-  // Only the coordinator-thread port's open batches may be committed from
-  // here — the other ports' producer-side ring state belongs to their
-  // threads (Flush/Stop may touch it, under the quiescence contract).
-  if (ports_[0]->inline_drain_) {
-    CommitPortLanes(*ports_[0], FlushReason::kBarrier);
-  }
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAllDown(m_flush_barrier_);
   DrainUp();
 }
 
@@ -1128,8 +816,7 @@ void ShardedIds::WatchdogCheck() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     ShardHealth& h = health_[i];
-    size_t depth = shard.down.SizeApprox();
-    for (const auto& lane : shard.lanes) depth += lane->ring.SizeApprox();
+    const size_t depth = shard.down.SizeApprox();
     const int64_t hb = shard.last_progress_ns.load(std::memory_order_acquire);
     const int64_t src = shard.processed_ns.load(std::memory_order_acquire);
     if (depth == 0) {
@@ -1157,35 +844,21 @@ void ShardedIds::WatchdogCheck() {
     }
     if (!h.alerted && now - h.pending_since_ns >= watchdog_threshold_ns_) {
       // Pending work, no progress, continuously observed for a full
-      // deadline: stalled. One alert per episode, attributed to the
-      // producer lane the worker is merge-blocked on when there is one —
-      // the worker is alive but starved of a frontier, which is the
-      // producer's failure, not the worker's.
+      // deadline: stalled. One alert per episode.
       h.alerted = true;
       m_watchdog_stalls_->Inc();
-      const int lane = shard.waiting_on_lane.load(std::memory_order_relaxed);
       Alert alert;
-      alert.when = sim::Time::FromNanos(LatestIngestNs());
+      alert.when = sim::Time::FromNanos(last_ingest_ns_);
       alert.kind = AlertKind::kEngineHealth;
+      alert.classification = std::string(kEngineWorkerStall);
       alert.machine = "watchdog";
+      alert.group = "shard|" + std::to_string(i);
       alert.state = "stalled";
       alert.detail = "ring_depth=" + std::to_string(depth) + " stalled_ms=" +
                      std::to_string((now - h.pending_since_ns) / 1'000'000);
-      if (lane >= 0) {
-        m_watchdog_producer_stalls_->Inc();
-        alert.classification = std::string(kEngineProducerStall);
-        alert.group = "producer|" + std::to_string(lane);
-        alert.detail += " shard=" + std::to_string(i);
-        alert.trigger =
-            "watchdog: worker merge-blocked on an ingest lane whose "
-            "producer frontier stopped advancing past the stall deadline";
-      } else {
-        alert.classification = std::string(kEngineWorkerStall);
-        alert.group = "shard|" + std::to_string(i);
-        alert.trigger =
-            "watchdog: shard rings non-empty with no worker progress past "
-            "the stall deadline";
-      }
+      alert.trigger =
+          "watchdog: shard ring non-empty with no worker progress past the "
+          "stall deadline";
       EmitAlert(std::move(alert));
     }
   }
@@ -1259,16 +932,16 @@ void ShardedIds::DrainUp() {
 }
 
 void ShardedIds::BroadcastHotKeys() {
-  // Not while stopping: a worker past its kStop never drains its control
-  // lane, so a push into a full one would wait forever. (The events behind
-  // the escalation still replay — Stop()'s terminal drain is ungated.)
+  // Not while stopping: a worker past its kStop never drains its ring, so
+  // a push into a full one would wait forever. (The events behind the
+  // escalation still replay — Stop()'s terminal drain is ungated.)
   if (broadcasting_ || stopping_ || hot_pending_.empty()) return;
   broadcasting_ = true;
   // Index loop, not iterators: PushDown can hit backpressure and re-enter
   // DrainUp, which may append more escalations; the loop picks them up.
   for (size_t b = 0; b < hot_pending_.size(); ++b) {
     for (int s = 0; s < shards(); ++s) {
-      PushDown(s, [&](ShardMsg& msg) {
+      PushDown(s, [&](ShardMsg& msg, size_t) {
         const HotBroadcast& hb = hot_pending_[b];  // re-index: DrainUp may
         msg.kind = ShardMsg::Kind::kAggHot;        // have grown the vector
         msg.when_ns = hb.when_ns;
@@ -1278,7 +951,7 @@ void ShardedIds::BroadcastHotKeys() {
     }
   }
   hot_pending_.clear();
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAllDown(m_flush_barrier_);
   broadcasting_ = false;
 }
 
@@ -1420,31 +1093,18 @@ void ShardedIds::Flush(sim::Time now) {
     return;
   }
   m_flushes_->Inc();
-  int64_t now_ns = std::max(now.nanos(), last_ingest_ns_);
-  for (const auto& port : ports_) {
-    now_ns = std::max(now_ns,
-                      port->last_when_pub_.load(std::memory_order_relaxed));
-  }
-  // Quiescent-ports contract: the caller has synchronized with every
-  // producer thread, so the coordinator may publish their open batches and
-  // force their frontiers past the barrier (the workers' barrier check
-  // requires every frontier >= now_ns). Post-flush ingest must carry times
-  // strictly after now_ns — PublishFrontier(now_ns + 1) records exactly
-  // that promise.
-  for (const auto& port : ports_) {
-    CommitPortLanes(*port, FlushReason::kBarrier);
-    PublishFrontier(*port, now_ns + 1);
-  }
+  const int64_t now_ns = std::max(now.nanos(), last_ingest_ns_);
   ++flush_token_;
   flush_acks_ = 0;
+  // Each kFlush queues behind every packet already pushed to its shard.
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [&](ShardMsg& msg) {
+    PushDown(i, [&](ShardMsg& msg, size_t) {
       msg.kind = ShardMsg::Kind::kFlush;
       msg.when_ns = now_ns;
       msg.token = flush_token_;
     });
   }
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAllDown(m_flush_barrier_);
   while (flush_acks_ < shards_.size()) {
     DrainUp();
     if (flush_acks_ < shards_.size()) std::this_thread::yield();
@@ -1473,12 +1133,11 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
   // shard still holds state for the endpoint; routing can safely fall back
   // to the hash. (Streams with longer in-stream gaps would re-route — the
   // keyed group they'd rejoin was reclaimed at the 30 s idle timeout
-  // anyway, so the fresh-count behavior matches the single engine.) The
-  // rebuild requires quiescent readers — Flush()'s contract provides it.
+  // anyway, so the fresh-count behavior matches the single engine.)
   const int64_t owner_horizon_ns =
       (config_.detection.tombstone_ttl + config_.detection.keyed_idle_timeout)
           .nanos();
-  owner_table_->Prune(now_ns, owner_horizon_ns);
+  owners_.Prune(now_ns, owner_horizon_ns);
 
   const int64_t dedup_ns = config_.detection.alert_dedup_window.nanos();
   const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
@@ -1513,19 +1172,14 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
 
 void ShardedIds::Stop() {
   if (workers_joined_) return;
-  stopping_ = true;  // no more control-lane broadcasts from here on
-  // Quiescent-ports contract (as in Flush): publish every port's open
-  // batches and raise the frontiers to +inf so the workers' kStop barrier
-  // (all lanes drained, all frontiers terminal) can pass.
-  for (const auto& port : ports_) {
-    CommitPortLanes(*port, FlushReason::kBarrier);
-    PublishFrontier(*port, INT64_MAX);
-  }
+  stopping_ = true;  // no more hot-key broadcasts from here on
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [](ShardMsg& msg) { msg.kind = ShardMsg::Kind::kStop; });
+    PushDown(i, [](ShardMsg& msg, size_t) {
+      msg.kind = ShardMsg::Kind::kStop;
+    });
   }
-  CommitAllDown(FlushReason::kBarrier);
-  // A worker with lane backlog keeps emitting up-messages on its way to
+  CommitAllDown(m_flush_barrier_);
+  // A worker with ring backlog keeps emitting up-messages on its way to
   // the kStop and blocks in PushUp if its up-ring fills — so keep draining
   // until every worker has passed its kStop; only then is join()
   // guaranteed to return.
@@ -1554,11 +1208,11 @@ void ShardedIds::Stop() {
 void ShardedIds::WedgeWorkerForTest(int shard_index) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   shard.wedged.store(true, std::memory_order_release);
-  PushDown(shard_index, [&](ShardMsg& msg) {
+  PushDown(shard_index, [&](ShardMsg& msg, size_t) {
     msg.kind = ShardMsg::Kind::kWedge;
-    msg.when_ns = LatestIngestNs();
+    msg.when_ns = last_ingest_ns_;
   });
-  CommitAllDown(FlushReason::kBarrier);
+  CommitAllDown(m_flush_barrier_);
 }
 
 void ShardedIds::UnwedgeWorkerForTest(int shard_index) {
@@ -1584,44 +1238,13 @@ size_t ShardedIds::CountAlerts(std::string_view classification) const {
   return count;
 }
 
-uint64_t ShardedIds::ingest_stalls() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_stalls_->value();
-  return total;
-}
-
-uint64_t ShardedIds::ownership_transfers() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_retracts_->value();
-  return total;
-}
-
-uint64_t ShardedIds::early_media_retracts() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) total += port->m_early_retracts_->value();
-  return total;
-}
-
-uint64_t ShardedIds::route_escalations() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) {
-    total += port->m_route_escalations_->value();
-  }
-  return total;
-}
-
 obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   obs::MetricsRegistry merged;
   merged.MergeFrom(coord_metrics_);
-  // Every port folds bare: same metric names as the PR 5 coordinator's
-  // routing counters, so the familiar series stay meaningful — they are
-  // now sums over producers.
-  for (const auto& port : ports_) merged.MergeFrom(port->metrics_);
   uint64_t up_stalls = 0;
   uint64_t agg_buffered = 0;
   uint64_t agg_shipped = 0;
   std::string prefix;
-  std::string lane_prefix;
   for (const auto& shard : shards_) {
     merged.MergeFrom(shard->vids->metrics());
     // Pipeline histograms fold twice: bare (cross-shard aggregate, what
@@ -1638,19 +1261,6 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
         .Set(static_cast<int64_t>(shard->up_hwm));
     merged.GetCounter(prefix + "ring.down_stalls").Inc(shard->down_stalls);
     merged.GetCounter(prefix + "ring.up_stalls").Inc(shard->up_stalls);
-    // Per-lane producer-side series: "shard.<i>.lane.<p>.ring.*" — the
-    // exporter renders these with both shard and lane labels.
-    for (size_t p = 0; p < ports_.size(); ++p) {
-      lane_prefix.assign(prefix);
-      lane_prefix.append("lane.");
-      lane_prefix.append(std::to_string(p));
-      lane_prefix.push_back('.');
-      const auto si = static_cast<size_t>(shard->index);
-      merged.GetGauge(lane_prefix + "ring.depth_hwm")
-          .Set(static_cast<int64_t>(ports_[p]->lane_hwm_[si]));
-      merged.GetCounter(lane_prefix + "ring.stalls")
-          .Inc(ports_[p]->lane_stalls_[si]);
-    }
     up_stalls += shard->up_stalls;
     agg_buffered += shard->agg.events_buffered;
     agg_shipped += shard->agg.events_shipped;
@@ -1659,14 +1269,13 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   merged.GetCounter("sharded.agg_events_buffered").Inc(agg_buffered);
   merged.GetCounter("sharded.agg_events_shipped").Inc(agg_shipped);
   merged.GetGauge("sharded.shards").Set(shards());
-  merged.GetGauge("sharded.producers").Set(producers());
   merged.GetGauge("sharded.behavior_profiles")
       .Set(static_cast<int64_t>(behavior_.profile_count()));
   return merged;
 }
 
 size_t ShardedIds::TrackedState() const {
-  size_t total = owner_table_->size() + invite_windows_.size() +
+  size_t total = owners_.size() + invite_windows_.size() +
                  drdos_windows_.size() + behavior_.profile_count();
   for (const auto& shard : shards_) {
     const CallStateFactBase& fb = shard->vids->fact_base();
@@ -1680,12 +1289,9 @@ size_t ShardedIds::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
     bytes += shard->vids->fact_base().MemoryBytes();
-    bytes += (shard->down.capacity() * sizeof(ShardMsg) +
-              shard->up.capacity() * sizeof(UpMsg));
-    for (const auto& lane : shard->lanes) {
-      bytes += lane->ring.capacity() * sizeof(ShardMsg) +
-               lane->arena.MemoryBytes();
-    }
+    bytes += shard->down.capacity() * sizeof(ShardMsg) +
+             shard->arena.MemoryBytes() +
+             shard->up.capacity() * sizeof(UpMsg);
     bytes += shard->agg.buf.capacity() * sizeof(HeldAggEvent);
     for (const auto* sketches :
          {&shard->agg.invite_sketch, &shard->agg.drdos_sketch}) {
@@ -1695,7 +1301,7 @@ size_t ShardedIds::MemoryBytes() const {
       }
     }
   }
-  bytes += owner_table_->MemoryBytes();
+  bytes += owners_.MemoryBytes();
   for (const auto* windows : {&invite_windows_, &drdos_windows_}) {
     for (const auto& [key, w] : *windows) {
       bytes += key.capacity() + sizeof(WinState);

@@ -687,12 +687,11 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
 TEST(ShardedReplayClock, SourceTimeDeadlineFlushesOpenBatch) {
   // Two packets 10 ms apart in *source* time land within microseconds of
   // wall time. The batch deadline must bind in the source domain: the
-  // second Ingest sees the batch open past batch_flush_us of stream time
-  // and commits it, wall clock notwithstanding.
+  // second Ingest sees the batch open past kBatchFlushMicros of stream
+  // time and commits it, wall clock notwithstanding.
   ids::ShardedConfig config;
   config.shards = 1;
   config.batch_max = 1024;  // never fills: only the deadline can commit
-  config.batch_flush_us = 50;
   ids::ShardedIds engine(config);
 
   engine.Ingest(Dg(kOutA, kInB, "a"), true, sim::Time::FromNanos(0));

@@ -17,13 +17,13 @@
 
 #include "obs/flight_recorder.h"
 
-#include "capture/replay.h"
 #include "common/spsc_ring.h"
 #include "rtp/packet.h"
 #include "sdp/sdp.h"
 #include "sip/message.h"
 #include "vids/alert.h"
 #include "vids/ids.h"
+#include "vids/media_owner_map.h"
 #include "vids/patterns.h"
 #include "vids/sharded_ids.h"
 
@@ -1063,29 +1063,7 @@ TEST(ShardedStress, MixedTrafficUnderChurn) {
   engine.Stop();
 }
 
-// ------------------------------------------------- multi-producer ingest
-
-/// The full trace through the MpIngest fan-out: a dispatcher thread plus
-/// producers-1 feeder threads, exactly the soak/pcap deployment shape.
-std::vector<Alert> RunShardedMp(const std::vector<TracePacket>& trace,
-                                int shards, int producers) {
-  ShardedConfig config;
-  config.shards = shards;
-  config.producers = producers;
-  ShardedIds engine(config);
-  {
-    capture::MpIngest mp(engine, producers);
-    sim::Time last;
-    for (const TracePacket& p : trace) {
-      mp.Ingest(p.dgram, p.from_outside, p.when);
-      last = p.when;
-    }
-    mp.Finish();
-    engine.Flush(last);
-  }
-  engine.Stop();
-  return engine.alerts();
-}
+// ------------------------------------------- rendered alert equivalence
 
 std::string RenderedAlerts(const std::vector<Alert>& alerts) {
   std::string out;
@@ -1096,240 +1074,94 @@ std::string RenderedAlerts(const std::vector<Alert>& alerts) {
   return out;
 }
 
-TEST(MpEquivalence, KnobSweepMatchesPlainVids) {
-  const auto trace = AttackScenarioTrace();
-  const auto plain = SortedSigs(RunPlain(trace));
-  ASSERT_FALSE(plain.empty());
-  for (int shards : {1, 4}) {
-    for (int producers : {1, 2, 4}) {
-      EXPECT_EQ(plain, SortedSigs(RunShardedMp(trace, shards, producers)))
-          << "shards=" << shards << " producers=" << producers;
-    }
-  }
-}
-
-TEST(MpEquivalence, AlertStreamByteIdenticalAcrossProducersAndShards) {
+TEST(ShardedEquivalence, AlertStreamByteIdenticalAcrossShards) {
   // Stronger than signature equality: the canonically ordered retained
-  // history must RENDER identically for every (producers, shards) point,
-  // including against the single-producer direct-Ingest path — the same
+  // history must RENDER identically for every shard count — the same
   // byte-for-byte gate the soak and the CI corpus replay enforce.
   const auto trace = AttackScenarioTrace();
-  const std::string reference = RenderedAlerts(RunSharded(trace, 4));
+  const std::string reference = RenderedAlerts(RunSharded(trace, 1));
   ASSERT_FALSE(reference.empty());
-  for (int shards : {1, 4}) {
-    for (int producers : {1, 2, 4}) {
-      EXPECT_EQ(reference, RenderedAlerts(RunShardedMp(trace, shards,
-                                                       producers)))
-          << "shards=" << shards << " producers=" << producers;
-    }
+  for (int shards : {2, 4}) {
+    EXPECT_EQ(reference, RenderedAlerts(RunSharded(trace, shards)))
+        << "shards=" << shards;
   }
 }
 
-TEST(MpEquivalence, MidStreamQuiesceResumeKeepsAlertsIdentical) {
-  // The soak's sampling protocol — park every feeder, Flush, resume —
-  // exercised mid-stream: it must not move a single alert byte. Quiesce
-  // only between distinct instants: a flush between two same-instant
-  // packets may legitimately reorder their cross-port processing
-  // (DESIGN.md §15), and real sample timers never tie a packet exactly.
+TEST(ShardedEquivalence, MidStreamFlushKeepsAlertsIdentical) {
+  // The soak's sampling protocol — Flush mid-stream, read state, resume —
+  // must not move a single alert byte. Flush only between distinct
+  // instants: post-Flush ingest must carry times after the flush instant.
   const auto trace = AttackScenarioTrace();
-  const std::string reference = RenderedAlerts(RunShardedMp(trace, 4, 4));
+  const std::string reference = RenderedAlerts(RunSharded(trace, 4));
   ShardedConfig config;
   config.shards = 4;
-  config.producers = 4;
   ShardedIds engine(config);
-  {
-    capture::MpIngest mp(engine, 4);
-    sim::Time last;
-    for (size_t i = 0; i < trace.size(); ++i) {
-      mp.Ingest(trace[i].dgram, trace[i].from_outside, trace[i].when);
-      last = trace[i].when;
-      if (i % 97 == 96 && i + 1 < trace.size() &&
-          trace[i + 1].when > trace[i].when) {
-        mp.Quiesce();
-        engine.Flush(last);
-        mp.Resume();
-      }
+  sim::Time last;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    engine.Ingest(trace[i].dgram, trace[i].from_outside, trace[i].when);
+    last = trace[i].when;
+    if (i % 97 == 96 && i + 1 < trace.size() &&
+        trace[i + 1].when > trace[i].when) {
+      engine.Flush(last);
     }
-    mp.Finish();
-    engine.Flush(last);
   }
+  engine.Flush(last);
   engine.Stop();
   EXPECT_EQ(reference, RenderedAlerts(engine.alerts()));
 }
 
-TEST(ShardedOwnership, MpRenegotiationRetractsExactlyOnce) {
-  // The renegotiation chain from RenegotiationMovesMediaBetweenShards,
-  // under concurrent producers: claims land inline on the dispatcher's
-  // port while feeders race RTP through routing snapshots that may be one
-  // claim behind. Every superseded claim must still retract exactly once
-  // — same transfer and retract counters as the single-producer run, one
-  // surviving owner — or split per-endpoint state would make detection
-  // depend on producer timing.
-  const net::Endpoint media{net::IpAddress(10, 5, 0, 10), 40000};
-  TraceBuilder b;
-  b.Step();
-  b.Add(SipDgram(MakeInvite("xfer-a@trace", "bob", media, kProxyA), kProxyA,
-                 kProxyB),
-        true);
-  b.Step();
-  for (int i = 0; i < 16; ++i) {
-    const std::string call_id = "xfer-b-" + std::to_string(i) + "@trace";
-    b.Add(SipDgram(MakeInvite(call_id, "bob", media, kProxyA), kProxyA,
-                   kProxyB),
-          true);
-    b.Step();
-    // In-flight media between consecutive claims: routed against whatever
-    // snapshot its producer holds, it must land on (or be retracted from)
-    // exactly one shard.
-    b.Add(RtpDgram(0xAB01u, static_cast<uint16_t>(i),
-                   160u * static_cast<uint32_t>(i),
-                   {net::IpAddress(10, 1, 0, 10), 20002}, media),
-          true);
-    b.Step();
-  }
-  const auto run = [&](int producers) {
-    ShardedConfig config;
-    config.shards = 4;
-    config.producers = producers;
-    ShardedIds engine(config);
-    uint64_t transfers = 0;
-    uint64_t retracts = 0;
-    size_t media_entries = 0;
-    {
-      capture::MpIngest mp(engine, producers);
-      sim::Time last;
-      for (const TracePacket& p : b.trace()) {
-        mp.Ingest(p.dgram, p.from_outside, p.when);
-        last = p.when;
-      }
-      mp.Finish();
-      engine.Flush(last);
-      transfers = engine.ownership_transfers();
-      retracts = engine.early_media_retracts();
-      for (int i = 0; i < engine.shards(); ++i) {
-        media_entries += engine.shard_vids(i).fact_base().media_index_count();
-      }
-    }
-    engine.Stop();
-    return std::tuple{transfers, retracts, media_entries};
-  };
-  const auto single = run(1);
-  EXPECT_GT(std::get<0>(single), 0u);
-  EXPECT_EQ(std::get<2>(single), 1u);
-  for (int producers : {2, 4}) {
-    EXPECT_EQ(run(producers), single) << "producers=" << producers;
-  }
+// ------------------------------------------------------- media owner map
+
+TEST(MediaOwnerMap, FirstClaimRetractsHashShardOnlyIfItDiffers) {
+  MediaOwnerMap owners;
+  const MediaOwnerMap::Retract moved = owners.Claim(1, /*shard=*/2, 100,
+                                                    /*hash_shard=*/0);
+  EXPECT_EQ(moved.shard, 0);
+  EXPECT_TRUE(moved.early);
+  const MediaOwnerMap::Retract stayed = owners.Claim(2, /*shard=*/3, 100,
+                                                     /*hash_shard=*/3);
+  EXPECT_EQ(stayed.shard, -1);
+  EXPECT_EQ(owners.Lookup(1, 110), 2);
+  EXPECT_EQ(owners.Lookup(2, 110), 3);
+  EXPECT_EQ(owners.Lookup(3, 110), -1);
 }
 
-TEST(Watchdog, StalledProducerLaneAttributedToProducer) {
-  // A worker merge-gated on an ingest lane whose producer stopped
-  // advancing its frontier is the PRODUCER's failure: the watchdog must
-  // say so (kEngineProducerStall, group "producer|<lane>"), not accuse
-  // the healthy worker.
-  ShardedConfig config;
-  config.shards = 1;
-  config.producers = 2;
-  config.watchdog_stall_ms = 50;
-  ShardedIds engine(config);
-  engine.port(0).set_inline_drain(true);
-  TraceBuilder b;
-  b.Step();
-  b.EstablishCall("pstall@trace", {net::IpAddress(10, 1, 0, 10), 20000},
-                  {net::IpAddress(10, 2, 0, 10), 30000});
-  uint64_t seq = 0;
-  sim::Time last;
-  for (const TracePacket& p : b.trace()) {
-    engine.port(0).Ingest(p.dgram, p.from_outside, p.when, seq++);
-    last = p.when;
-  }
-  // Port 0 committed its batches past `last`; port 1 never says a word,
-  // so the worker's merge is gated on lane 1 with work visibly pending.
-  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (engine.CountAlerts(AlertKind::kEngineHealth) == 0 &&
-         std::chrono::steady_clock::now() < cap) {
-    engine.port(0).Heartbeat(last + sim::Duration::Millis(5));
-    engine.Pump();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_GE(engine.CountAlerts(AlertKind::kEngineHealth), 1u)
-      << "watchdog failed to flag the stalled producer within 30 s";
-  EXPECT_EQ(engine.CountAlerts(AlertKind::kEngineHealth), 1u);
-  for (const Alert& alert : engine.alerts()) {
-    if (alert.kind != AlertKind::kEngineHealth) continue;
-    EXPECT_EQ(alert.classification, kEngineProducerStall);
-    EXPECT_EQ(alert.machine, "watchdog");
-    EXPECT_EQ(alert.group, "producer|1");
-  }
-  // The delinquent producer speaks again: the engine recovers, drains,
-  // and the closed episode never re-alerts.
-  engine.port(1).Heartbeat(last + sim::Duration::Millis(10));
-  engine.Flush(last + sim::Duration::Millis(10));
-  EXPECT_EQ(engine.CountAlerts(AlertKind::kEngineHealth), 1u);
-  engine.Stop();
+TEST(MediaOwnerMap, RenegotiationRetractsOldOwnerOnlyIfItDiffers) {
+  MediaOwnerMap owners;
+  owners.Claim(7, /*shard=*/1, 100, /*hash_shard=*/1);
+  const MediaOwnerMap::Retract moved = owners.Claim(7, 3, 200, 1);
+  EXPECT_EQ(moved.shard, 1);
+  EXPECT_FALSE(moved.early);
+  EXPECT_EQ(owners.Lookup(7, 210), 3);
+  // A renegotiation back onto the hash shard retracts the previous owner,
+  // never the hash shard again.
+  const MediaOwnerMap::Retract back = owners.Claim(7, 1, 300, 1);
+  EXPECT_EQ(back.shard, 3);
+  EXPECT_FALSE(back.early);
 }
 
-TEST(ShardedStress, MpMixedTrafficUnderChurn) {
-  // The multi-producer sibling of MixedTrafficUnderChurn, and the TSan
-  // stress surface for the whole MPSC path: dispatcher + three feeders
-  // over tiny rings (constant wraparound), periodic quiesce/flush/resume
-  // cycles, and mid-run producer churn (tear the MpIngest down and build
-  // a new one over the same ports). Scaled up in the CI TSan lane via
-  // SHARDED_STRESS_PACKETS.
-  int packets = 20'000;
-  if (const char* s = std::getenv("SHARDED_STRESS_PACKETS")) {
-    packets = std::max(1000, std::atoi(s));
-  }
-  ShardedConfig config;
-  config.shards = 4;
-  config.producers = 4;
-  config.ring_capacity = 64;
-  ShardedIds engine(config);
-  auto mp = std::make_unique<capture::MpIngest>(engine, 4);
-  sim::Time now = sim::Time::FromNanos(1);
-  uint64_t fed = 0;
-  for (int k = 0; k < packets; ++k) {
-    now = now + sim::Duration::Micros(97);
-    if (k % 20 == 0) {
-      const std::string call_id =
-          "stress-" + std::to_string(k / 20) + "@trace";
-      const net::Endpoint caller{net::IpAddress(10, 1, 0, 10),
-                                 static_cast<uint16_t>(20000 + (k / 10) % 500)};
-      mp->Ingest(SipDgram(MakeInvite(call_id, "bob", caller, kProxyA),
-                          kProxyA, kProxyB),
-                 true, now);
-    } else {
-      const net::Endpoint dst{net::IpAddress(10, 2, 0, 10),
-                              static_cast<uint16_t>(30000 + 2 * (k % 64))};
-      mp->Ingest(RtpDgram(0x51000u + static_cast<uint32_t>(k % 64),
-                          static_cast<uint16_t>(k),
-                          160u * static_cast<uint32_t>(k),
-                          {net::IpAddress(10, 1, 0, 10), 20002}, dst),
-                 true, now);
-    }
-    ++fed;
-    if (k % 5000 == 4999) {
-      mp->Quiesce();
-      engine.Flush(now);
-      mp->Resume();
-    }
-    if (k == packets / 2) {
-      // Producer churn: the old dispatcher and feeders retire, fresh
-      // threads pick up the same ports without losing or reordering
-      // anything already vouched for.
-      mp->Finish();
-      mp = std::make_unique<capture::MpIngest>(engine, 4);
-    }
-  }
-  mp->Finish();
-  engine.Flush(now);
-  uint64_t inspected = 0;
-  for (int i = 0; i < engine.shards(); ++i) {
-    inspected += engine.shard_vids(i).stats().packets;
-  }
-  EXPECT_EQ(inspected, fed);
-  EXPECT_EQ(engine.CountAlerts(AlertKind::kEngineHealth), 0u);
-  EXPECT_EQ(engine.watchdog_stalls(), 0u);
-  engine.Stop();
+TEST(MediaOwnerMap, ReclaimBySameShardEmitsNothing) {
+  MediaOwnerMap owners;
+  owners.Claim(9, /*shard=*/2, 100, /*hash_shard=*/0);
+  const MediaOwnerMap::Retract again = owners.Claim(9, 2, 200, 0);
+  EXPECT_EQ(again.shard, -1);
+  EXPECT_EQ(owners.size(), 1u);
+  EXPECT_EQ(owners.Lookup(9, 210), 2);
+}
+
+TEST(MediaOwnerMap, PruneDropsOnlyEntriesIdlePastHorizon) {
+  MediaOwnerMap owners;
+  owners.Claim(1, 0, /*when_ns=*/100, 0);  // idle since 100
+  owners.Claim(2, 1, 100, 1);
+  owners.Lookup(2, 900);                   // refreshed at 900
+  owners.Claim(3, 2, 500, 2);              // claimed at 500
+  owners.Prune(/*now_ns=*/1000, /*horizon_ns=*/500);
+  EXPECT_EQ(owners.size(), 2u);
+  EXPECT_EQ(owners.Lookup(1, 1000), -1);  // 900 idle > 500: dropped
+  EXPECT_EQ(owners.Lookup(2, 1000), 1);   // 100 idle: kept
+  EXPECT_EQ(owners.Lookup(3, 1000), 2);   // exactly the horizon: kept
+  // A pruned endpoint's next claim is a first claim again.
+  EXPECT_TRUE(owners.Claim(1, 3, 1100, 0).early);
 }
 
 }  // namespace
