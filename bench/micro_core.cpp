@@ -13,7 +13,6 @@
 #include <cstring>
 #include <fstream>
 #include <new>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -447,8 +446,7 @@ void BM_VidsInspectRtpInSession(benchmark::State& state) {
 }
 BENCHMARK(BM_VidsInspectRtpInSession);
 
-void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config,
-                           bool count_allocs = false) {
+void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config) {
   // End-to-end pipeline throughput of the sharded engine: router + SPSC
   // handoff + N workers inspecting in parallel. Steady-state in-session RTP
   // across pre-opened calls whose media endpoints were negotiated over SIP,
@@ -513,8 +511,7 @@ void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config,
     // The counter covers every thread: worker-side allocations during the
     // timed window land in allocs_per_iter too, which is the point — the
     // whole pipeline must be allocation-free in steady state.
-    std::optional<AllocCounter> allocs;
-    if (count_allocs) allocs.emplace(state);
+    AllocCounter allocs(state);
     for (auto _ : state) {
       const size_t i = next;
       next = (next + 1) % kCalls;
@@ -534,27 +531,13 @@ void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config,
       static_cast<double>(engine.ingest_stalls());
 }
 
-void BM_ShardedIngest(benchmark::State& state) {
-  // Slot-at-a-time configuration (batch_max = 1): the PR-5 handoff,
-  // unchanged semantics and no wall-clock reads on the ingest path — the
-  // single-core no-regression baseline.
-  ids::ShardedConfig config;
-  config.batch_max = 1;
-  config.agg_hold = sim::Duration::Seconds(0);
-  // Pin the observability knobs off too: this row is the no-regression
-  // baseline, so its ingest path must not read the wall clock at all.
-  config.trace_sample_period = 0;
-  config.watchdog_stall_ms = 0;
-  RunShardedIngestBench(state, config);
-}
-BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
 void BM_ShardedIngestBatched(benchmark::State& state) {
-  // Default batched configuration: up to batch_max slots per
-  // release/acquire pair on both rings, bounded-latency partial flush, and
-  // the shard-local aggregate staging path (DESIGN.md §12). Counted: the
-  // whole pipeline must stay allocation-free in steady state.
-  RunShardedIngestBench(state, ids::ShardedConfig{}, /*count_allocs=*/true);
+  // Default configuration: up to ShardedIds::kBatchMax slots per
+  // release/acquire pair on both rings and the bounded-latency partial
+  // flush (DESIGN.md §12). Counted: the whole pipeline must stay
+  // allocation-free in steady state. report_bench.py --scaling gates the
+  // /4 row at >= 2x the /1 row.
+  RunShardedIngestBench(state, ids::ShardedConfig{});
 }
 BENCHMARK(BM_ShardedIngestBatched)
     ->Arg(1)
@@ -574,7 +557,7 @@ void BM_ShardedPipelineSpans(benchmark::State& state) {
   config.trace_sample_period = static_cast<uint32_t>(state.range(1));
   config.watchdog_stall_ms = 0;  // isolate span cost from watchdog polls
   state.counters["trace_period"] = static_cast<double>(state.range(1));
-  RunShardedIngestBench(state, config, /*count_allocs=*/true);
+  RunShardedIngestBench(state, config);
 }
 BENCHMARK(BM_ShardedPipelineSpans)
     ->Args({1, 0})

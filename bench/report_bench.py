@@ -49,13 +49,13 @@ every BM_ShardedPipelineSpans row whose trace period argument is 0
 row must exist — a missing or nonzero counter is fatal regardless of
 --check, because it means the "sampling off is free" number is broken.
 
---scaling screens the BM_ShardedIngest rows: the 4-shard pipeline must
-deliver >= 2x the single-shard throughput. The gate only binds when the
-run was recorded on a host with >= 4 cores (the run-level `cpu_count`,
-falling back to the benchmark's `cores` counter) — a 1-core container
-serializes the workers, so there the screen reports a loud SKIP naming
-the recorded core count and exits 0 instead of recording a meaningless
-failure.
+--scaling screens the BM_ShardedIngestBatched rows (the shipped default
+configuration): the 4-shard pipeline must deliver >= 2x the single-shard
+throughput. The gate only binds when the run was recorded on a host with
+>= 4 cores (the run-level `cpu_count`, falling back to the benchmark's
+`cores` counter) — a 1-core container serializes the workers, so there
+the screen reports a loud SKIP naming the recorded core count and exits 0
+instead of recording a meaningless failure.
 """
 import json
 import os
@@ -94,16 +94,16 @@ def warn_regressions(last: dict, against: dict) -> None:
 
 
 def screen_scaling(last: dict, check: bool) -> int:
-    """Gates 4-shard vs 1-shard BM_ShardedIngest throughput at 2x."""
+    """Gates 4-shard vs 1-shard BM_ShardedIngestBatched throughput at 2x."""
     entries = {}
     for name, entry in last["results"].items():
-        if not name.startswith("BM_ShardedIngest/"):
+        if not name.startswith("BM_ShardedIngestBatched/"):
             continue
         if "shards" in entry and "items_per_second" in entry:
             entries[int(entry["shards"])] = entry
     if 1 not in entries or 4 not in entries:
-        print("SCALING: 1- and 4-shard BM_ShardedIngest rows not both "
-              "present in the run; nothing to screen", file=sys.stderr)
+        print("SCALING: 1- and 4-shard BM_ShardedIngestBatched rows not "
+              "both present in the run; nothing to screen", file=sys.stderr)
         return 1 if check else 0
     cores = int(last.get("cpu_count") or entries[4].get("cores", 0))
     if cores < 4:

@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
     if (config.shards > 0) {
       ids::ShardedConfig sharded;
       sharded.shards = config.shards;
-      sharded.ring_capacity = config.ring_capacity;
       sharded.detection = config.detection;
       sharded.trace_sample_period = config.trace_sample_period;
       ids::ShardedIds engine(sharded);

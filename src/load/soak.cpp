@@ -176,11 +176,10 @@ SoakSample Snapshot(ids::ShardedIds& engine, sim::Time when,
     s.media_index += fb.media_index_count();
     s.alert_sigs += vids.alert_sig_count();
   }
-  // The coordinator replays the aggregate (flood/DRDoS) alerts itself;
-  // those never touch any shard's "vids.alerts" counter.
+  // The merged "vids.alerts" counts every shard's alerts plus the
+  // coordinator Vids's replayed aggregate (flood/DRDoS/behavior) ones.
   auto merged = engine.MergedMetrics();
-  s.alerts_total = merged.GetCounter("vids.alerts").value() +
-                   merged.GetCounter("sharded.coord_alerts").value();
+  s.alerts_total = merged.GetCounter("vids.alerts").value();
   s.alerts_retained = engine.alerts().size();
   return s;
 }
@@ -687,7 +686,6 @@ SoakDriver::SoakDriver(SoakConfig config) {
   if (config.shards > 0) {
     ids::ShardedConfig sharded;
     sharded.shards = config.shards;
-    sharded.ring_capacity = config.ring_capacity;
     sharded.detection = config.detection;
     sharded.max_retained_alerts = config.max_retained_alerts;
     sharded.trace_sample_period = config.trace_sample_period;

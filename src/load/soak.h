@@ -84,10 +84,8 @@ struct SoakConfig {
   /// 0 = classic single-threaded drive straight into Vids::Inspect().
   /// N >= 1 routes the same workload through a ShardedIds with N worker
   /// threads; samples then cover the summed shard state plus the
-  /// coordinator's router/replay maps.
+  /// coordinator's owner map and replay state.
   int shards = 0;
-  /// Per-ring slot count for the sharded engine (ignored when shards == 0).
-  size_t ring_capacity = 1024;
   /// Pipeline span sampling period handed to ShardedIds (ignored when
   /// shards == 0): 1-in-N ingested packets carries a latency span. The
   /// default matches ShardedConfig; 0 disables sampling so the soak can

@@ -19,11 +19,11 @@
 // and the open-call TTL, so a swept-and-recreated profile reacts to the
 // next event exactly like a stale retained one (expired windows restart,
 // expired distinct-slots are ignored, expired open calls are unclosable,
-// the cooldown has lapsed either way). The plain Vids feeds it inline from
-// the inspect path; the sharded engine feeds the coordinator's instance
-// from the frontier-gated aggregate replay — both instances see the same
-// time-ordered event stream, so they emit byte-identical alerts regardless
-// of shard count.
+// the cooldown has lapsed either way). Vids::FeedAggregate feeds it: the
+// plain Vids inline from the inspect path, the sharded engine's coordinator
+// Vids from the frontier-gated aggregate replay — both instances see the
+// same time-ordered event stream, so they emit byte-identical alerts
+// regardless of shard count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct
@@ -123,8 +123,8 @@ struct BehaviorConfig {
 
 class BehaviorEngine {
  public:
-  /// Receives every emitted alert. The plain Vids routes this into
-  /// RaiseAlert; the sharded coordinator into EmitAlert.
+  /// Receives every emitted alert. Vids routes this into RaiseAlert (the
+  /// sharded coordinator's Vids included).
   using AlertSink = std::function<void(Alert&&)>;
 
   explicit BehaviorEngine(const BehaviorConfig& config);
@@ -152,8 +152,8 @@ class BehaviorEngine {
 
   /// Reclaims profiles idle past IdleHorizon() into the recycle pool.
   /// Memory-only by the determinism contract — callers may invoke this on
-  /// any cadence (fact-base sweep listener, coordinator prune) without
-  /// affecting emissions.
+  /// any cadence (the fact-base sweep listener rides both the packet path
+  /// and the sharded coordinator's Flush) without affecting emissions.
   void Sweep(sim::Time now);
 
   size_t profile_count() const { return callers_.size() + targets_.size(); }

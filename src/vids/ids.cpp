@@ -10,9 +10,9 @@ namespace vids::ids {
 namespace {
 
 // Dotted-quad into a caller-provided stack buffer (the classifier's
-// AssignIp shape) — the aggregate hook's DRDoS key must always be the
-// victim IP from the packet itself, never an event arg that could be
-// absent, and formatting it here keeps the hook path allocation-free.
+// AssignIp shape) — the DRDoS aggregate key must always be the victim IP
+// from the packet itself, never an event arg that could be absent, and
+// formatting it here keeps the aggregate path allocation-free.
 std::string_view FormatIpv4(char (&buf)[16], net::IpAddress ip) {
   char* out = buf;
   const uint32_t bits = ip.bits();
@@ -156,23 +156,11 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   const std::string* kind = packet.event.ArgStr(argkey::kKind);
   const bool is_response = kind != nullptr && *kind == "response";
   if (created && is_response) {
-    if (aggregate_hook_) {
-      // Sharded deployment: the victim-keyed count spans shards, so the
-      // event goes up to the coordinator's window counter instead. The key
-      // is the victim IP straight from the packet, matching the keying of
-      // GetOrCreateDrdosGroup below.
-      char victim[16];
-      aggregate_hook_(AggregateKind::kUnsolicitedResponse,
-                      FormatIpv4(victim, packet.dst.ip), packet);
-    } else {
-      auto& drdos_group = fact_base_.GetOrCreateDrdosGroup(packet.dst.ip);
-      efsm::Event unsolicited;
-      unsolicited.name = std::string(kUnsolicitedEvent);
-      unsolicited.args = packet.event.args;
-      if (auto* machine = drdos_group.Find("drdos")) {
-        drdos_group.DeliverData(*machine, unsolicited);
-      }
-    }
+    char victim[16];
+    EmitAggregate({.kind = AggregateKind::kUnsolicitedResponse,
+                   .key = FormatIpv4(victim, packet.dst.ip),
+                   .src_ip = packet.src.ip,
+                   .dst_ip = packet.dst.ip});
   }
 
   // Distribute to the call's machines: specification first (it exports the
@@ -189,15 +177,10 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   if (!is_response && !packet.dest_key.empty()) {
     const std::string* method = packet.event.ArgStr(argkey::kMethod);
     if (method != nullptr && *method == "INVITE") {
-      if (aggregate_hook_) {
-        aggregate_hook_(AggregateKind::kInviteRequest, packet.dest_key,
-                        packet);
-      } else {
-        auto& flood_group = fact_base_.GetOrCreateInviteFlood(packet.dest_key);
-        if (auto* machine = flood_group.Find("invite-flood")) {
-          flood_group.DeliverData(*machine, packet.event);
-        }
-      }
+      EmitAggregate({.kind = AggregateKind::kInviteRequest,
+                     .key = packet.dest_key,
+                     .src_ip = packet.src.ip,
+                     .dst_ip = packet.dst.ip});
     }
   }
 
@@ -224,26 +207,21 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
     // Initial INVITE (no To tag): a call start attributed to the caller.
     const std::string* from = packet.event.ArgStr(argkey::kFrom);
     if (from == nullptr) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(AggregateKind::kBehaviorCallStart, *from, packet);
-    } else {
-      const std::string* ua = packet.event.ArgStr(argkey::kUserAgent);
-      behavior_.OnCallStart(
-          scheduler_.Now(), *from, packet.dest_key,
-          ua != nullptr ? std::string_view(*ua) : std::string_view(),
-          behavior::BehaviorEngine::HashKey(packet.call_key));
-    }
+    const std::string* ua = packet.event.ArgStr(argkey::kUserAgent);
+    EmitAggregate(
+        {.kind = AggregateKind::kBehaviorCallStart,
+         .key = *from,
+         .peer = packet.dest_key,
+         .ua = ua != nullptr ? std::string_view(*ua) : std::string_view(),
+         .aux = behavior::BehaviorEngine::HashKey(packet.call_key)});
     return;
   }
   if (!is_response && *method == "BYE") {
     const std::string* from = packet.event.ArgStr(argkey::kFrom);
     if (from == nullptr) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(AggregateKind::kBehaviorCallEnd, *from, packet);
-    } else {
-      behavior_.OnCallEnd(scheduler_.Now(), *from,
-                          behavior::BehaviorEngine::HashKey(packet.call_key));
-    }
+    EmitAggregate({.kind = AggregateKind::kBehaviorCallEnd,
+                   .key = *from,
+                   .aux = behavior::BehaviorEngine::HashKey(packet.call_key)});
     return;
   }
   if (is_response && *method == "REGISTER") {
@@ -258,16 +236,58 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
         *status == 401 || *status == 403 || *status == 407;
     const bool success = *status >= 200 && *status < 300;
     if (!auth_failure && !success) return;
-    if (aggregate_hook_) {
-      aggregate_hook_(auth_failure ? AggregateKind::kBehaviorRegFailure
-                                   : AggregateKind::kBehaviorRegSuccess,
-                      *to, packet);
-    } else if (auth_failure) {
-      behavior_.OnRegFailure(scheduler_.Now(), *to,
-                             static_cast<uint64_t>(packet.dst.ip.bits()));
-    } else {
-      behavior_.OnRegSuccess(scheduler_.Now(), *to);
+    EmitAggregate({.kind = auth_failure ? AggregateKind::kBehaviorRegFailure
+                                        : AggregateKind::kBehaviorRegSuccess,
+                   .key = *to,
+                   .aux = static_cast<uint64_t>(packet.dst.ip.bits())});
+  }
+}
+
+void Vids::EmitAggregate(const AggregateEvent& event) {
+  if (aggregate_hook_) {
+    aggregate_hook_(event);
+  } else {
+    FeedAggregate(event);
+  }
+}
+
+void Vids::FeedAggregate(const AggregateEvent& event) {
+  const sim::Time now = scheduler_.Now();
+  switch (event.kind) {
+    case AggregateKind::kUnsolicitedResponse:
+    case AggregateKind::kInviteRequest: {
+      const bool invite = event.kind == AggregateKind::kInviteRequest;
+      efsm::MachineGroup& group =
+          invite ? fact_base_.GetOrCreateInviteFlood(event.key)
+                 : fact_base_.GetOrCreateDrdosGroup(event.dst_ip);
+      efsm::MachineInstance* machine =
+          group.Find(invite ? std::string_view("invite-flood")
+                            : std::string_view("drdos"));
+      if (machine == nullptr) return;
+      // The window counter reads no argument; OnAttackState reads the two
+      // addresses for the alert detail. Event names and dotted quads fit
+      // the small-string buffer, so refilling the event never allocates.
+      char ip[16];
+      aggregate_scratch_.name.assign(invite ? kSipEvent : kUnsolicitedEvent);
+      aggregate_scratch_.args.Slot(0, argkey::kSrcIp)
+          .emplace<std::string>(FormatIpv4(ip, event.src_ip));
+      aggregate_scratch_.args.Slot(1, argkey::kDstIp)
+          .emplace<std::string>(FormatIpv4(ip, event.dst_ip));
+      group.DeliverData(*machine, aggregate_scratch_);
+      return;
     }
+    case AggregateKind::kBehaviorCallStart:
+      behavior_.OnCallStart(now, event.key, event.peer, event.ua, event.aux);
+      return;
+    case AggregateKind::kBehaviorCallEnd:
+      behavior_.OnCallEnd(now, event.key, event.aux);
+      return;
+    case AggregateKind::kBehaviorRegFailure:
+      behavior_.OnRegFailure(now, event.key, event.aux);
+      return;
+    case AggregateKind::kBehaviorRegSuccess:
+      behavior_.OnRegSuccess(now, event.key);
+      return;
   }
 }
 

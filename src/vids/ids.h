@@ -143,19 +143,35 @@ class Vids : public efsm::Observer {
     kBehaviorRegFailure,   // REGISTER 401/403/407, keyed by target AOR (To)
     kBehaviorRegSuccess,   // REGISTER 2xx, keyed by target AOR (To)
   };
-  /// When an aggregate hook is installed the DRDoS / INVITE-flood window
-  /// counters and the local behavior engine are NOT fed; the hook receives
-  /// every event that would have fed them instead (key = dest AOR for
-  /// kInviteRequest, dotted victim IP — packet.dst.ip, always present —
-  /// for kUnsolicitedResponse, the profiled entity AOR for the behavior
-  /// kinds). ShardedIds
-  /// installs one on every shard and replays the events into coordinator-
-  /// side window counters and its own BehaviorEngine, so the aggregate
-  /// detectors see the global event stream regardless of how calls are
-  /// partitioned. All other detection (per-call, per-media-endpoint) is
-  /// untouched.
-  using AggregateHook = std::function<void(
-      AggregateKind, std::string_view key, const ClassifiedPacket& packet)>;
+  /// One aggregate-feed event, filled once per qualifying packet. The views
+  /// borrow the classified packet's scratch (or a caller's buffers) and are
+  /// valid only for the duration of the call that receives the event.
+  struct AggregateEvent {
+    AggregateKind kind{};
+    /// Dest AOR (kInviteRequest), dotted victim IP — packet.dst.ip, always
+    /// present — (kUnsolicitedResponse), profiled entity AOR (behavior).
+    std::string_view key{};
+    net::IpAddress src_ip{};  // the packet's addresses, for the alert detail
+    net::IpAddress dst_ip{};
+    std::string_view peer{};  // kBehaviorCallStart: destination AOR
+    std::string_view ua{};    // kBehaviorCallStart: User-Agent header
+    /// Call-key hash (call start/end, BYE↔INVITE pairing) or the
+    /// registering client's IP bits (kBehaviorRegFailure).
+    uint64_t aux = 0;
+  };
+  /// Runs one aggregate event at scheduler time Now(): INVITE and
+  /// unsolicited-response events drive the fact base's `invite-flood` /
+  /// `drdos` EFSM groups, the behavior kinds the behavior engine. Inspect
+  /// calls it inline; the sharded coordinator calls it on its own Vids to
+  /// replay the merged event stream of every shard.
+  void FeedAggregate(const AggregateEvent& event);
+  /// When an aggregate hook is installed FeedAggregate is NOT called; the
+  /// hook receives every event instead. ShardedIds installs one on every
+  /// shard and replays the events into a coordinator-owned Vids, so the
+  /// aggregate detectors see the global event stream regardless of how
+  /// calls are partitioned. All other detection (per-call, per-media-
+  /// endpoint) is untouched.
+  using AggregateHook = std::function<void(const AggregateEvent&)>;
   void set_aggregate_hook(AggregateHook hook) {
     aggregate_hook_ = std::move(hook);
   }
@@ -164,8 +180,8 @@ class Vids : public efsm::Observer {
   CallStateFactBase& fact_base() { return fact_base_; }
   const CallStateFactBase& fact_base() const { return fact_base_; }
   const DetectionConfig& detection() const { return detection_; }
-  /// The behavioral anomaly layer (DESIGN.md §16). Fed inline from the
-  /// inspect path unless an aggregate hook forwards the events upstream;
+  /// The behavioral anomaly layer (DESIGN.md §16). Fed through
+  /// FeedAggregate unless an aggregate hook forwards the events upstream;
   /// swept on the fact base's sweep cadence.
   behavior::BehaviorEngine& behavior() { return behavior_; }
   const behavior::BehaviorEngine& behavior() const { return behavior_; }
@@ -190,10 +206,12 @@ class Vids : public efsm::Observer {
 
  private:
   void HandleSip(const ClassifiedPacket& packet);
-  /// Routes the packet's behavior-profile events (call start/end, REGISTER
-  /// finals) into the local engine, or up the aggregate hook when one is
-  /// installed.
+  /// Fills the packet's behavior-profile event (call start/end, REGISTER
+  /// finals), if any, and hands it to EmitAggregate.
   void FeedBehavior(const ClassifiedPacket& packet, bool is_response);
+  /// Hands the event to the aggregate hook if one is installed, else to
+  /// FeedAggregate.
+  void EmitAggregate(const AggregateEvent& event);
   void HandleRtp(const ClassifiedPacket& packet);
   void HandleRtcp(const ClassifiedPacket& packet);
   void RefreshMediaIndex(efsm::MachineGroup& group,
@@ -252,6 +270,9 @@ class Vids : public efsm::Observer {
   std::function<void(const Alert&)> alert_callback_;
   TransitionTrace transition_trace_;
   AggregateHook aggregate_hook_;
+  /// FeedAggregate's reused EFSM event for the window counters: carries
+  /// only the source/destination IP args their alert detail reads.
+  efsm::Event aggregate_scratch_;
   /// Dedup: last alert time per (group, machine, classification). Bounded:
   /// PruneAlertSigs (driven by the fact-base sweep) expires stale entries
   /// and evicts those of reclaimed groups.

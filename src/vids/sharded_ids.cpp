@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <optional>
 
 #include "common/backoff.h"
 #include "rtp/rtcp.h"
-#include "vids/classifier.h"
-#include "vids/patterns.h"
 
 namespace vids::ids {
 
@@ -51,17 +48,13 @@ void AssignAlert(Alert& dst, const Alert& src) {
   }
 }
 
-// Hard cap on a shard's held-back aggregate events. A flood that outruns
-// agg_hold aging forces a full ship instead of unbounded staging growth.
-constexpr size_t kMaxHeldAggEvents = 1024;
-
 }  // namespace
 
 // ------------------------------------------------------------ construction
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
-      behavior_(config_.detection.behavior),
+      coordinator_(coord_scheduler_, config_.detection, config_.cost),
       m_stalls_(&coord_metrics_.GetCounter("sharded.ingest_stalls")),
       m_sip_routed_(&coord_metrics_.GetCounter("sharded.sip_routed")),
       m_owner_routed_(
@@ -72,11 +65,7 @@ ShardedIds::ShardedIds(ShardedConfig config)
           &coord_metrics_.GetCounter("sharded.early_media_retracts")),
       m_retracts_(&coord_metrics_.GetCounter("sharded.ownership_transfers")),
       m_agg_events_(&coord_metrics_.GetCounter("sharded.agg_events")),
-      m_coord_alerts_(&coord_metrics_.GetCounter("sharded.coord_alerts")),
-      m_coord_suppressed_(
-          &coord_metrics_.GetCounter("sharded.coord_alerts_suppressed")),
       m_flushes_(&coord_metrics_.GetCounter("sharded.flushes")),
-      m_escalations_(&coord_metrics_.GetCounter("sharded.agg_escalations")),
       m_watchdog_stalls_(
           &coord_metrics_.GetCounter("sharded.watchdog_stalls")),
       m_flush_full_(&coord_metrics_.GetCounter("pipeline.flush.full")),
@@ -86,7 +75,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
       m_batch_committed_(
           &coord_metrics_.GetHistogram("pipeline.batch.committed")) {
   config_.shards = std::max(1, config_.shards);
-  config_.batch_max = std::max<size_t>(1, config_.batch_max);
   const int n = config_.shards;
   if (config_.trace_sample_period > 0) {
     uint32_t period = 1;
@@ -94,13 +82,12 @@ ShardedIds::ShardedIds(ShardedConfig config)
     trace_on_ = true;
     trace_mask_ = period - 1;
   }
-  // Behavioral alerts from the replay-fed coordinator engine enter the
-  // retained history through the same canonical insert as every replayed
-  // aggregate alert. The engine's own cooldown is the only dedup — exactly
-  // like the plain engine, where RaiseAlert's window never fires on them.
-  behavior_.set_alert_sink([this](Alert&& alert) {
-    m_coord_alerts_->Inc();
-    EmitAlert(std::move(alert));
+  // The coordinator Vids's alerts (flood, DRDoS, behavior) enter the
+  // retained history through the same canonical insert as shard alerts.
+  // It keeps only a short tail itself, like the shards.
+  coordinator_.set_max_retained_alerts(4);
+  coordinator_.set_alert_callback([this](const Alert& alert) {
+    EmitAlert(alert);
   });
   watchdog_threshold_ns_ = config_.watchdog_stall_ms * 1'000'000;
   // Poll well inside the deadline (threshold/8, floor 1 ms) so an episode
@@ -109,22 +96,6 @@ ShardedIds::ShardedIds(ShardedConfig config)
   watchdog_poll_ns_ =
       std::max<int64_t>(watchdog_threshold_ns_ / 8, 1'000'000);
   health_.resize(static_cast<size_t>(n));
-  // Escalation share: by pigeonhole, if a key sees more than `threshold`
-  // events inside one window globally, some shard saw at least
-  // ceil((threshold + 1) / shards) of them — so a shard whose local sketch
-  // holds that many events within a window-span knows the key could be in
-  // an over-threshold window and turns it hot. Fractions below 1.0 shrink
-  // the share (earlier escalation, more eager shipping); above 1.0 would
-  // let a real flood hide below every shard's share, so clamp.
-  const double frac = std::clamp(config_.agg_escalation_fraction, 0.0, 1.0);
-  const auto share = [&](int threshold) {
-    const double target =
-        frac * static_cast<double>(threshold + 1) / static_cast<double>(n);
-    return std::max<int64_t>(1, static_cast<int64_t>(std::ceil(target)));
-  };
-  esc_invite_share_ = share(config_.detection.invite_flood_threshold);
-  esc_drdos_share_ = share(config_.detection.drdos_threshold);
-
   pending_.resize(static_cast<size_t>(n));
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -156,52 +127,19 @@ ShardedIds::ShardedIds(ShardedConfig config)
       }
       PushUp(*sp, [&](UpMsg& up) {
         up.kind = UpMsg::Kind::kAlert;
-        up.when_ns = alert.when.nanos();
         AssignAlert(up.alert, alert);
       });
     });
-    // Always hook the aggregate feeds — even with one shard — so flood and
-    // DRDoS detection take the identical (replayed) code path for every
-    // shard count. Equivalence across N is then true by construction.
+    // Always hook the aggregate feeds — even with one shard — so flood,
+    // DRDoS and behavior detection take the identical (replayed) code path
+    // for every shard count. Equivalence across N is then true by
+    // construction. The event rides the open up batch, like alerts.
     shard->vids->set_aggregate_hook(
-        [this, sp](Vids::AggregateKind kind, std::string_view key,
-                   const ClassifiedPacket& packet) {
-          const std::string* src = packet.event.ArgStr(argkey::kSrcIp);
-          const std::string* dst = packet.event.ArgStr(argkey::kDstIp);
-          // Behavior kinds carry their per-kind extras: the call-start peer
-          // (destination AOR) and User-Agent, and an aux word — the call-key
-          // hash for start/end (BYE↔INVITE pairing) or the registering
-          // client's IP bits for auth failures (source diversity).
-          std::string_view peer;
-          std::string_view ua;
-          uint64_t aux = 0;
-          switch (kind) {
-            case Vids::AggregateKind::kBehaviorCallStart: {
-              peer = packet.dest_key;
-              if (const std::string* s =
-                      packet.event.ArgStr(argkey::kUserAgent)) {
-                ua = *s;
-              }
-              aux = behavior::BehaviorEngine::HashKey(packet.call_key);
-              break;
-            }
-            case Vids::AggregateKind::kBehaviorCallEnd:
-              aux = behavior::BehaviorEngine::HashKey(packet.call_key);
-              break;
-            case Vids::AggregateKind::kBehaviorRegFailure:
-              aux = static_cast<uint64_t>(packet.dst.ip.bits());
-              break;
-            default:
-              break;
-          }
-          // Dest AOR (INVITE flood), dotted victim IP (DRDoS) or profiled
-          // entity AOR (behavior) — the hook contract guarantees the key is
-          // populated for all kinds.
-          BufferAggEvent(
-              *sp, kind, key,
-              src != nullptr ? std::string_view(*src) : std::string_view(),
-              dst != nullptr ? std::string_view(*dst) : std::string_view(),
-              peer, ua, aux);
+        [this, sp](const Vids::AggregateEvent& event) {
+          PushUp(*sp, [&](UpMsg& up) {
+            up.kind = UpMsg::Kind::kAgg;
+            up.agg.Assign(sp->scheduler->Now().nanos(), event);
+          });
         });
     shards_.push_back(std::move(shard));
   }
@@ -212,6 +150,18 @@ ShardedIds::ShardedIds(ShardedConfig config)
 }
 
 ShardedIds::~ShardedIds() { Stop(); }
+
+void ShardedIds::AggEvent::Assign(int64_t when,
+                                  const Vids::AggregateEvent& event) {
+  when_ns = when;
+  kind = event.kind;
+  key.assign(event.key);
+  src_ip = event.src_ip;
+  dst_ip = event.dst_ip;
+  peer.assign(event.peer);
+  ua.assign(event.ua);
+  aux = event.aux;
+}
 
 // ------------------------------------------------------------- worker side
 
@@ -262,137 +212,6 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   shard.spans.Record(rec);
 }
 
-void ShardedIds::BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
-                                std::string_view key, std::string_view src_ip,
-                                std::string_view dst_ip, std::string_view peer,
-                                std::string_view ua, uint64_t aux) {
-  AggLocal& a = shard.agg;
-  const int64_t t = shard.scheduler->Now().nanos();
-
-  // Stage the event. Retired slots keep their string capacities; compact
-  // by sliding the live tail down (swap, not copy) so the vector's size is
-  // bounded by the peak number of simultaneously-held events.
-  if (a.end == a.buf.size() && a.begin > 0) {
-    const size_t live = a.live();
-    for (size_t i = 0; i < live; ++i) {
-      HeldAggEvent& dst = a.buf[i];
-      HeldAggEvent& src = a.buf[a.begin + i];
-      dst.when_ns = src.when_ns;
-      dst.kind = src.kind;
-      dst.key.swap(src.key);
-      dst.src_ip.swap(src.src_ip);
-      dst.dst_ip.swap(src.dst_ip);
-      dst.peer.swap(src.peer);
-      dst.ua.swap(src.ua);
-      dst.aux = src.aux;
-    }
-    a.begin = 0;
-    a.end = live;
-  }
-  if (a.end == a.buf.size()) a.buf.emplace_back();
-  HeldAggEvent& e = a.buf[a.end++];
-  e.when_ns = t;
-  e.kind = kind;
-  e.key.assign(key);
-  e.src_ip.assign(src_ip);
-  e.dst_ip.assign(dst_ip);
-  e.peer.assign(peer);
-  e.ua.assign(ua);
-  e.aux = aux;
-  ++a.events_buffered;
-  if (a.live() > kMaxHeldAggEvents) {
-    ShipAggPrefix(shard, t);  // ships everything: `t` is the newest time
-  }
-
-  // Behavior events never escalate: the escalation sketches exist to cut
-  // the ship latency of keys that might cross a flood/DRDoS threshold, and
-  // hotness only affects ship latency, never which events ship — profile
-  // scoring happens solely on the coordinator after the ordered replay.
-  if (kind != Vids::AggregateKind::kUnsolicitedResponse &&
-      kind != Vids::AggregateKind::kInviteRequest) {
-    return;
-  }
-
-  // Sliding sketch: record the key's last `share` event times; when all of
-  // them (including this one) fall inside one window-span, escalate.
-  const bool invite = kind == Vids::AggregateKind::kInviteRequest;
-  auto& sketches = invite ? a.invite_sketch : a.drdos_sketch;
-  const size_t share =
-      static_cast<size_t>(invite ? esc_invite_share_ : esc_drdos_share_);
-  const int64_t window_ns = (invite ? config_.detection.invite_flood_window
-                                    : config_.detection.drdos_window)
-                                .nanos();
-  auto it = sketches.find(key);
-  if (it == sketches.end()) {
-    it = sketches.emplace(std::string(key), AggSketch{}).first;
-  }
-  AggSketch& s = it->second;
-  s.last_event_ns = t;
-  if (s.hot) return;
-  if (s.recent.size() != share) s.recent.assign(share, INT64_MIN);
-  s.recent[s.next] = t;
-  s.next = (s.next + 1) % share;
-  // After the insert, recent[next] is the oldest of the stored `share`
-  // times; all of them within (t - window, t] means the local count alone
-  // could be part of a globally over-threshold window.
-  const int64_t oldest = s.recent[s.next];
-  if (oldest == INT64_MIN || oldest <= t - window_ns) return;
-  s.hot = true;
-  ++a.hot_keys;
-  PushUp(shard, [&](UpMsg& up) {
-    up.kind = UpMsg::Kind::kAggHot;
-    up.when_ns = t;
-    up.agg = kind;
-    up.key.assign(key);
-    up.src_ip.clear();
-    up.dst_ip.clear();
-    up.peer.clear();
-    up.ua.clear();
-    up.aux = 0;
-  });
-}
-
-void ShardedIds::ShipAggPrefix(Shard& shard, int64_t horizon) {
-  AggLocal& a = shard.agg;
-  while (a.begin < a.end && a.buf[a.begin].when_ns <= horizon) {
-    const HeldAggEvent& e = a.buf[a.begin];
-    PushUp(shard, [&](UpMsg& up) {
-      up.kind = UpMsg::Kind::kAgg;
-      up.when_ns = e.when_ns;
-      up.agg = e.kind;
-      up.key.assign(e.key);
-      up.src_ip.assign(e.src_ip);
-      up.dst_ip.assign(e.dst_ip);
-      up.peer.assign(e.peer);
-      up.ua.assign(e.ua);
-      up.aux = e.aux;
-    });
-    ++a.begin;
-    ++a.events_shipped;
-  }
-  if (a.begin == a.end) {
-    a.begin = 0;
-    a.end = 0;
-  }
-}
-
-void ShardedIds::PruneAggSketches(Shard& shard, int64_t now_ns) {
-  // Mirror the coordinator's window pruning: a sketch idle past the keyed
-  // horizon can restart cold (hot keys cool down — hotness only affects
-  // ship latency, never which events ship, so cooling is always safe).
-  const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
-  const auto prune = [&](StringKeyed<AggSketch>& sketches) {
-    std::erase_if(sketches, [&](const auto& kv) {
-      const AggSketch& s = kv.second;
-      if (now_ns - s.last_event_ns <= idle_ns) return false;
-      if (s.hot) --shard.agg.hot_keys;
-      return true;
-    });
-  };
-  prune(shard.agg.invite_sketch);
-  prune(shard.agg.drdos_sketch);
-}
-
 void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
                                net::Datagram& scratch) {
   // Sampled span: note the dequeue time and post the enqueue time where
@@ -436,15 +255,13 @@ void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
 void ShardedIds::WorkerLoop(Shard& shard) {
   net::Datagram scratch;
   common::SpinBackoff backoff;
-  const size_t batch_max = config_.batch_max;
-  const int64_t hold_ns = config_.agg_hold.nanos();
   // Heartbeats only exist for the watchdog; the disabled configuration
-  // (BM_ShardedIngest's pinned hot path) never reads the wall clock here.
+  // never reads the wall clock here.
   const bool heartbeat = watchdog_threshold_ns_ > 0;
   int64_t watermark = 0;
   bool stopping = false;
   while (!stopping) {
-    const size_t avail = shard.down.FrontN(batch_max);
+    const size_t avail = shard.down.FrontN(kBatchMax);
     if (avail == 0) {
       backoff.Pause();
       continue;
@@ -472,41 +289,15 @@ void ShardedIds::WorkerLoop(Shard& shard) {
           break;
         case ShardMsg::Kind::kFlush:
           AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
-          // The barrier promises every aggregate event up to `when` is
-          // replayable: ship the whole staging buffer before the ack.
-          ShipAggPrefix(shard, INT64_MAX);
-          PruneAggSketches(shard, msg.when_ns);
           PushUp(shard, [&](UpMsg& up) {
             up.kind = UpMsg::Kind::kFlushAck;
-            up.when_ns = msg.when_ns;
             up.token = msg.token;
           });
           watermark = std::max(watermark, msg.when_ns);
           break;
         case ShardMsg::Kind::kStop:
-          // Final ship so Stop()'s terminal replay sees every event.
-          ShipAggPrefix(shard, INT64_MAX);
           stopping = true;
           break;
-        case ShardMsg::Kind::kAggHot: {
-          // Some shard escalated this key: bypass the hold locally too, so
-          // this shard's frontier keeps pace and the coordinator's merged
-          // replay of the hot key is not gated on our cold buffer.
-          const bool invite = msg.agg == Vids::AggregateKind::kInviteRequest;
-          auto& sketches =
-              invite ? shard.agg.invite_sketch : shard.agg.drdos_sketch;
-          auto it = sketches.find(msg.key);
-          if (it == sketches.end()) {
-            it = sketches.emplace(msg.key, AggSketch{}).first;
-          }
-          AggSketch& sketch = it->second;
-          if (!sketch.hot) {
-            sketch.hot = true;
-            ++shard.agg.hot_keys;
-          }
-          sketch.last_event_ns = std::max(sketch.last_event_ns, msg.when_ns);
-          break;
-        }
         case ShardMsg::Kind::kWedge:
           // Deliberate stall (tests): sleep before retiring the message.
           // The ring stays non-empty and the heartbeat store below is not
@@ -520,26 +311,17 @@ void ShardedIds::WorkerLoop(Shard& shard) {
     }
     shard.down.PopN(consumed);
 
-    if (!stopping && shard.agg.live() != 0) {
-      // Cold events age out after agg_hold; while any key is hot the
-      // whole buffer ships every batch so replay tracks the frontier.
-      ShipAggPrefix(shard, shard.agg.hot_keys > 0 ? watermark
-                                                  : watermark - hold_ns);
-    }
     // Worker-owned plain metric fields must be written before the commit
     // below: the coordinator reads `shard.pipeline` after acquiring the
     // flush ack published by this very batch.
     shard.batch_consumed->Record(static_cast<int64_t>(consumed));
     // One release store publishes every upstream message of this round
-    // (alerts, aggregate ships, escalations, acks) ...
+    // (alerts, aggregate events, acks) ...
     shard.up.CommitPushN();
     // ... then the frontiers. agg_complete first: the events it vouches
     // for are already committed above, so an acquire read that observes
-    // the new frontier also observes them in the ring (DESIGN.md §12).
-    const int64_t agg_complete =
-        shard.agg.live() == 0 ? watermark
-                              : shard.agg.buf[shard.agg.begin].when_ns - 1;
-    shard.agg_complete_ns.store(agg_complete, std::memory_order_release);
+    // the new frontier also observes them in the ring (DESIGN.md §11).
+    shard.agg_complete_ns.store(watermark, std::memory_order_release);
     shard.processed_ns.store(watermark, std::memory_order_release);
     // Heartbeat last: it vouches for the whole retired round. A worker
     // that wedges or blocks mid-batch never reaches this store.
@@ -653,8 +435,9 @@ void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
 template <typename Fill>
 void ShardedIds::PushDown(int shard_index, Fill&& fill) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  // The arena slot paired with the ring slot BeginPushN hands out.
-  size_t arena_slot = shard.down.ProducerNextIndex();
+  // The arena slot paired with the ring slot BeginPushN hands out. Only
+  // this thread pushes, so waiting out backpressure cannot move it.
+  const size_t arena_slot = shard.down.ProducerNextIndex();
   ShardMsg* slot = shard.down.BeginPushN();
   if (slot == nullptr) {
     // Backpressure, not loss. Publish every open batch (a worker can only
@@ -667,8 +450,6 @@ void ShardedIds::PushDown(int shard_index, Fill&& fill) {
       m_stalls_->Inc();
       DrainUp();
       std::this_thread::yield();
-      // Re-read: a hot-key broadcast from inside DrainUp may have pushed.
-      arena_slot = shard.down.ProducerNextIndex();
       slot = shard.down.BeginPushN();
     } while (slot == nullptr);
   }
@@ -679,7 +460,7 @@ void ShardedIds::PushDown(int shard_index, Fill&& fill) {
       depth > shard.down_hwm) {
     shard.down_hwm = depth;
   }
-  if (open >= config_.batch_max) CommitDown(shard, m_flush_full_);
+  if (open >= kBatchMax) CommitDown(shard, m_flush_full_);
 }
 
 void ShardedIds::CommitDown(Shard& shard, obs::Counter* reason) {
@@ -701,8 +482,7 @@ void ShardedIds::DeadlineCheck(int64_t when_ns) {
   // open for kBatchFlushMicros, enforced in both clock domains — source
   // time first (an integer compare, no clock read), then wall clock — so a
   // faster-than-real-time replay cannot hold a pre-gap packet unpublished
-  // while the stream's own clock races far past it. The batch_max == 1
-  // configuration commits in PushDown and never touches either clock.
+  // while the stream's own clock races far past it.
   if (open_batches_ == 0) {
     deadline_armed_ = false;
     return;
@@ -787,7 +567,7 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
     }
   });
 
-  if (config_.batch_max > 1) DeadlineCheck(when_ns);
+  DeadlineCheck(when_ns);
   // Opportunistic upstream drain so alerts surface and the aggregate
   // replay keeps pace without explicit Pump() calls.
   if ((++ingest_count_ & 31U) == 0) DrainUp();
@@ -882,7 +662,7 @@ void ShardedIds::DrainUp() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     for (;;) {
-      const size_t n = shard.up.FrontN(config_.batch_max);
+      const size_t n = shard.up.FrontN(kBatchMax);
       if (n == 0) break;
       for (size_t j = 0; j < n; ++j) {
         UpMsg& msg = shard.up.At(j);
@@ -890,35 +670,10 @@ void ShardedIds::DrainUp() {
           case UpMsg::Kind::kAlert:
             EmitAlert(msg.alert);  // copies; the slot keeps its buffers
             break;
-          case UpMsg::Kind::kAgg: {
+          case UpMsg::Kind::kAgg:
             m_agg_events_->Inc();
-            AggEvent event;
-            event.when_ns = msg.when_ns;
-            event.kind = msg.agg;
-            event.key = msg.key;
-            event.src_ip = msg.src_ip;
-            event.dst_ip = msg.dst_ip;
-            event.peer = msg.peer;
-            event.ua = msg.ua;
-            event.aux = msg.aux;
-            pending_[i].push_back(std::move(event));
+            pending_[i].push_back(msg.agg);
             break;
-          }
-          case UpMsg::Kind::kAggHot: {
-            m_escalations_->Inc();
-            auto& hot = msg.agg == Vids::AggregateKind::kInviteRequest
-                            ? hot_invite_
-                            : hot_drdos_;
-            auto it = hot.find(msg.key);
-            if (it == hot.end()) {
-              hot.emplace(msg.key, msg.when_ns);
-              hot_pending_.push_back(
-                  HotBroadcast{msg.agg, msg.key, msg.when_ns});
-            } else {
-              it->second = std::max(it->second, msg.when_ns);
-            }
-            break;
-          }
           case UpMsg::Kind::kFlushAck:
             if (msg.token == flush_token_) ++flush_acks_;
             break;
@@ -928,43 +683,18 @@ void ShardedIds::DrainUp() {
     }
   }
   ReplayAggregates(frontier);
-  BroadcastHotKeys();
-}
-
-void ShardedIds::BroadcastHotKeys() {
-  // Not while stopping: a worker past its kStop never drains its ring, so
-  // a push into a full one would wait forever. (The events behind the
-  // escalation still replay — Stop()'s terminal drain is ungated.)
-  if (broadcasting_ || stopping_ || hot_pending_.empty()) return;
-  broadcasting_ = true;
-  // Index loop, not iterators: PushDown can hit backpressure and re-enter
-  // DrainUp, which may append more escalations; the loop picks them up.
-  for (size_t b = 0; b < hot_pending_.size(); ++b) {
-    for (int s = 0; s < shards(); ++s) {
-      PushDown(s, [&](ShardMsg& msg, size_t) {
-        const HotBroadcast& hb = hot_pending_[b];  // re-index: DrainUp may
-        msg.kind = ShardMsg::Kind::kAggHot;        // have grown the vector
-        msg.when_ns = hb.when_ns;
-        msg.agg = hb.agg;
-        msg.key.assign(hb.key);
-      });
-    }
-  }
-  hot_pending_.clear();
-  CommitAllDown(m_flush_barrier_);
-  broadcasting_ = false;
 }
 
 void ShardedIds::ReplayAggregates(int64_t frontier) {
   // Safe-replay frontier (snapshotted by the caller before its drain):
   // every shard guarantees all its aggregate events at or before it are
-  // already in pending_. Events beyond the frontier wait — a slow or
-  // still-buffering shard may yet emit an earlier one. (An event a shard
-  // commits after the snapshot can tie the frontier exactly, never
-  // undercut it: per-ring times are non-decreasing, a shard's buffer only
-  // holds times above its published frontier, and the window counters are
-  // order-insensitive within one instant, so a same-instant straggler
-  // replayed in a later batch lands on identical state.)
+  // already in pending_. Events beyond the frontier wait — a slow shard may
+  // yet emit an earlier one. (An event a shard commits after the snapshot
+  // can tie the frontier exactly, never undercut it: per-ring times are
+  // non-decreasing and a shard's next batch starts at or after its
+  // published watermark; the window counters are order-insensitive within
+  // one instant, so a same-instant straggler replayed in a later batch
+  // lands on identical state.)
   // K-way merge by event time. Ties across shards are replayed in shard
   // order; the window counters are order-insensitive within one instant
   // (counts and alert times depend only on the multiset of event times).
@@ -980,91 +710,19 @@ void ShardedIds::ReplayAggregates(int64_t frontier) {
       }
     }
     if (best < 0) break;
-    AggEvent event = std::move(pending_[static_cast<size_t>(best)].front());
-    pending_[static_cast<size_t>(best)].pop_front();
-    ReplayOne(event);
+    std::deque<AggEvent>& queue = pending_[static_cast<size_t>(best)];
+    // The coordinator Vids runs the event at its shard time, after every
+    // coordinator timer due at or before it (window expiry, sweeps) — the
+    // plain engine's timer-before-same-time-packet order.
+    AdvanceCoordinator(best_t);
+    coordinator_.FeedAggregate(queue.front().View());
+    queue.pop_front();
   }
 }
 
-void ShardedIds::ReplayOne(const AggEvent& event) {
-  // Behavior events feed the coordinator-owned engine. The k-way merge
-  // already ordered them by time across shards, so the engine sees the
-  // same time-ordered per-entity stream the plain (unsharded) engine sees
-  // inline — byte-identical alerts by construction (DESIGN.md §16).
-  switch (event.kind) {
-    case Vids::AggregateKind::kBehaviorCallStart:
-      behavior_.OnCallStart(sim::Time::FromNanos(event.when_ns), event.key,
-                            event.peer, event.ua, event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorCallEnd:
-      behavior_.OnCallEnd(sim::Time::FromNanos(event.when_ns), event.key,
-                          event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorRegFailure:
-      behavior_.OnRegFailure(sim::Time::FromNanos(event.when_ns), event.key,
-                             event.aux);
-      return;
-    case Vids::AggregateKind::kBehaviorRegSuccess:
-      behavior_.OnRegSuccess(sim::Time::FromNanos(event.when_ns), event.key);
-      return;
-    default:
-      break;
-  }
-  // Exact replay of patterns.cpp BuildWindowCounter + the Vids alert dedup:
-  //  - first event arms T1 (deadline) and sets count = 1;
-  //  - the timer is NOT restarted by further events; at expiry the counter
-  //    resets (lazily: a scheduler timer at `deadline` fires before a
-  //    packet at the same instant, hence the >= check);
-  //  - count > threshold is the attack state; every further event re-enters
-  //    it, deduplicated within alert_dedup_window.
-  const bool invite = event.kind == Vids::AggregateKind::kInviteRequest;
-  auto& windows = invite ? invite_windows_ : drdos_windows_;
-  const int64_t threshold = invite ? config_.detection.invite_flood_threshold
-                                   : config_.detection.drdos_threshold;
-  const int64_t window_ns = (invite ? config_.detection.invite_flood_window
-                                    : config_.detection.drdos_window)
-                                .nanos();
-  const int64_t t = event.when_ns;
-  WinState& w = windows.try_emplace(event.key).first->second;
-  w.last_event_ns = t;
-  if (w.armed && t >= w.deadline_ns) {
-    w.armed = false;
-    w.count = 0;
-  }
-  if (!w.armed) {
-    w.armed = true;
-    w.count = 1;
-    w.deadline_ns = t + window_ns;
-    return;
-  }
-  ++w.count;
-  if (w.count <= threshold) return;  // "within threshold N"
-
-  // Attack state (entry or self-loop).
-  const int64_t dedup_ns = config_.detection.alert_dedup_window.nanos();
-  if (w.alerted_once && t - w.last_alert_ns < dedup_ns) {
-    m_coord_suppressed_->Inc();
-    return;
-  }
-  w.alerted_once = true;
-  w.last_alert_ns = t;
-  m_coord_alerts_->Inc();
-
-  Alert alert;
-  alert.when = sim::Time::FromNanos(t);
-  alert.kind = AlertKind::kAttackPattern;
-  alert.classification =
-      std::string(invite ? kAttackInviteFlood : kAttackDrdos);
-  alert.machine = invite ? "invite-flood" : "drdos";
-  alert.group = (invite ? "flood|" : "drdos|") + event.key;
-  alert.state = alert.classification;
-  alert.detail =
-      "src=" + (event.src_ip.empty() ? std::string("?") : event.src_ip) +
-      " dst=" + (event.dst_ip.empty() ? std::string("?") : event.dst_ip);
-  alert.trigger = alert.machine +
-                  ": aggregate window counter surged beyond threshold N "
-                  "within T1 (coordinator replay)";
-  EmitAlert(std::move(alert));
+void ShardedIds::AdvanceCoordinator(int64_t when_ns) {
+  const sim::Time when = sim::Time::FromNanos(when_ns);
+  if (when > coord_scheduler_.Now()) coord_scheduler_.RunUntil(when);
 }
 
 void ShardedIds::EmitAlert(Alert alert) {
@@ -1139,40 +797,18 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
           .nanos();
   owners_.Prune(now_ns, owner_horizon_ns);
 
-  const int64_t dedup_ns = config_.detection.alert_dedup_window.nanos();
-  const int64_t idle_ns = config_.detection.keyed_idle_timeout.nanos();
-  const auto prune_windows = [&](StringKeyed<WinState>& windows) {
-    std::erase_if(windows, [&](const auto& kv) {
-      const WinState& w = kv.second;
-      // Dropping a WinState is equivalent to the timer having fired and the
-      // dedup signature having been evicted — only safe once both are past.
-      const bool window_over = !w.armed || now_ns >= w.deadline_ns;
-      const bool dedup_over =
-          !w.alerted_once || now_ns - w.last_alert_ns >= dedup_ns;
-      return window_over && dedup_over && now_ns - w.last_event_ns > idle_ns;
-    });
-  };
-  prune_windows(invite_windows_);
-  prune_windows(drdos_windows_);
-  // Hot-key records age out on the same horizon as the worker sketches, so
-  // a key that cools everywhere can re-escalate (and re-broadcast) later.
-  const auto prune_hot = [&](StringKeyed<int64_t>& hot) {
-    std::erase_if(hot, [&](const auto& kv) {
-      return now_ns - kv.second > idle_ns;
-    });
-  };
-  prune_hot(hot_invite_);
-  prune_hot(hot_drdos_);
-  // Behavior profiles reclaim on their own idle horizon; the sweep is
-  // memory-only (never scores, never alerts), so running it here — on the
-  // flush cadence rather than the plain engine's fact-base sweep cadence —
-  // cannot perturb alert equivalence (DESIGN.md §16).
-  behavior_.Sweep(sim::Time::FromNanos(now_ns));
+  // The replay reached now_ns: catch the coordinator's clock up, then
+  // sweep as the plain engine's packet path would. The coordinator fact
+  // base arms its periodic sweep only while it holds flood/DRDoS groups,
+  // so without this call behavior profiles and alert signatures would
+  // never be reclaimed on a behavior-only stream. Sweep cadence is
+  // unobservable in alerts (DESIGN.md §9, §16).
+  AdvanceCoordinator(now_ns);
+  coordinator_.fact_base().Sweep(coord_scheduler_.Now());
 }
 
 void ShardedIds::Stop() {
   if (workers_joined_) return;
-  stopping_ = true;  // no more hot-key broadcasts from here on
   for (int i = 0; i < shards(); ++i) {
     PushDown(i, [](ShardMsg& msg, size_t) {
       msg.kind = ShardMsg::Kind::kStop;
@@ -1199,8 +835,7 @@ void ShardedIds::Stop() {
     if (shard->thread.joinable()) shard->thread.join();
   }
   workers_joined_ = true;
-  // Workers are gone; ring contents are final (every shard shipped its
-  // whole staging buffer at kStop). Drain and replay everything.
+  // Workers are gone; ring contents are final. Drain and replay everything.
   DrainUp();
   ReplayAggregates(INT64_MAX);
 }
@@ -1241,9 +876,8 @@ size_t ShardedIds::CountAlerts(std::string_view classification) const {
 obs::MetricsRegistry ShardedIds::MergedMetrics() const {
   obs::MetricsRegistry merged;
   merged.MergeFrom(coord_metrics_);
+  merged.MergeFrom(coordinator_.metrics());
   uint64_t up_stalls = 0;
-  uint64_t agg_buffered = 0;
-  uint64_t agg_shipped = 0;
   std::string prefix;
   for (const auto& shard : shards_) {
     merged.MergeFrom(shard->vids->metrics());
@@ -1262,21 +896,18 @@ obs::MetricsRegistry ShardedIds::MergedMetrics() const {
     merged.GetCounter(prefix + "ring.down_stalls").Inc(shard->down_stalls);
     merged.GetCounter(prefix + "ring.up_stalls").Inc(shard->up_stalls);
     up_stalls += shard->up_stalls;
-    agg_buffered += shard->agg.events_buffered;
-    agg_shipped += shard->agg.events_shipped;
   }
   merged.GetCounter("sharded.worker_stalls").Inc(up_stalls);
-  merged.GetCounter("sharded.agg_events_buffered").Inc(agg_buffered);
-  merged.GetCounter("sharded.agg_events_shipped").Inc(agg_shipped);
   merged.GetGauge("sharded.shards").Set(shards());
   merged.GetGauge("sharded.behavior_profiles")
-      .Set(static_cast<int64_t>(behavior_.profile_count()));
+      .Set(static_cast<int64_t>(behavior().profile_count()));
   return merged;
 }
 
 size_t ShardedIds::TrackedState() const {
-  size_t total = owners_.size() + invite_windows_.size() +
-                 drdos_windows_.size() + behavior_.profile_count();
+  const CallStateFactBase& coord_fb = coordinator_.fact_base();
+  size_t total = owners_.size() + coord_fb.keyed_count() +
+                 coordinator_.alert_sig_count() + behavior().profile_count();
   for (const auto& shard : shards_) {
     const CallStateFactBase& fb = shard->vids->fact_base();
     total += fb.call_count() + fb.keyed_count() + fb.tombstone_count() +
@@ -1292,26 +923,13 @@ size_t ShardedIds::MemoryBytes() const {
     bytes += shard->down.capacity() * sizeof(ShardMsg) +
              shard->arena.MemoryBytes() +
              shard->up.capacity() * sizeof(UpMsg);
-    bytes += shard->agg.buf.capacity() * sizeof(HeldAggEvent);
-    for (const auto* sketches :
-         {&shard->agg.invite_sketch, &shard->agg.drdos_sketch}) {
-      for (const auto& [key, sketch] : *sketches) {
-        bytes += key.capacity() + sizeof(AggSketch) +
-                 sketch.recent.capacity() * sizeof(int64_t);
-      }
-    }
   }
   bytes += owners_.MemoryBytes();
-  for (const auto* windows : {&invite_windows_, &drdos_windows_}) {
-    for (const auto& [key, w] : *windows) {
-      bytes += key.capacity() + sizeof(WinState);
-    }
-  }
-  for (const auto* hot : {&hot_invite_, &hot_drdos_}) {
-    for (const auto& [key, t] : *hot) bytes += key.capacity() + sizeof(int64_t);
-  }
   for (const auto& queue : pending_) bytes += queue.size() * sizeof(AggEvent);
-  bytes += behavior_.MemoryBytes();
+  bytes += coordinator_.fact_base().MemoryBytes() +
+           coordinator_.alert_sig_count() *
+               (sizeof(detail::AlertSig) + sizeof(sim::Time)) +
+           behavior().MemoryBytes();
   return bytes;
 }
 

@@ -25,21 +25,24 @@
 //
 // Each shard has ONE down ring (common/spsc_ring.h), paired 1:1 with a
 // PayloadArena slab so steady-state ingest memcpys payload bytes into a
-// contiguous arena instead of scattered slot strings, and one up ring. The
-// down ring carries packets, media retracts and the flush/stop/hot-key/
+// contiguous arena instead of scattered slot strings, and one up ring. Both
+// rings publish in batches of up to kBatchMax slots per release/acquire
+// pair. The down ring carries packets, media retracts and the flush/stop/
 // wedge control messages in push order, so the ring itself orders a
 // barrier after every packet ingested before it (DESIGN.md §11).
 //
 // The two detectors whose counting key spans calls — INVITE flooding (per
 // destination AOR) and DRDoS reflection (per victim host) — cannot live in
-// any one shard. Shards buffer their would-be events in a local,
-// time-ordered staging buffer with per-key escalation sketches; the
-// coordinator replays the merged, time-ordered event stream into its own
-// window counters gated on the aggregate-complete frontier. See
-// DESIGN.md §12 for the exactness argument.
+// any one shard, and neither can the entity-keyed behavior profiles.
+// Shards push their aggregate events straight into the open up batch; the
+// coordinator merges the per-shard streams by time, gated on every shard's
+// aggregate-complete frontier, and replays them into its own Vids on a
+// coordinator-private scheduler — the same EFSM groups, alert dedup and
+// behavior engine the plain engine runs inline. See DESIGN.md §11.
 //
 // Thread-ownership invariants (DESIGN.md §11):
 //   - each shard's Scheduler + Vids are touched only by its worker thread;
+//     the coordinator's Scheduler + Vids only by the coordinator thread;
 //   - every ring is strict SPSC: down ring ↔ the coordinator thread as
 //     producer, up ring ↔ the worker as producer;
 //   - exactly one thread drives the whole public surface (Ingest/Pump/
@@ -56,12 +59,10 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/payload_arena.h"
 #include "common/spsc_ring.h"
-#include "common/strings.h"
 #include "net/datagram.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -87,26 +88,6 @@ struct ShardedConfig {
   /// drop-oldest-half policy as Vids::set_max_retained_alerts.
   size_t max_retained_alerts = 0;
 
-  // --- batching (DESIGN.md §12) ---
-  /// Max ring slots published/consumed per release/acquire pair. 1
-  /// reproduces the PR-5 slot-at-a-time handoff exactly; larger values
-  /// amortize the index fences and the consumer wakeups over the batch.
-  size_t batch_max = 32;
-
-  // --- coordinator-free aggregate path (DESIGN.md §12) ---
-  /// How long (simulated time) a shard may hold a cold aggregate event
-  /// locally before shipping it upstream. Larger values batch harder and
-  /// delay cold-key replay by at most this much; alerts carry event
-  /// timestamps, so the alert multiset is unaffected. 0 ships every event
-  /// at the end of the batch that produced it (PR-5 behavior, batched).
-  sim::Duration agg_hold = sim::Duration::Millis(250);
-  /// Fraction of the per-shard escalation share at which a key turns hot.
-  /// The share is ceil((threshold + 1) / shards): by pigeonhole at least
-  /// one shard reaches it inside any globally over-threshold window, so
-  /// values <= 1.0 preserve exact alerts (lower escalates earlier and
-  /// ships more events eagerly; values above 1.0 are clamped to 1.0).
-  double agg_escalation_fraction = 1.0;
-
   // --- pipeline observability (DESIGN.md §13) ---
   /// Sample one in this many ingested packets for a pipeline span: the
   /// coordinator stamps the enqueue wall time, the worker records
@@ -126,6 +107,10 @@ struct ShardedConfig {
 
 class ShardedIds {
  public:
+  /// Max ring slots published/consumed per release/acquire pair, on both
+  /// rings: amortizes the index fences and the consumer wakeups over the
+  /// batch (DESIGN.md §12).
+  static constexpr size_t kBatchMax = 32;
   /// Per-slot byte budget of each down ring's payload arena (the slab is
   /// ring capacity × this). Payloads that fit are memcpy'd into the
   /// contiguous slab; larger ones fall back to the ring slot's own string.
@@ -155,9 +140,9 @@ class ShardedIds {
 
   /// Quiescence barrier: every packet ingested so far is fully processed,
   /// every shard's detection timers have advanced to `now`, all aggregate
-  /// events up to `now` are replayed, and shard state (metrics(),
-  /// fact_base()) may be read until the next Ingest. Also prunes the idle
-  /// media-owner entries.
+  /// events up to `now` are replayed and the coordinator's scheduler has
+  /// advanced to `now` too, and shard state (metrics(), fact_base()) may be
+  /// read until the next Ingest. Also prunes the idle media-owner entries.
   void Flush(sim::Time now);
 
   /// Stops and joins the workers, then drains everything still in flight.
@@ -187,20 +172,24 @@ class ShardedIds {
     return *shards_[static_cast<size_t>(i)]->vids;
   }
 
-  /// The coordinator's behavior engine — the single authority for
+  /// The coordinator Vids's behavior engine — the single authority for
   /// behavioral profiles in a sharded deployment, fed by the aggregate
   /// replay. Post-Flush inspection only.
-  const behavior::BehaviorEngine& behavior() const { return behavior_; }
+  const behavior::BehaviorEngine& behavior() const {
+    return coordinator_.behavior();
+  }
 
-  /// Fresh registry holding every shard's metrics folded together plus the
-  /// coordinator's own "sharded.*" counters. Post-Flush only.
+  /// Fresh registry holding every shard's and the coordinator Vids's
+  /// metrics folded together plus the coordinator's own "sharded.*"
+  /// counters. Post-Flush only.
   obs::MetricsRegistry MergedMetrics() const;
 
   /// Total tracked state across shards (calls + keyed groups + tombstones +
-  /// media index) plus the coordinator's router/replay maps. Post-Flush.
+  /// media index) plus the coordinator's owner map, flood/DRDoS groups,
+  /// alert signatures and behavior profiles. Post-Flush.
   size_t TrackedState() const;
   /// Total state footprint in bytes (fact bases, rings, arenas, owner map,
-  /// coordinator maps). Post-Flush.
+  /// the coordinator's replay queues and Vids state). Post-Flush.
   size_t MemoryBytes() const;
 
   /// Times Ingest or a control push found a down ring full and had to
@@ -211,11 +200,6 @@ class ShardedIds {
   /// First-SDP-claim retractions sent to an endpoint's hash-fallback shard
   /// (early media arrived before its negotiation).
   uint64_t early_media_retracts() const { return m_early_retracts_->value(); }
-  /// Shard-local sketch escalations reported to the coordinator: keys whose
-  /// local event density alone proved they could sit inside a globally
-  /// over-threshold window, and so turned hot (DESIGN.md §12).
-  uint64_t aggregate_escalations() const { return m_escalations_->value(); }
-
   /// Stall episodes the watchdog has alerted on (one per episode).
   uint64_t watchdog_stalls() const { return m_watchdog_stalls_->value(); }
 
@@ -232,9 +216,25 @@ class ShardedIds {
   void UnwedgeWorkerForTest(int shard);
 
  private:
-  template <typename T>
-  using StringKeyed =
-      std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
+  /// One aggregate event in flight: owned copies of a
+  /// Vids::AggregateEvent's views plus the shard time it happened at.
+  struct AggEvent {
+    int64_t when_ns = 0;
+    Vids::AggregateKind kind{};
+    std::string key;
+    net::IpAddress src_ip;
+    net::IpAddress dst_ip;
+    std::string peer;
+    std::string ua;
+    uint64_t aux = 0;
+
+    /// Copies `event` in, reusing this object's string capacities.
+    void Assign(int64_t when, const Vids::AggregateEvent& event);
+    Vids::AggregateEvent View() const {
+      return {.kind = kind, .key = key, .src_ip = src_ip, .dst_ip = dst_ip,
+              .peer = peer, .ua = ua, .aux = aux};
+    }
+  };
 
   // ---- messages ----
   struct ShardMsg {
@@ -243,8 +243,7 @@ class ShardedIds {
       kRetractMedia,
       kFlush,
       kStop,
-      kAggHot,  // `key` escalated on some shard
-      kWedge,   // test hook (watchdog)
+      kWedge,  // test hook (watchdog)
     };
     Kind kind = Kind::kPacket;
     int64_t when_ns = 0;
@@ -256,67 +255,16 @@ class ShardedIds {
     /// this ring slot when in_arena, in dgram.payload otherwise.
     bool in_arena = false;
     uint32_t arena_len = 0;
-    net::Datagram dgram;        // kPacket (payload string reused in place)
-    net::Endpoint endpoint;     // kRetractMedia
-    uint64_t token = 0;         // kFlush
-    Vids::AggregateKind agg{};  // kAggHot
-    std::string key;            // kAggHot (reused in place)
+    net::Datagram dgram;     // kPacket (payload string reused in place)
+    net::Endpoint endpoint;  // kRetractMedia
+    uint64_t token = 0;      // kFlush
   };
   struct UpMsg {
-    enum class Kind : uint8_t { kAlert, kAgg, kAggHot, kFlushAck };
+    enum class Kind : uint8_t { kAlert, kAgg, kFlushAck };
     Kind kind = Kind::kAlert;
-    int64_t when_ns = 0;
-    Alert alert;                 // kAlert (strings reused in place)
-    Vids::AggregateKind agg{};   // kAgg / kAggHot
-    std::string key;             // kAgg: dest AOR (INVITE) / victim IP
-                                 // (DRDoS) / profiled entity AOR (behavior)
-    std::string src_ip;          // kAgg: for the alert detail
-    std::string dst_ip;
-    std::string peer;            // kAgg behavior: destination AOR
-    std::string ua;              // kAgg behavior: User-Agent header
-    uint64_t aux = 0;            // kAgg behavior: call hash / source id
-    uint64_t token = 0;          // kFlushAck
-  };
-
-  /// One shard-local held-back aggregate event (worker-owned).
-  struct HeldAggEvent {
-    int64_t when_ns = 0;
-    Vids::AggregateKind kind{};
-    std::string key;
-    std::string src_ip;
-    std::string dst_ip;
-    std::string peer;
-    std::string ua;
-    uint64_t aux = 0;
-  };
-
-  /// Per-key sliding sketch of this shard's most recent aggregate-event
-  /// times (worker-owned). `recent` is a ring of the last E event times,
-  /// E = the shard's escalation share: when all E land inside one
-  /// detection window, the shard's local count alone proves the key could
-  /// be inside a globally over-threshold window, and the key turns hot.
-  struct AggSketch {
-    std::vector<int64_t> recent;
-    size_t next = 0;
-    bool hot = false;
-    int64_t last_event_ns = 0;
-  };
-
-  /// Worker-owned aggregate staging state. The coordinator may read it
-  /// only behind a Flush() barrier (TrackedState/MemoryBytes).
-  struct AggLocal {
-    std::vector<HeldAggEvent> buf;  // time-ordered; [begin, end) live
-    size_t begin = 0;
-    size_t end = 0;
-    StringKeyed<AggSketch> invite_sketch;
-    StringKeyed<AggSketch> drdos_sketch;
-    /// Keys currently hot on this shard. While nonzero the whole buffer is
-    /// shipped at every batch end, so hot-key replay tracks the packet
-    /// frontier instead of lagging by agg_hold.
-    size_t hot_keys = 0;
-    uint64_t events_buffered = 0;  // total hook events staged
-    uint64_t events_shipped = 0;   // total shipped upstream
-    size_t live() const { return end - begin; }
+    Alert alert;         // kAlert (strings reused in place)
+    AggEvent agg;        // kAgg (strings reused in place)
+    uint64_t token = 0;  // kFlushAck
   };
 
   struct Shard {
@@ -375,10 +323,11 @@ class ShardedIds {
     std::atomic<int64_t> processed_ns{0};
     /// Aggregate-complete frontier: every aggregate event this shard will
     /// ever emit with when_ns <= this value is already published in the
-    /// up-ring. Written (release) after the batch's ships are committed;
-    /// the coordinator's replay gate is the min of these across shards.
+    /// up-ring. Written (release) with the batch watermark after the
+    /// batch's up-ring commit; the coordinator's replay gate is the min of
+    /// these across shards. processed_ns cannot serve: AdvanceShardClock's
+    /// catch-up slices store it mid-batch, before that commit.
     std::atomic<int64_t> agg_complete_ns{0};
-    AggLocal agg;
     /// Times this worker found its up-ring full (worker-owned plain slot;
     /// the coordinator folds it into MergedMetrics post-Flush).
     uint64_t up_stalls = 0;
@@ -392,29 +341,6 @@ class ShardedIds {
         : down(ring_capacity),
           arena(down.capacity(), kArenaSlotBytes),
           up(ring_capacity) {}
-  };
-
-  /// One forwarded aggregate-feed event, queued until the frontier passes.
-  struct AggEvent {
-    int64_t when_ns = 0;
-    Vids::AggregateKind kind{};
-    std::string key;
-    std::string src_ip;
-    std::string dst_ip;
-    std::string peer;
-    std::string ua;
-    uint64_t aux = 0;
-  };
-
-  /// Coordinator-side replay of patterns.cpp's BuildWindowCounter (plus the
-  /// Vids-level alert dedup): armed window, event count, lazy timer expiry.
-  struct WinState {
-    bool armed = false;
-    int64_t count = 0;
-    int64_t deadline_ns = 0;
-    int64_t last_alert_ns = 0;
-    bool alerted_once = false;
-    int64_t last_event_ns = 0;
   };
 
   /// Coordinator-side view of one worker's health (coordinator thread).
@@ -450,21 +376,6 @@ class ShardedIds {
   // that TU instantiates them.
   template <typename Fill>
   void PushUp(Shard& shard, Fill&& fill);
-  /// Aggregate hook target (worker thread): stages the event in the
-  /// shard-local buffer, updates the key's sliding sketch, and escalates
-  /// the key to hot when the sketch crosses the shard's share.
-  void BufferAggEvent(Shard& shard, Vids::AggregateKind kind,
-                      std::string_view key, std::string_view src_ip,
-                      std::string_view dst_ip, std::string_view peer,
-                      std::string_view ua, uint64_t aux);
-  /// Ships every held event with when_ns <= `horizon` upstream, in order,
-  /// into the open up-batch (not yet committed). Updates agg bookkeeping;
-  /// the caller publishes agg_complete_ns after committing.
-  void ShipAggPrefix(Shard& shard, int64_t horizon);
-  /// Drops sketch entries idle past the keyed horizon (worker thread;
-  /// runs on kFlush so the maps stay bounded like the coordinator's).
-  void PruneAggSketches(Shard& shard, int64_t now_ns);
-
   // ---- coordinator: routing ----
   /// Endpoint → shard: the owner map, hash fallback on miss.
   int RouteEndpoint(const net::Endpoint& endpoint, int64_t when_ns);
@@ -492,15 +403,15 @@ class ShardedIds {
   /// agg_complete_ns, acquire) BEFORE the drain that filled pending_;
   /// INT64_MAX replays everything (only valid once the rings are final).
   void ReplayAggregates(int64_t frontier);
-  void ReplayOne(const AggEvent& event);
+  /// Advances the coordinator's scheduler to `when_ns` (no-op if already
+  /// there): every coordinator timer due at or before it fires first.
+  void AdvanceCoordinator(int64_t when_ns);
   /// Inserts into the retained history at its canonical position (see
   /// alerts()).
   void EmitAlert(Alert alert);
+  /// Flush-time reclamation: prunes idle owner-map entries, then advances
+  /// the coordinator Vids to `now_ns` and sweeps it.
   void PruneCoordinator(int64_t now_ns);
-  /// Re-broadcasts queued shard escalations (kAggHot) to every shard.
-  /// Deferred out of the drain loop and guarded against re-entry:
-  /// PushDown can call DrainUp while it waits out backpressure.
-  void BroadcastHotKeys();
   /// Stall detector (coordinator thread, called from DrainUp and throttled
   /// to ~threshold/8): raises one EngineHealth alert per stall episode.
   /// Every blocking loop (backpressure, Flush, Stop) drains through here,
@@ -525,33 +436,15 @@ class ShardedIds {
   int64_t deadline_since_ns_ = 0;
   int64_t deadline_src_ns_ = 0;
 
-  StringKeyed<WinState> invite_windows_;  // key = destination AOR
-  StringKeyed<WinState> drdos_windows_;   // key = victim IP (dotted)
-  /// Coordinator-side behavioral profiling engine (DESIGN.md §16). Fed
-  /// exclusively from the frontier-gated aggregate replay, so it consumes
-  /// the identical globally time-ordered event stream the plain engine's
-  /// inline instance sees — behavioral alerts are byte-identical across
-  /// shard counts by construction. Swept by PruneCoordinator.
-  behavior::BehaviorEngine behavior_;
+  /// The aggregate replay target (DESIGN.md §11, §16): a full Vids on a
+  /// coordinator-private scheduler, fed exclusively through FeedAggregate
+  /// from the frontier-gated merge, so it consumes the identical globally
+  /// time-ordered event stream the plain engine's inline path sees — its
+  /// flood/DRDoS EFSM groups, alert dedup and behavior engine are the
+  /// plain engine's own code. Coordinator thread only.
+  sim::Scheduler coord_scheduler_;
+  Vids coordinator_;
   std::vector<std::deque<AggEvent>> pending_;  // per-shard, time-ordered
-
-  /// Keys already broadcast hot, by kind → last escalation time. Dedups the
-  /// broadcast (several shards may escalate one key); pruned with the
-  /// window states once idle.
-  StringKeyed<int64_t> hot_invite_;
-  StringKeyed<int64_t> hot_drdos_;
-  struct HotBroadcast {
-    Vids::AggregateKind agg{};
-    std::string key;
-    int64_t when_ns = 0;
-  };
-  /// Escalations collected during DrainUp, broadcast after the drain (a
-  /// broadcast can hit backpressure, which re-enters DrainUp).
-  std::vector<HotBroadcast> hot_pending_;
-  bool broadcasting_ = false;
-  /// True once Stop() started: no more broadcasts (a worker past its
-  /// kStop never drains them, so a full ring would wait forever).
-  bool stopping_ = false;
 
   /// Span sampling. trace_on_/trace_mask_ are derived from
   /// trace_sample_period once in the constructor; the off configuration
@@ -566,12 +459,6 @@ class ShardedIds {
   int64_t watchdog_poll_ns_ = 0;
   int64_t last_watchdog_check_ns_ = 0;
   std::vector<ShardHealth> health_;
-
-  /// Per-shard escalation shares: ceil(fraction * (threshold + 1) / shards)
-  /// local events inside one window turn a key hot. Computed once in the
-  /// constructor.
-  int64_t esc_invite_share_ = 1;
-  int64_t esc_drdos_share_ = 1;
 
   /// Canonical deterministic sort key of each retained alert (parallel to
   /// alerts_): alert time, ties broken by the rendered alert text.
@@ -595,10 +482,7 @@ class ShardedIds {
   obs::Counter* m_early_retracts_;
   obs::Counter* m_retracts_;
   obs::Counter* m_agg_events_;
-  obs::Counter* m_coord_alerts_;
-  obs::Counter* m_coord_suppressed_;
   obs::Counter* m_flushes_;
-  obs::Counter* m_escalations_;
   obs::Counter* m_watchdog_stalls_;
   obs::Counter* m_flush_full_;
   obs::Counter* m_flush_deadline_;

@@ -294,8 +294,8 @@ TEST(BehaviorScenarioTest, AlertsByteIdenticalAcrossShards) {
   // The full behavioral workload (all three scenarios plus a benign
   // stream with spec-machine attack bursts) must produce the exact same
   // alert byte stream no matter how the pipeline is parallelized —
-  // behavior events ride the shard-local aggregate staging path and are
-  // replayed in frontier order on the coordinator.
+  // behavior events ride the up rings and are replayed in frontier order
+  // into the coordinator's Vids.
   const auto run = [](int shards) {
     SoakConfig config;
     config.seed = 13;

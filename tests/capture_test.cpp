@@ -655,7 +655,6 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
 
   ids::ShardedConfig config;
   config.shards = 1;
-  config.batch_max = 1;
   config.watchdog_stall_ms = 60;
   config.detection = detection;
   ids::ShardedIds engine(config);
@@ -688,10 +687,10 @@ TEST(ShardedReplayClock, SourceTimeDeadlineFlushesOpenBatch) {
   // Two packets 10 ms apart in *source* time land within microseconds of
   // wall time. The batch deadline must bind in the source domain: the
   // second Ingest sees the batch open past kBatchFlushMicros of stream
-  // time and commits it, wall clock notwithstanding.
+  // time and commits it, wall clock notwithstanding. Two packets stay
+  // below kBatchMax, so only the deadline can commit.
   ids::ShardedConfig config;
   config.shards = 1;
-  config.batch_max = 1024;  // never fills: only the deadline can commit
   ids::ShardedIds engine(config);
 
   engine.Ingest(Dg(kOutA, kInB, "a"), true, sim::Time::FromNanos(0));

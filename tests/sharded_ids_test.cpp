@@ -390,9 +390,8 @@ class TraceBuilder {
 };
 
 // Everything that must be identical across engine shapes. `trigger` and
-// `provenance` are deliberately excluded: the coordinator's replayed
-// aggregate alerts describe their evidence differently (no shard-local
-// flight recorder), which is a documented presentation difference.
+// `provenance` are compared separately, for the replayed aggregate alerts
+// (AggregateAlertsKeepEfsmTriggerAndProvenance).
 using AlertSig =
     std::tuple<int64_t, int, std::string, std::string, std::string,
                std::string>;
@@ -557,6 +556,12 @@ TEST(ShardedEquivalence, FourShardsMatchPlainVids) {
   const auto sharded = SortedSigs(RunSharded(trace, 4));
   EXPECT_FALSE(plain.empty());
   EXPECT_EQ(plain, sharded);
+  // Where batches are cut never changes alerts: with two-slot rings every
+  // push backpressures and commits.
+  ShardedConfig tiny_rings;
+  tiny_rings.shards = 4;
+  tiny_rings.ring_capacity = 2;
+  EXPECT_EQ(plain, SortedSigs(RunShardedCfg(trace, tiny_rings)));
 }
 
 TEST(ShardedEquivalence, ShardCountsAgreeWithEachOther) {
@@ -568,57 +573,33 @@ TEST(ShardedEquivalence, ShardCountsAgreeWithEachOther) {
   EXPECT_EQ(one, eight);
 }
 
-TEST(ShardedEquivalence, BatchingKnobsNeverChangeAlerts) {
-  // The alert multiset must be invariant across the whole batching matrix:
-  // slot-at-a-time (batch_max = 1, the PR-5 handoff), deep batching with
-  // immediate aggregate shipping (agg_hold = 0), and deep batching with a
-  // hold so large that cold events only ever ship at Flush/Stop (so the
-  // escalation path and the barrier ships carry everything).
+TEST(ShardedEquivalence, AggregateAlertsKeepEfsmTriggerAndProvenance) {
+  // The coordinator replays INVITE-flood and DRDoS events into the same
+  // EFSM groups the plain engine runs inline, so each aggregate alert must
+  // carry the plain engine's trigger and flight-recorder provenance, not
+  // just its rendered text.
   const auto trace = AttackScenarioTrace();
-  const auto baseline = SortedSigs(RunSharded(trace, 4));  // defaults
-  EXPECT_FALSE(baseline.empty());
-
-  ShardedConfig unbatched;
-  unbatched.shards = 4;
-  unbatched.batch_max = 1;
-  unbatched.agg_hold = sim::Duration::Seconds(0);
-  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, unbatched)));
-
-  ShardedConfig eager;
-  eager.shards = 4;
-  eager.batch_max = 64;
-  eager.agg_hold = sim::Duration::Seconds(0);
-  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, eager)));
-
-  ShardedConfig lazy;
-  lazy.shards = 4;
-  lazy.batch_max = 64;
-  lazy.agg_hold = sim::Duration::Seconds(3600);
-  lazy.agg_escalation_fraction = 0.5;  // escalate extra-early, ship eagerly
-  EXPECT_EQ(baseline, SortedSigs(RunShardedCfg(trace, lazy)));
-}
-
-TEST(ShardedEquivalence, FloodEscalatesShardSketchesToHot) {
-  // With an hour-long hold, cold events would only surface at the Flush
-  // barrier — so any timely shipping during the flood must come from the
-  // sketch escalation. Verify it fires, and that alerts stay exact.
-  const auto trace = AttackScenarioTrace();
-  ShardedConfig config;
-  config.shards = 4;
-  config.agg_hold = sim::Duration::Seconds(3600);
-  ShardedIds engine(config);
-  sim::Time last;
-  for (const TracePacket& p : trace) {
-    engine.Ingest(p.dgram, p.from_outside, p.when);
-    last = p.when;
+  const std::vector<Alert> plain = RunPlain(trace);
+  for (int shards : {1, 4}) {
+    size_t checked = 0;
+    for (const Alert& alert : RunSharded(trace, shards)) {
+      if (alert.classification != kAttackInviteFlood &&
+          alert.classification != kAttackDrdos) {
+        continue;
+      }
+      const auto match =
+          std::find_if(plain.begin(), plain.end(), [&](const Alert& p) {
+            return p.when == alert.when && p.group == alert.group;
+          });
+      ASSERT_NE(match, plain.end())
+          << "shards=" << shards << ": " << alert.ToString();
+      EXPECT_FALSE(alert.provenance.empty()) << alert.ToString();
+      EXPECT_EQ(match->trigger, alert.trigger) << "shards=" << shards;
+      EXPECT_EQ(match->provenance, alert.provenance) << "shards=" << shards;
+      ++checked;
+    }
+    EXPECT_GE(checked, 2u) << "shards=" << shards;
   }
-  engine.Flush(last);
-  // invite_flood_threshold = 5 on 4 shards → share = ceil(6/4) = 2: the
-  // 8-INVITE flood puts ≥ 2 same-window events on some shard. Same math
-  // for the 13-response DRDoS burst.
-  EXPECT_GT(engine.aggregate_escalations(), 0u);
-  engine.Stop();
-  EXPECT_EQ(SortedSigs(RunSharded(trace, 4)), SortedSigs(engine.alerts()));
 }
 
 TEST(ShardedEquivalence, TraceCoversEveryRelevantClassification) {
@@ -679,10 +660,9 @@ TEST(AggregateHook, DrdosKeyIsVictimIpFromPacket) {
   sim::Scheduler scheduler;
   Vids vids(scheduler);
   std::vector<std::string> keys;
-  vids.set_aggregate_hook([&](Vids::AggregateKind kind, std::string_view key,
-                              const ClassifiedPacket&) {
-    if (kind == Vids::AggregateKind::kUnsolicitedResponse) {
-      keys.emplace_back(key);
+  vids.set_aggregate_hook([&](const Vids::AggregateEvent& event) {
+    if (event.kind == Vids::AggregateKind::kUnsolicitedResponse) {
+      keys.emplace_back(event.key);
     }
   });
   const net::Endpoint victim{net::IpAddress(10, 9, 1, 77), 5060};
