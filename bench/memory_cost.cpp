@@ -100,16 +100,12 @@ int main() {
     auto* group = vids.fact_base().FindCall("call-0@bench");
     if (group != nullptr) {
       size_t sip_vars = 0, rtp_vars = 0, sip_total = 0, rtp_total = 0;
-      for (const auto& machine : group->machines()) {
-        if (machine->name() == ids::kSipMachineName) {
-          sip_vars = machine->local().MemoryBytes();
-          sip_total = machine->MemoryBytes();
-        }
-        if (machine->name() == ids::kRtpMachineName) {
-          rtp_vars = machine->local().MemoryBytes();
-          rtp_total = machine->MemoryBytes();
-        }
-      }
+      const auto& sip = group->machine(ids::kCallSip);
+      const auto& rtp = group->machine(ids::kCallRtp);
+      sip_vars = sip.local().MemoryBytes();
+      sip_total = sip.MemoryBytes();
+      rtp_vars = rtp.local().MemoryBytes();
+      rtp_total = rtp.MemoryBytes();
       std::printf("one established call:\n");
       std::printf("  SIP machine: %5zu B state variables (%zu B with "
                   "instance overhead; paper: ~450 B)\n",
@@ -120,6 +116,21 @@ int main() {
       std::printf("  whole group (incl. globals + per-call patterns): %zu B\n",
                   group->MemoryBytes());
     }
+    // One RTP packet toward the callee's media endpoint opens that
+    // endpoint's keyed group (media spam, RTP flood, RTCP BYE patterns).
+    const net::Endpoint callee_media{net::IpAddress(10, 2, 0, 10), 30000};
+    rtp::RtpHeader header;
+    header.ssrc = 7;
+    header.payload_type = 18;
+    net::Datagram rtp_dgram;
+    rtp_dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
+    rtp_dgram.dst = callee_media;
+    rtp_dgram.payload = header.Serialize();
+    rtp_dgram.kind = net::PayloadKind::kRtp;
+    vids.Inspect(rtp_dgram, true);
+    std::printf("one media endpoint group (after one RTP packet): %zu B\n",
+                vids.fact_base().GetOrCreateMediaGroup(callee_media)
+                    .MemoryBytes());
   }
 
   // --- Linear growth with concurrent calls ---
@@ -181,20 +192,21 @@ int main() {
     scheduler.RunUntil(scheduler.Now() + ids::DetectionConfig{}.rtp_close_linger +
                        sim::Duration::Seconds(5));
     OpenCall(vids, 9999);
-    // Reset groups parked in the recycle pool are reusable capacity, not
+    // Reclaimed groups parked on the free lists are reusable capacity, not
     // call state, so the deletion check judges tracked state without them.
     const auto& fact_base = vids.fact_base();
     const size_t after = fact_base.MemoryBytes();
-    const size_t pool = fact_base.PoolBytes();
-    const size_t tracked = after - pool;
+    const size_t parked = fact_base.FreeListBytes();
+    const size_t tracked = after - parked;
     std::printf("200 calls open: %zu KB -> all closed + swept: %zu KB "
                 "(%llu of 200 calls deleted)\n",
                 before / 1024, after / 1024,
                 static_cast<unsigned long long>(fact_base.calls_deleted()));
-    std::printf("recycle pool: %zu reset groups parked (cap %zu), %zu KB\n",
-                fact_base.pool_size(), ids::CallStateFactBase::kGroupPoolCap,
-                pool / 1024);
-    std::printf("tracked state without the pool: %zu KB\n", tracked / 1024);
+    std::printf("free lists: %zu reclaimed groups parked (trimmed to one "
+                "sweep's reclaim), %zu KB\n",
+                fact_base.free_group_count(), parked / 1024);
+    std::printf("tracked state without the free lists: %zu KB\n",
+                tracked / 1024);
     std::printf("state deleted at final call state -> %s\n",
                 tracked < before / 4 ? "OK" : "MISMATCH");
   }

@@ -176,8 +176,10 @@ void BM_EfsmTransition(benchmark::State& state) {
   ids::DetectionConfig config;
   const auto def = ids::BuildRtpSpecMachine(config);
   sim::Scheduler scheduler;
-  efsm::MachineGroup group("bench", scheduler, nullptr);
-  auto& machine = group.AddMachine(def, "RTP");
+  efsm::GroupShape shape;
+  shape.AddMachine(def, "RTP");
+  efsm::MachineGroup group(shape, "bench", scheduler, nullptr);
+  auto& machine = group.machine(0);
   group.global().Set("g_offer_ip", std::string("10.1.0.10"));
   group.global().Set("g_offer_port", int64_t{20000});
   group.global().Set("g_offer_pt", int64_t{18});
@@ -206,6 +208,38 @@ void BM_EfsmTransition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EfsmTransition);
+
+void BM_EfsmTimerCycle(benchmark::State& state) {
+  // Arm a timer, run the scheduler to its expiry, repeat — the unit of work
+  // behind every detection window (T1), BYE grace (T) and linger timer.
+  efsm::MachineDef def("timer-cycle");
+  const auto idle = def.AddState("idle", efsm::StateKind::kInitial);
+  const auto armed = def.AddState("armed");
+  def.On(idle, "arm")
+      .Do([](efsm::Context& c) {
+        c.StartTimer("T", sim::Duration::Millis(1));
+      })
+      .To(armed, "timer T armed");
+  def.On(armed, efsm::TimerEventName("T")).To(idle, "T expired");
+  efsm::GroupShape shape;
+  shape.AddMachine(def, "cycle");
+  sim::Scheduler scheduler;
+  efsm::MachineGroup group(shape, "bench", scheduler, nullptr);
+  auto& machine = group.machine(0);
+  efsm::Event arm;
+  arm.name = "arm";
+  // Warm-up: compile the dispatch tables and grow the scheduler's queue.
+  group.DeliverData(machine, arm);
+  scheduler.RunUntil(scheduler.Now() + sim::Duration::Millis(1));
+
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    group.DeliverData(machine, arm);
+    scheduler.RunUntil(scheduler.Now() + sim::Duration::Millis(1));
+  }
+  if (machine.StateName() != "idle") state.SkipWithError("timer never fired");
+}
+BENCHMARK(BM_EfsmTimerCycle);
 
 void BM_VidsInspectSip(benchmark::State& state) {
   sim::Scheduler scheduler;

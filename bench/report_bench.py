@@ -10,6 +10,9 @@ Usage: report_bench.py <BENCH_micro.json> <run-label> <gbench-output.json>
 BENCH_micro.json keeps one entry per label in "runs" (re-running a label
 replaces it) so before/after numbers for a change live side by side. The
 last run also gets a "speedup_vs" table against the first (baseline) run.
+A run taken with --benchmark_repetitions records each benchmark's median
+repetition (by CPU time), every repetition's times, and the largest
+allocs_per_iter any repetition reported.
 
 --metrics attaches an instrumented-run metric snapshot (the JSON written by
 micro_core with VIDS_METRICS_OUT set) to the run entry.
@@ -256,23 +259,35 @@ def main() -> int:
 
     with open(run_path) as f:
         run = json.load(f)
-    results = {}
+    # With --benchmark_repetitions each repetition is its own row: keep the
+    # row of median CPU time and record every repetition's times, so the
+    # spread a warn threshold needs is part of the run.
+    rows = {}
     for bench in run.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
+        rows.setdefault(bench["name"], []).append(bench)
+    results = {}
+    for name, reps in rows.items():
+        bench = sorted(reps, key=lambda b: b["cpu_time"])[(len(reps) - 1) // 2]
         entry = {
             "cpu_ns": round(bench["cpu_time"], 1),
             "real_ns": round(bench["real_time"], 1),
             "iterations": bench["iterations"],
         }
+        if len(reps) > 1:
+            entry["repetitions"] = len(reps)
+            entry["reps_cpu_ns"] = [round(b["cpu_time"], 1) for b in reps]
+            entry["reps_real_ns"] = [round(b["real_time"], 1) for b in reps]
         if "allocs_per_iter" in bench:
-            entry["allocs_per_iter"] = round(bench["allocs_per_iter"], 3)
+            entry["allocs_per_iter"] = round(
+                max(b["allocs_per_iter"] for b in reps), 3)
         # Scaling-row context: throughput plus the shard/host counters the
         # --scaling screen interprets.
         for key in ("items_per_second", "shards", "cores", "ingest_stalls"):
             if key in bench:
                 entry[key] = round(bench[key], 3)
-        results[bench["name"]] = entry
+        results[name] = entry
 
     try:
         with open(tracked_path) as f:

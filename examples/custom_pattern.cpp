@@ -100,9 +100,12 @@ int main() {
 
   sim::Scheduler scheduler;
   PrintingObserver observer;
-  // One group per monitored address-of-record, as the fact base would do.
-  efsm::MachineGroup group("bob@b.example.com", scheduler, &observer);
-  auto& machine = group.AddMachine(pattern, "reg-hijack");
+  // One group per monitored address-of-record, as the fact base would do:
+  // every group of the kind is built from one shape.
+  efsm::GroupShape shape;
+  shape.AddMachine(pattern, "reg-hijack");
+  efsm::MachineGroup group(shape, "bob@b.example.com", scheduler, &observer);
+  auto& machine = group.machine(0);
 
   std::printf("bob's phone registers and refreshes:\n");
   group.DeliverData(machine, Register("10.2.0.10", "sip:bob@10.2.0.10"));

@@ -41,13 +41,14 @@ net::Datagram RawDgram(std::string payload, net::Endpoint src,
 }
 
 net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts, bool marker,
-                       net::Endpoint src, net::Endpoint dst) {
+                       net::Endpoint src, net::Endpoint dst,
+                       uint8_t payload_type = 18) {  // G.729, the testbed codec
   rtp::RtpHeader header;
   header.ssrc = ssrc;
   header.sequence_number = seq;
   header.timestamp = ts;
   header.marker = marker;
-  header.payload_type = 18;  // G.729, the testbed codec
+  header.payload_type = payload_type;
   net::Datagram dgram;
   dgram.src = src;
   dgram.dst = dst;
@@ -125,9 +126,11 @@ sip::Message MakeInDialog(sip::Method method, const std::string& call_id,
 }
 
 /// One complete clean call starting at `t0`: INVITE/180/200/ACK, `rtp_each`
-/// RTP packets each way at 20 ms spacing, then BYE/200.
+/// RTP packets each way at 20 ms spacing, then BYE/200. With `marked_pt` >=
+/// 0, one more caller→callee RTP packet follows the media, marker bit set,
+/// with that payload type.
 void AddCleanCall(PcapWriter& writer, sim::Time t0, int index,
-                  int rtp_each = 8) {
+                  int rtp_each = 8, int marked_pt = -1) {
   const std::string call_id = "clean-" + std::to_string(index);
   const std::string callee = "bob" + std::to_string(index);
   const net::Endpoint caller_media{
@@ -155,6 +158,12 @@ void AddCleanCall(PcapWriter& writer, sim::Time t0, int index,
                                           caller_media, callee_media));
     writer.Add(ms(110 + 20 * k), RtpDgram(ssrc + 1, seq, ts_units, k == 0,
                                           callee_media, caller_media));
+  }
+  if (marked_pt >= 0) {
+    const auto seq = static_cast<uint16_t>(rtp_each + 1);
+    writer.Add(ms(100 + 20 * rtp_each),
+               RtpDgram(ssrc, seq, 160u * seq, /*marker=*/true, caller_media,
+                        callee_media, static_cast<uint8_t>(marked_pt)));
   }
   const auto bye = MakeInDialog(sip::Method::kBye, call_id, 2, callee);
   writer.Add(ms(400), SipDgram(bye, caller_media, callee_media));
@@ -364,6 +373,22 @@ std::string BuildTollFraud() {
   return writer.bytes();
 }
 
+std::string BuildRtcpLookalike() {
+  // Clean calls whose callee-bound media carries one RTP packet with the
+  // marker bit set and payload type 72..76: its second byte reads 200..204,
+  // RTCP's packet-type range, but ParseRtcp rejects it. It is RTP on a
+  // negotiated endpoint, so the call's RTP machine must see it — in every
+  // engine, whichever shard owns the call. The non-negotiated payload type
+  // sends that machine into its encoding-violation state.
+  PcapWriter writer;  // little-endian, nanosecond magic
+  for (int i = 0; i < 4; ++i) {
+    AddCleanCall(writer,
+                 sim::Time::FromNanos(0) + sim::Duration::Millis(500 * i), i,
+                 /*rtp_each=*/4, /*marked_pt=*/72 + i);
+  }
+  return writer.bytes();
+}
+
 }  // namespace
 
 std::vector<CorpusFile> BuildAll() {
@@ -374,6 +399,7 @@ std::vector<CorpusFile> BuildAll() {
       {"spit_burst.pcap", BuildSpitBurst()},
       {"reg_cracking.pcap", BuildRegCracking()},
       {"toll_fraud.pcap", BuildTollFraud()},
+      {"rtcp_lookalike.pcap", BuildRtcpLookalike()},
   };
 }
 

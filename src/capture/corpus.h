@@ -1,6 +1,6 @@
 // The checked-in pcap corpus, generated — never hand-edited.
 //
-// Six deterministic captures exercise the wire-ingress path end to end:
+// Seven deterministic captures exercise the wire-ingress path end to end:
 //   clean_calls.pcap    — complete SIP calls with two-way RTP (LE, ns)
 //   invite_flood.pcap   — clean background + an INVITE flood burst that
 //                         must raise exactly one aggregate alert (BE, µs:
@@ -21,6 +21,11 @@
 //                         distinct premium AORs, paced under every rate
 //                         threshold; only the behavioral 60 s destination
 //                         fan-out window raises (LE, ns)
+//   rtcp_lookalike.pcap — clean calls, each with one RTP packet whose
+//                         second byte falls in RTCP's 200..204 range but
+//                         which ParseRtcp rejects: the sharded router must
+//                         send it to the call's shard, not to the owner of
+//                         port - 1 (LE, ns)
 //
 // tools/make_corpus writes these to tests/corpus/; CI regenerates and
 // byte-compares them so the checked-in files can never drift from this

@@ -1,7 +1,9 @@
 #include "efsm/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/log.h"
 
@@ -31,15 +33,58 @@ void Context::CancelTimer(std::string_view name) {
 }
 sim::Time Context::Now() const { return instance_.Now(); }
 
-// ----------------------------------------------------- MachineInstance
+// ----------------------------------------------------------- GroupShape
 
-MachineInstance::MachineInstance(const MachineDef& def, std::string name,
-                                 MachineGroup& group)
-    : def_(def), name_(std::move(name)), group_(group),
-      state_(def.initial_state()) {
-  if (state_ == kInvalidState) {
+size_t GroupShape::AddMachine(const MachineDef& def,
+                              std::string instance_name) {
+  if (def.initial_state() == kInvalidState) {
     throw std::invalid_argument(def.name() + ": no initial state defined");
   }
+  machines_.push_back(Machine{&def, std::move(instance_name)});
+  return machines_.size() - 1;
+}
+
+void GroupShape::RouteChannel(std::string channel, size_t dst) {
+  if (dst >= machines_.size()) {
+    throw std::invalid_argument("route '" + channel + "' to unknown machine");
+  }
+  // Name order keeps the sync pump's channel order what it was when
+  // channels lived in a name-keyed map.
+  const auto it = std::lower_bound(
+      channels_.begin(), channels_.end(), channel,
+      [](const Channel& c, const std::string& name) { return c.name < name; });
+  if (it != channels_.end() && it->name == channel) {
+    it->dst = dst;
+    return;
+  }
+  channels_.insert(it, Channel{std::move(channel), dst});
+}
+
+size_t GroupShape::IndexOf(std::string_view instance_name) const {
+  for (size_t i = 0; i < machines_.size(); ++i) {
+    if (machines_[i].name == instance_name) return i;
+  }
+  return npos;
+}
+
+size_t GroupShape::ChannelId(std::string_view channel) const {
+  for (size_t id = 0; id < channels_.size(); ++id) {
+    if (channels_[id].name == channel) return id;
+  }
+  return npos;
+}
+
+// ----------------------------------------------------- MachineInstance
+
+MachineInstance::MachineInstance(Key, const MachineDef& def,
+                                 MachineGroup& group, uint8_t index,
+                                 uint32_t timer_base)
+    : def_(def), group_(group), state_(def.initial_state()),
+      index_(index), timer_base_(timer_base) {}
+
+const std::string& MachineInstance::name() const {
+  return group_.shape().instance_name(
+      static_cast<size_t>(this - group_.machines_.data()));
 }
 
 MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
@@ -88,7 +133,7 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
       obs::Record rec;
       rec.type = obs::RecordType::kDeviation;
       rec.when_ns = group_.scheduler_.Now().nanos();
-      rec.machine = index_in_group_;
+      rec.machine = index_;
       rec.from = static_cast<int16_t>(state_);
       rec.to = static_cast<int16_t>(state_);
       rec.a = ArgKey::Intern(event.name).id();
@@ -121,7 +166,7 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
     obs::Record rec;
     rec.type = obs::RecordType::kTransition;
     rec.when_ns = group_.scheduler_.Now().nanos();
-    rec.machine = index_in_group_;
+    rec.machine = index_;
     rec.a = static_cast<uint16_t>(enabled - def_.transitions().data());
     rec.from = static_cast<int16_t>(prev);
     rec.to = static_cast<int16_t>(state_);
@@ -137,7 +182,7 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   if (def_.Kind(state_) == StateKind::kFinal) {
     retired_ = true;
     metrics.retired->Inc();
-    for (auto& [timer_name, timer] : timers_) timer->Cancel();
+    CancelTimers();
     if (group_.observer() != nullptr) group_.observer()->OnRetired(*this);
     if (group_.retirement_listener_ != nullptr) {
       group_.retirement_listener_->OnMachineRetired(*this);
@@ -146,16 +191,21 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   return DeliverResult::kTransitioned;
 }
 
-void MachineInstance::ResetForReuse() {
+void MachineInstance::Reset() {
   state_ = def_.initial_state();
   retired_ = false;
   local_.Clear();
-  timers_.clear();  // Timer destructors cancel any pending expiry
+}
+
+void MachineInstance::CancelTimers() {
+  const size_t count = def_.timer_count();
+  for (size_t id = 0; id < count; ++id) {
+    group_.scheduler_.Cancel(group_.timers_[timer_base_ + id]);
+  }
 }
 
 size_t MachineInstance::MemoryBytes() const {
-  return sizeof(*this) + name_.capacity() + local_.MemoryBytes() +
-         timers_.size() * (sizeof(sim::Timer) + 4 * sizeof(void*));
+  return sizeof(*this) + local_.MemoryBytes();
 }
 
 void MachineInstance::EmitFrom(std::string_view channel, Event event) {
@@ -163,54 +213,78 @@ void MachineInstance::EmitFrom(std::string_view channel, Event event) {
 }
 
 void MachineInstance::StartTimer(std::string_view name, sim::Duration after) {
-  auto it = timers_.find(name);
-  if (it == timers_.end()) {
-    it = timers_
-             .emplace(std::string(name),
-                      std::make_unique<sim::Timer>(group_.scheduler()))
-             .first;
+  const TimerId id = def_.FindTimer(name);
+  if (id == kNoTimer) {
+    VIDS_DEBUG_C("efsm") << group_.name_ << ": timer '" << name
+                         << "' has no expiry transition; not scheduled";
+    return;
   }
-  const std::string timer_name(name);
-  it->second->Start(after, [this, timer_name] {
-    group_.OnTimerFired(*this, timer_name);
-  });
+  // The capture is two words and trivially copyable, so it sits in
+  // std::function's inline buffer: arming a timer allocates nothing.
+  struct Expiry {
+    MachineInstance* machine;
+    TimerId id;
+    void operator()() const { machine->OnTimer(id); }
+  };
+  static_assert(std::is_trivially_copyable_v<Expiry> &&
+                sizeof(Expiry) <= 2 * sizeof(void*));
+  sim::Scheduler& scheduler = group_.scheduler_;
+  sim::Scheduler::EventId& pending = group_.timers_[timer_base_ + id];
+  scheduler.Cancel(pending);
+  pending = scheduler.ScheduleAfter(after, Expiry{this, id});
 }
 
 void MachineInstance::CancelTimer(std::string_view name) {
-  const auto it = timers_.find(name);
-  if (it != timers_.end()) it->second->Cancel();
+  const TimerId id = def_.FindTimer(name);
+  if (id != kNoTimer) {
+    group_.scheduler_.Cancel(group_.timers_[timer_base_ + id]);
+  }
 }
 
-sim::Time MachineInstance::Now() const { return group_.scheduler().Now(); }
+void MachineInstance::OnTimer(TimerId id) {
+  // Fired: an inert handle lets Reclaim skip the scheduler lookup.
+  group_.timers_[timer_base_ + id] = sim::Scheduler::EventId();
+  group_.DeliverData(*this, def_.TimerEvent(id));
+}
+
+sim::Time MachineInstance::Now() const { return group_.scheduler_.Now(); }
 
 // -------------------------------------------------------- MachineGroup
 
-MachineGroup::MachineGroup(std::string name, sim::Scheduler& scheduler,
-                           Observer* observer, const EngineMetrics* metrics)
-    : name_(std::move(name)), scheduler_(scheduler), observer_(observer) {
+MachineGroup::MachineGroup(const GroupShape& shape, std::string name,
+                           sim::Scheduler& scheduler, Observer* observer,
+                           const EngineMetrics* metrics)
+    : shape_(&shape), scheduler_(scheduler), observer_(observer),
+      name_(std::move(name)) {
   if (metrics != nullptr) metrics_ = *metrics;
-  // A call group holds the two protocol machines, two always-on scenario
-  // machines, and up to four session-scoped ones added later — reserve once
-  // instead of doubling through the call-creation hot path.
-  machines_.reserve(8);
+  uint32_t timer_base = 0;
+  machines_.Build(shape.size(), [&](size_t i) {
+    const MachineDef& def = shape.def(i);
+    const uint8_t index = i < obs::Record::kNoMachine
+                              ? static_cast<uint8_t>(i)
+                              : obs::Record::kNoMachine;
+    const uint32_t base = timer_base;
+    timer_base += static_cast<uint32_t>(def.timer_count());
+    return MachineInstance(MachineInstance::Key(), def, *this, index, base);
+  });
+  timers_.Build(timer_base, [](size_t) { return sim::Scheduler::EventId(); });
+  channels_.Build(shape.channel_count(), [&](size_t id) {
+    return Channel(&machines_[shape.channel_dst(id)]);
+  });
 }
 
-MachineInstance& MachineGroup::AddMachine(const MachineDef& def,
-                                          std::string instance_name) {
-  machines_.push_back(std::unique_ptr<MachineInstance>(
-      new MachineInstance(def, std::move(instance_name), *this)));
-  machines_.back()->index_in_group_ =
-      machines_.size() <= obs::Record::kNoMachine
-          ? static_cast<uint8_t>(machines_.size() - 1)
-          : obs::Record::kNoMachine;
-  return *machines_.back();
+MachineGroup::~MachineGroup() { Reclaim(); }
+
+void MachineGroup::Reclaim() {
+  for (auto& pending : timers_) scheduler_.Cancel(pending);
 }
 
-void MachineGroup::ResetForReuse(std::string name) {
-  name_ = std::move(name);
+void MachineGroup::Reset(std::string_view name) {
+  Reclaim();
+  name_.assign(name);
   global_.Clear();
-  for (auto& machine : machines_) machine->ResetForReuse();
-  for (auto& [channel_name, channel] : channels_) {
+  for (auto& machine : machines_) machine.Reset();
+  for (auto& channel : channels_) {
     channel.queue.clear();
     channel.head = 0;
   }
@@ -218,17 +292,9 @@ void MachineGroup::ResetForReuse(std::string name) {
   pumping_ = false;
 }
 
-void MachineGroup::RouteChannel(std::string channel, MachineInstance& dst) {
-  Channel& entry = channels_[std::move(channel)];
-  entry.dst = &dst;
-  if (entry.id == 0) entry.id = static_cast<uint16_t>(channels_.size());
-}
-
 MachineInstance* MachineGroup::Find(std::string_view instance_name) {
-  for (const auto& machine : machines_) {
-    if (machine->name() == instance_name) return machine.get();
-  }
-  return nullptr;
+  const size_t index = shape_->IndexOf(instance_name);
+  return index == GroupShape::npos ? nullptr : &machines_[index];
 }
 
 void MachineGroup::DeliverData(MachineInstance& machine, const Event& event) {
@@ -241,8 +307,8 @@ void MachineGroup::DeliverData(MachineInstance& machine, const Event& event) {
 
 void MachineGroup::Enqueue(const MachineInstance& from,
                            std::string_view channel, Event event) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || it->second.dst == nullptr) {
+  const size_t id = shape_->ChannelId(channel);
+  if (id == GroupShape::npos) {
     VIDS_DEBUG_C("efsm") << name_ << ": sync event '" << event.name
                          << "' emitted on unrouted channel '" << channel
                          << "'";
@@ -252,11 +318,11 @@ void MachineGroup::Enqueue(const MachineInstance& from,
   obs::Record rec;
   rec.type = obs::RecordType::kSyncSend;
   rec.when_ns = scheduler_.Now().nanos();
-  rec.machine = from.index_in_group_;
+  rec.machine = from.index_;
   rec.a = ArgKey::Intern(event.name).id();
-  rec.aux = it->second.id;
+  rec.aux = id;
   recorder_.Record(rec);
-  it->second.queue.push_back(std::move(event));
+  channels_[id].queue.push_back(std::move(event));
 }
 
 void MachineGroup::PumpSyncQueues() {
@@ -268,7 +334,7 @@ void MachineGroup::PumpSyncQueues() {
   bool progressed = true;
   while (progressed && processed < kMaxSyncEvents) {
     progressed = false;
-    for (auto& [channel_name, channel] : channels_) {
+    for (auto& channel : channels_) {
       while (channel.head < channel.queue.size() &&
              processed < kMaxSyncEvents) {
         Event event = std::move(channel.queue[channel.head]);
@@ -285,25 +351,28 @@ void MachineGroup::PumpSyncQueues() {
   pumping_ = false;
 }
 
-void MachineGroup::OnTimerFired(MachineInstance& machine,
-                                const std::string& timer_name) {
-  Event event;
-  event.name = TimerEventName(timer_name);
-  DeliverData(machine, event);
-}
-
 bool MachineGroup::AllRetired() const {
   for (const auto& machine : machines_) {
-    if (!machine->retired()) return false;
+    if (!machine.retired()) return false;
   }
-  return !machines_.empty();
+  return machines_.size() != 0;
+}
+
+size_t MachineGroup::PendingTimers() const {
+  size_t pending = 0;
+  for (const auto& id : timers_) pending += scheduler_.IsPending(id) ? 1 : 0;
+  return pending;
 }
 
 size_t MachineGroup::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + name_.capacity() + global_.MemoryBytes();
-  for (const auto& machine : machines_) bytes += machine->MemoryBytes();
-  for (const auto& [channel_name, channel] : channels_) {
-    bytes += channel_name.capacity() + sizeof(Channel);
+  size_t bytes = sizeof(*this) + name_.capacity() + global_.MemoryBytes() +
+                 machines_.HeapBytes() + channels_.HeapBytes() +
+                 timers_.HeapBytes();
+  for (const auto& machine : machines_) {
+    bytes += machine.local().MemoryBytes();
+  }
+  for (const auto& channel : channels_) {
+    bytes += channel.queue.capacity() * sizeof(Event);
   }
   return bytes;
 }
@@ -331,7 +400,7 @@ std::vector<std::string> MachineGroup::ExplainFlight(
     line += FormatSimSeconds(rec.when_ns);
     line += "s ";
     const MachineInstance* machine =
-        rec.machine < machines_.size() ? machines_[rec.machine].get() : nullptr;
+        rec.machine < machines_.size() ? &machines_[rec.machine] : nullptr;
     switch (rec.type) {
       case obs::RecordType::kTransition: {
         if (machine == nullptr ||
@@ -360,12 +429,9 @@ std::vector<std::string> MachineGroup::ExplainFlight(
         line += ": sync-send '";
         line += ArgKey::NameOfId(rec.a);
         line += '\'';
-        for (const auto& [channel_name, channel] : channels_) {
-          if (channel.id == rec.aux) {
-            line += " on ";
-            line += channel_name;
-            break;
-          }
+        if (rec.aux < shape_->channel_count()) {
+          line += " on ";
+          line += shape_->channel_name(rec.aux);
         }
         break;
       }

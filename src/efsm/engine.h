@@ -6,12 +6,23 @@
 // between machines (Fig. 2(b)) and delivers events with the paper's
 // priority rule: queued synchronization events are processed before any
 // further data event.
+//
+// A call is a *configuration* of shared machines (§5, §7.3), so a group is
+// a fixed-shape record: a GroupShape, compiled once per group kind, fixes
+// the definitions, instance names, machine order and channel routes, and
+// every group of that kind is built from it. Machines, channels and timers
+// are then addressed by index — machine i of the shape, channel id c, timer
+// id t of machine i's definition — and a group can be reclaimed and reset
+// for a new owner without rebuilding anything (DESIGN.md §7).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
+#include <new>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "efsm/machine.h"
@@ -23,6 +34,55 @@ namespace vids::efsm {
 
 class MachineInstance;
 class MachineGroup;
+
+namespace detail {
+
+/// A run of elements whose count is fixed when it is built: stored inside
+/// the owning object when there are at most N (every shape the fact base
+/// builds fits), in one heap block otherwise. Never copied or moved, so
+/// elements may point at each other and at the owner.
+template <typename T, size_t N>
+class InlineArray {
+ public:
+  InlineArray() = default;
+  InlineArray(const InlineArray&) = delete;
+  InlineArray& operator=(const InlineArray&) = delete;
+  ~InlineArray() {
+    for (size_t i = size_; i > 0; --i) data_[i - 1].~T();
+    if (data_ != Inline()) ::operator delete(data_);
+  }
+
+  /// Constructs `count` elements, element i from make(i). Called once.
+  template <typename Make>
+  void Build(size_t count, Make make) {
+    if (count > N) data_ = static_cast<T*>(::operator new(count * sizeof(T)));
+    for (; size_ < count; ++size_) new (data_ + size_) T(make(size_));
+  }
+
+  size_t size() const { return size_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
+  T& operator[](size_t i) { return data_[i]; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  /// Heap bytes beyond the owning object (0 when stored inline).
+  size_t HeapBytes() const {
+    return data_ == Inline() ? 0 : size_ * sizeof(T);
+  }
+
+ private:
+  T* Inline() { return reinterpret_cast<T*>(storage_); }
+  const T* Inline() const { return reinterpret_cast<const T*>(storage_); }
+
+  alignas(T) std::byte storage_[N * sizeof(T)];
+  T* data_ = Inline();
+  size_t size_ = 0;
+};
+
+}  // namespace detail
 
 /// Preallocated metric slots for the engine, shared by every machine group
 /// of one deployment (per-call metrics would explode the registry; the
@@ -80,6 +140,58 @@ class RetirementListener {
   virtual void OnMachineRetired(const MachineInstance& machine) = 0;
 };
 
+/// The fixed layout of one kind of machine group: which definitions run in
+/// it, under which instance names, in which order, and where each sync
+/// channel leads. Built once per group kind; every group of the kind is
+/// built from it and refers to it, so the shape must outlive its groups.
+/// A machine's index is its position in AddMachine order; a channel's id is
+/// its position in channel-name order.
+class GroupShape {
+ public:
+  /// Adds an instance of `def` under `instance_name` and returns its
+  /// index. The definition is shared, not copied — it must outlive every
+  /// group of the shape (that is the paper's cost model: per-call state is
+  /// a configuration, the machine itself exists once). The rvalue overload
+  /// is deleted so a temporary definition cannot dangle.
+  size_t AddMachine(const MachineDef& def, std::string instance_name);
+  size_t AddMachine(MachineDef&& def, std::string instance_name) = delete;
+
+  /// Routes the named channel (e.g. "SIP->RTP") to machine `dst`. Routing
+  /// an already-routed channel re-points it.
+  void RouteChannel(std::string channel, size_t dst);
+
+  size_t size() const { return machines_.size(); }
+  const MachineDef& def(size_t index) const { return *machines_[index].def; }
+  const std::string& instance_name(size_t index) const {
+    return machines_[index].name;
+  }
+  /// Index of the instance named `instance_name`, or npos. A string scan:
+  /// for diagnostics and tests, not the packet path.
+  size_t IndexOf(std::string_view instance_name) const;
+
+  size_t channel_count() const { return channels_.size(); }
+  const std::string& channel_name(size_t id) const {
+    return channels_[id].name;
+  }
+  size_t channel_dst(size_t id) const { return channels_[id].dst; }
+  /// Id of the channel named `channel`, or npos when it is unrouted.
+  size_t ChannelId(std::string_view channel) const;
+
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
+ private:
+  struct Machine {
+    const MachineDef* def;
+    std::string name;
+  };
+  struct Channel {
+    std::string name;
+    size_t dst;
+  };
+  std::vector<Machine> machines_;
+  std::vector<Channel> channels_;  // sorted by name
+};
+
 class MachineInstance {
  public:
   enum class DeliverResult {
@@ -90,10 +202,21 @@ class MachineInstance {
     kRetired,        // machine already reached a final state
   };
 
+  /// Built only by MachineGroup (the key's constructor is private to it).
+  class Key {
+    friend class MachineGroup;
+    Key() = default;
+  };
+  MachineInstance(Key, const MachineDef& def, MachineGroup& group,
+                  uint8_t index, uint32_t timer_base);
+  MachineInstance(const MachineInstance&) = delete;
+  MachineInstance& operator=(const MachineInstance&) = delete;
+
   DeliverResult Deliver(const Event& event);
 
   const MachineDef& def() const { return def_; }
-  const std::string& name() const { return name_; }
+  /// The instance name the group's shape gives this machine.
+  const std::string& name() const;
   StateId state() const { return state_; }
   std::string_view StateName() const { return def_.StateName(state_); }
   bool retired() const { return retired_; }
@@ -101,22 +224,25 @@ class MachineInstance {
   const VariableStore& local() const { return local_; }
   MachineGroup& group() { return group_; }
   const MachineGroup& group() const { return group_; }
-  /// Position within the owning group — the flight recorder's machine id.
-  uint8_t index_in_group() const { return index_in_group_; }
+  /// Position within the owning group's shape — the flight recorder's
+  /// machine id.
+  uint8_t index_in_group() const { return index_; }
 
-  /// Approximate per-instance footprint (§7.3 memory accounting).
+  /// Approximate per-instance footprint (§7.3 memory accounting): the
+  /// instance record plus its variable store.
   size_t MemoryBytes() const;
 
  private:
   friend class MachineGroup;
   friend class Context;
 
-  /// Returns the instance to its initial configuration: initial state,
-  /// empty variable valuation, no pending timers. Variable-store capacity
-  /// is retained — that is the point of recycling.
-  void ResetForReuse();
-  MachineInstance(const MachineDef& def, std::string name,
-                  MachineGroup& group);
+  /// Back to the initial configuration: initial state, empty variable
+  /// valuation. Variable-store capacity is retained — that is the point of
+  /// recycling. Timers are the group's to cancel.
+  void Reset();
+  void CancelTimers();
+  /// Runs timer `id`'s expiry: delivers the definition's prebuilt event.
+  void OnTimer(TimerId id);
 
   // Context's action-side hooks.
   void EmitFrom(std::string_view channel, Event event);
@@ -125,68 +251,80 @@ class MachineInstance {
   sim::Time Now() const;
 
   const MachineDef& def_;
-  std::string name_;
   MachineGroup& group_;
   StateId state_;
   bool retired_ = false;
-  uint8_t index_in_group_ = obs::Record::kNoMachine;  // ring-record identity
+  uint8_t index_;        // ring-record identity (kNoMachine past 254)
+  uint32_t timer_base_;  // this machine's first slot in the group's timers
   VariableStore local_;
-  std::map<std::string, std::unique_ptr<sim::Timer>, std::less<>> timers_;
 };
 
 class MachineGroup {
  public:
-  /// `observer` may be null; it must outlive the group otherwise.
-  /// `metrics`, when non-null, is copied — the shared slots it points at
-  /// must outlive the group (in practice they live in a MetricsRegistry
-  /// owned by the deployment that creates the groups).
-  MachineGroup(std::string name, sim::Scheduler& scheduler,
-               Observer* observer, const EngineMetrics* metrics = nullptr);
-
-  /// Instantiates `def` into this group under `instance_name`. The
-  /// definition is shared, not copied — it must outlive the group (that is
-  /// the paper's cost model: per-call state is a configuration, the machine
-  /// itself exists once). The rvalue overload is deleted so a temporary
-  /// definition cannot dangle.
-  MachineInstance& AddMachine(const MachineDef& def,
-                              std::string instance_name);
-  MachineInstance& AddMachine(MachineDef&& def,
-                              std::string instance_name) = delete;
-
-  /// Routes the named channel (e.g. "SIP->RTP") to a destination machine.
-  void RouteChannel(std::string channel, MachineInstance& dst);
+  /// Builds a group of `shape` named `name`: one machine per shape entry in
+  /// initial configuration, one channel per route. `shape` and `observer`
+  /// (which may be null) must outlive the group. `metrics`, when non-null,
+  /// is copied — the shared slots it points at must outlive the group (in
+  /// practice they live in a MetricsRegistry owned by the deployment that
+  /// creates the groups).
+  MachineGroup(const GroupShape& shape, std::string name,
+               sim::Scheduler& scheduler, Observer* observer,
+               const EngineMetrics* metrics = nullptr);
+  /// Cancels every pending timer.
+  ~MachineGroup();
+  MachineGroup(const MachineGroup&) = delete;
+  MachineGroup& operator=(const MachineGroup&) = delete;
 
   /// Installs the owner's retirement hook (null removes it). It must
-  /// outlive the group; ResetForReuse keeps it.
+  /// outlive the group; Reset keeps it.
   void set_retirement_listener(RetirementListener* listener) {
     retirement_listener_ = listener;
   }
+  /// An opaque pointer the owner may hang on the group (the fact base keeps
+  /// the group's table entry here). Reset keeps it.
+  void set_owner_data(void* data) { owner_data_ = data; }
+  void* owner_data() const { return owner_data_; }
 
-  /// Resets the group for reuse under a new call name: every machine back
-  /// to its initial configuration, variable valuations and sync queues
-  /// emptied, pending timers cancelled, flight ring forgotten. Machine set
-  /// and channel routing are kept, so only a pool of identically-shaped
-  /// groups may recycle through this (the fact base's call groups are).
-  /// Buffer capacities survive — recycling a group skips the allocation
-  /// storm of building one.
-  void ResetForReuse(std::string name);
+  /// Reclaim and reset split the recycling of a group between the moment
+  /// its owner lets go of it and the moment a new owner takes it:
+  ///  - Reclaim cancels every pending timer, so nothing fires into a group
+  ///    no one owns. Nothing else changes; the group keeps its name, state
+  ///    and flight ring until it is reset.
+  ///  - Reset returns it to the configuration a freshly built group of its
+  ///    shape has, under `name`: every machine in its initial state, every
+  ///    variable valuation and sync queue emptied, the flight ring
+  ///    forgotten. String and vector capacities survive, so a recycled group
+  ///    skips the allocations of building one. It reclaims first if needed.
+  void Reclaim();
+  void Reset(std::string_view name);
 
   /// Delivers a data event to one machine, then pumps the synchronization
   /// queues to quiescence (sync has priority over the next data event).
   void DeliverData(MachineInstance& machine, const Event& event);
 
+  const GroupShape& shape() const { return *shape_; }
+  MachineInstance& machine(size_t index) { return machines_[index]; }
+  const MachineInstance& machine(size_t index) const {
+    return machines_[index];
+  }
+  std::span<MachineInstance> machines() {
+    return {machines_.data(), machines_.size()};
+  }
+  std::span<const MachineInstance> machines() const {
+    return {machines_.data(), machines_.size()};
+  }
+  /// The instance named `instance_name`, or nullptr (shape's IndexOf).
   MachineInstance* Find(std::string_view instance_name);
 
   const std::string& name() const { return name_; }
   sim::Scheduler& scheduler() { return scheduler_; }
   Observer* observer() { return observer_; }
   VariableStore& global() { return global_; }
-  const std::vector<std::unique_ptr<MachineInstance>>& machines() const {
-    return machines_;
-  }
   /// True when every machine reached a final state — the call completed and
   /// the fact base may delete this group (paper §5).
   bool AllRetired() const;
+  /// Timers of this group still scheduled.
+  size_t PendingTimers() const;
   size_t MemoryBytes() const;
 
   /// The per-call flight recorder: the last FlightRecorder::kCapacity
@@ -214,29 +352,37 @@ class MachineGroup {
   void Enqueue(const MachineInstance& from, std::string_view channel,
                Event event);
   void PumpSyncQueues();
-  void OnTimerFired(MachineInstance& machine, const std::string& timer_name);
 
   struct Channel {
-    MachineInstance* dst = nullptr;
+    explicit Channel(MachineInstance* destination) : dst(destination) {}
+    MachineInstance* dst;
     // FIFO as vector + cursor rather than std::deque: sizeof(Event) exceeds
     // the deque chunk size, so a deque pays one heap node per queued event
     // (plus the map block at construction); the vector buffer is reused for
     // the life of the channel.
     std::vector<Event> queue;
     size_t head = 0;
-    uint16_t id = 0;  // ring-record identity, assigned at RouteChannel
   };
 
-  std::string name_;
+  // The record: machines, channels and timer handles live in the group
+  // object itself for every fact-base shape, so reclaiming, resetting or
+  // checking a group touches one allocation. The flight ring goes last: the
+  // packet path and the sweep read the fields above it.
+  const GroupShape* shape_;
   sim::Scheduler& scheduler_;
   Observer* observer_;
   RetirementListener* retirement_listener_ = nullptr;
+  void* owner_data_ = nullptr;
+  bool pumping_ = false;
+  std::string name_;
+  VariableStore global_;
+  detail::InlineArray<MachineInstance, 4> machines_;  // one per shape entry
+  detail::InlineArray<Channel, 1> channels_;  // indexed by the shape's ids
+  // One scheduler handle per (machine, timer id): machine i's timers sit at
+  // [timer_base, timer_base + def.timer_count()).
+  detail::InlineArray<sim::Scheduler::EventId, 4> timers_;
   EngineMetrics metrics_;  // copy: one indirection per update, no null check
   mutable obs::FlightRecorder recorder_;
-  VariableStore global_;
-  std::vector<std::unique_ptr<MachineInstance>> machines_;
-  std::map<std::string, Channel, std::less<>> channels_;
-  bool pumping_ = false;
 };
 
 }  // namespace vids::efsm

@@ -7,8 +7,12 @@
 
 namespace vids::efsm {
 
+namespace {
+constexpr std::string_view kTimerPrefix = "timer:";
+}  // namespace
+
 std::string TimerEventName(std::string_view timer_name) {
-  return "timer:" + std::string(timer_name);
+  return std::string(kTimerPrefix) + std::string(timer_name);
 }
 
 StateId MachineDef::AddState(std::string name, StateKind kind) {
@@ -51,6 +55,9 @@ void MachineDef::EnsureCompiled() const {
     c.event_index.emplace(std::string_view(stored), idx);
     c.alphabet_bloom |=
         uint64_t{1} << (std::hash<std::string_view>{}(stored) & 63);
+    if (stored.starts_with(kTimerPrefix)) {
+      c.timer_events.emplace_back().name = stored;
+    }
   }
   const size_t num_events = c.event_names.size();
   c.slots.assign(states_.size() * num_events, {0, 0});
@@ -99,6 +106,29 @@ std::vector<const Transition*> MachineDef::Candidates(
   bool in_alphabet = false;
   const auto span = CandidatesFor(from, event_name, in_alphabet);
   return {span.begin(), span.end()};
+}
+
+size_t MachineDef::timer_count() const {
+  EnsureCompiled();
+  return compiled_.timer_events.size();
+}
+
+TimerId MachineDef::FindTimer(std::string_view name) const {
+  EnsureCompiled();
+  const auto& events = compiled_.timer_events;
+  for (size_t id = 0; id < events.size(); ++id) {
+    const std::string_view event_name = events[id].name;
+    if (event_name.size() == kTimerPrefix.size() + name.size() &&
+        event_name.ends_with(name)) {
+      return static_cast<TimerId>(id);
+    }
+  }
+  return kNoTimer;
+}
+
+const Event& MachineDef::TimerEvent(TimerId id) const {
+  EnsureCompiled();
+  return compiled_.timer_events.at(id);
 }
 
 namespace {

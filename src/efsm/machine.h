@@ -11,7 +11,9 @@
 // Dispatch is compiled: the definition lazily builds a per-(state, event)
 // candidate table plus an event-alphabet bloom filter, so delivering an
 // event is one filtered hash lookup and a span scan instead of a walk over
-// every transition in the definition.
+// every transition in the definition. The same compile numbers the timers
+// the definition reacts to and prebuilds each one's expiry event, so a
+// timer is an index on every instance and an expiry builds nothing.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +79,10 @@ struct Event {
 /// Event{ name = "timer:T1" } to the machine that started it.
 std::string TimerEventName(std::string_view timer_name);
 
+/// Index of a timer within its definition (MachineDef::FindTimer).
+using TimerId = uint16_t;
+inline constexpr TimerId kNoTimer = UINT16_MAX;
+
 class MachineInstance;
 
 /// Everything a predicate/action can see and do. Only actions may mutate.
@@ -95,7 +101,9 @@ class Context {
   // --- Action-side effects (routed through the owning instance) ---
   /// c!event: enqueue `event` on the named output channel.
   void Emit(std::string_view channel, Event event);
-  /// Starts (or restarts) a named timer on this machine.
+  /// Starts (or restarts) a named timer on this machine. A name no
+  /// "timer:NAME" transition of the definition handles is not scheduled:
+  /// its expiry could only be ignored.
   void StartTimer(std::string_view name, sim::Duration after);
   void CancelTimer(std::string_view name);
   /// Current simulated time, for predicates that reason about rates.
@@ -183,6 +191,16 @@ class MachineDef {
   std::vector<const Transition*> Candidates(StateId from,
                                             std::string_view event_name) const;
 
+  /// The timers the definition reacts to: every "timer:NAME" event of the
+  /// transition alphabet, numbered in first-use order. Instances keep one
+  /// scheduler handle per id.
+  size_t timer_count() const;
+  /// Id of timer `name`, or kNoTimer when no transition handles its expiry.
+  TimerId FindTimer(std::string_view name) const;
+  /// The expiry event of timer `id` ("timer:NAME", no arguments), built
+  /// once and delivered as is by every instance.
+  const Event& TimerEvent(TimerId id) const;
+
   /// Renders the machine as a Graphviz digraph: initial state with a bold
   /// border, attack states filled red, final states double-circled, edges
   /// labeled "event [label]". This regenerates the paper's Figures 2/4/5/6
@@ -212,13 +230,14 @@ class MachineDef {
   /// [begin, end) range of `candidates` for that pair, preserving
   /// definition order. `alphabet_bloom` has bit hash(name)%64 set for every
   /// alphabet member — one AND rejects most foreign events without a hash
-  /// table probe.
+  /// table probe. `timer_events` holds the expiry event of each TimerId.
   struct Compiled {
     std::vector<std::string> event_names;
     std::unordered_map<std::string_view, uint32_t> event_index;
     uint64_t alphabet_bloom = 0;
     std::vector<const Transition*> candidates;
     std::vector<std::pair<uint32_t, uint32_t>> slots;
+    std::vector<Event> timer_events;
   };
   void EnsureCompiled() const;
 

@@ -130,21 +130,39 @@ bool LooksLikeRtcp(std::string_view data) {
   return (byte0 >> 6) == 2 && byte1 >= 200 && byte1 <= 204;
 }
 
+bool IsRtcp(std::string_view data) {
+  if (!LooksLikeRtcp(data)) return false;
+  const auto byte0 = static_cast<uint8_t>(data[0]);
+  const auto packet_type = static_cast<uint8_t>(data[1]);
+  const size_t count = byte0 & 0x1F;
+  const size_t body_bytes =
+      ((static_cast<size_t>(static_cast<uint8_t>(data[2])) << 8) |
+       static_cast<uint8_t>(data[3])) * 4;
+  if (data.size() - 4 < body_bytes) return false;
+  switch (packet_type) {
+    case 200:
+      return body_bytes >= 24 + count * 24;
+    case 201:
+      return body_bytes >= 4 + count * 24;
+    case 203:
+      return body_bytes >= count * 4;
+    default:
+      return false;  // SDES/APP not modeled
+  }
+}
+
 std::optional<RtcpPacket> ParseRtcp(std::string_view data) {
-  if (!LooksLikeRtcp(data)) return std::nullopt;
+  if (!IsRtcp(data)) return std::nullopt;
   Reader reader(data);
-  if (!reader.Ok(4)) return std::nullopt;
   const uint8_t byte0 = reader.U8();
   const uint8_t count = byte0 & 0x1F;
   const uint8_t packet_type = reader.U8();
   const uint16_t length_words = reader.U16();
   const size_t body_bytes = static_cast<size_t>(length_words) * 4;
-  if (!reader.Ok(body_bytes)) return std::nullopt;
 
   RtcpPacket packet;
   switch (packet_type) {
     case 200: {
-      if (body_bytes < 24 + count * 24u) return std::nullopt;
       SenderReport sr;
       sr.sender_ssrc = reader.U32();
       sr.ntp_timestamp = reader.U64();
@@ -156,7 +174,6 @@ std::optional<RtcpPacket> ParseRtcp(std::string_view data) {
       return packet;
     }
     case 201: {
-      if (body_bytes < 4 + count * 24u) return std::nullopt;
       ReceiverReport rr;
       rr.sender_ssrc = reader.U32();
       for (int i = 0; i < count; ++i) rr.reports.push_back(ReadReportBlock(reader));
@@ -164,7 +181,6 @@ std::optional<RtcpPacket> ParseRtcp(std::string_view data) {
       return packet;
     }
     case 203: {
-      if (body_bytes < count * 4u) return std::nullopt;
       RtcpBye bye;
       for (int i = 0; i < count; ++i) bye.ssrcs.push_back(reader.U32());
       if (body_bytes > count * 4u) {

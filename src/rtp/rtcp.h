@@ -80,11 +80,17 @@ struct RtcpPacket {
 };
 
 /// Quick structural sniff: does this look like RTCP (version 2, packet
-/// type 200..204)? Used by the classifier to demux from RTP, whose
-/// payload-type field never occupies that range (RFC 5761 §4).
+/// type 200..204)? An RTP packet with the marker bit set and payload type
+/// 72..76 looks like RTCP too, so this is only a hint (pcap's kind guess).
 bool LooksLikeRtcp(std::string_view data);
 
-/// Parses one RTCP packet. Returns nullopt on structural violations.
+/// The RTCP decision: true exactly when ParseRtcp accepts `data` (SR, RR
+/// or BYE whose declared length and report count fit), without building
+/// the packet. The classifier and the sharded router both demux on this,
+/// so they cannot disagree about what a packet is.
+bool IsRtcp(std::string_view data);
+
+/// Parses one RTCP packet. Returns nullopt when IsRtcp rejects `data`.
 std::optional<RtcpPacket> ParseRtcp(std::string_view data);
 
 }  // namespace vids::rtp

@@ -28,9 +28,9 @@
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct
 // rings, armed-window counters, in-place open-call slots, one histogram
-// Record. Profiles are drawn from and recycled to a bounded pool
-// (fact_base's kGroupPoolCap discipline); only first contact with a new
-// entity or an actual alert emission allocates.
+// Record. Profiles are drawn from and recycled to a pool capped at
+// profile_pool_cap; only first contact with a new entity or an actual
+// alert emission allocates.
 #pragma once
 
 #include <array>
@@ -112,7 +112,7 @@ struct BehaviorConfig {
   /// sweep-independence argument (see IdleHorizon).
   sim::Duration open_call_ttl = sim::Duration::Seconds(120);
 
-  /// Retired profiles kept for reuse (fact_base recycle-pool discipline).
+  /// Retired profiles kept for reuse.
   size_t profile_pool_cap = 256;
 
   /// The profile reclaim horizon: the maximum of every feature window, the

@@ -84,10 +84,10 @@ void PutEndpoints(efsm::Event& event, const net::Datagram& dgram,
 
 const ClassifiedPacket* PacketClassifier::Classify(const net::Datagram& dgram,
                                                    bool from_outside) {
-  // RTCP must be sniffed before RTP: an RTCP packet also parses as an RTP
-  // header, but the RTCP packet-type range (200..204) never occurs as an
-  // RTP payload type (RFC 5761 §4).
-  if (rtp::LooksLikeRtcp(dgram.payload)) {
+  // RTCP must be tried before RTP: an RTCP packet also parses as an RTP
+  // header. rtp::IsRtcp is the one RTCP decision — ShardedIds routes on it
+  // too — and a payload it rejects falls through to RTP/SIP.
+  if (rtp::IsRtcp(dgram.payload)) {
     if (const auto* rtcp = ClassifyRtcp(dgram, from_outside)) {
       ++rtcp_packets_;
       return rtcp;

@@ -1,6 +1,7 @@
 #include "vids/fact_base.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "vids/classifier.h"
 
@@ -21,6 +22,27 @@ uint64_t DrdosKey(net::IpAddress victim) {
   return kDrdosTag | victim.bits();
 }
 
+// `prefix` + dotted quad (+ ":port" when `port` >= 0) into `out`, reusing
+// its capacity: the same text as the ToString() forms, without their
+// temporaries.
+const std::string& KeyedName(std::string& out, std::string_view prefix,
+                             net::IpAddress ip, int port = -1) {
+  char buf[24];
+  char* end = buf;
+  const uint32_t bits = ip.bits();
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    end = std::to_chars(end, buf + sizeof(buf), (bits >> shift) & 0xFF).ptr;
+    if (shift != 0) *end++ = '.';
+  }
+  if (port >= 0) {
+    *end++ = ':';
+    end = std::to_chars(end, buf + sizeof(buf), port).ptr;
+  }
+  out.assign(prefix);
+  out.append(buf, end);
+  return out;
+}
+
 }  // namespace
 
 CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
@@ -33,6 +55,21 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
       sip_spec_(BuildSipSpecMachine(config)),
       rtp_spec_(BuildRtpSpecMachine(config)),
       scenarios_(config) {
+  // The shapes' AddMachine order is the CallMachine / MediaMachine order.
+  efsm::GroupShape& call = call_groups_.shape;
+  call.AddMachine(sip_spec_, std::string(kSipMachineName));
+  const size_t rtp = call.AddMachine(rtp_spec_, std::string(kRtpMachineName));
+  call.AddMachine(scenarios_.cancel_dos, "cancel-dos");
+  call.AddMachine(scenarios_.hijack, "hijack");
+  if (config_.enable_cross_protocol) {
+    call.RouteChannel(std::string(kSipToRtpChannel), rtp);
+  }
+  efsm::GroupShape& media = media_groups_.shape;
+  media.AddMachine(scenarios_.media_spam, "media-spam");
+  media.AddMachine(scenarios_.rtp_flood, "rtp-flood");
+  media.AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
+  flood_groups_.shape.AddMachine(scenarios_.invite_flood, "invite-flood");
+  drdos_groups_.shape.AddMachine(scenarios_.drdos, "drdos");
   if (registry != nullptr) {
     engine_metrics_ = efsm::EngineMetrics::Registered(*registry);
     m_calls_created_ = &registry->GetCounter("vids.calls_created");
@@ -45,6 +82,54 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
     m_media_index_ = &registry->GetGauge("vids.media_index_size");
     m_tombstones_ = &registry->GetGauge("vids.tombstones");
   }
+}
+
+CallStateFactBase::~CallStateFactBase() {
+  for (auto* map : {&calls_, &keyed_str_}) {
+    for (auto& [key, entry] : *map) delete entry.group;  // null: tombstone
+  }
+  for (auto& [key, entry] : keyed_bin_) delete entry.group;
+  for (Recycler* recycler :
+       {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
+    for (efsm::MachineGroup* group : recycler->free) delete group;
+  }
+}
+
+efsm::MachineGroup* CallStateFactBase::AcquireGroup(Recycler& recycler,
+                                                    std::string_view name) {
+  if (recycler.free.empty()) {
+    auto* group = new efsm::MachineGroup(recycler.shape, std::string(name),
+                                         scheduler_, observer_,
+                                         &engine_metrics_);
+    if (&recycler == &call_groups_) group->set_retirement_listener(this);
+    return group;
+  }
+  efsm::MachineGroup* group = recycler.free.back();
+  recycler.free.pop_back();
+  group->Reset(name);
+  return group;
+}
+
+void CallStateFactBase::ReleaseGroup(efsm::MachineGroup* group,
+                                     bool in_sweep) {
+  // Cancel now, not at reuse: a pending expiry must not fire into a group
+  // no call owns.
+  group->Reclaim();
+  Recycler& recycler = RecyclerOf(*group);
+  recycler.free.push_back(group);
+  if (in_sweep) {
+    ++recycler.swept;
+    swept_groups_.push_back(group);
+  }
+}
+
+CallStateFactBase::Recycler& CallStateFactBase::RecyclerOf(
+    const efsm::MachineGroup& group) {
+  const efsm::GroupShape* shape = &group.shape();
+  if (shape == &call_groups_.shape) return call_groups_;
+  if (shape == &media_groups_.shape) return media_groups_;
+  if (shape == &flood_groups_.shape) return flood_groups_;
+  return drdos_groups_;
 }
 
 std::string CallStateFactBase::DecodeFactRecord(const obs::Record& record) {
@@ -71,16 +156,16 @@ std::string CallStateFactBase::DecodeFactRecord(const obs::Record& record) {
 }
 
 void CallStateFactBase::UpdateGauges() {
-  m_active_calls_->Set(static_cast<int64_t>(calls_.size()));
+  m_active_calls_->Set(static_cast<int64_t>(call_count()));
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   m_media_index_->Set(static_cast<int64_t>(media_index_.size()));
-  m_tombstones_->Set(static_cast<int64_t>(tombstones_.size()));
+  m_tombstones_->Set(static_cast<int64_t>(tombstones_));
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     const std::string& call_id, bool& created) {
   auto it = calls_.find(call_id);
-  if (it != calls_.end()) {
+  if (it != calls_.end() && it->second.group != nullptr) {
     created = false;
     it->second.last_event = scheduler_.Now();
     return *it->second.group;
@@ -88,28 +173,8 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
   created = true;
   ++calls_created_;
   m_calls_created_->Inc();
-  std::unique_ptr<efsm::MachineGroup> group;
-  if (!group_pool_.empty()) {
-    // Recycled group: already carries the call-group machine set and
-    // channel routing (parked in initial configuration by Sweep), so only
-    // the name needs to change hands.
-    group = std::move(group_pool_.back());
-    group_pool_.pop_back();
-    group->ResetForReuse(call_id);
-  } else {
-    group = std::make_unique<efsm::MachineGroup>(call_id, scheduler_,
-                                                 observer_,
-                                                 &engine_metrics_);
-    group->set_retirement_listener(this);
-    auto& sip = group->AddMachine(sip_spec_, std::string(kSipMachineName));
-    auto& rtp = group->AddMachine(rtp_spec_, std::string(kRtpMachineName));
-    (void)sip;
-    group->AddMachine(scenarios_.cancel_dos, "cancel-dos");
-    group->AddMachine(scenarios_.hijack, "hijack");
-    if (config_.enable_cross_protocol) {
-      group->RouteChannel(std::string(kSipToRtpChannel), rtp);
-    }
-  }
+  if (it != calls_.end()) --tombstones_;  // direct reuse of a tombstoned id
+  efsm::MachineGroup* group = AcquireGroup(call_groups_, call_id);
   {
     obs::Record rec;
     rec.type = obs::RecordType::kFactAssert;
@@ -118,18 +183,19 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     group->flight_recorder().Record(rec);
   }
   StringNode& node = *calls_.try_emplace(call_id).first;
-  node.second.group = std::move(group);
+  node.second.group = group;
   node.second.last_event = scheduler_.Now();
+  // A retiring machine finds its call entry through this, not by name.
+  group->set_owner_data(&node);
   call_idle_.Push(node, node.second.last_event + config_.call_idle_timeout);
-  m_active_calls_->Set(static_cast<int64_t>(calls_.size()));
+  m_active_calls_->Set(static_cast<int64_t>(call_count()));
   ArmSweepTimer();
-  return *node.second.group;
+  return *group;
 }
 
 efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
   const auto it = calls_.find(call_id);
-  if (it == calls_.end()) return nullptr;
-  return it->second.group.get();
+  return it != calls_.end() ? it->second.group : nullptr;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
@@ -156,23 +222,10 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
     it->second.last_event = scheduler_.Now();
     return *it->second.group;
   }
-  auto group = std::make_unique<efsm::MachineGroup>(name, scheduler_,
-                                                    observer_,
-                                                    &engine_metrics_);
-  switch (kind) {
-    case KeyedKind::kInviteFlood:
-      break;  // handled above
-    case KeyedKind::kMediaEndpoint:
-      group->AddMachine(scenarios_.media_spam, "media-spam");
-      group->AddMachine(scenarios_.rtp_flood, "rtp-flood");
-      group->AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
-      break;
-    case KeyedKind::kDrdos:
-      group->AddMachine(scenarios_.drdos, "drdos");
-      break;
-  }
   StringNode& node = *keyed_str_.try_emplace(name).first;
-  node.second.group = std::move(group);
+  node.second.group = AcquireGroup(
+      kind == KeyedKind::kMediaEndpoint ? media_groups_ : drdos_groups_,
+      name);
   node.second.last_event = scheduler_.Now();
   keyed_str_idle_.Push(node,
                        node.second.last_event + config_.keyed_idle_timeout);
@@ -185,18 +238,15 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
     std::string_view aor) {
   // Runs per INVITE request: compose the map key in the reused scratch
   // string and find transparently so the hit path never allocates.
-  flood_key_scratch_.assign("flood|");
-  flood_key_scratch_.append(aor);
-  auto it = keyed_str_.find(flood_key_scratch_);
+  key_scratch_.assign("flood|");
+  key_scratch_.append(aor);
+  auto it = keyed_str_.find(key_scratch_);
   if (it != keyed_str_.end()) {
     it->second.last_event = scheduler_.Now();
     return *it->second.group;
   }
-  auto group = std::make_unique<efsm::MachineGroup>(
-      flood_key_scratch_, scheduler_, observer_, &engine_metrics_);
-  group->AddMachine(scenarios_.invite_flood, "invite-flood");
-  StringNode& node = *keyed_str_.try_emplace(flood_key_scratch_).first;
-  node.second.group = std::move(group);
+  StringNode& node = *keyed_str_.try_emplace(key_scratch_).first;
+  node.second.group = AcquireGroup(flood_groups_, key_scratch_);
   node.second.last_event = scheduler_.Now();
   keyed_str_idle_.Push(node,
                        node.second.last_event + config_.keyed_idle_timeout);
@@ -211,13 +261,9 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
   Entry& entry = it->second;
   entry.last_event = scheduler_.Now();
   if (!inserted) return *entry.group;
-  auto group = std::make_unique<efsm::MachineGroup>(
-      "media|" + endpoint.ToString(), scheduler_, observer_,
-      &engine_metrics_);
-  group->AddMachine(scenarios_.media_spam, "media-spam");
-  group->AddMachine(scenarios_.rtp_flood, "rtp-flood");
-  group->AddMachine(scenarios_.rtcp_bye, "rtcp-bye");
-  entry.group = std::move(group);
+  entry.group = AcquireGroup(
+      media_groups_,
+      KeyedName(key_scratch_, "media|", endpoint.ip, endpoint.port));
   keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
@@ -230,11 +276,8 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
   Entry& entry = it->second;
   entry.last_event = scheduler_.Now();
   if (!inserted) return *entry.group;
-  auto group = std::make_unique<efsm::MachineGroup>(
-      "drdos|" + victim.ToString(), scheduler_, observer_,
-      &engine_metrics_);
-  group->AddMachine(scenarios_.drdos, "drdos");
-  entry.group = std::move(group);
+  entry.group =
+      AcquireGroup(drdos_groups_, KeyedName(key_scratch_, "drdos|", victim));
   keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
@@ -242,15 +285,19 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
 }
 
 bool CallStateFactBase::IsTombstoned(std::string_view call_id) const {
-  return tombstones_.find(call_id) != tombstones_.end();
+  const auto it = calls_.find(call_id);
+  return it != calls_.end() && it->second.group == nullptr;
 }
 
 void CallStateFactBase::IndexMedia(const net::Endpoint& endpoint,
                                    const std::string& call_id) {
   const uint64_t key = endpoint.PackedKey();
-  const auto call_it = calls_.find(call_id);
+  auto call_it = calls_.find(call_id);
+  if (call_it != calls_.end() && call_it->second.group == nullptr) {
+    call_it = calls_.end();  // a tombstone is no call
+  }
   efsm::MachineGroup* group =
-      call_it != calls_.end() ? call_it->second.group.get() : nullptr;
+      call_it != calls_.end() ? call_it->second.group : nullptr;
   auto media_it = media_index_.find(key);
   if (media_it == media_index_.end()) {
     // Never create an index entry for a call that does not exist: the
@@ -309,14 +356,16 @@ void CallStateFactBase::RetractMedia(const net::Endpoint& endpoint) {
 void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
   const auto it = keyed_bin_.find(MediaKey(endpoint));
   if (it == keyed_bin_.end()) return;
+  efsm::MachineGroup* group = it->second.group;
   if (sweep_listener_) {
     // Same contract as a sweep reclaim: the analysis engine evicts the
     // group's alert-dedup signatures together with the state.
-    const std::vector<std::string> reclaimed{it->second.group->name()};
+    const efsm::MachineGroup* reclaimed[] = {group};
     sweep_listener_(scheduler_.Now(), reclaimed);
   }
   keyed_bin_idle_.Erase(*it);
   keyed_bin_.erase(it);
+  ReleaseGroup(group, /*in_sweep=*/false);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
 }
 
@@ -335,17 +384,9 @@ efsm::MachineGroup* CallStateFactBase::FindGroupByMedia(
 }
 
 bool CallStateFactBase::CallComplete(const efsm::MachineGroup& group) const {
-  const auto& machines = group.machines();
-  for (const auto& machine : machines) {
-    if (machine->name() == kSipMachineName && !machine->retired()) {
-      return false;
-    }
-    if (machine->name() == kRtpMachineName && !machine->retired() &&
-        machine->state() != machine->def().initial_state()) {
-      return false;
-    }
-  }
-  return true;
+  const efsm::MachineInstance& rtp = group.machine(kCallRtp);
+  return group.machine(kCallSip).retired() &&
+         (rtp.retired() || rtp.state() == rtp.def().initial_state());
 }
 
 void CallStateFactBase::ArmSweepTimer() {
@@ -360,11 +401,14 @@ void CallStateFactBase::ArmSweepTimer() {
 
 void CallStateFactBase::OnMachineRetired(
     const efsm::MachineInstance& machine) {
-  if (&machine.def() != &sip_spec_ && &machine.def() != &rtp_spec_) return;
-  const auto it = calls_.find(machine.group().name());
-  if (it == calls_.end() || it->second.completion_candidate) return;
-  it->second.completion_candidate = true;
-  completion_candidates_.push_back(&*it);
+  // Installed on call groups only, whose owner data is their calls_ node.
+  const size_t index = machine.index_in_group();
+  if (index != kCallSip && index != kCallRtp) return;
+  if (!CallComplete(machine.group())) return;
+  auto* node = static_cast<StringNode*>(machine.group().owner_data());
+  if (node->second.completion_candidate) return;
+  node->second.completion_candidate = true;
+  completion_candidates_.push_back(node);
 }
 
 template <typename NodeT, typename Reclaim>
@@ -390,14 +434,12 @@ uint64_t CallStateFactBase::DrainIdle(IdleHeap<NodeT>& heap,
   return popped;
 }
 
-void CallStateFactBase::ReclaimCall(StringNode& node, sim::Time now,
-                                    std::vector<std::string>& reclaimed) {
+void CallStateFactBase::ReclaimCall(StringNode& node, sim::Time now) {
   const std::string& call_id = node.first;
   Entry& entry = node.second;
-  const sim::Time expiry = now + config_.tombstone_ttl;
-  TombstoneNode& tombstone =
-      *tombstones_.insert_or_assign(call_id, expiry).first;
-  tombstone_fifo_.push_back(TombstoneDue{expiry, &tombstone});
+  entry.tombstone_expiry = now + config_.tombstone_ttl;
+  tombstone_fifo_.push_back(TombstoneDue{entry.tombstone_expiry, &node});
+  ++tombstones_;
   ++calls_deleted_;
   m_calls_deleted_->Inc();
   // Drop this call's media-endpoint index entries via the reverse index.
@@ -410,15 +452,9 @@ void CallStateFactBase::ReclaimCall(StringNode& node, sim::Time now,
       media_index_.erase(media_it);
     }
   }
-  reclaimed.push_back(call_id);
-  if (group_pool_.size() < kGroupPoolCap) {
-    // Park the group in initial configuration. The reset happens here, not
-    // at reuse, because a parked group must not keep live timers — a
-    // pending expiry would fire into a machine no call owns.
-    entry.group->ResetForReuse(std::string());
-    group_pool_.push_back(std::move(entry.group));
-  }
-  calls_.erase(calls_.find(call_id));
+  entry.media_keys.clear();
+  ReleaseGroup(entry.group, /*in_sweep=*/true);
+  entry.group = nullptr;
 }
 
 void CallStateFactBase::ReleaseDrainedStorage() {
@@ -428,7 +464,12 @@ void CallStateFactBase::ReleaseDrainedStorage() {
   std::vector<StringNode*>().swap(completion_candidates_);
   std::vector<TombstoneDue>().swap(tombstone_fifo_);
   tombstone_head_ = 0;
-  std::vector<std::unique_ptr<efsm::MachineGroup>>().swap(group_pool_);
+  std::vector<const efsm::MachineGroup*>().swap(swept_groups_);
+  for (Recycler* recycler :
+       {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
+    for (efsm::MachineGroup* group : recycler->free) delete group;
+    std::vector<efsm::MachineGroup*>().swap(recycler->free);
+  }
 }
 
 void CallStateFactBase::Sweep(sim::Time now) {
@@ -436,9 +477,7 @@ void CallStateFactBase::Sweep(sim::Time now) {
   next_sweep_ = now + config_.sweep_interval;
   m_sweeps_->Inc();
   const int64_t sweep_start = obs::MonotonicNanos();
-  // Names of the groups reclaimed by this sweep, for the sweep listener
-  // (the analysis engine evicts their alert-dedup signatures).
-  std::vector<std::string> reclaimed;
+  swept_groups_.clear();
   uint64_t examined = completion_candidates_.size();
 
   // Completed calls. Candidates go first, while every queued node is still
@@ -448,23 +487,21 @@ void CallStateFactBase::Sweep(sim::Time now) {
     node->second.completion_candidate = false;
     if (CallComplete(*node->second.group)) {
       call_idle_.Erase(*node);
-      ReclaimCall(*node, now, reclaimed);
+      ReclaimCall(*node, now);
     }
   }
   completion_candidates_.clear();
 
   examined += DrainIdle(call_idle_, config_.call_idle_timeout, now,
-                        [&](StringNode& node) {
-                          ReclaimCall(node, now, reclaimed);
-                        });
+                        [&](StringNode& node) { ReclaimCall(node, now); });
   examined += DrainIdle(keyed_str_idle_, config_.keyed_idle_timeout, now,
                         [&](StringNode& node) {
-                          reclaimed.push_back(node.first);
+                          ReleaseGroup(node.second.group, /*in_sweep=*/true);
                           keyed_str_.erase(keyed_str_.find(node.first));
                         });
   examined += DrainIdle(keyed_bin_idle_, config_.keyed_idle_timeout, now,
                         [&](BinaryNode& node) {
-                          reclaimed.push_back(node.second.group->name());
+                          ReleaseGroup(node.second.group, /*in_sweep=*/true);
                           const uint64_t key = node.first;
                           keyed_bin_.erase(key);
                         });
@@ -475,8 +512,10 @@ void CallStateFactBase::Sweep(sim::Time now) {
          tombstone_fifo_[tombstone_head_].expiry <= now) {
     ++examined;
     const TombstoneDue due = tombstone_fifo_[tombstone_head_++];
-    if (due.node->second == due.expiry) {
-      tombstones_.erase(tombstones_.find(due.node->first));
+    const Entry& entry = due.node->second;
+    if (entry.group == nullptr && entry.tombstone_expiry == due.expiry) {
+      --tombstones_;
+      calls_.erase(calls_.find(due.node->first));
     }
   }
   if (tombstone_head_ * 2 >= tombstone_fifo_.size()) {
@@ -489,17 +528,38 @@ void CallStateFactBase::Sweep(sim::Time now) {
   }
 
   m_sweep_examined_->Inc(examined);
-  if (!HasTrackedState()) ReleaseDrainedStorage();
-  if (sweep_listener_) sweep_listener_(now, reclaimed);
+  // The listener reads the reclaimed groups' names, so it runs before any
+  // parked group can be freed.
+  if (sweep_listener_) sweep_listener_(now, swept_groups_);
+  if (HasTrackedState()) {
+    for (Recycler* recycler :
+         {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
+      // Keep the groups this sweep reclaimed (the newest, at the back):
+      // about what the next interval admits at the current churn.
+      auto& free = recycler->free;
+      if (free.size() > recycler->swept) {
+        const auto excess =
+            static_cast<ptrdiff_t>(free.size() - recycler->swept);
+        for (auto it = free.begin(); it != free.begin() + excess; ++it) {
+          delete *it;
+        }
+        free.erase(free.begin(), free.begin() + excess);
+      }
+      recycler->swept = 0;
+    }
+  } else {
+    ReleaseDrainedStorage();
+  }
   m_sweep_ns_->Record(obs::MonotonicNanos() - sweep_start);
   UpdateGauges();
 }
 
 size_t CallStateFactBase::MemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const auto& [call_id, entry] : calls_) {
-    bytes += call_id.capacity() + sizeof(Entry) + entry.group->MemoryBytes() +
+  for (const auto& [call_id, entry] : calls_) {  // calls and tombstones
+    bytes += call_id.capacity() + sizeof(Entry) +
              entry.media_keys.capacity() * sizeof(uint64_t);
+    if (entry.group != nullptr) bytes += entry.group->MemoryBytes();
   }
   for (const auto& [key, entry] : keyed_str_) {
     bytes += key.capacity() + sizeof(Entry) + entry.group->MemoryBytes();
@@ -507,30 +567,39 @@ size_t CallStateFactBase::MemoryBytes() const {
   for (const auto& [key, entry] : keyed_bin_) {
     bytes += sizeof(uint64_t) + sizeof(Entry) + entry.group->MemoryBytes();
   }
-  for (const auto& [key, expiry] : tombstones_) {
-    bytes += key.capacity() + sizeof(sim::Time);
-  }
   for (const auto& [key, media] : media_index_) {
     bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();
   }
-  bytes += PoolBytes();
+  bytes += FreeListBytes();
   bytes += call_idle_.MemoryBytes() + keyed_str_idle_.MemoryBytes() +
            keyed_bin_idle_.MemoryBytes() +
            completion_candidates_.capacity() * sizeof(StringNode*) +
-           tombstone_fifo_.capacity() * sizeof(TombstoneDue);
+           tombstone_fifo_.capacity() * sizeof(TombstoneDue) +
+           swept_groups_.capacity() * sizeof(const efsm::MachineGroup*);
   return bytes;
 }
 
-size_t CallStateFactBase::PoolBytes() const {
+size_t CallStateFactBase::FreeListBytes() const {
   size_t bytes = 0;
-  for (const auto& group : group_pool_) bytes += group->MemoryBytes();
+  for (const Recycler* recycler :
+       {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
+    bytes += recycler->free.capacity() * sizeof(efsm::MachineGroup*);
+    for (const efsm::MachineGroup* group : recycler->free) {
+      bytes += group->MemoryBytes();
+    }
+  }
   return bytes;
+}
+
+size_t CallStateFactBase::free_group_count() const {
+  return call_groups_.free.size() + media_groups_.free.size() +
+         flood_groups_.free.size() + drdos_groups_.free.size();
 }
 
 std::optional<size_t> CallStateFactBase::CallMemoryBytes(
     const std::string& call_id) const {
   const auto it = calls_.find(call_id);
-  if (it == calls_.end()) return std::nullopt;
+  if (it == calls_.end() || it->second.group == nullptr) return std::nullopt;
   return it->second.group->MemoryBytes();
 }
 

@@ -21,6 +21,8 @@
 //   - a call can only complete when its SIP or RTP machine retires, so the
 //     call groups report retirements to the fact base, which checks just
 //     those calls at the next sweep;
+//   - a reclaimed call leaves its entry behind as the tombstone (no group,
+//     an expiry), so reclaiming it neither erases nor inserts a map node;
 //   - tombstones expire in creation order (every expiry is a sweep instant
 //     plus the same TTL), so a FIFO beside the map replaces a scan.
 //
@@ -29,11 +31,18 @@
 // string-keyed maps are unordered with transparent string_view lookup, and
 // every call entry carries its media keys so a reclaimed call erases
 // exactly its own index entries instead of scanning the whole index.
+//
+// Groups are recycled records (DESIGN.md §7): each group kind has one
+// efsm::GroupShape and a free list. Reclaiming a group cancels its timers
+// and parks it; creating one pops a parked group and resets it, so churn
+// stops paying for building and freeing machines. Each sweep trims every
+// free list to the groups that sweep reclaimed, and a drained fact base
+// frees them all.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,6 +60,14 @@ namespace vids::ids {
 
 /// Keyed (non-call) group families.
 enum class KeyedKind : uint8_t { kInviteFlood, kMediaEndpoint, kDrdos };
+
+/// Machine indexes of each group shape, in the order the fact base builds
+/// them (and delivers a packet to them). The Event Distributor addresses
+/// machines by these, never by instance name.
+enum CallMachine : size_t { kCallSip, kCallRtp, kCallCancelDos, kCallHijack };
+enum MediaMachine : size_t { kMediaSpam, kMediaRtpFlood, kMediaRtcpBye };
+inline constexpr size_t kInviteFloodMachine = 0;
+inline constexpr size_t kDrdosMachine = 0;
 
 /// Flight-record `aux` encoding used by the fact base's kFactAssert /
 /// kFactRetract records: family tag in the top byte, packed payload below
@@ -70,6 +87,10 @@ class CallStateFactBase : private efsm::RetirementListener {
   CallStateFactBase(sim::Scheduler& scheduler, const DetectionConfig& config,
                     efsm::Observer* observer,
                     obs::MetricsRegistry* registry = nullptr);
+  /// Frees every live and parked group.
+  ~CallStateFactBase() override;
+  CallStateFactBase(const CallStateFactBase&) = delete;
+  CallStateFactBase& operator=(const CallStateFactBase&) = delete;
 
   /// Renders a fact-base flight record (FactAux encoding) for provenance
   /// reports. Empty for records the fact base did not write.
@@ -131,52 +152,55 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// filed under a deadline before `now` (counted in vids.sweep_examined).
   void Sweep(sim::Time now);
 
-  /// Called at the end of every executed sweep with the names of the groups
-  /// it reclaimed (call ids and keyed-group names; possibly none). The
-  /// analysis engine uses this both as its time-driven pruning tick and to
-  /// evict alert-dedup signatures belonging to state that no longer exists.
-  using SweepListener =
-      std::function<void(sim::Time now, const std::vector<std::string>&)>;
+  /// Called at the end of every executed sweep with the groups it reclaimed
+  /// (possibly none). They are parked but not yet reset, so their names are
+  /// still the call ids and keyed-group names they had. The analysis engine
+  /// uses this both as its time-driven pruning tick and to evict
+  /// alert-dedup signatures belonging to state that no longer exists.
+  using SweepListener = std::function<void(
+      sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed)>;
   void set_sweep_listener(SweepListener listener) {
     sweep_listener_ = std::move(listener);
   }
 
-  /// Visits every live call group (diagnostics: the soak harness uses it
-  /// to report what state lingering calls are stuck in).
-  void ForEachCall(
-      const std::function<void(const efsm::MachineGroup&)>& visit) const {
-    for (const auto& [id, entry] : calls_) visit(*entry.group);
-  }
-
-  size_t call_count() const { return calls_.size(); }
+  size_t call_count() const { return calls_.size() - tombstones_; }
   size_t keyed_count() const { return keyed_str_.size() + keyed_bin_.size(); }
-  size_t tombstone_count() const { return tombstones_.size(); }
+  size_t tombstone_count() const { return tombstones_; }
   size_t media_index_count() const { return media_index_.size(); }
   uint64_t calls_created() const { return calls_created_; }
   uint64_t calls_deleted() const { return calls_deleted_; }
 
-  /// Total footprint of all tracked state and its reclamation index — the
-  /// §7.3 memory metric. Once a sweep finds nothing left to track it frees
-  /// the index and the recycled-group pool, so a drained fact base is back
-  /// at its freshly built footprint.
+  /// Total footprint of all tracked state, its reclamation index and the
+  /// parked groups — the §7.3 memory metric. Once a sweep finds nothing
+  /// left to track it frees the index and every free list, so a drained
+  /// fact base is back at its freshly built footprint.
   size_t MemoryBytes() const;
-  /// The part of MemoryBytes() held by reset groups parked in the recycle
-  /// pool (at most kGroupPoolCap of them) — reusable capacity, not state
-  /// of any tracked call.
-  size_t PoolBytes() const;
-  size_t pool_size() const { return group_pool_.size(); }
+  /// The part of MemoryBytes() held by reclaimed groups parked on the free
+  /// lists — reusable capacity, not state of any tracked call.
+  size_t FreeListBytes() const;
+  /// Parked groups over all shapes.
+  size_t free_group_count() const;
   /// Footprint of one call's group, if it exists.
   std::optional<size_t> CallMemoryBytes(const std::string& call_id) const;
 
   const DetectionConfig& config() const { return config_; }
 
-  /// Cap on the recycle pool (see group_pool_).
-  static constexpr size_t kGroupPoolCap = 256;
-
  private:
+  /// One group kind: its shape and the reclaimed groups parked for reuse.
+  /// Parked groups are owned here; a live group is owned by its entry.
+  struct Recycler {
+    efsm::GroupShape shape;
+    std::vector<efsm::MachineGroup*> free;  // newest last; popped first
+    size_t swept = 0;  // groups the running sweep reclaimed into `free`
+  };
+
   struct Entry {
-    std::unique_ptr<efsm::MachineGroup> group;
+    // Owned while the call or keyed group lives. A calls_ entry without a
+    // group is a tombstone: the call completed, and its late
+    // retransmissions are dropped until `tombstone_expiry`.
+    efsm::MachineGroup* group = nullptr;
     sim::Time last_event;
+    sim::Time tombstone_expiry;
     // Reverse index: packed media-endpoint keys negotiated by this call, so
     // deletion cleans media_index_ without a full scan.
     std::vector<uint64_t> media_keys;
@@ -195,7 +219,6 @@ class CallStateFactBase : private efsm::RetirementListener {
       std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
   using StringNode = StringKeyed<Entry>::value_type;
   using BinaryNode = std::unordered_map<uint64_t, Entry>::value_type;
-  using TombstoneNode = StringKeyed<sim::Time>::value_type;
 
   struct IdleSlotOf {
     template <typename NodeT>
@@ -208,9 +231,9 @@ class CallStateFactBase : private efsm::RetirementListener {
 
   struct TombstoneDue {
     sim::Time expiry;
-    // Stable: a tombstones_ node is erased only by its latest record, and
-    // every earlier record for it comes due first.
-    TombstoneNode* node;
+    // Stable: a tombstone is erased only by its latest record, and every
+    // earlier record for it comes due first.
+    StringNode* node;
   };
 
   /// A call is over when its SIP machine retired and its RTP machine either
@@ -218,10 +241,11 @@ class CallStateFactBase : private efsm::RetirementListener {
   bool CallComplete(const efsm::MachineGroup& group) const;
 
   /// Queues the call whose SIP or RTP machine just retired for a
-  /// CallComplete check at the next sweep. Those are the only transitions
-  /// that can make CallComplete true: retirement is permanent and no
-  /// rtp-spec transition re-enters INIT (vids_machines_test holds the
-  /// definition to that).
+  /// CallComplete check at the next sweep, if the call is complete now.
+  /// Those retirements are the only transitions that can make CallComplete
+  /// true: retirement is permanent and no rtp-spec transition re-enters
+  /// INIT (vids_machines_test holds the definition to that). So a call that
+  /// is not complete here cannot be complete before its next retirement.
   void OnMachineRetired(const efsm::MachineInstance& machine) override;
 
   /// Pops every entry filed under a deadline before `now`: reclaims the
@@ -231,13 +255,20 @@ class CallStateFactBase : private efsm::RetirementListener {
   static uint64_t DrainIdle(IdleHeap<NodeT>& heap, sim::Duration timeout,
                             sim::Time now, Reclaim reclaim);
 
-  /// Deletes a call (already out of call_idle_): tombstone, media-index
-  /// entries, group parked in the pool or destroyed.
-  void ReclaimCall(StringNode& node, sim::Time now,
-                   std::vector<std::string>& reclaimed);
+  /// A group of `recycler`'s shape named `name`: a parked one reset, or a
+  /// new one when the free list is empty.
+  efsm::MachineGroup* AcquireGroup(Recycler& recycler, std::string_view name);
+  /// Parks a group its entry let go of: cancels its timers and pushes it on
+  /// its shape's free list. Reset waits for reuse.
+  void ReleaseGroup(efsm::MachineGroup* group, bool in_sweep);
+  Recycler& RecyclerOf(const efsm::MachineGroup& group);
 
-  /// Frees the reclamation index and the group pool; only when the maps
-  /// are empty.
+  /// Deletes a call (already out of call_idle_): its entry becomes the
+  /// tombstone, its media-index entries go, its group is parked.
+  void ReclaimCall(StringNode& node, sim::Time now);
+
+  /// Frees the reclamation index and every parked group; only when the
+  /// maps are empty.
   void ReleaseDrainedStorage();
 
   void UpdateGauges();
@@ -246,7 +277,7 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// keeps re-arming exactly as long as this holds.
   bool HasTrackedState() const {
     return !calls_.empty() || !keyed_str_.empty() || !keyed_bin_.empty() ||
-           !tombstones_.empty() || !media_index_.empty();
+           !media_index_.empty();
   }
 
   /// Arms the periodic sweep event if it is not already pending. Called on
@@ -275,23 +306,26 @@ class CallStateFactBase : private efsm::RetirementListener {
   efsm::MachineDef rtp_spec_;
   AttackScenarioBase scenarios_;
 
-  // Recycled call groups. Every call group has the same shape (two protocol
-  // machines, two always-on scenario machines, one sync channel), and
-  // building one is the dominant cost of admitting a new call — so swept
-  // groups are reset and parked here instead of destroyed, and the next
-  // call reuses one with all its buffer capacities warm. Bounded so an
-  // INVITE flood cannot convert itself into pinned pool memory; sized to
-  // absorb one sweep's reclaim batch at busy-hour call rates (hundreds of
-  // calls/s × one sweep interval), a few hundred KB worst case. A sweep
-  // that leaves nothing tracked frees the pool with the index.
-  std::vector<std::unique_ptr<efsm::MachineGroup>> group_pool_;
+  // One recycler per group kind. A sweep trims each free list to the groups
+  // that sweep reclaimed: at a steady call rate that is what the next
+  // interval admits, so churn reuses every parked group, while a burst
+  // that stops leaves at most one sweep's worth parked — and an INVITE
+  // flood cannot pin more than the state it already had.
+  Recycler call_groups_;
+  Recycler media_groups_;
+  Recycler flood_groups_;
+  Recycler drdos_groups_;
+  // The groups the running sweep reclaimed, for the sweep listener.
+  std::vector<const efsm::MachineGroup*> swept_groups_;
 
   StringKeyed<Entry> calls_;
   StringKeyed<Entry> keyed_str_;  // INVITE flood, name-prefixed "flood|"
-  std::string flood_key_scratch_;  // reused by GetOrCreateInviteFlood
+  // Reused to compose keyed-group names: the INVITE-flood map key, and the
+  // media / DRDoS group names.
+  std::string key_scratch_;
   // Media-endpoint and DRDoS groups, keyed by kind-tagged packed binary key.
   std::unordered_map<uint64_t, Entry> keyed_bin_;
-  StringKeyed<sim::Time> tombstones_;
+  size_t tombstones_ = 0;  // calls_ entries that are tombstones
   std::unordered_map<uint64_t, MediaEntry> media_index_;
 
   // Reclamation index: one idle-deadline heap per entry map (every entry is

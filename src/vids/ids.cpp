@@ -1,7 +1,6 @@
 #include "vids/ids.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/log.h"
 
@@ -57,7 +56,8 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
   // traffic silence. BehaviorEngine::Sweep is memory-only by its
   // determinism contract, so riding an arbitrary cadence is safe.
   fact_base_.set_sweep_listener(
-      [this](sim::Time now, const std::vector<std::string>& reclaimed) {
+      [this](sim::Time now,
+             std::span<const efsm::MachineGroup* const> reclaimed) {
         PruneAlertSigs(now, reclaimed);
         behavior_.Sweep(now);
         m_behavior_profiles_->Set(
@@ -125,9 +125,7 @@ void Vids::HandleRtcp(const ClassifiedPacket& packet) {
   const net::Endpoint media_endpoint{
       packet.dst.ip, static_cast<uint16_t>(packet.dst.port - 1)};
   auto& media_group = fact_base_.GetOrCreateMediaGroup(media_endpoint);
-  if (auto* machine = media_group.Find("rtcp-bye")) {
-    media_group.DeliverData(*machine, packet.event);
-  }
+  media_group.DeliverData(media_group.machine(kMediaRtcpBye), packet.event);
 }
 
 void Vids::HandleSip(const ClassifiedPacket& packet) {
@@ -165,12 +163,8 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
 
   // Distribute to the call's machines: specification first (it exports the
   // media parameters), then the per-call attack patterns.
-  for (const auto name :
-       {kSipMachineName, std::string_view("cancel-dos"),
-        std::string_view("hijack")}) {
-    if (auto* machine = group.Find(name)) {
-      group.DeliverData(*machine, packet.event);
-    }
+  for (const size_t index : {kCallSip, kCallCancelDos, kCallHijack}) {
+    group.DeliverData(group.machine(index), packet.event);
   }
 
   // INVITE requests additionally drive the per-destination flood counter.
@@ -260,10 +254,8 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
       efsm::MachineGroup& group =
           invite ? fact_base_.GetOrCreateInviteFlood(event.key)
                  : fact_base_.GetOrCreateDrdosGroup(event.dst_ip);
-      efsm::MachineInstance* machine =
-          group.Find(invite ? std::string_view("invite-flood")
-                            : std::string_view("drdos"));
-      if (machine == nullptr) return;
+      efsm::MachineInstance& machine =
+          group.machine(invite ? kInviteFloodMachine : kDrdosMachine);
       // The window counter reads no argument; OnAttackState reads the two
       // addresses for the alert detail. Event names and dotted quads fit
       // the small-string buffer, so refilling the event never allocates.
@@ -273,7 +265,7 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
           .emplace<std::string>(FormatIpv4(ip, event.src_ip));
       aggregate_scratch_.args.Slot(1, argkey::kDstIp)
           .emplace<std::string>(FormatIpv4(ip, event.dst_ip));
-      group.DeliverData(*machine, aggregate_scratch_);
+      group.DeliverData(machine, aggregate_scratch_);
       return;
     }
     case AggregateKind::kBehaviorCallStart:
@@ -312,21 +304,15 @@ void Vids::HandleRtp(const ClassifiedPacket& packet) {
   // call's RTP specification machine. The media index resolves the packed
   // binary endpoint straight to the owning group — no string keys.
   if (auto* group = fact_base_.FindGroupByMedia(packet.dst)) {
-    if (auto* machine = group->Find(kRtpMachineName)) {
-      group->DeliverData(*machine, packet.event);
-    }
+    group->DeliverData(group->machine(kCallRtp), packet.event);
   } else {
     m_orphan_rtp_->Inc();
   }
 
   // Per-endpoint patterns see every media packet, monitored call or not.
   auto& media_group = fact_base_.GetOrCreateMediaGroup(packet.dst);
-  for (const auto name :
-       {std::string_view("media-spam"), std::string_view("rtp-flood"),
-        std::string_view("rtcp-bye")}) {
-    if (auto* machine = media_group.Find(name)) {
-      media_group.DeliverData(*machine, packet.event);
-    }
+  for (const size_t index : {kMediaSpam, kMediaRtpFlood, kMediaRtcpBye}) {
+    media_group.DeliverData(media_group.machine(index), packet.event);
   }
 }
 
@@ -487,18 +473,26 @@ bool Vids::IsDuplicateAlert(std::string_view group, std::string_view machine,
          when - it->second < detection_.alert_dedup_window;
 }
 
-void Vids::PruneAlertSigs(sim::Time now,
-                          const std::vector<std::string>& reclaimed_groups) {
+void Vids::PruneAlertSigs(
+    sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed) {
   if (recent_alerts_.empty()) {
     m_alert_sigs_->Set(0);
     return;
   }
-  std::unordered_set<std::string_view> reclaimed;
-  reclaimed.reserve(reclaimed_groups.size());
-  for (const auto& name : reclaimed_groups) reclaimed.insert(name);
+  // The reclaimed groups are parked, not reset, so their names are still
+  // valid views; sorting them in a reused buffer replaces a set node per
+  // group.
+  reclaimed_names_.clear();
+  for (const efsm::MachineGroup* group : reclaimed) {
+    reclaimed_names_.push_back(group->name());
+  }
+  std::sort(reclaimed_names_.begin(), reclaimed_names_.end());
   const sim::Duration window = detection_.alert_dedup_window;
   std::erase_if(recent_alerts_, [&](const auto& kv) {
-    return now - kv.second >= window || reclaimed.contains(kv.first.group);
+    return now - kv.second >= window ||
+           std::binary_search(reclaimed_names_.begin(),
+                              reclaimed_names_.end(),
+                              std::string_view(kv.first.group));
   });
   m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
 }

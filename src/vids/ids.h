@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -238,7 +239,7 @@ class Vids : public efsm::Observer {
   /// the sweep. Keeps recent_alerts_ bounded by the alert rate of the last
   /// window instead of the deployment lifetime.
   void PruneAlertSigs(sim::Time now,
-                      const std::vector<std::string>& reclaimed_groups);
+                      std::span<const efsm::MachineGroup* const> reclaimed);
 
   sim::Scheduler& scheduler_;
   DetectionConfig detection_;
@@ -279,6 +280,8 @@ class Vids : public efsm::Observer {
   std::unordered_map<detail::AlertSig, sim::Time, detail::AlertSigHash,
                      detail::AlertSigEq>
       recent_alerts_;
+  /// PruneAlertSigs' sorted view of the reclaimed groups' names.
+  std::vector<std::string_view> reclaimed_names_;
 };
 
 }  // namespace vids::ids

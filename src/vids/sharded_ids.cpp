@@ -42,6 +42,7 @@ void AssignAlert(Alert& dst, const Alert& src) {
   dst.group.assign(src.group);
   dst.state.assign(src.state);
   dst.detail.assign(src.detail);
+  dst.trigger.assign(src.trigger);
   dst.provenance.resize(src.provenance.size());
   for (size_t i = 0; i < src.provenance.size(); ++i) {
     dst.provenance[i].assign(src.provenance[i]);
@@ -54,7 +55,7 @@ void AssignAlert(Alert& dst, const Alert& src) {
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
-      coordinator_(coord_scheduler_, config_.detection, config_.cost),
+      coordinator_(coord_scheduler_, config_.detection),
       m_stalls_(&coord_metrics_.GetCounter("sharded.ingest_stalls")),
       m_sip_routed_(&coord_metrics_.GetCounter("sharded.sip_routed")),
       m_owner_routed_(
@@ -102,8 +103,7 @@ ShardedIds::ShardedIds(ShardedConfig config)
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
     shard->index = i;
     shard->scheduler = std::make_unique<sim::Scheduler>();
-    shard->vids = std::make_unique<Vids>(*shard->scheduler, config_.detection,
-                                         config_.cost);
+    shard->vids = std::make_unique<Vids>(*shard->scheduler, config_.detection);
     // The coordinator keeps the merged history; the shard only needs enough
     // retained tail for its own internal bookkeeping.
     shard->vids->set_max_retained_alerts(4);
@@ -508,13 +508,13 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
 
   // Replicate the classifier's dispatch order (classifier.cpp) so the
   // router and the shard-side classifier agree on what a packet is:
-  // RTCP sniff first, then the hint-ordered SIP attempt, then endpoint
-  // routing for RTP and everything else. The kSip-vs-content check is
-  // byte-accurate (the same lazy parser); the kRtp hint is trusted — a
-  // payload labeled RTP never reaches the SIP router, which is exactly the
-  // classifier's behavior for parseable RTP.
+  // RTCP first — by the same rtp::IsRtcp decision — then the hint-ordered
+  // SIP attempt, then endpoint routing for RTP and everything else. The
+  // kSip-vs-content check is byte-accurate (the same lazy parser); the kRtp
+  // hint is trusted — a payload labeled RTP never reaches the SIP router,
+  // which is exactly the classifier's behavior for parseable RTP.
   int target;
-  if (rtp::LooksLikeRtcp(dgram.payload) && dgram.dst.port >= 1) {
+  if (rtp::IsRtcp(dgram.payload) && dgram.dst.port >= 1) {
     // Fold RTCP onto its media endpoint (port − 1) so the control and media
     // halves of one stream meet on one shard, as in Vids::HandleRtcp.
     const net::Endpoint media{dgram.dst.ip,

@@ -83,7 +83,6 @@ struct ShardedConfig {
   /// backpressures the coordinator; it never drops or allocates.
   size_t ring_capacity = 1024;
   DetectionConfig detection{};
-  CostModel cost{};
   /// Cap on the coordinator's merged alert history (0 = unlimited); same
   /// drop-oldest-half policy as Vids::set_max_retained_alerts.
   size_t max_retained_alerts = 0;

@@ -449,7 +449,7 @@ std::map<std::string, int> ReplayClassifications(const std::string& bytes,
 TEST(Corpus, RegenerationIsByteDeterministic) {
   const auto first = corpus::BuildAll();
   const auto second = corpus::BuildAll();
-  ASSERT_EQ(first.size(), 6u);
+  ASSERT_EQ(first.size(), 7u);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].name, second[i].name);

@@ -99,8 +99,10 @@ TEST_F(EngineFixture, BasicTransitionWithPredicateAndAction) {
       .Do([](Context& c) { c.mutable_local().Set("saw", c.event().Arg("x")); })
       .To(s1, "went");
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   EXPECT_EQ(machine.StateName(), "S0");
 
   Event blocked = Ev("go");
@@ -123,8 +125,10 @@ TEST_F(EngineFixture, EventOutsideAlphabetIsIgnored) {
   MachineDef def("m");
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   def.On(s0, "known").To(s0);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   EXPECT_EQ(machine.Deliver(Ev("unknown")),
             MachineInstance::DeliverResult::kNotInAlphabet);
   EXPECT_TRUE(observer_.deviations.empty());
@@ -138,8 +142,10 @@ TEST_F(EngineFixture, DeviationSuppressedWhenConfigured) {
   def.On(s0, "e")
       .When([](const Context&) { return false; })
       .To(s1);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   EXPECT_EQ(machine.Deliver(Ev("e")),
             MachineInstance::DeliverResult::kDeviation);
   EXPECT_TRUE(observer_.deviations.empty());  // reported nowhere
@@ -155,15 +161,18 @@ TEST_F(EngineFixture, UnpredicatedTransitionIsElseBranch) {
       .To(hit, "specific");
   def.On(s0, "e").To(other, "else");
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& m1 = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  shape.AddMachine(def, "m2");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& m1 = group.machine(0);
   Event matching = Ev("e");
   matching.args["x"] = int64_t{1};
   m1.Deliver(matching);
   EXPECT_EQ(m1.StateName(), "HIT");
   EXPECT_EQ(observer_.nondeterminism, 0);  // else branch doesn't compete
 
-  auto& m2 = group.AddMachine(def, "m2");
+  auto& m2 = group.machine(1);
   Event not_matching = Ev("e");
   not_matching.args["x"] = int64_t{9};
   m2.Deliver(not_matching);
@@ -176,8 +185,10 @@ TEST_F(EngineFixture, OverlappingPredicatesReportNondeterminism) {
   const auto s1 = def.AddState("S1");
   def.On(s0, "e").When([](const Context&) { return true; }).To(s1, "first");
   def.On(s0, "e").When([](const Context&) { return true; }).To(s0, "second");
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   machine.Deliver(Ev("e"));
   EXPECT_EQ(observer_.nondeterminism, 1);
   EXPECT_EQ(machine.StateName(), "S1");  // first in definition order wins
@@ -188,8 +199,10 @@ TEST_F(EngineFixture, AttackStateRaisesObserver) {
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   const auto bad = def.AddState("evil", StateKind::kAttack);
   def.On(s0, "boom").To(bad);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   machine.Deliver(Ev("boom"));
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], "m1:evil");
@@ -200,8 +213,10 @@ TEST_F(EngineFixture, FinalStateRetiresMachine) {
   const auto s0 = def.AddState("S0", StateKind::kInitial);
   const auto done = def.AddState("done", StateKind::kFinal);
   def.On(s0, "end").To(done);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   machine.Deliver(Ev("end"));
   EXPECT_TRUE(machine.retired());
   EXPECT_EQ(observer_.retired, 1);
@@ -231,10 +246,12 @@ TEST_F(EngineFixture, SyncChannelDeliversWithPriority) {
       .Do([](Context& c) { c.mutable_local().Set("v", c.event().Arg("v")); })
       .To(b1, "sync received");
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine_a = group.AddMachine(def_a, "A");
-  auto& machine_b = group.AddMachine(def_b, "B");
-  group.RouteChannel("ch", machine_b);
+  GroupShape shape;
+  shape.AddMachine(def_a, "A");
+  shape.RouteChannel("ch", shape.AddMachine(def_b, "B"));
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine_a = group.machine(0);
+  auto& machine_b = group.machine(1);
 
   group.DeliverData(machine_a, Ev("data"));
   // The sync event was pumped before DeliverData returned.
@@ -272,10 +289,12 @@ TEST_F(EngineFixture, SyncEventsPreserveFifoOrder) {
       })
       .To(b0);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine_a = group.AddMachine(def_a, "A");
-  auto& machine_b = group.AddMachine(def_b, "B");
-  group.RouteChannel("ch", machine_b);
+  GroupShape shape;
+  shape.AddMachine(def_a, "A");
+  shape.RouteChannel("ch", shape.AddMachine(def_b, "B"));
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine_a = group.machine(0);
+  auto& machine_b = group.machine(1);
   group.DeliverData(machine_a, Ev("burst"));
   EXPECT_EQ(machine_b.local().GetInt("count"), 3);
   EXPECT_EQ(machine_b.local().GetBool("in_order"), true);
@@ -298,12 +317,13 @@ TEST_F(EngineFixture, SyncChainsAreDeliveredTransitively) {
   const auto c1 = def_c.AddState("C1");
   def_c.On(c0, "hop").To(c1);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine_a = group.AddMachine(def_a, "A");
-  auto& machine_b = group.AddMachine(def_b, "B");
-  auto& machine_c = group.AddMachine(def_c, "C");
-  group.RouteChannel("ab", machine_b);
-  group.RouteChannel("bc", machine_c);
+  GroupShape shape;
+  shape.AddMachine(def_a, "A");
+  shape.RouteChannel("ab", shape.AddMachine(def_b, "B"));
+  shape.RouteChannel("bc", shape.AddMachine(def_c, "C"));
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine_a = group.machine(0);
+  auto& machine_c = group.machine(2);
   group.DeliverData(machine_a, Ev("go"));
   EXPECT_EQ(machine_c.StateName(), "C1");
 }
@@ -322,11 +342,12 @@ TEST_F(EngineFixture, CyclicEmitChainIsBounded) {
       .Do([](Context& c) { c.Emit("to_ping", Event{.name = "ball", .args = {}}); })
       .To(q0);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& ping = group.AddMachine(def_ping, "ping");
-  auto& pong = group.AddMachine(def_pong, "pong");
-  group.RouteChannel("to_pong", pong);
-  group.RouteChannel("to_ping", ping);
+  GroupShape shape;
+  const size_t ping_index = shape.AddMachine(def_ping, "ping");
+  shape.RouteChannel("to_pong", shape.AddMachine(def_pong, "pong"));
+  shape.RouteChannel("to_ping", ping_index);
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& ping = group.machine(ping_index);
   group.DeliverData(ping, Ev("ball"));  // must return, not livelock
   SUCCEED();
 }
@@ -337,8 +358,10 @@ TEST_F(EngineFixture, EmitOnUnroutedChannelIsDroppedSilently) {
   def.On(s0, "go")
       .Do([](Context& c) { c.Emit("nowhere", Event{.name = "x", .args = {}}); })
       .To(s0);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, Ev("go"));
   EXPECT_TRUE(observer_.deviations.empty());
 }
@@ -356,9 +379,12 @@ TEST_F(EngineFixture, GlobalVariablesAreSharedAcrossMachines) {
       .When([](const Context& c) { return c.global().GetInt("g_x") == 9; })
       .To(r1);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine_w = group.AddMachine(writer, "W");
-  auto& machine_r = group.AddMachine(reader, "R");
+  GroupShape shape;
+  shape.AddMachine(writer, "W");
+  shape.AddMachine(reader, "R");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine_w = group.machine(0);
+  auto& machine_r = group.machine(1);
   group.DeliverData(machine_w, Ev("set"));
   group.DeliverData(machine_r, Ev("check"));
   EXPECT_EQ(machine_r.StateName(), "R1");
@@ -374,8 +400,10 @@ TEST_F(EngineFixture, TimersDeliverTimerEvents) {
       .To(armed);
   def.On(armed, TimerEventName("T")).To(fired);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, Ev("arm"));
   EXPECT_EQ(machine.StateName(), "armed");
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Millis(50));
@@ -396,8 +424,10 @@ TEST_F(EngineFixture, CancelTimerPreventsFiring) {
       .To(s0, "disarmed");
   def.On(s0, TimerEventName("T")).To(fired);
 
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, Ev("arm"));
   group.DeliverData(machine, Ev("disarm"));
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Seconds(1));
@@ -412,8 +442,10 @@ TEST_F(EngineFixture, StaleTimerEventIsIgnoredSilently) {
       .Do([](Context& c) { c.StartTimer("T", sim::Duration::Millis(10)); })
       .To(s1, "armed");
   // S1 has no transition for timer:T — the expiry must not be a deviation.
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, Ev("arm"));
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Seconds(1));
   EXPECT_TRUE(observer_.deviations.empty());
@@ -427,8 +459,10 @@ TEST_F(EngineFixture, RetiringCancelsPendingTimers) {
   def.On(s0, "arm")
       .Do([](Context& c) { c.StartTimer("T", sim::Duration::Millis(10)); })
       .To(done);
-  MachineGroup group("g", scheduler_, &observer_);
-  auto& machine = group.AddMachine(def, "m1");
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, Ev("arm"));
   EXPECT_TRUE(machine.retired());
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Seconds(1));
@@ -439,10 +473,11 @@ TEST_F(EngineFixture, RetiringCancelsPendingTimers) {
 TEST_F(EngineFixture, GroupMemoryAccountsInstances) {
   MachineDef def("m");
   def.AddState("S0", StateKind::kInitial);
-  MachineGroup group("g", scheduler_, &observer_);
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
   const size_t empty = group.MemoryBytes();
-  auto& machine = group.AddMachine(def, "m1");
-  machine.local().Set("v", std::string(1000, 'x'));
+  group.machine(0).local().Set("v", std::string(1000, 'x'));
   EXPECT_GT(group.MemoryBytes(), empty + 1000);
 }
 
@@ -514,9 +549,8 @@ TEST(MachineDefCheck, TransitionToUnknownStateThrows) {
 TEST(MachineDefCheck, InstanceWithoutInitialStateThrows) {
   MachineDef def("m");
   def.AddState("S0");  // not initial
-  sim::Scheduler scheduler;
-  MachineGroup group("g", scheduler, nullptr);
-  EXPECT_THROW(group.AddMachine(def, "m1"), std::invalid_argument);
+  GroupShape shape;
+  EXPECT_THROW(shape.AddMachine(def, "m1"), std::invalid_argument);
 }
 
 }  // namespace

@@ -92,6 +92,45 @@ TEST(Rtcp, RejectsTruncatedAndJunk) {
   EXPECT_FALSE(ParseRtcp(wire).has_value());
 }
 
+// The classifier and the sharded router demux on IsRtcp, so it must
+// accept exactly what ParseRtcp parses: every header-byte value and every
+// length of each packet type, and RTP whose second byte reads 200..204.
+TEST(Rtcp, IsRtcpAcceptsExactlyWhatParseRtcpParses) {
+  SenderReport sr;
+  sr.sender_ssrc = 1;
+  sr.reports.push_back(ReportBlock{});
+  ReceiverReport rr;
+  rr.sender_ssrc = 2;
+  RtcpBye bye;
+  bye.ssrcs = {3, 4};
+  bye.reason = "done";
+  RtpHeader lookalike;
+  lookalike.marker = true;
+  lookalike.payload_type = 72;  // second byte 0x80 | 72 = 200
+  ASSERT_TRUE(LooksLikeRtcp(lookalike.Serialize()));
+  EXPECT_FALSE(IsRtcp(lookalike.Serialize()));
+
+  const std::string packets[] = {sr.Serialize(), rr.Serialize(),
+                                 bye.Serialize(), lookalike.Serialize()};
+  int accepted = 0;
+  for (const std::string& wire : packets) {
+    for (size_t len = 0; len <= wire.size(); ++len) {
+      const std::string prefix = wire.substr(0, len);
+      ASSERT_EQ(IsRtcp(prefix), ParseRtcp(prefix).has_value()) << len;
+      accepted += IsRtcp(prefix) ? 1 : 0;
+    }
+    for (size_t at = 0; at < 4; ++at) {
+      for (int value = 0; value < 256; ++value) {
+        std::string mutated = wire;
+        mutated[at] = static_cast<char>(value);
+        ASSERT_EQ(IsRtcp(mutated), ParseRtcp(mutated).has_value())
+            << "byte " << at << " = " << value;
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 3);  // each RTCP packet, only at its full length
+}
+
 // ----------------------------------------------------------- sessions
 
 class RtcpSessionFixture : public ::testing::Test {
@@ -207,9 +246,11 @@ TEST(GhostMedia, RtpAfterRtcpByeIsAttack) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
   const auto def = BuildRtcpByeMachine(config);
-  auto& machine = group.AddMachine(def, "rtcp-bye");
+  efsm::GroupShape shape;
+  shape.AddMachine(def, "rtcp-bye");
+  efsm::MachineGroup group(shape, "media|x", scheduler, &observer);
+  auto& machine = group.machine(0);
 
   group.DeliverData(machine, RtpPacket(7, 1));
   group.DeliverData(machine, RtcpBye(7));
@@ -227,9 +268,11 @@ TEST(GhostMedia, NewStreamOnReusedEndpointIsFine) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
   const auto def = BuildRtcpByeMachine(config);
-  auto& machine = group.AddMachine(def, "rtcp-bye");
+  efsm::GroupShape shape;
+  shape.AddMachine(def, "rtcp-bye");
+  efsm::MachineGroup group(shape, "media|x", scheduler, &observer);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, RtcpBye(7));
   scheduler.RunUntil(sim::Time{} + config.bye_inflight_grace +
                      sim::Duration::Millis(10));
@@ -242,9 +285,11 @@ TEST(GhostMedia, MachineRetiresAfterLinger) {
   DetectionConfig config;
   sim::Scheduler scheduler;
   AttackRecorder observer;
-  efsm::MachineGroup group("media|x", scheduler, &observer);
   const auto def = BuildRtcpByeMachine(config);
-  auto& machine = group.AddMachine(def, "rtcp-bye");
+  efsm::GroupShape shape;
+  shape.AddMachine(def, "rtcp-bye");
+  efsm::MachineGroup group(shape, "media|x", scheduler, &observer);
+  auto& machine = group.machine(0);
   group.DeliverData(machine, RtcpBye(7));
   scheduler.RunUntil(sim::Time{} + config.bye_inflight_grace +
                      config.rtp_close_linger + sim::Duration::Seconds(1));

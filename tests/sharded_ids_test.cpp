@@ -574,31 +574,43 @@ TEST(ShardedEquivalence, ShardCountsAgreeWithEachOther) {
 }
 
 TEST(ShardedEquivalence, AggregateAlertsKeepEfsmTriggerAndProvenance) {
-  // The coordinator replays INVITE-flood and DRDoS events into the same
-  // EFSM groups the plain engine runs inline, so each aggregate alert must
-  // carry the plain engine's trigger and flight-recorder provenance, not
-  // just its rendered text.
+  // Shards run the same call and media groups as the plain engine, and the
+  // coordinator replays INVITE-flood and DRDoS events into the same EFSM
+  // groups the plain engine runs inline, so every alert must reach
+  // alerts() with the plain engine's trigger and flight-recorder
+  // provenance, not just its rendered text.
   const auto trace = AttackScenarioTrace();
   const std::vector<Alert> plain = RunPlain(trace);
   for (int shards : {1, 4}) {
     size_t checked = 0;
+    size_t aggregate = 0;
     for (const Alert& alert : RunSharded(trace, shards)) {
-      if (alert.classification != kAttackInviteFlood &&
-          alert.classification != kAttackDrdos) {
-        continue;
-      }
+      if (alert.kind == AlertKind::kEngineHealth) continue;
       const auto match =
           std::find_if(plain.begin(), plain.end(), [&](const Alert& p) {
-            return p.when == alert.when && p.group == alert.group;
+            return p.when == alert.when && p.group == alert.group &&
+                   p.machine == alert.machine &&
+                   p.classification == alert.classification;
           });
       ASSERT_NE(match, plain.end())
           << "shards=" << shards << ": " << alert.ToString();
-      EXPECT_FALSE(alert.provenance.empty()) << alert.ToString();
-      EXPECT_EQ(match->trigger, alert.trigger) << "shards=" << shards;
-      EXPECT_EQ(match->provenance, alert.provenance) << "shards=" << shards;
+      EXPECT_EQ(match->trigger, alert.trigger)
+          << "shards=" << shards << ": " << alert.ToString();
+      EXPECT_EQ(match->provenance, alert.provenance)
+          << "shards=" << shards << ": " << alert.ToString();
+      if (alert.kind == AlertKind::kAttackPattern ||
+          alert.kind == AlertKind::kSpecDeviation) {
+        EXPECT_FALSE(alert.trigger.empty()) << alert.ToString();
+        EXPECT_FALSE(alert.provenance.empty()) << alert.ToString();
+      }
+      if (alert.classification == kAttackInviteFlood ||
+          alert.classification == kAttackDrdos) {
+        ++aggregate;
+      }
       ++checked;
     }
-    EXPECT_GE(checked, 2u) << "shards=" << shards;
+    EXPECT_EQ(checked, plain.size()) << "shards=" << shards;
+    EXPECT_GE(aggregate, 2u) << "shards=" << shards;
   }
 }
 

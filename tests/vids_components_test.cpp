@@ -3,6 +3,8 @@
 // keyed groups, media index, sweeps, tombstones).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -596,6 +598,402 @@ TEST(DeadlineHeap, MatchesAnOrderedReferenceUnderRandomOperations) {
   EXPECT_TRUE(heap.empty());
   heap.Release();
   EXPECT_EQ(heap.MemoryBytes(), 0u);
+}
+
+// ------------------------------------------------------ group recycling
+//
+// A reclaimed group is parked with its history and reset only when a new
+// entry takes it (DESIGN.md §7). For every shape, a recycled group must
+// behave exactly like a freshly built one: the same sequence, driven at the
+// same instants into both, must leave equal machine states, variables,
+// later timer expiries and ExplainFlight() lines.
+
+efsm::Event RtpEvent(std::string src_ip, int64_t src_port, std::string dst_ip,
+                     int64_t dst_port, int64_t ssrc, int64_t seq) {
+  efsm::Event event;
+  event.name = std::string(kRtpEvent);
+  event.args["src_ip"] = std::move(src_ip);
+  event.args["src_port"] = src_port;
+  event.args["dst_ip"] = std::move(dst_ip);
+  event.args["dst_port"] = dst_port;
+  event.args["ssrc"] = ssrc;
+  event.args["seq"] = seq;
+  event.args["ts"] = seq * 160;
+  event.args["pt"] = int64_t{18};
+  return event;
+}
+
+efsm::Event RtcpByeEvent(int64_t ssrc) {
+  efsm::Event event;
+  event.name = std::string(kRtcpEvent);
+  event.args["kind"] = std::string("BYE");
+  event.args["ssrc"] = ssrc;
+  return event;
+}
+
+efsm::Event NamedEvent(std::string_view name) {
+  efsm::Event event;
+  event.name = std::string(name);
+  return event;
+}
+
+// Everything the recycled and the fresh group must agree on.
+std::vector<std::string> Observe(const efsm::MachineGroup& group) {
+  std::vector<std::string> lines;
+  for (const auto& machine : group.machines()) {
+    std::string line = machine.name() + " " + std::string(machine.StateName()) +
+                       (machine.retired() ? " retired" : "");
+    for (const auto& [key, value] : machine.local().values()) {
+      line += " " + std::string(key.name()) + "=" + efsm::ToString(value);
+    }
+    lines.push_back(std::move(line));
+  }
+  std::string globals = "globals";
+  for (const auto& [key, value] :
+       const_cast<efsm::MachineGroup&>(group).global().values()) {
+    globals += " " + std::string(key.name()) + "=" + efsm::ToString(value);
+  }
+  lines.push_back(std::move(globals));
+  lines.push_back("pending timers " + std::to_string(group.PendingTimers()));
+  for (auto& line : group.ExplainFlight(obs::FlightRecorder::kCapacity,
+                                        &CallStateFactBase::DecodeFactRecord)) {
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+// One group kind: how to reach (and keep alive) its group under a key, the
+// history that leaves the recycled group dirty, and the compared sequence.
+struct RecycleCase {
+  // Gets or creates the group of `key`, refreshing its idle clock; null
+  // once a call group completed and was reclaimed.
+  std::function<efsm::MachineGroup*(CallStateFactBase&, int key)> touch;
+  // Drives the history; returns whether it can retire a machine.
+  std::function<bool(efsm::MachineGroup&, sim::Scheduler&,
+                     CallStateFactBase&)> history;
+  std::vector<std::function<void(efsm::MachineGroup&)>> sequence;
+};
+
+DetectionConfig RecycleConfig() {
+  // Idle horizons shorter than every timer, so a history's timer is still
+  // pending when the sweep reclaims its group.
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(2);
+  config.keyed_idle_timeout = sim::Duration::Seconds(2);
+  config.invite_flood_window = sim::Duration::Seconds(10);
+  config.drdos_window = sim::Duration::Seconds(10);
+  config.rtp_flood_window = sim::Duration::Seconds(10);
+  config.bye_inflight_grace = sim::Duration::Seconds(5);
+  config.rtp_close_linger = sim::Duration::Seconds(5);
+  return config;
+}
+
+// Keeps a busy bystander group in the fact base, so reclaiming the group
+// under test never drains it (a drained fact base frees its free lists).
+void TouchBystander(CallStateFactBase& fact_base) {
+  fact_base.GetOrCreateInviteFlood("bystander");
+}
+
+// Runs `scheduler` to `until`, touching the group of `key` every 0.5 s so
+// the idle sweep leaves it alone while its timers run. Returns false once
+// the group is gone (a completed call is reclaimed regardless).
+bool KeepAlive(const RecycleCase& c, CallStateFactBase& fact_base,
+               sim::Scheduler& scheduler, int key, sim::Time until) {
+  while (scheduler.Now() < until) {
+    scheduler.RunUntil(
+        std::min(until, scheduler.Now() + sim::Duration::Millis(500)));
+    TouchBystander(fact_base);
+    if (c.touch(fact_base, key) == nullptr) return false;
+  }
+  return true;
+}
+
+void ExpectRecycledMatchesFresh(const RecycleCase& c) {
+  const DetectionConfig config = RecycleConfig();
+  sim::Scheduler fresh_clock;
+  CallStateFactBase fresh(fresh_clock, config, nullptr);
+  sim::Scheduler recycled_clock;
+  CallStateFactBase recycled(recycled_clock, config, nullptr);
+  TouchBystander(fresh);
+  TouchBystander(recycled);
+
+  // History on key 1: a pending timer, a retired machine where the shape
+  // can retire one, and a flight ring that wrapped.
+  efsm::MachineGroup* old = c.touch(recycled, 1);
+  ASSERT_NE(old, nullptr);
+  const bool retires = c.history(*old, recycled_clock, recycled);
+  EXPECT_GT(old->PendingTimers(), 0u);
+  EXPECT_GT(old->flight_recorder().total_recorded(),
+            obs::FlightRecorder::kCapacity);
+  if (retires) {
+    bool any_retired = false;
+    for (const auto& machine : old->machines()) {
+      any_retired |= machine.retired();
+    }
+    EXPECT_TRUE(any_retired);
+  }
+
+  // Left alone, the group idles out at a sweep, which cancels its timer;
+  // the parked group is then taken by the next entry, before the next
+  // sweep trims the free list.
+  while (recycled.free_group_count() == 0) {
+    ASSERT_LT(recycled_clock.Now(), At(60));
+    recycled_clock.RunUntil(recycled_clock.Now() +
+                            sim::Duration::Millis(250));
+    TouchBystander(recycled);
+  }
+  EXPECT_EQ(recycled.free_group_count(), 1u);
+  EXPECT_EQ(old->PendingTimers(), 0u);
+  const sim::Time start = recycled_clock.Now();
+  fresh_clock.RunUntil(start);
+  efsm::MachineGroup* recycled_group = c.touch(recycled, 2);
+  efsm::MachineGroup* fresh_group = c.touch(fresh, 2);
+  ASSERT_EQ(recycled_group, old);
+  EXPECT_EQ(recycled.free_group_count(), 0u);
+  EXPECT_EQ(Observe(*recycled_group), Observe(*fresh_group));
+
+  sim::Time at = start;
+  for (const auto& step : c.sequence) {
+    at = at + sim::Duration::Millis(250);
+    fresh_clock.RunUntil(at);
+    recycled_clock.RunUntil(at);
+    step(*fresh_group);
+    step(*recycled_group);
+    EXPECT_EQ(Observe(*recycled_group), Observe(*fresh_group));
+  }
+  // Later timer expiries, observed once a second while the group lives.
+  for (int second = 1; second <= 14; ++second) {
+    const sim::Time until = at + sim::Duration::Seconds(second);
+    const bool fresh_alive = KeepAlive(c, fresh, fresh_clock, 2, until);
+    const bool recycled_alive =
+        KeepAlive(c, recycled, recycled_clock, 2, until);
+    ASSERT_EQ(recycled_alive, fresh_alive) << "at +" << second << " s";
+    if (!fresh_alive) break;
+    EXPECT_EQ(Observe(*recycled_group), Observe(*fresh_group))
+        << "at +" << second << " s";
+  }
+}
+
+TEST(GroupRecycling, CallGroupMatchesFreshGroup) {
+  RecycleCase c;
+  c.touch = [](CallStateFactBase& fb, int key) -> efsm::MachineGroup* {
+    const std::string id = "call-" + std::to_string(key);
+    if (fb.IsTombstoned(id)) return nullptr;
+    bool created = false;
+    return &fb.GetOrCreateCall(id, created);
+  };
+  c.history = [](efsm::MachineGroup& g, sim::Scheduler&,
+                 CallStateFactBase&) {
+    auto& sip = g.machine(kCallSip);
+    g.DeliverData(sip, WithSdp(SipEvent("request", "INVITE", 0), "10.1.0.10",
+                               20000));
+    g.DeliverData(sip, WithSdp(SipEvent("response", "INVITE", 200),
+                               "10.2.0.10", 30000));
+    g.DeliverData(sip, SipEvent("request", "ACK", 0));
+    g.DeliverData(sip, SipEvent("request", "BYE", 0));  // RTP arms T
+    g.DeliverData(sip, SipEvent("response", "BYE", 200));  // SIP retires
+    for (int64_t seq = 1; seq <= 40; ++seq) {
+      g.DeliverData(g.machine(kCallRtp),
+                    RtpEvent("10.1.0.10", 20000, "10.2.0.10", 30000, 5, seq));
+    }
+    return true;
+  };
+  const auto sip = [](efsm::Event event) {
+    return [event](efsm::MachineGroup& g) {
+      for (const size_t index : {kCallSip, kCallCancelDos, kCallHijack}) {
+        g.DeliverData(g.machine(index), event);
+      }
+    };
+  };
+  const auto rtp = [](int64_t seq) {
+    return [seq](efsm::MachineGroup& g) {
+      g.DeliverData(g.machine(kCallRtp), RtpEvent("10.2.0.20", 31000,
+                                                  "10.1.0.20", 21000, 9, seq));
+    };
+  };
+  c.sequence = {
+      sip(WithSdp(SipEvent("request", "INVITE", 0), "10.1.0.20", 21000)),
+      sip(SipEvent("response", "INVITE", 180)),
+      sip(WithSdp(SipEvent("response", "INVITE", 200), "10.2.0.20", 31000)),
+      sip(SipEvent("request", "ACK", 0)),
+      rtp(1), rtp(2), rtp(3),
+      sip(SipEvent("request", "BYE", 0)),
+      sip(SipEvent("response", "BYE", 200)),
+  };
+  ExpectRecycledMatchesFresh(c);
+}
+
+TEST(GroupRecycling, MediaGroupMatchesFreshGroup) {
+  const auto endpoint = [](int key) {
+    return net::Endpoint{net::IpAddress(10, 2, 0, 10),
+                         static_cast<uint16_t>(30000 + 2 * key)};
+  };
+  RecycleCase c;
+  c.touch = [endpoint](CallStateFactBase& fb, int key) {
+    return &fb.GetOrCreateMediaGroup(endpoint(key));
+  };
+  c.history = [endpoint](efsm::MachineGroup& g, sim::Scheduler& clock,
+                         CallStateFactBase& fb) {
+    const auto deliver = [&g](const efsm::Event& event) {
+      for (const size_t index : {kMediaSpam, kMediaRtpFlood, kMediaRtcpBye}) {
+        g.DeliverData(g.machine(index), event);
+      }
+    };
+    deliver(RtcpByeEvent(5));  // rtcp-bye: T, then linger, then Done
+    sim::Time until = clock.Now() + sim::Duration::Seconds(11);
+    while (clock.Now() < until) {
+      clock.RunUntil(clock.Now() + sim::Duration::Millis(500));
+      fb.GetOrCreateMediaGroup(endpoint(1));
+    }
+    for (int64_t seq = 1; seq <= 40; ++seq) {  // rtp-flood arms T1
+      deliver(RtpEvent("10.1.0.10", 20000, "10.2.0.10", 30002, 5, seq));
+    }
+    return true;
+  };
+  const auto deliver = [](efsm::Event event) {
+    return [event](efsm::MachineGroup& g) {
+      for (const size_t index : {kMediaSpam, kMediaRtpFlood, kMediaRtcpBye}) {
+        g.DeliverData(g.machine(index), event);
+      }
+    };
+  };
+  c.sequence = {
+      deliver(RtpEvent("10.1.0.30", 22000, "10.2.0.10", 30004, 11, 1)),
+      deliver(RtpEvent("10.1.0.30", 22000, "10.2.0.10", 30004, 11, 2)),
+      deliver(RtpEvent("10.1.0.30", 22000, "10.2.0.10", 30004, 11, 9)),
+      deliver(RtcpByeEvent(11)),
+      deliver(RtpEvent("10.1.0.30", 22000, "10.2.0.10", 30004, 11, 10)),
+  };
+  ExpectRecycledMatchesFresh(c);
+}
+
+// The window counters have no final state, so their histories cannot
+// retire a machine; the pending window timer and the wrapped ring remain.
+RecycleCase WindowCounterCase(
+    std::function<efsm::MachineGroup&(CallStateFactBase&, int)> get,
+    std::string_view event_name) {
+  RecycleCase c;
+  c.touch = [get](CallStateFactBase& fb, int key) { return &get(fb, key); };
+  c.history = [event_name](efsm::MachineGroup& g, sim::Scheduler&,
+                           CallStateFactBase&) {
+    for (int i = 0; i < 40; ++i) {
+      g.DeliverData(g.machine(0), NamedEvent(event_name));
+    }
+    return false;
+  };
+  const auto deliver = [event_name](efsm::MachineGroup& g) {
+    g.DeliverData(g.machine(0), NamedEvent(event_name));
+  };
+  c.sequence = {deliver, deliver, deliver};
+  return c;
+}
+
+TEST(GroupRecycling, InviteFloodGroupMatchesFreshGroup) {
+  ExpectRecycledMatchesFresh(WindowCounterCase(
+      [](CallStateFactBase& fb, int key) -> efsm::MachineGroup& {
+        return fb.GetOrCreateInviteFlood("aor-" + std::to_string(key));
+      },
+      kSipEvent));
+}
+
+TEST(GroupRecycling, DrdosGroupMatchesFreshGroup) {
+  ExpectRecycledMatchesFresh(WindowCounterCase(
+      [](CallStateFactBase& fb, int key) -> efsm::MachineGroup& {
+        return fb.GetOrCreateDrdosGroup(
+            net::IpAddress(10, 3, 0, static_cast<uint8_t>(key)));
+      },
+      kUnsolicitedEvent));
+}
+
+TEST(GroupRecycling, SweepTrimsEachFreeListToWhatItReclaimed) {
+  DetectionConfig config;
+  config.keyed_idle_timeout = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  CallStateFactBase fact_base(scheduler, config, nullptr);
+  const auto media = [&](int i) {
+    fact_base.GetOrCreateMediaGroup(
+        net::Endpoint{net::IpAddress(10, 2, 0, 10),
+                      static_cast<uint16_t>(30000 + 2 * i)});
+  };
+  // A burst of 50 media groups and 10 flood groups at t=0, plus one media
+  // group that stays busy so the fact base never drains.
+  for (int i = 0; i < 50; ++i) media(i);
+  for (int i = 0; i < 10; ++i) {
+    fact_base.GetOrCreateInviteFlood("aor-" + std::to_string(i));
+  }
+  const auto run_to = [&](double seconds) {
+    while (scheduler.Now() < At(seconds)) {
+      scheduler.RunUntil(
+          std::min(At(seconds), scheduler.Now() + sim::Duration::Millis(500)));
+      media(999);
+    }
+  };
+  // The sweep at 3 s reclaims all 60 and parks them.
+  run_to(3.5);
+  EXPECT_EQ(fact_base.keyed_count(), 1u);
+  EXPECT_EQ(fact_base.free_group_count(), 60u);
+  // 20 new media groups reuse parked ones; the sweep at 4 s reclaims
+  // nothing, so every remaining parked group is freed.
+  for (int i = 100; i < 120; ++i) media(i);
+  EXPECT_EQ(fact_base.free_group_count(), 40u);
+  run_to(4.5);
+  EXPECT_EQ(fact_base.free_group_count(), 0u);
+  // The sweep at 6 s reclaims the 20: only they stay parked.
+  run_to(6.5);
+  EXPECT_EQ(fact_base.keyed_count(), 1u);
+  EXPECT_EQ(fact_base.free_group_count(), 20u);
+  const size_t parked_bytes = fact_base.FreeListBytes();
+  EXPECT_GT(parked_bytes, 0u);
+  EXPECT_LT(parked_bytes, fact_base.MemoryBytes());
+}
+
+TEST(GroupRecycling, FreeListsNeverHoldMoreThanTheLastSweepReclaimed) {
+  // Random churn of every group kind. Between sweeps new groups only pop
+  // parked ones, so at every instant the parked groups must number no more
+  // than the latest sweep reclaimed.
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(3);
+  config.keyed_idle_timeout = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  CallStateFactBase fact_base(scheduler, config, nullptr);
+  size_t last_reclaimed = 0;
+  size_t sweeps = 0;
+  fact_base.set_sweep_listener(
+      [&](sim::Time, std::span<const efsm::MachineGroup* const> reclaimed) {
+        last_reclaimed = reclaimed.size();
+        ++sweeps;
+      });
+  std::mt19937 rng(11);
+  bool created = false;
+  size_t max_parked = 0;
+  for (int step = 0; step < 2400; ++step) {  // 120 s in 50 ms steps
+    scheduler.RunUntil(scheduler.Now() + sim::Duration::Millis(50));
+    ASSERT_LE(fact_base.free_group_count(), last_reclaimed) << step;
+    max_parked = std::max(max_parked, fact_base.free_group_count());
+    const int burst = static_cast<int>(rng() % 8);  // bursty offered load
+    for (int i = 0; i < burst; ++i) {
+      const auto key = static_cast<int>(rng() % 400);
+      switch (rng() % 4) {
+        case 0:
+          fact_base.GetOrCreateCall("call-" + std::to_string(key), created);
+          break;
+        case 1:
+          fact_base.GetOrCreateMediaGroup(net::Endpoint{
+              net::IpAddress(10, 2, 0, 10),
+              static_cast<uint16_t>(30000 + 2 * key)});
+          break;
+        case 2:
+          fact_base.GetOrCreateInviteFlood("aor-" + std::to_string(key));
+          break;
+        default:
+          fact_base.GetOrCreateDrdosGroup(
+              net::IpAddress(10, 3, static_cast<uint8_t>(key >> 8),
+                             static_cast<uint8_t>(key)));
+      }
+    }
+  }
+  EXPECT_GT(sweeps, 100u);
+  EXPECT_GT(max_parked, 0u);  // the bound was exercised, not vacuous
 }
 
 TEST_F(FactBaseFixture, SweepIsRateLimited) {

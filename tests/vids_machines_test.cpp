@@ -2,6 +2,8 @@
 // patterns (Fig. 4/6): synthetic events, no network.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "efsm/engine.h"
 #include "vids/classifier.h"
 #include "vids/patterns.h"
@@ -87,10 +89,18 @@ class SpecFixture : public ::testing::Test {
   SpecFixture()
       : sip_def_(BuildSipSpecMachine(config_)),
         rtp_def_(BuildRtpSpecMachine(config_)),
-        group_("call-1", scheduler_, &observer_),
-        sip_(group_.AddMachine(sip_def_, std::string(kSipMachineName))),
-        rtp_(group_.AddMachine(rtp_def_, std::string(kRtpMachineName))) {
-    group_.RouteChannel(std::string(kSipToRtpChannel), rtp_);
+        shape_(CallShape(sip_def_, rtp_def_)),
+        group_(shape_, "call-1", scheduler_, &observer_),
+        sip_(group_.machine(0)),
+        rtp_(group_.machine(1)) {}
+
+  static efsm::GroupShape CallShape(const efsm::MachineDef& sip,
+                                    const efsm::MachineDef& rtp) {
+    efsm::GroupShape shape;
+    shape.AddMachine(sip, std::string(kSipMachineName));
+    shape.RouteChannel(std::string(kSipToRtpChannel),
+                       shape.AddMachine(rtp, std::string(kRtpMachineName)));
+    return shape;
   }
 
   // Drives a normal call up to the established state. Caller media at
@@ -121,6 +131,7 @@ class SpecFixture : public ::testing::Test {
   RecordingObserver observer_;
   efsm::MachineDef sip_def_;
   efsm::MachineDef rtp_def_;
+  efsm::GroupShape shape_;
   MachineGroup group_;
   MachineInstance& sip_;
   MachineInstance& rtp_;
@@ -291,34 +302,41 @@ TEST_F(SpecFixture, CleanTeardownRaisesNothingAndRetires) {
 
 class PatternFixture : public ::testing::Test {
  protected:
-  PatternFixture() : group_("key", scheduler_, &observer_) {}
+  /// Builds the one-machine group of `def` the test drives.
+  MachineInstance& Instantiate(const efsm::MachineDef& def,
+                               std::string name) {
+    shape_.AddMachine(def, std::move(name));
+    group_.emplace(shape_, "key", scheduler_, &observer_);
+    return group_->machine(0);
+  }
 
   DetectionConfig config_;
   sim::Scheduler scheduler_;
   RecordingObserver observer_;
-  MachineGroup group_;
+  efsm::GroupShape shape_;
+  std::optional<MachineGroup> group_;
 };
 
 TEST_F(PatternFixture, InviteFloodFiresAboveThresholdWithinWindow) {
   const auto def = BuildInviteFloodMachine(config_);
-  auto& machine = group_.AddMachine(def, "flood");
+  auto& machine = Instantiate(def, "flood");
   // N INVITEs within T1 are normal; the (N+1)-th trips the attack state.
   for (int i = 0; i < config_.invite_flood_threshold; ++i) {
-    group_.DeliverData(machine, SipRequest("INVITE"));
+    group_->DeliverData(machine, SipRequest("INVITE"));
     EXPECT_TRUE(observer_.attacks.empty()) << "at INVITE " << i;
   }
-  group_.DeliverData(machine, SipRequest("INVITE"));
+  group_->DeliverData(machine, SipRequest("INVITE"));
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], kAttackInviteFlood);
 }
 
 TEST_F(PatternFixture, InviteFloodWindowResetPreventsFalseAlarm) {
   const auto def = BuildInviteFloodMachine(config_);
-  auto& machine = group_.AddMachine(def, "flood");
+  auto& machine = Instantiate(def, "flood");
   // N INVITEs, wait out T1, N more: never an attack.
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < config_.invite_flood_threshold; ++i) {
-      group_.DeliverData(machine, SipRequest("INVITE"));
+      group_->DeliverData(machine, SipRequest("INVITE"));
     }
     scheduler_.RunUntil(scheduler_.Now() + config_.invite_flood_window +
                         sim::Duration::Millis(10));
@@ -329,9 +347,9 @@ TEST_F(PatternFixture, InviteFloodWindowResetPreventsFalseAlarm) {
 
 TEST_F(PatternFixture, InviteFloodReArmsAfterAttackWindow) {
   const auto def = BuildInviteFloodMachine(config_);
-  auto& machine = group_.AddMachine(def, "flood");
+  auto& machine = Instantiate(def, "flood");
   for (int i = 0; i <= config_.invite_flood_threshold; ++i) {
-    group_.DeliverData(machine, SipRequest("INVITE"));
+    group_->DeliverData(machine, SipRequest("INVITE"));
   }
   EXPECT_EQ(observer_.attacks.size(), 1u);
   scheduler_.RunUntil(scheduler_.Now() + config_.invite_flood_window +
@@ -339,19 +357,19 @@ TEST_F(PatternFixture, InviteFloodReArmsAfterAttackWindow) {
   EXPECT_EQ(machine.StateName(), "INIT");
   // A second surge alerts again.
   for (int i = 0; i <= config_.invite_flood_threshold; ++i) {
-    group_.DeliverData(machine, SipRequest("INVITE"));
+    group_->DeliverData(machine, SipRequest("INVITE"));
   }
   EXPECT_EQ(observer_.attacks.size(), 2u);
 }
 
 TEST_F(PatternFixture, MediaSpamFiresOnSeqGap) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 101, 8080));
+  auto& machine = Instantiate(def, "spam");
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 101, 8080));
   EXPECT_TRUE(observer_.attacks.empty());
   // Same SSRC, sequence leaps by more than Δn: fabricated stream.
-  group_.DeliverData(
+  group_->DeliverData(
       machine,
       Rtp("a", 1, "b", 2, 777, 101 + config_.spam_seq_gap + 1, 8160));
   ASSERT_EQ(observer_.attacks.size(), 1u);
@@ -360,64 +378,64 @@ TEST_F(PatternFixture, MediaSpamFiresOnSeqGap) {
 
 TEST_F(PatternFixture, MediaSpamFiresOnTimestampGap) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
-  group_.DeliverData(
+  auto& machine = Instantiate(def, "spam");
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
+  group_->DeliverData(
       machine, Rtp("a", 1, "b", 2, 777, 101, 8000 + config_.spam_ts_gap + 1));
   ASSERT_EQ(observer_.attacks.size(), 1u);
 }
 
 TEST_F(PatternFixture, MediaSpamToleratesNormalProgressAndSsrcChange) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
+  auto& machine = Instantiate(def, "spam");
   // A long normal stream.
   for (int i = 0; i < 500; ++i) {
-    group_.DeliverData(machine,
+    group_->DeliverData(machine,
                        Rtp("a", 1, "b", 2, 777, 100 + i, 8000 + 80 * i));
   }
   // A new call reuses the destination port with a different SSRC: re-lock.
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 999, 5, 400));
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 999, 6, 480));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 999, 5, 400));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 999, 6, 480));
   EXPECT_TRUE(observer_.attacks.empty());
 }
 
 TEST_F(PatternFixture, MediaSpamToleratesTalkspurtTimestampJumps) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
+  auto& machine = Instantiate(def, "spam");
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
   // A 2 s silence jumps the timestamp by 16000 — far beyond Δt — but the
   // packet opens a talkspurt (marker set, seq contiguous): legitimate VAD.
   auto spurt = Rtp("a", 1, "b", 2, 777, 101, 8000 + 16000);
   spurt.args["marker"] = true;
-  group_.DeliverData(machine, spurt);
+  group_->DeliverData(machine, spurt);
   EXPECT_TRUE(observer_.attacks.empty());
   // The same jump without the marker is the Fig. 6 fabricated stream.
-  group_.DeliverData(machine,
+  group_->DeliverData(machine,
                      Rtp("a", 1, "b", 2, 777, 102, 8000 + 32000));
   ASSERT_EQ(observer_.attacks.size(), 1u);
 }
 
 TEST_F(PatternFixture, MediaSpamExcusesLostTalkspurtMarker) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
+  auto& machine = Instantiate(def, "spam");
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
   // The marker packet of the next talkspurt was lost: seq gap 2, big
   // unmarked timestamp jump. Legitimate; must not alert.
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 102, 8000 + 16000));
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 103, 8000 + 16080));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 102, 8000 + 16000));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 103, 8000 + 16080));
   EXPECT_TRUE(observer_.attacks.empty());
 }
 
 TEST_F(PatternFixture, MediaSpamCatchesLowAndSlowInjectionViaRegression) {
   const auto def = BuildMediaSpamMachine(config_);
-  auto& machine = group_.AddMachine(def, "spam");
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
+  auto& machine = Instantiate(def, "spam");
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 100, 8000));
   // Stealthy clone: stays within the Δn/Δt windows (seq gap 3 excused)...
-  group_.DeliverData(machine, Rtp("a", 1, "b", 2, 777, 103, 8000 + 20000));
+  group_->DeliverData(machine, Rtp("a", 1, "b", 2, 777, 103, 8000 + 20000));
   EXPECT_TRUE(observer_.attacks.empty());
   // ...but now the genuine stream's packets regress behind the clone.
   for (int i = 0; i < config_.spam_regress_threshold; ++i) {
-    group_.DeliverData(machine,
+    group_->DeliverData(machine,
                        Rtp("a", 1, "b", 2, 777, 101 + i, 8080 + 80 * i));
   }
   ASSERT_EQ(observer_.attacks.size(), 1u);
@@ -426,9 +444,9 @@ TEST_F(PatternFixture, MediaSpamCatchesLowAndSlowInjectionViaRegression) {
 
 TEST_F(PatternFixture, RtpFloodFiresAboveRate) {
   const auto def = BuildRtpFloodMachine(config_);
-  auto& machine = group_.AddMachine(def, "flood");
+  auto& machine = Instantiate(def, "flood");
   for (int i = 0; i <= config_.rtp_flood_threshold; ++i) {
-    group_.DeliverData(machine, Rtp("a", 1, "b", 2, 1, i, 80 * i));
+    group_->DeliverData(machine, Rtp("a", 1, "b", 2, 1, i, 80 * i));
   }
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], kAttackRtpFlood);
@@ -436,70 +454,70 @@ TEST_F(PatternFixture, RtpFloodFiresAboveRate) {
 
 TEST_F(PatternFixture, NormalG729RateNeverTripsRtpFlood) {
   const auto def = BuildRtpFloodMachine(config_);
-  auto& machine = group_.AddMachine(def, "flood");
+  auto& machine = Instantiate(def, "flood");
   // 100 pps for 5 seconds, spread over simulated time.
   for (int i = 0; i < 500; ++i) {
     scheduler_.RunUntil(sim::Time{} + sim::Duration::Millis(10) * i);
-    group_.DeliverData(machine, Rtp("a", 1, "b", 2, 1, i, 80 * i));
+    group_->DeliverData(machine, Rtp("a", 1, "b", 2, 1, i, 80 * i));
   }
   EXPECT_TRUE(observer_.attacks.empty());
 }
 
 TEST_F(PatternFixture, CancelDosFiresOnForeignSource) {
   const auto def = BuildCancelDosMachine(config_);
-  auto& machine = group_.AddMachine(def, "cancel");
-  group_.DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
-  group_.DeliverData(machine, SipRequest("CANCEL", "10.9.0.66"));
+  auto& machine = Instantiate(def, "cancel");
+  group_->DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
+  group_->DeliverData(machine, SipRequest("CANCEL", "10.9.0.66"));
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], kAttackCancelDos);
 }
 
 TEST_F(PatternFixture, CancelFromCallerIsLegitimate) {
   const auto def = BuildCancelDosMachine(config_);
-  auto& machine = group_.AddMachine(def, "cancel");
-  group_.DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
-  group_.DeliverData(machine, SipRequest("CANCEL", "10.1.0.1"));
+  auto& machine = Instantiate(def, "cancel");
+  group_->DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
+  group_->DeliverData(machine, SipRequest("CANCEL", "10.1.0.1"));
   EXPECT_TRUE(observer_.attacks.empty());
   EXPECT_TRUE(machine.retired());
 }
 
 TEST_F(PatternFixture, CancelAfterFinalResponseIsOutOfScope) {
   const auto def = BuildCancelDosMachine(config_);
-  auto& machine = group_.AddMachine(def, "cancel");
-  group_.DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
-  group_.DeliverData(machine, SipResponse(200, "INVITE"));
+  auto& machine = Instantiate(def, "cancel");
+  group_->DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
+  group_->DeliverData(machine, SipResponse(200, "INVITE"));
   EXPECT_TRUE(machine.retired());
 }
 
 TEST_F(PatternFixture, HijackFiresOnForeignTagInDialogInvite) {
   const auto def = BuildHijackMachine(config_);
-  auto& machine = group_.AddMachine(def, "hijack");
+  auto& machine = Instantiate(def, "hijack");
   auto invite = SipRequest("INVITE", "10.1.0.1");
-  group_.DeliverData(machine, invite);
-  group_.DeliverData(machine, SipResponse(200, "INVITE"));
+  group_->DeliverData(machine, invite);
+  group_->DeliverData(machine, SipResponse(200, "INVITE"));
 
   // Re-INVITE by the caller (same from-tag): fine.
-  group_.DeliverData(machine, invite);
+  group_->DeliverData(machine, invite);
   EXPECT_TRUE(observer_.attacks.empty());
   // Re-INVITE by the callee (its dialog tag): fine.
   auto callee_reinvite = SipRequest("INVITE", "10.2.0.10");
   callee_reinvite.args["from_tag"] = std::string("tag-callee");
-  group_.DeliverData(machine, callee_reinvite);
+  group_->DeliverData(machine, callee_reinvite);
   EXPECT_TRUE(observer_.attacks.empty());
 
   // INVITE with a tag foreign to the dialog: hijack.
   auto alien = SipRequest("INVITE", "10.9.0.66");
   alien.args["from_tag"] = std::string("tag-attacker");
-  group_.DeliverData(machine, alien);
+  group_->DeliverData(machine, alien);
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], kAttackHijack);
 }
 
 TEST_F(PatternFixture, HijackMachineRetiresOnByeCompletion) {
   const auto def = BuildHijackMachine(config_);
-  auto& machine = group_.AddMachine(def, "hijack");
-  group_.DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
-  group_.DeliverData(machine, SipResponse(200, "BYE"));
+  auto& machine = Instantiate(def, "hijack");
+  group_->DeliverData(machine, SipRequest("INVITE", "10.1.0.1"));
+  group_->DeliverData(machine, SipResponse(200, "BYE"));
   EXPECT_TRUE(machine.retired());
 }
 
@@ -539,11 +557,11 @@ TEST(MachineInventory, NoRtpSpecTransitionReentersItsInitialState) {
 
 TEST_F(PatternFixture, DrdosCountsUnsolicitedResponses) {
   const auto def = BuildDrdosMachine(config_);
-  auto& machine = group_.AddMachine(def, "drdos");
+  auto& machine = Instantiate(def, "drdos");
   efsm::Event unsolicited;
   unsolicited.name = std::string(kUnsolicitedEvent);
   for (int i = 0; i <= config_.drdos_threshold; ++i) {
-    group_.DeliverData(machine, unsolicited);
+    group_->DeliverData(machine, unsolicited);
   }
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], kAttackDrdos);
