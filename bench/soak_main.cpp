@@ -10,8 +10,8 @@
 // Usage: soak [--calls=N] [--rate=CPS] [--seed=S] [--sample-every=SEC]
 //             [--attack-every=N] [--pause=SEC] [--shards=N] [--trace=N]
 //             [--tap] [--duration=SEC] [--csv=FILE] [--check]
-//             [--pcap=FILE] [--inside=CIDR] [--caller-aors=N]
-//             [--spit=N] [--reg-crack=N] [--toll-fraud=N]
+//             [--caller-aors=N] [--spit=N] [--reg-crack=N]
+//             [--toll-fraud=N]
 //
 // --spit/--reg-crack/--toll-fraud=N interleave N behavioral-attack bursts
 // (protocol-legal SPIT blasting, distributed registration cracking,
@@ -29,12 +29,7 @@
 // soak's alert totals double as the proof that span sampling never
 // changes detection behavior.
 //
-// --pcap=FILE replaces the generated workload entirely: the capture is
-// replayed at recorded timestamps through the selected engine (direct or
-// --shards=N) and the run reports decode stats, replay throughput and the
-// alert total — real-wire ingress through the same code path as live
-// deployment. --inside=CIDR sets the protected-perimeter subnet for
-// direction inference (the checked-in corpus uses 10.2.0.0/16).
+// Capture files are replayed by examples/pcap_replay, not here.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -42,10 +37,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "capture/pcap.h"
-#include "capture/replay.h"
 #include "load/soak.h"
-#include "obs/metrics.h"
 #include "vids/sharded_ids.h"
 
 namespace {
@@ -68,22 +60,11 @@ int main(int argc, char** argv) {
   bool tap = false;
   long long duration_s = 300;
   std::string csv_path;
-  std::string pcap_path;
-  capture::PcapReadOptions pcap_options;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     long long value = 0;
-    if (std::strncmp(arg, "--pcap=", 7) == 0) {
-      pcap_path = arg + 7;
-    } else if (std::strncmp(arg, "--inside=", 9) == 0) {
-      const auto subnet = net::Subnet::Parse(arg + 9);
-      if (!subnet) {
-        std::fprintf(stderr, "bad subnet: %s\n", arg + 9);
-        return 2;
-      }
-      pcap_options.inside = *subnet;
-    } else if (ParseFlag(arg, "--calls", &value)) {
+    if (ParseFlag(arg, "--calls", &value)) {
       config.total_calls = static_cast<uint64_t>(value);
     } else if (ParseFlag(arg, "--rate", &value)) {
       config.calls_per_second = static_cast<double>(value);
@@ -119,55 +100,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       return 2;
     }
-  }
-
-  if (!pcap_path.empty()) {
-    // Real-wire ingress: replay the capture through the selected engine.
-    bench::PrintHeader(
-        "SOAK --pcap", "capture replay through the engine",
-        "a recorded wire capture replays at source timestamps through the "
-        "same inspect path as live traffic");
-    const auto source = capture::PcapFileSource::Open(pcap_path, pcap_options);
-    const int64_t t0 = vids::obs::MonotonicNanos();
-    capture::ReplayStats replay;
-    size_t alerts = 0;
-    if (config.shards > 0) {
-      ids::ShardedConfig sharded;
-      sharded.shards = config.shards;
-      sharded.detection = config.detection;
-      sharded.trace_sample_period = config.trace_sample_period;
-      ids::ShardedIds engine(sharded);
-      replay = capture::RunSource(*source, engine);
-      engine.Stop();
-      alerts = engine.alerts().size();
-    } else {
-      sim::Scheduler scheduler;
-      ids::Vids vids(scheduler, config.detection);
-      replay = capture::RunSource(*source, vids, scheduler);
-      alerts = vids.alerts().size();
-    }
-    const int64_t wall_ns = vids::obs::MonotonicNanos() - t0;
-    const auto& stats = source->stats();
-    std::printf("pcap: %s\n", pcap_path.c_str());
-    std::printf("records=%llu delivered=%llu skipped=%llu\n",
-                static_cast<unsigned long long>(stats.records),
-                static_cast<unsigned long long>(stats.delivered),
-                static_cast<unsigned long long>(
-                    stats.skipped_non_ip + stats.skipped_non_udp +
-                    stats.skipped_fragment + stats.skipped_malformed));
-    std::printf("replayed %llu packets in %.3fs (%.0f packets/s), "
-                "alerts: %zu\n",
-                static_cast<unsigned long long>(replay.packets),
-                static_cast<double>(wall_ns) / 1e9,
-                wall_ns > 0 ? static_cast<double>(replay.packets) * 1e9 /
-                                  static_cast<double>(wall_ns)
-                            : 0.0,
-                alerts);
-    if (!source->ok()) {
-      std::fprintf(stderr, "capture fault: %s\n", source->error().c_str());
-      return 1;
-    }
-    return 0;
   }
 
   bench::PrintHeader(

@@ -4,9 +4,10 @@
 // a classic pcap savefile (either byte order, µs or ns resolution,
 // Ethernet/VLAN or raw-IPv4 frames, UDP only), replays it at recorded
 // timestamps into the engine — single-threaded Vids by default, the
-// sharded multi-worker engine with --shards=N — and prints decode stats
-// plus the alert list. CI replays the checked-in corpus at --shards=1 and
-// --shards=4 and asserts identical alert counts.
+// sharded multi-worker engine with --shards=N — and prints decode stats,
+// the replay's wall time and packets/s, and the alert list. CI replays the
+// checked-in corpus at --shards=1 and --shards=4 and asserts identical
+// alert counts.
 //
 // Usage: pcap_replay --pcap=FILE [--shards=N] [--inside=CIDR] [--quiet]
 //
@@ -24,6 +25,7 @@
 
 #include "capture/pcap.h"
 #include "capture/replay.h"
+#include "obs/metrics.h"
 #include "sim/scheduler.h"
 #include "vids/ids.h"
 #include "vids/sharded_ids.h"
@@ -63,6 +65,7 @@ int main(int argc, char** argv) {
   }
 
   const auto source = capture::PcapFileSource::Open(pcap_path, read_options);
+  const int64_t t0 = obs::MonotonicNanos();
   capture::ReplayStats replay;
   std::map<std::string, int> by_classification;
   size_t alert_count = 0;
@@ -86,6 +89,7 @@ int main(int argc, char** argv) {
       ++by_classification[alert.classification];
     }
   }
+  const int64_t wall_ns = obs::MonotonicNanos() - t0;
 
   const auto& stats = source->stats();
   std::printf("pcap: %s (%s-endian, %s resolution, linktype %u)\n",
@@ -105,6 +109,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(replay.packets),
               static_cast<unsigned long long>(replay.batches),
               replay.end.ToSeconds(), shards);
+  std::printf("wall time: %.3fs, %.0f packets/s\n",
+              static_cast<double>(wall_ns) / 1e9,
+              wall_ns > 0 ? static_cast<double>(replay.packets) * 1e9 /
+                                static_cast<double>(wall_ns)
+                          : 0.0);
   std::printf("alerts: %zu\n", alert_count);
   if (!quiet) {
     for (const auto& [classification, count] : by_classification) {

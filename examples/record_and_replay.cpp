@@ -1,23 +1,49 @@
 // Forensics workflow: record the wire, re-analyze offline.
 //
-//   $ ./build/examples/record_and_replay [trace-file]
+//   $ ./build/examples/record_and_replay [capture.pcap]
 //
-// Captures a BYE DoS attack at the monitoring point into a portable text
-// trace, then loads the trace into a *fresh* offline vIDS twice — once
-// with the default thresholds (reproducing the online alert) and once
-// with a paranoid configuration — showing how a recorded incident can be
-// re-examined after the fact.
+// Captures a BYE DoS attack at the monitoring point, saves it as a
+// classic pcap file (any capture tool can open it), then replays the file
+// into a *fresh* offline vIDS twice — once with the default thresholds
+// (reproducing the online alerts) and once with a paranoid configuration —
+// showing how a recorded incident can be re-examined after the fact.
+//
+// Exits 0 only if the default-threshold replay raises BYE DoS.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
+#include "capture/pcap.h"
+#include "capture/replay.h"
 #include "testbed/testbed.h"
 #include "vids/trace.h"
 
 using namespace vids;
 
+namespace {
+
+/// Replays the saved capture into `vids`, then runs its scheduler until
+/// every IDS-internal timer has fired. Returns false on a capture fault.
+bool Replay(const std::string& path, ids::Vids& vids,
+            sim::Scheduler& scheduler) {
+  capture::PcapReadOptions read;
+  // The testbed's network B sits inside the tap.
+  read.inside = net::Subnet(net::IpAddress(10, 2, 0, 0), 16);
+  // Keep the recorded sim-clock instants (written with epoch 0).
+  read.rebase_to_first = false;
+  const auto source = capture::PcapFileSource::Open(path, read);
+  capture::RunSource(*source, vids, scheduler);
+  scheduler.Run();
+  if (!source->ok()) {
+    std::printf("capture fault: %s\n", source->error().c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : "/tmp/vids_incident.trace";
+  const std::string path = argc > 1 ? argv[1] : "/tmp/vids_incident.pcap";
 
   // --- Online: the incident happens; the tap records. ---
   testbed::TestbedConfig config;
@@ -40,26 +66,23 @@ int main(int argc, char** argv) {
   std::printf("online: %zu packets captured, %zu alert(s)\n", capture.size(),
               bed.vids()->alerts().size());
 
-  {
-    std::ofstream file(path);
-    file << capture.Serialize();
+  capture::PcapWriteOptions write;
+  write.epoch_base_s = 0;  // pcap timestamps = sim-clock instants
+  capture::PcapWriter writer(write);
+  for (const ids::TraceRecord& record : capture.records()) {
+    writer.Add(record.when, record.dgram);
   }
-  std::printf("trace written to %s\n\n", path.c_str());
-
-  // --- Offline: reload and re-analyze. ---
-  std::ifstream file(path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const auto trace = ids::TraceLog::Parse(buffer.str());
-  if (!trace) {
-    std::printf("trace failed to parse!\n");
+  if (!writer.WriteFile(path)) {
+    std::printf("cannot write %s\n", path.c_str());
     return 1;
   }
+  std::printf("capture written to %s\n\n", path.c_str());
 
+  // --- Offline: reload and re-analyze. ---
   std::printf("replay with default thresholds:\n");
   sim::Scheduler scheduler_a;
   ids::Vids default_vids(scheduler_a);
-  trace->ReplayInto(default_vids, scheduler_a);
+  if (!Replay(path, default_vids, scheduler_a)) return 1;
   for (const auto& alert : default_vids.alerts()) {
     std::printf("  %s\n", alert.ToString().c_str());
   }
@@ -69,7 +92,7 @@ int main(int argc, char** argv) {
   paranoid.bye_inflight_grace = sim::Duration::Millis(10);
   sim::Scheduler scheduler_b;
   ids::Vids paranoid_vids(scheduler_b, paranoid);
-  trace->ReplayInto(paranoid_vids, scheduler_b);
+  if (!Replay(path, paranoid_vids, scheduler_b)) return 1;
   std::printf("  %zu alert(s) — smaller T flags the attack sooner (and, on "
               "clean traffic,\n  would false-alarm; see "
               "bench/detection_sensitivity)\n",

@@ -125,12 +125,35 @@ sip::Message MakeInDialog(sip::Method method, const std::string& call_id,
   return request;
 }
 
+/// Where a call's SDP bodies put the connection address.
+enum class SdpConnection {
+  kSession,      ///< session-level c= only (sdp::MakeAudioOffer)
+  kMedia,        ///< c= only after m=audio
+  kMediaDecoy,   ///< c= after m=audio, plus a session-level c= naming a
+                 ///< host no media uses
+};
+
+/// `media_ep`'s audio offer with the connection address placed as `where`
+/// says. A media-level c= overrides the session-level one (RFC 4566).
+std::string AudioSdp(net::Endpoint media_ep, SdpConnection where) {
+  auto sd = sdp::MakeAudioOffer(media_ep);
+  if (where != SdpConnection::kSession) {
+    sd.media.front().connection = media_ep.ip;
+    sd.connection.reset();
+    if (where == SdpConnection::kMediaDecoy) {
+      sd.connection = net::IpAddress(192, 0, 2, 1);
+    }
+  }
+  return sd.Serialize();
+}
+
 /// One complete clean call starting at `t0`: INVITE/180/200/ACK, `rtp_each`
 /// RTP packets each way at 20 ms spacing, then BYE/200. With `marked_pt` >=
 /// 0, one more caller→callee RTP packet follows the media, marker bit set,
-/// with that payload type.
+/// with that payload type. `sdp` shapes the offer's and the answer's SDP.
 void AddCleanCall(PcapWriter& writer, sim::Time t0, int index,
-                  int rtp_each = 8, int marked_pt = -1) {
+                  int rtp_each = 8, int marked_pt = -1,
+                  SdpConnection sdp = SdpConnection::kSession) {
   const std::string call_id = "clean-" + std::to_string(index);
   const std::string callee = "bob" + std::to_string(index);
   const net::Endpoint caller_media{
@@ -141,12 +164,16 @@ void AddCleanCall(PcapWriter& writer, sim::Time t0, int index,
       static_cast<uint16_t>(5000 + 2 * index)};
   const auto ms = [&](int64_t m) { return t0 + sim::Duration::Millis(m); };
 
-  const auto invite = MakeInvite(call_id, callee, caller_media);
+  auto invite = MakeInvite(call_id, callee, caller_media);
+  auto ok = MakeResponse(invite, 200, callee_media);
+  if (sdp != SdpConnection::kSession) {
+    invite.SetBody(AudioSdp(caller_media, sdp), "application/sdp");
+    ok.SetBody(AudioSdp(callee_media, sdp), "application/sdp");
+  }
   writer.Add(ms(0), SipDgram(invite, kProxyA, kProxyB));
   writer.Add(ms(20), SipDgram(MakeResponse(invite, 180, std::nullopt),
                               kProxyB, kProxyA));
-  writer.Add(ms(60), SipDgram(MakeResponse(invite, 200, callee_media),
-                              kProxyB, kProxyA));
+  writer.Add(ms(60), SipDgram(ok, kProxyB, kProxyA));
   writer.Add(ms(80),
              SipDgram(MakeInDialog(sip::Method::kAck, call_id, 1, callee),
                       kProxyA, kProxyB));
@@ -389,6 +416,24 @@ std::string BuildRtcpLookalike() {
   return writer.bytes();
 }
 
+std::string BuildMediaLevelSdp() {
+  // Clean calls whose offer and answer carry c= only after m=audio (odd
+  // calls add a session-level decoy c=), each ending with one PCMU packet
+  // (payload type 0, not negotiated) on the negotiated endpoint. The
+  // media-level address is the endpoint, so the sharded router must send
+  // the media to the call's shard, where the RTP machine raises the
+  // encoding violation.
+  PcapWriter writer;  // little-endian, nanosecond magic
+  for (int i = 0; i < 8; ++i) {
+    AddCleanCall(writer,
+                 sim::Time::FromNanos(0) + sim::Duration::Millis(500 * i), i,
+                 /*rtp_each=*/4, /*marked_pt=*/0,
+                 i % 2 == 0 ? SdpConnection::kMedia
+                            : SdpConnection::kMediaDecoy);
+  }
+  return writer.bytes();
+}
+
 }  // namespace
 
 std::vector<CorpusFile> BuildAll() {
@@ -400,6 +445,7 @@ std::vector<CorpusFile> BuildAll() {
       {"reg_cracking.pcap", BuildRegCracking()},
       {"toll_fraud.pcap", BuildTollFraud()},
       {"rtcp_lookalike.pcap", BuildRtcpLookalike()},
+      {"media_level_sdp.pcap", BuildMediaLevelSdp()},
   };
 }
 

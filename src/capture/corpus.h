@@ -1,6 +1,6 @@
 // The checked-in pcap corpus, generated — never hand-edited.
 //
-// Seven deterministic captures exercise the wire-ingress path end to end:
+// Eight deterministic captures exercise the wire-ingress path end to end:
 //   clean_calls.pcap    — complete SIP calls with two-way RTP (LE, ns)
 //   invite_flood.pcap   — clean background + an INVITE flood burst that
 //                         must raise exactly one aggregate alert (BE, µs:
@@ -26,6 +26,12 @@
 //                         which ParseRtcp rejects: the sharded router must
 //                         send it to the call's shard, not to the owner of
 //                         port - 1 (LE, ns)
+//   media_level_sdp.pcap — clean calls whose SDP puts c= after m=audio
+//                         (some with a session-level decoy c=), each with
+//                         one non-negotiated PCMU packet: the sharded
+//                         router must claim the endpoint the classifier
+//                         exports, or the media misses the call's shard
+//                         (LE, ns)
 //
 // tools/make_corpus writes these to tests/corpus/; CI regenerates and
 // byte-compares them so the checked-in files can never drift from this

@@ -1,5 +1,10 @@
 // Classic pcap (libpcap savefile) reader and writer — no libpcap.
 //
+// pcap is the engine's one capture format: a capture taken off a wire and
+// a saved recording of a simulated run (ids::TraceLog's records, written
+// out with PcapWriter) both enter the engine through PcapFileSource and
+// capture::RunSource (capture/replay.h).
+//
 // The reader is a hand parser for the format an operator actually hands a
 // tap-deployed IDS: classic pcap (magic 0xa1b2c3d4 microsecond or
 // 0xa1b23c4d nanosecond, either byte order), linktype Ethernet (with up to
@@ -11,10 +16,12 @@
 // bytes beyond `incl_len` become `Datagram::padding_bytes`
 // (= orig_len - incl_len), so wire sizes round-trip without filler.
 //
-// The writer exists so the corpus generator (tools/make_corpus) and the
-// round-trip tests can fabricate deterministic captures in both byte
-// orders; it emits one UDP/IPv4/Ethernet frame per datagram with MACs
-// derived from the IPs.
+// The writer emits one UDP/IPv4/Ethernet frame per datagram with MACs
+// derived from the IPs, in either byte order, so recordings, the corpus
+// (tools/make_corpus) and the round-trip tests are deterministic captures.
+// A frame carries neither the tap direction nor the payload-kind hint: the
+// reader derives the direction from `PcapReadOptions::inside` and the kind
+// from the payload bytes.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +30,19 @@
 #include <string>
 #include <vector>
 
-#include "capture/packet_source.h"
 #include "net/address.h"
 #include "net/datagram.h"
 #include "sim/time.h"
 
 namespace vids::capture {
+
+/// One captured packet: arrival instant on the source's clock, the
+/// direction verdict (outside the protected perimeter?) and the datagram.
+struct TimedPacket {
+  sim::Time when;
+  bool from_outside = false;
+  net::Datagram dgram;
+};
 
 struct PcapReadOptions {
   /// Direction inference: packets whose *source* address lies inside this
@@ -53,7 +67,25 @@ struct PcapStats {
   uint64_t skipped_malformed = 0;  ///< headers truncated inside the snap
 };
 
-class PcapFileSource : public PacketSource {
+/// A pull-batch iterator over the capture's UDP datagrams, and the owner
+/// of the stream's logical clock (DESIGN.md §14):
+///  - PullBatch appends up to `max` packets to `out` (cleared first) and
+///    returns how many it delivered. 0 means end of stream — permanently;
+///    callers must not retry.
+///  - Timestamps are non-decreasing across the whole stream (a backward
+///    record is clamped to the stream clock). Ties are delivered in capture
+///    order.
+///  - `out` is caller-owned scratch: drivers reuse one vector across calls
+///    so steady-state replay runs without per-batch allocation.
+///  - `clock()` is the highest timestamp the source vouches for, so a
+///    driver that has drained the source may advance its scheduler to
+///    `clock()` and know that every TTL sweep, aggregate window and
+///    watchdog deadline it fires is consistent with the traffic it saw.
+///  - `error()` is empty while the stream is healthy. A framing or I/O
+///    fault sets it to a description naming the offending record, the
+///    packets decoded before the fault are delivered, and PullBatch then
+///    returns 0. EOF with an empty error() is a clean end of capture.
+class PcapFileSource {
  public:
   /// Parses the global header eagerly; on a bad header the source is
   /// created with error() set and yields nothing.
@@ -64,9 +96,10 @@ class PcapFileSource : public PacketSource {
   static std::unique_ptr<PcapFileSource> Open(const std::string& path,
                                               PcapReadOptions options = {});
 
-  size_t PullBatch(std::vector<TimedPacket>& out, size_t max) override;
-  sim::Time clock() const override { return clock_; }
-  const std::string& error() const override { return error_; }
+  size_t PullBatch(std::vector<TimedPacket>& out, size_t max);
+  sim::Time clock() const { return clock_; }
+  const std::string& error() const { return error_; }
+  bool ok() const { return error_.empty(); }
 
   const PcapStats& stats() const { return stats_; }
   bool nanosecond() const { return nanosecond_; }

@@ -4,7 +4,7 @@
 
 namespace vids::capture {
 
-ReplayStats RunSource(PacketSource& source, ids::Vids& vids,
+ReplayStats RunSource(PcapFileSource& source, ids::Vids& vids,
                       sim::Scheduler& scheduler, size_t batch_size) {
   ReplayStats stats;
   std::vector<TimedPacket> batch;
@@ -23,7 +23,7 @@ ReplayStats RunSource(PacketSource& source, ids::Vids& vids,
   return stats;
 }
 
-ReplayStats RunSource(PacketSource& source, ids::ShardedIds& engine,
+ReplayStats RunSource(PcapFileSource& source, ids::ShardedIds& engine,
                       size_t batch_size) {
   ReplayStats stats;
   std::vector<TimedPacket> batch;

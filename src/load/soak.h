@@ -92,10 +92,11 @@ struct SoakConfig {
   /// also prove the untraced path, and 1 spans every packet.
   uint32_t trace_sample_period = 1024;
   /// When set, every generated datagram is also appended here (with its
-  /// feed time and direction) — the capture hook behind the offline
-  /// round-trip property tests: a soak run's trace must
-  /// Serialize→Parse→ReplayInto to the online run's exact alert list and
-  /// metric snapshot. Must outlive the driver. Not owned.
+  /// feed time and direction) — the capture hook behind perfbench's
+  /// workload captures and the offline round-trip test: a soak run's
+  /// recording, written with capture::PcapWriter and replayed through
+  /// capture::RunSource, must reproduce the online run's exact alert list
+  /// and metric snapshot. Must outlive the driver. Not owned.
   ids::TraceLog* capture = nullptr;
 };
 

@@ -236,6 +236,7 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
 void BehaviorEngine::Sweep(sim::Time now) {
   const int64_t horizon = config_.IdleHorizon().nanos();
   const int64_t t = now.nanos();
+  size_t reclaimed = 0;
   const auto reclaim = [&](ProfileMap& map) {
     for (auto it = map.begin(); it != map.end();) {
       Profile& p = *it->second;
@@ -244,15 +245,22 @@ void BehaviorEngine::Sweep(sim::Time now) {
         continue;
       }
       retired_durations_.MergeFrom(p.durations);
-      if (pool_.size() < config_.profile_pool_cap) {
-        p.Reset();
-        pool_.push_back(std::move(it->second));
-      }
+      p.Reset();
+      pool_.push_back(std::move(it->second));
+      ++reclaimed;
       it = map.erase(it);
     }
   };
   reclaim(callers_);
   reclaim(targets_);
+  if (profile_count() == 0) {
+    std::vector<std::unique_ptr<Profile>>().swap(pool_);
+  } else if (pool_.size() > reclaimed) {
+    // Keep the profiles this sweep reclaimed (the newest, at the back):
+    // about what the next interval admits at the current churn.
+    pool_.erase(pool_.begin(),
+                pool_.end() - static_cast<ptrdiff_t>(reclaimed));
+  }
 }
 
 size_t BehaviorEngine::MemoryBytes() const {

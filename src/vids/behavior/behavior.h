@@ -28,9 +28,10 @@
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — transparent string_view map probes, fixed-slot distinct
 // rings, armed-window counters, in-place open-call slots, one histogram
-// Record. Profiles are drawn from and recycled to a pool capped at
-// profile_pool_cap; only first contact with a new entity or an actual
-// alert emission allocates.
+// Record. Profiles are drawn from and recycled to a pool that each sweep
+// trims to the profiles it reclaimed (a drained engine frees it, the fact
+// base's free-list rule); only first contact with a new entity beyond the
+// pool or an actual alert emission allocates.
 #pragma once
 
 #include <array>
@@ -112,9 +113,6 @@ struct BehaviorConfig {
   /// sweep-independence argument (see IdleHorizon).
   sim::Duration open_call_ttl = sim::Duration::Seconds(120);
 
-  /// Retired profiles kept for reuse.
-  size_t profile_pool_cap = 256;
-
   /// The profile reclaim horizon: the maximum of every feature window, the
   /// alert cooldown and the open-call TTL. Sweeping a profile idle longer
   /// than this is invisible to future emissions (header comment).
@@ -150,10 +148,12 @@ class BehaviorEngine {
   /// window and source spread reset (a successful login is not a crack).
   void OnRegSuccess(sim::Time now, std::string_view target);
 
-  /// Reclaims profiles idle past IdleHorizon() into the recycle pool.
-  /// Memory-only by the determinism contract — callers may invoke this on
-  /// any cadence (the fact-base sweep listener rides both the packet path
-  /// and the sharded coordinator's Flush) without affecting emissions.
+  /// Reclaims profiles idle past IdleHorizon() into the recycle pool, then
+  /// trims the pool to what this sweep reclaimed, or frees it when no
+  /// profile is left. Memory-only by the determinism contract — callers
+  /// may invoke this on any cadence (the fact-base sweep listener rides
+  /// both the packet path and the sharded coordinator's Flush) without
+  /// affecting emissions.
   void Sweep(sim::Time now);
 
   size_t profile_count() const { return callers_.size() + targets_.size(); }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/backoff.h"
 #include "rtp/rtcp.h"
+#include "sdp/sdp.h"
 
 namespace vids::ids {
 
@@ -385,50 +385,25 @@ int ShardedIds::RouteEndpoint(const net::Endpoint& endpoint, int64_t when_ns) {
 }
 
 void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
-  // Line scan for "c=... <ip>" / "m=audio <port>". This mirrors what the
-  // shard-side classifier will extract; the router only needs the endpoint
-  // → shard binding, not a full SDP model.
-  std::optional<net::IpAddress> ip;
-  size_t pos = 0;
-  while (pos <= body.size()) {
-    const size_t eol = body.find('\n', pos);
-    std::string_view line =
-        body.substr(pos, (eol == std::string_view::npos ? body.size() : eol) -
-                             pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.size() > 2 && line[0] == 'c' && line[1] == '=') {
-      // "c=IN IP4 10.0.0.1" — the address is the last token.
-      const size_t sp = line.rfind(' ');
-      if (sp != std::string_view::npos) {
-        ip = net::IpAddress::Parse(line.substr(sp + 1));
-      }
-    } else if (line.rfind("m=audio ", 0) == 0) {
-      uint32_t media_port = 0;
-      for (size_t i = 8; i < line.size() && line[i] >= '0' && line[i] <= '9';
-           ++i) {
-        media_port = media_port * 10 + static_cast<uint32_t>(line[i] - '0');
-        if (media_port > 65535) break;
-      }
-      if (ip.has_value() && media_port > 0 && media_port <= 65535) {
-        const net::Endpoint endpoint{*ip,
-                                     static_cast<uint16_t>(media_port)};
-        const uint64_t key = endpoint.PackedKey();
-        // The retract rides the losing shard's ring at this packet's time,
-        // so it lands exactly where the claim sits in the stream.
-        const MediaOwnerMap::Retract retract =
-            owners_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
-        if (retract.shard >= 0) {
-          (retract.early ? m_early_retracts_ : m_retracts_)->Inc();
-          PushDown(retract.shard, [&](ShardMsg& msg, size_t) {
-            msg.kind = ShardMsg::Kind::kRetractMedia;
-            msg.when_ns = when_ns;
-            msg.endpoint = endpoint;
-          });
-        }
-      }
-    }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
+  // The router claims exactly the endpoint the shard-side classifier
+  // exports (sdp::ProbeAudio: the first audio section, where a media-level
+  // c= overrides the session-level one), so the call's media reaches the
+  // shard that holds the call.
+  const auto probe = sdp::ProbeAudio(body);
+  if (!probe || !probe->has_endpoint) return;
+  const net::Endpoint endpoint = probe->endpoint;
+  const uint64_t key = endpoint.PackedKey();
+  // The retract rides the losing shard's ring at this packet's time, so it
+  // lands exactly where the claim sits in the stream.
+  const MediaOwnerMap::Retract retract =
+      owners_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
+  if (retract.shard >= 0) {
+    (retract.early ? m_early_retracts_ : m_retracts_)->Inc();
+    PushDown(retract.shard, [&](ShardMsg& msg, size_t) {
+      msg.kind = ShardMsg::Kind::kRetractMedia;
+      msg.when_ns = when_ns;
+      msg.endpoint = endpoint;
+    });
   }
 }
 

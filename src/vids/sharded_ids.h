@@ -380,8 +380,8 @@ class ShardedIds {
   int RouteEndpoint(const net::Endpoint& endpoint, int64_t when_ns);
   int ShardOfCallId(std::string_view call_id) const;
   int HashShardOfEndpoint(uint64_t packed_key) const;
-  /// Applies the SDP body's ownership claims to the owner map and pushes
-  /// the resulting kRetractMedia messages.
+  /// Claims the SDP body's audio endpoint for `shard` in the owner map and
+  /// pushes the resulting kRetractMedia message.
   void SnoopSdp(std::string_view body, int shard, int64_t when_ns);
   /// Reserves and fills one down-ring slot of `shard`; fill receives the
   /// slot and its arena index. While the ring is full, publishes every

@@ -402,7 +402,9 @@ MachineDef BuildRtpSpecMachine(const DetectionConfig& config) {
       .Do(NoteStream)
       .To(active, "encoding restored");
   def.On(encoding, rtp)
-      .When([](const Context& c) { return MatchesSession(c); })
+      .When([](const Context& c) {
+        return MatchesSession(c) && !PayloadTypeOk(c);
+      })
       .To(encoding, "encoding still wrong");
   def.On(encoding, bye)
       .Do([grace](Context& c) { c.StartTimer("T", grace); })

@@ -1,78 +1,6 @@
 #include "vids/trace.h"
 
-#include <sstream>
-
-#include "common/strings.h"
-
 namespace vids::ids {
-
-namespace {
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-std::string ToHex(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto byte = static_cast<uint8_t>(c);
-    out += kHexDigits[byte >> 4];
-    out += kHexDigits[byte & 0xF];
-  }
-  return out;
-}
-
-/// Decodes a lowercase-hex payload. On failure returns nullopt and names
-/// the defect in `*why` ("odd-length …" vs "non-hex byte …").
-std::optional<std::string> FromHex(std::string_view hex, std::string* why) {
-  if (hex.size() % 2 != 0) {
-    if (why != nullptr) {
-      *why = "odd-length hex payload (" + std::to_string(hex.size()) +
-             " nibbles)";
-    }
-    return std::nullopt;
-  }
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      if (why != nullptr) {
-        *why = "non-hex byte in payload at position " + std::to_string(i);
-      }
-      return std::nullopt;
-    }
-    out += static_cast<char>((hi << 4) | lo);
-  }
-  return out;
-}
-
-/// Largest UDP payload an IPv4 datagram can carry (65535 - 20 - 8); the
-/// bound the padding-consistency check enforces.
-constexpr uint64_t kMaxUdpPayload = 65507;
-
-std::string_view KindName(net::PayloadKind kind) {
-  switch (kind) {
-    case net::PayloadKind::kSip: return "sip";
-    case net::PayloadKind::kRtp: return "rtp";
-    case net::PayloadKind::kOther: return "other";
-  }
-  return "other";
-}
-
-std::optional<net::PayloadKind> ParseKind(std::string_view name) {
-  if (name == "sip") return net::PayloadKind::kSip;
-  if (name == "rtp") return net::PayloadKind::kRtp;
-  if (name == "other") return net::PayloadKind::kOther;
-  return std::nullopt;
-}
-
-}  // namespace
 
 void TraceLog::Append(sim::Time when, const net::Datagram& dgram,
                       bool from_outside) {
@@ -83,115 +11,6 @@ net::InlineTap::Monitor TraceLog::MakeRecorder(sim::Scheduler& scheduler) {
   return [this, &scheduler](const net::Datagram& dgram, bool from_outside) {
     Append(scheduler.Now(), dgram, from_outside);
   };
-}
-
-std::string TraceLog::Serialize() const {
-  std::ostringstream out;
-  for (const auto& record : records_) {
-    out << record.when.nanos() << ' '
-        << (record.from_outside ? "in" : "out") << ' '
-        << record.dgram.src.ToString() << ' ' << record.dgram.dst.ToString()
-        << ' ' << KindName(record.dgram.kind) << ' '
-        << record.dgram.padding_bytes << ' ' << ToHex(record.dgram.payload)
-        << '\n';
-  }
-  return out.str();
-}
-
-std::optional<TraceLog> TraceLog::Parse(std::string_view text,
-                                        std::string* error) {
-  TraceLog log;
-  size_t pos = 0;
-  uint64_t line_no = 0;
-  const auto fail = [&](std::string why) -> std::optional<TraceLog> {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + std::move(why);
-    }
-    return std::nullopt;
-  };
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = common::Trim(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = common::Split(line, ' ');
-    if (fields.size() != 7) {
-      return fail("expected 7 fields, got " + std::to_string(fields.size()));
-    }
-    TraceRecord record;
-    // ParseInt (from_chars) already rejects values that overflow int64, but
-    // accepts a leading '-'; a negative instant is never valid on the sim
-    // clock, so reject it here rather than scheduling a pre-epoch packet.
-    const auto nanos = common::ParseInt<int64_t>(fields[0]);
-    if (!nanos) {
-      return fail("bad nanosecond timestamp '" + std::string(fields[0]) +
-                  "' (not an integer, or overflows int64)");
-    }
-    if (*nanos < 0) {
-      return fail("negative nanosecond timestamp " + std::string(fields[0]));
-    }
-    if (fields[1] != "in" && fields[1] != "out") {
-      return fail("bad direction '" + std::string(fields[1]) +
-                  "' (want in|out)");
-    }
-    const auto src = net::Endpoint::Parse(fields[2]);
-    if (!src) return fail("bad src endpoint '" + std::string(fields[2]) + "'");
-    const auto dst = net::Endpoint::Parse(fields[3]);
-    if (!dst) return fail("bad dst endpoint '" + std::string(fields[3]) + "'");
-    const auto kind = ParseKind(fields[4]);
-    if (!kind) {
-      return fail("bad payload kind '" + std::string(fields[4]) +
-                  "' (want sip|rtp|other)");
-    }
-    const auto padding = common::ParseInt<uint32_t>(fields[5]);
-    if (!padding) {
-      return fail("bad padding-byte count '" + std::string(fields[5]) + "'");
-    }
-    std::string hex_why;
-    auto payload = FromHex(fields[6], &hex_why);
-    if (!payload) return fail(std::move(hex_why));
-    // Wire-size consistency: payload + padding must still fit one UDP/IPv4
-    // datagram, or the recorded packet could never have existed on the wire
-    // (and WireBytes() would silently overstate link occupancy on replay).
-    if (payload->size() + uint64_t{*padding} > kMaxUdpPayload) {
-      return fail("padding " + std::string(fields[5]) + " + payload " +
-                  std::to_string(payload->size()) +
-                  " bytes exceeds the 65507-byte UDP payload bound");
-    }
-    record.when = sim::Time::FromNanos(*nanos);
-    // Timestamps must be non-decreasing: replay schedules each record at its
-    // recorded time, and a rewind would silently reorder the packet stream.
-    if (!log.records_.empty() && record.when < log.records_.back().when) {
-      return fail("timestamp rewind (" + std::string(fields[0]) +
-                  " < previous record's " +
-                  std::to_string(log.records_.back().when.nanos()) + ")");
-    }
-    record.from_outside = fields[1] == "in";
-    record.dgram.src = *src;
-    record.dgram.dst = *dst;
-    record.dgram.kind = *kind;
-    record.dgram.padding_bytes = *padding;
-    record.dgram.payload = std::move(*payload);
-    log.records_.push_back(std::move(record));
-  }
-  if (error != nullptr) error->clear();
-  return log;
-}
-
-void TraceLog::ReplayInto(Vids& vids, sim::Scheduler& scheduler,
-                          std::optional<sim::Time> until) const {
-  for (const auto& record : records_) {
-    scheduler.ScheduleAt(record.when, [&vids, &record] {
-      vids.Inspect(record.dgram, record.from_outside);
-    });
-  }
-  if (until.has_value()) {
-    scheduler.RunUntil(*until);
-  } else {
-    scheduler.Run();
-  }
 }
 
 }  // namespace vids::ids

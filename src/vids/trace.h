@@ -1,24 +1,19 @@
-// Traffic trace capture and offline replay.
+// In-memory traffic recorder.
 //
 // The online vIDS sits on a tap; for forensics and for building detection
-// regression corpora you also want to record the traffic it saw and re-run
+// regression corpora you also want to keep the traffic it saw and re-run
 // analysis later (with different thresholds, or a newer scenario base).
-// TraceLog captures timestamped datagrams from the tap's mirror port into
-// a line-oriented text format, and replays them into a fresh Vids on a
-// fresh scheduler — reproducing the online run's alerts offline.
-//
-// Format, one packet per line:
-//   <nanos> <in|out> <src ip:port> <dst ip:port> <sip|rtp|other>
-//       <padding-bytes> <hex payload>
+// TraceLog records timestamped datagrams from the tap's mirror port (or
+// from the soak harness's feed) in memory. To persist a recording, write
+// its records with capture::PcapWriter; capture::RunSource replays the
+// file into a fresh Vids and reproduces the online run's alerts.
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "net/datagram.h"
 #include "net/inline_tap.h"
-#include "vids/ids.h"
+#include "sim/scheduler.h"
 
 namespace vids::ids {
 
@@ -35,23 +30,6 @@ class TraceLog {
   /// A tap monitor that records everything it sees with the scheduler's
   /// current time. `scheduler` and this object must outlive the tap's use.
   net::InlineTap::Monitor MakeRecorder(sim::Scheduler& scheduler);
-
-  std::string Serialize() const;
-  /// Parses a serialized trace. Fails closed: any malformed line — wrong
-  /// field count, unparseable/negative/overflowing nanosecond timestamp,
-  /// timestamp rewind, bad endpoint, odd-length or non-hex payload, or a
-  /// padding count that would push the datagram past the 65507-byte UDP
-  /// payload bound — returns nullopt, with a line-numbered description in
-  /// `*error` when provided.
-  static std::optional<TraceLog> Parse(std::string_view text,
-                                       std::string* error = nullptr);
-
-  /// Feeds every record into `vids` at its recorded time, on `scheduler`.
-  /// By default the scheduler runs to exhaustion (every IDS-internal timer
-  /// fires). Passing `until` stops at that simulated time instead — matching
-  /// an online run that was halted there, so metric snapshots compare equal.
-  void ReplayInto(Vids& vids, sim::Scheduler& scheduler,
-                  std::optional<sim::Time> until = std::nullopt) const;
 
   const std::vector<TraceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }

@@ -147,17 +147,23 @@ TEST(BehaviorEngineTest, SweepIsInvisibleToEmissionsAndRecyclesProfiles) {
                          "dest-" + std::to_string(k) + "@b.example.com",
                          "softphone/3.2", static_cast<uint64_t>(k));
     }
+    // An unrelated caller still live at the first sweep: a sweep that
+    // leaves no profile frees the pool, so carol keeps bob's recycling
+    // observable.
+    engine.OnCallStart(At(100.0), "carol@a.example.com",
+                       "dest-x@b.example.com", "softphone/3.2", 99u);
   };
   feed(swept.engine);
   feed(retained.engine);
-  EXPECT_EQ(swept.engine.profile_count(), 1u);
+  EXPECT_EQ(swept.engine.profile_count(), 2u);
 
-  // t=150 s: bob has been idle 149 s > IdleHorizon() (120 s) — reclaimable.
+  // t=150 s: bob has been idle 149 s > IdleHorizon() (120 s) — reclaimable;
+  // carol (idle 50 s) is not.
   swept.engine.Sweep(At(150.0));
-  EXPECT_EQ(swept.engine.profile_count(), 0u);
+  EXPECT_EQ(swept.engine.profile_count(), 1u);
   EXPECT_EQ(swept.engine.pool_size(), 1u);
-  retained.engine.Sweep(At(0.5));  // nothing idle: a no-op
-  EXPECT_EQ(retained.engine.profile_count(), 1u);
+  retained.engine.Sweep(At(100.5));  // nothing idle: a no-op
+  EXPECT_EQ(retained.engine.profile_count(), 2u);
 
   const auto burst = [&](BehaviorEngine& engine) {
     for (int k = 0; k < 20; ++k) {
@@ -176,11 +182,11 @@ TEST(BehaviorEngineTest, SweepIsInvisibleToEmissionsAndRecyclesProfiles) {
     EXPECT_EQ(swept.alerts[i].ToString(), retained.alerts[i].ToString());
   }
 
-  // Lifecycle closes clean: after the alert the profile goes idle again
-  // and a later sweep returns it to the pool.
+  // Lifecycle closes clean: after the alert both profiles go idle, and the
+  // sweep that reclaims them drains the engine and frees the pool.
   swept.engine.Sweep(At(400.0));
   EXPECT_EQ(swept.engine.profile_count(), 0u);
-  EXPECT_EQ(swept.engine.pool_size(), 1u);
+  EXPECT_EQ(swept.engine.pool_size(), 0u);
 }
 
 TEST(BehaviorEngineTest, DurationHistogramSurvivesReclaim) {

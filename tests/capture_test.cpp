@@ -1,7 +1,7 @@
 // Tests for the capture front end (DESIGN.md §14): the pcap reader/writer
-// pair, the SimSource/TraceLogSource contract, the corpus generator, the
-// RunSource replay drivers, and the sharded engine's clock-domain
-// hardening under faster-than-real-time replay.
+// pair and its pull-batch contract, the corpus generator, the RunSource
+// replay driver, and the sharded engine's clock-domain hardening under
+// faster-than-real-time replay.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -13,7 +13,6 @@
 #include "capture/corpus.h"
 #include "capture/pcap.h"
 #include "capture/replay.h"
-#include "capture/sources.h"
 #include "net/address.h"
 #include "net/datagram.h"
 #include "sim/scheduler.h"
@@ -21,7 +20,6 @@
 #include "sip/message.h"
 #include "vids/ids.h"
 #include "vids/sharded_ids.h"
-#include "vids/trace.h"
 
 namespace vids::capture {
 namespace {
@@ -39,7 +37,7 @@ net::Datagram Dg(net::Endpoint src, net::Endpoint dst, std::string payload,
   return dgram;
 }
 
-std::vector<TimedPacket> AllPackets(PacketSource& source) {
+std::vector<TimedPacket> AllPackets(PcapFileSource& source) {
   std::vector<TimedPacket> all;
   std::vector<TimedPacket> batch;
   while (source.PullBatch(batch, 16) > 0) {
@@ -229,15 +227,44 @@ TEST(PcapRoundTrip, SnaplenTornPaddingPreserved) {
   PcapWriter writer;
   // 4 captured bytes of a claimed 100-byte wire payload.
   writer.Add(sim::Time::FromNanos(0), Dg(kOutA, kInB, "HEAD", 96));
+  // payload + padding == 65507, the largest datagram UDP/IPv4 can carry
+  // (one byte more fails closed: SkipsNonUdpTrafficWithAccounting).
+  writer.Add(sim::Time::FromNanos(10), Dg(kOutA, kInB, "abcd", 65503));
   PcapFileSource source(writer.bytes());
   const auto packets = AllPackets(source);
-  ASSERT_EQ(packets.size(), 1u);
+  ASSERT_EQ(packets.size(), 2u);
+  EXPECT_TRUE(source.ok()) << source.error();
   EXPECT_EQ(packets[0].dgram.payload, "HEAD");
   EXPECT_EQ(packets[0].dgram.padding_bytes, 96u);
   EXPECT_EQ(packets[0].dgram.WireBytes(), 4u + 96u + 28u);
+  EXPECT_EQ(packets[1].dgram.payload, "abcd");
+  EXPECT_EQ(packets[1].dgram.padding_bytes, 65503u);
 }
 
 // ------------------------------------------------------- reader hardening
+
+TEST(PcapReader, PullBatchHonorsMaxAndEndsPermanently) {
+  // Five packets, the last two tied: batches of at most `max`, ties in
+  // capture order, then 0 for good, with the clock at the last packet.
+  PcapWriter writer;
+  for (int i = 0; i < 5; ++i) {
+    writer.Add(sim::Time::FromNanos(std::min(i, 3) * 100),
+               Dg(kOutA, kInB, std::string(1, static_cast<char>('a' + i))));
+  }
+  PcapFileSource source(writer.bytes());
+  std::vector<TimedPacket> batch;
+  EXPECT_EQ(source.PullBatch(batch, 2), 2u);
+  EXPECT_EQ(source.PullBatch(batch, 2), 2u);
+  EXPECT_EQ(batch[1].dgram.payload, "d");
+  EXPECT_EQ(source.PullBatch(batch, 2), 1u);
+  EXPECT_EQ(batch[0].dgram.payload, "e");
+  EXPECT_EQ(batch[0].when.nanos(), 300);
+  EXPECT_EQ(source.PullBatch(batch, 2), 0u);
+  EXPECT_EQ(source.PullBatch(batch, 2), 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(source.clock().nanos(), 300);
+  EXPECT_TRUE(source.ok());
+}
 
 TEST(PcapReader, TruncatedFinalRecordDeliversPrefixThenFaults) {
   PcapWriter writer;
@@ -362,64 +389,6 @@ TEST(PcapReader, RebaseDisabledKeepsAbsoluteEpoch) {
             1'600'000'000LL * 1'000'000'000LL + 5'000'000LL);
 }
 
-// ------------------------------------------------------------ sim sources
-
-TEST(Sources, SimSourceBatchesAndRewinds) {
-  SimSource source;
-  for (int i = 0; i < 5; ++i) {
-    source.Append(sim::Time::FromNanos(i * 100), Dg(kOutA, kInB, "p"), true);
-  }
-  EXPECT_EQ(source.size(), 5u);
-  std::vector<TimedPacket> batch;
-  EXPECT_EQ(source.PullBatch(batch, 2), 2u);
-  EXPECT_EQ(source.PullBatch(batch, 2), 2u);
-  EXPECT_EQ(source.PullBatch(batch, 2), 1u);
-  EXPECT_EQ(source.PullBatch(batch, 2), 0u);
-  EXPECT_EQ(source.clock().nanos(), 400);
-  EXPECT_TRUE(source.ok());
-  source.Rewind();
-  EXPECT_EQ(source.PullBatch(batch, 16), 5u);
-}
-
-TEST(Sources, SimSourceClampsBackwardAppends) {
-  SimSource source;
-  source.Append(sim::Time::FromNanos(1000), Dg(kOutA, kInB, "a"), true);
-  source.Append(sim::Time::FromNanos(500), Dg(kOutA, kInB, "b"), true);
-  std::vector<TimedPacket> batch;
-  ASSERT_EQ(source.PullBatch(batch, 4), 2u);
-  EXPECT_EQ(batch[1].when.nanos(), 1000);
-}
-
-TEST(Sources, SimSourceRecorderStampsSchedulerTime) {
-  sim::Scheduler scheduler;
-  SimSource source;
-  auto monitor = source.Recorder(scheduler);
-  monitor(Dg(kOutA, kInB, "t0"), true);
-  scheduler.RunUntil(sim::Time::FromNanos(0) + sim::Duration::Millis(5));
-  monitor(Dg(kInB, kOutA, "t5"), false);
-  std::vector<TimedPacket> batch;
-  ASSERT_EQ(source.PullBatch(batch, 4), 2u);
-  EXPECT_EQ(batch[0].when.nanos(), 0);
-  EXPECT_TRUE(batch[0].from_outside);
-  EXPECT_EQ(batch[1].when.nanos(), 5'000'000);
-  EXPECT_FALSE(batch[1].from_outside);
-}
-
-TEST(Sources, TraceLogSourceStreamsRecords) {
-  ids::TraceLog log;
-  log.Append(sim::Time::FromNanos(0), Dg(kOutA, kInB, "one"), true);
-  log.Append(sim::Time::FromNanos(0) + sim::Duration::Millis(1),
-             Dg(kInB, kOutA, "two"), false);
-  TraceLogSource source(log);
-  const auto packets = AllPackets(source);
-  ASSERT_EQ(packets.size(), 2u);
-  EXPECT_EQ(packets[0].dgram.payload, "one");
-  EXPECT_TRUE(packets[0].from_outside);
-  EXPECT_EQ(packets[1].dgram.payload, "two");
-  EXPECT_FALSE(packets[1].from_outside);
-  EXPECT_EQ(source.clock().nanos(), 1'000'000);
-}
-
 // -------------------------------------------------------------- corpus
 
 std::map<std::string, int> ReplayClassifications(const std::string& bytes,
@@ -449,7 +418,7 @@ std::map<std::string, int> ReplayClassifications(const std::string& bytes,
 TEST(Corpus, RegenerationIsByteDeterministic) {
   const auto first = corpus::BuildAll();
   const auto second = corpus::BuildAll();
-  ASSERT_EQ(first.size(), 7u);
+  ASSERT_EQ(first.size(), 8u);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].name, second[i].name);
@@ -635,13 +604,6 @@ std::string WdMessage(std::string_view kind, const std::string& call_id) {
   return ack.Serialize();
 }
 
-net::Datagram SipDg(net::Endpoint src, net::Endpoint dst,
-                    std::string payload) {
-  net::Datagram dgram = Dg(src, dst, std::move(payload));
-  dgram.kind = net::PayloadKind::kSip;
-  return dgram;
-}
-
 TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   // An established call keeps the fact base's sweep chain armed, then the
   // capture goes quiet for 8 simulated hours. Replay covers that gap in
@@ -659,15 +621,16 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   config.detection = detection;
   ids::ShardedIds engine(config);
 
-  SimSource source;
+  PcapWriter writer;
   const auto at = [](int64_t ms) {
     return sim::Time::FromNanos(0) + sim::Duration::Millis(ms);
   };
-  source.Append(at(0), SipDg(kOutA, kInB, WdMessage("invite", "wd-1")), true);
-  source.Append(at(20), SipDg(kInB, kOutA, WdMessage("ok", "wd-1")), false);
-  source.Append(at(40), SipDg(kOutA, kInB, WdMessage("ack", "wd-1")), true);
+  writer.Add(at(0), Dg(kOutA, kInB, WdMessage("invite", "wd-1")));
+  writer.Add(at(20), Dg(kInB, kOutA, WdMessage("ok", "wd-1")));
+  writer.Add(at(40), Dg(kOutA, kInB, WdMessage("ack", "wd-1")));
   const int64_t gap_ms = 8 * 3600 * 1000;
-  source.Append(at(gap_ms), Dg(kOutA, kInB, "post-gap probe"), true);
+  writer.Add(at(gap_ms), Dg(kOutA, kInB, "post-gap probe"));
+  PcapFileSource source(writer.bytes());
 
   const ReplayStats replay = RunSource(source, engine);
   EXPECT_TRUE(replay.ok);

@@ -1,9 +1,12 @@
 // Trace capture and offline replay: the recorded wire traffic of an attack
-// run, re-analyzed by a fresh vIDS, reproduces the online verdicts.
+// run, saved as pcap and re-analyzed by a fresh vIDS, reproduces the online
+// verdicts.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "capture/pcap.h"
+#include "capture/replay.h"
 #include "load/soak.h"
 #include "vids/trace.h"
 #include "testbed/testbed.h"
@@ -11,65 +14,24 @@
 namespace vids::ids {
 namespace {
 
-TEST(TraceLog, SerializeParseRoundTrip) {
-  TraceLog log;
-  net::Datagram dgram;
-  dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 1), 5060};
-  dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 1), 5060};
-  dgram.payload = "binary\x00\xff\r\npayload";
-  dgram.payload += '\0';
-  dgram.kind = net::PayloadKind::kSip;
-  dgram.padding_bytes = 321;
-  log.Append(sim::Time::FromNanos(123456789), dgram, true);
-  dgram.kind = net::PayloadKind::kRtp;
-  dgram.padding_bytes = 0;
-  log.Append(sim::Time::FromNanos(987654321), dgram, false);
-
-  const auto parsed = TraceLog::Parse(log.Serialize());
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->records()[0].when.nanos(), 123456789);
-  EXPECT_TRUE(parsed->records()[0].from_outside);
-  EXPECT_EQ(parsed->records()[0].dgram.payload, log.records()[0].dgram.payload);
-  EXPECT_EQ(parsed->records()[0].dgram.padding_bytes, 321u);
-  EXPECT_EQ(parsed->records()[1].dgram.kind, net::PayloadKind::kRtp);
-  EXPECT_FALSE(parsed->records()[1].from_outside);
-  // Idempotent.
-  EXPECT_EQ(parsed->Serialize(), log.Serialize());
-}
-
-TEST(TraceLog, ParseRejectsMalformedLines) {
-  EXPECT_FALSE(TraceLog::Parse("not a trace").has_value());
-  EXPECT_FALSE(TraceLog::Parse("1 in 10.0.0.1:1 10.0.0.2:2 sip 0 zz")
-                   .has_value());  // bad hex
-  EXPECT_FALSE(TraceLog::Parse("1 sideways 10.0.0.1:1 10.0.0.2:2 sip 0 ab")
-                   .has_value());
-  EXPECT_FALSE(TraceLog::Parse("x in 10.0.0.1:1 10.0.0.2:2 sip 0 ab")
-                   .has_value());
-  // Truncated hex payload (odd number of nibbles).
-  EXPECT_FALSE(TraceLog::Parse("1 in 10.0.0.1:1 10.0.0.2:2 sip 0 abc")
-                   .has_value());
-  // Missing fields (line cut off mid-record).
-  EXPECT_FALSE(TraceLog::Parse("1 in 10.0.0.1:1 10.0.0.2:2 sip")
-                   .has_value());
-  // Empty trace is fine.
-  const auto empty = TraceLog::Parse("\n\n");
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_EQ(empty->size(), 0u);
-}
-
-TEST(TraceLog, ParseRejectsNonMonotonicTimestamps) {
-  const std::string rewind =
-      "200 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab\n"
-      "100 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab\n";
-  EXPECT_FALSE(TraceLog::Parse(rewind).has_value());
-  // Equal timestamps are legal: distinct packets can share a tick.
-  const std::string tied =
-      "200 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab\n"
-      "200 out 10.0.0.2:2 10.0.0.1:1 sip 0 ab\n";
-  const auto parsed = TraceLog::Parse(tied);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->size(), 2u);
+/// Saves `log` as a pcap file image and replays it into `vids` through
+/// capture::RunSource, which stops at the last packet. Epoch 0 on write and
+/// no rebase on read keep every pcap timestamp equal to its recorded
+/// sim-clock instant.
+capture::ReplayStats SaveAndReplay(const TraceLog& log, Vids& vids,
+                                   sim::Scheduler& scheduler) {
+  capture::PcapWriteOptions write;
+  write.epoch_base_s = 0;
+  capture::PcapWriter writer(write);
+  for (const TraceRecord& record : log.records()) {
+    writer.Add(record.when, record.dgram);
+  }
+  capture::PcapReadOptions read;
+  // The testbed's and the soak's network B sits inside the tap.
+  read.inside = net::Subnet(net::IpAddress(10, 2, 0, 0), 16);
+  read.rebase_to_first = false;
+  capture::PcapFileSource source(writer.bytes(), read);
+  return capture::RunSource(source, vids, scheduler);
 }
 
 TEST(TraceLog, OfflineReplayReproducesOnlineAlerts) {
@@ -100,14 +62,14 @@ TEST(TraceLog, OfflineReplayReproducesOnlineAlerts) {
     return classes;
   }();
 
-  // Offline: persist, reload, re-analyze with a fresh vIDS.
-  const auto reloaded = TraceLog::Parse(capture.Serialize());
-  ASSERT_TRUE(reloaded.has_value());
+  // Offline: persist as pcap, reload, re-analyze with a fresh vIDS.
   sim::Scheduler offline_scheduler;
   Vids offline(offline_scheduler);
+  const auto replay = SaveAndReplay(capture, offline, offline_scheduler);
+  ASSERT_TRUE(replay.ok);
   // Stop where the online run stopped, so IDS-internal timers (teardown
   // grace, sweeps) have fired in both worlds or in neither.
-  reloaded->ReplayInto(offline, offline_scheduler, bed.scheduler().Now());
+  offline_scheduler.RunUntil(bed.scheduler().Now());
 
   std::set<std::string> offline_classes;
   for (const auto& alert : offline.alerts()) {
@@ -144,66 +106,16 @@ TEST(TraceLog, ReplayWithDifferentThresholdsChangesVerdicts) {
   strict.invite_flood_threshold = 2;
   sim::Scheduler offline_scheduler;
   Vids offline(offline_scheduler, strict);
-  capture.ReplayInto(offline, offline_scheduler);
+  ASSERT_TRUE(SaveAndReplay(capture, offline, offline_scheduler).ok);
+  offline_scheduler.Run();  // every IDS-internal timer fires
   EXPECT_GE(offline.CountAlerts(kAttackInviteFlood), 1u);
-}
-
-TEST(TraceLog, ParseErrorsAreLineNumbered) {
-  // Every rejection names the offending line and the defect, so a corrupt
-  // multi-gigabyte capture points straight at its bad record. The first
-  // line is always valid; the defect rides on line 2.
-  const std::string good = "1 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab\n";
-  const struct {
-    const char* line;
-    const char* needle;
-  } cases[] = {
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip 0 abc", "odd-length hex"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip 0 azzz", "non-hex byte"},
-      {"-5 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab", "negative nanosecond"},
-      {"99999999999999999999999 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab",
-       "bad nanosecond timestamp"},
-      {"2 upward 10.0.0.1:1 10.0.0.2:2 sip 0 ab", "bad direction"},
-      {"2 in 10.0.0.1 10.0.0.2:2 sip 0 ab", "bad src endpoint"},
-      {"2 in 10.0.0.1:1 999.0.0.2:2 sip 0 ab", "bad dst endpoint"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 quic 0 ab", "bad payload kind"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip -1 ab", "bad padding-byte count"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip 65507 ab", "payload"},
-      {"0 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab", "timestamp rewind"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip 0 ab extra", "expected 7 fields"},
-      {"2 in 10.0.0.1:1 10.0.0.2:2 sip 0", "expected 7 fields"},
-  };
-  for (const auto& c : cases) {
-    std::string error;
-    const auto parsed = TraceLog::Parse(good + c.line, &error);
-    EXPECT_FALSE(parsed.has_value()) << c.line;
-    EXPECT_NE(error.find("line 2"), std::string::npos)
-        << c.line << " -> " << error;
-    EXPECT_NE(error.find(c.needle), std::string::npos)
-        << c.line << " -> " << error;
-  }
-  // Success clears a stale error message.
-  std::string error = "stale";
-  ASSERT_TRUE(TraceLog::Parse(good, &error).has_value());
-  EXPECT_TRUE(error.empty());
-}
-
-TEST(TraceLog, ParseAcceptsMaximumWireSizedRecord) {
-  // padding + payload == 65507 is the largest datagram UDP/IPv4 can carry;
-  // one byte more must fail closed.
-  const std::string ok = "1 in 10.0.0.1:1 10.0.0.2:2 sip 65505 abcd";
-  ASSERT_TRUE(TraceLog::Parse(ok).has_value());
-  std::string error;
-  EXPECT_FALSE(
-      TraceLog::Parse("1 in 10.0.0.1:1 10.0.0.2:2 sip 65506 abcd", &error)
-          .has_value());
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
 }
 
 TEST(TraceLog, SoakRoundTripReproducesOnlineRun) {
   // The capture hook records every datagram a soak run feeds the online
-  // engine; the serialized text, parsed back and replayed into a fresh
-  // Vids, must reproduce the online alert list and metric registry
-  // bit-for-bit (histograms excluded: they sample wall-clock latency).
+  // engine; the recording, saved as pcap and replayed into a fresh Vids,
+  // must reproduce the online alert list and metric registry bit-for-bit
+  // (histograms excluded: they sample wall-clock latency).
   load::SoakConfig config;
   config.seed = 77;
   config.total_calls = 250;
@@ -218,15 +130,13 @@ TEST(TraceLog, SoakRoundTripReproducesOnlineRun) {
   ASSERT_GT(capture.size(), 0u);
   ASSERT_GT(driver.vids().alerts().size(), 0u);
 
-  std::string error;
-  const auto parsed = TraceLog::Parse(capture.Serialize(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->size(), capture.size());
-
   sim::Scheduler offline_scheduler;
   Vids offline(offline_scheduler, config.detection);
   offline.set_max_retained_alerts(config.max_retained_alerts);
-  parsed->ReplayInto(offline, offline_scheduler, driver.scheduler().Now());
+  const auto replay = SaveAndReplay(capture, offline, offline_scheduler);
+  ASSERT_TRUE(replay.ok);
+  ASSERT_EQ(replay.packets, capture.size());
+  offline_scheduler.RunUntil(driver.scheduler().Now());
 
   const auto& online_alerts = driver.vids().alerts();
   const auto& offline_alerts = offline.alerts();

@@ -248,6 +248,9 @@ TEST_F(SpecFixture, EncodingChangeEntersAttackStateAndRecovers) {
   EXPECT_EQ(rtp_.StateName(), kAttackEncoding);
   group_.DeliverData(rtp_, CallerToCalleeRtp(3, 240));  // back to G.729
   EXPECT_EQ(rtp_.StateName(), "RTP Rcvd");
+  // "encoding restored" and "encoding still wrong" are disjoint, so the
+  // recovering packet fires exactly one transition.
+  EXPECT_EQ(observer_.nondeterminism, 0);
 }
 
 TEST_F(SpecFixture, ByeDosDetectedAfterGraceT) {
