@@ -11,8 +11,10 @@ BENCH_micro.json keeps one entry per label in "runs" (re-running a label
 replaces it) so before/after numbers for a change live side by side. The
 last run also gets a "speedup_vs" table against the first (baseline) run.
 A run taken with --benchmark_repetitions records each benchmark's median
-repetition (by CPU time), every repetition's times, and the largest
-allocs_per_iter any repetition reported.
+repetition (by the row's judged time: real time on `/real_time` rows, CPU
+time on the rest; see time_key), every repetition's times, and the largest
+allocs_per_iter any repetition reported, so the zero-allocation pins read
+the worst repetition.
 
 --metrics attaches an instrumented-run metric snapshot (the JSON written by
 micro_core with VIDS_METRICS_OUT set) to the run entry.
@@ -54,7 +56,9 @@ row must exist — a missing or nonzero counter is fatal regardless of
 
 --scaling screens the BM_ShardedIngestBatched rows (the shipped default
 configuration): the 4-shard pipeline must deliver >= 2x the single-shard
-throughput. The gate only binds when the run was recorded on a host with
+throughput, read from each row's median repetition (its wall time) when
+the run has repetitions — one short shot is too noisy to gate on. The
+gate only binds when the run was recorded on a host with
 >= 4 cores (the run-level `cpu_count`, falling back to the benchmark's
 `cores` counter) — a 1-core container serializes the workers, so there
 the screen reports a loud SKIP naming the recorded core count and exits 0
@@ -260,8 +264,8 @@ def main() -> int:
     with open(run_path) as f:
         run = json.load(f)
     # With --benchmark_repetitions each repetition is its own row: keep the
-    # row of median CPU time and record every repetition's times, so the
-    # spread a warn threshold needs is part of the run.
+    # row of median judged time (time_key) and record every repetition's
+    # times, so the spread a warn threshold needs is part of the run.
     rows = {}
     for bench in run.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -269,7 +273,8 @@ def main() -> int:
         rows.setdefault(bench["name"], []).append(bench)
     results = {}
     for name, reps in rows.items():
-        bench = sorted(reps, key=lambda b: b["cpu_time"])[(len(reps) - 1) // 2]
+        judged = "real_time" if time_key(name) == "real_ns" else "cpu_time"
+        bench = sorted(reps, key=lambda b: b[judged])[(len(reps) - 1) // 2]
         entry = {
             "cpu_ns": round(bench["cpu_time"], 1),
             "real_ns": round(bench["real_time"], 1),

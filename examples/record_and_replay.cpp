@@ -70,7 +70,11 @@ int main(int argc, char** argv) {
   write.epoch_base_s = 0;  // pcap timestamps = sim-clock instants
   capture::PcapWriter writer(write);
   for (const ids::TraceRecord& record : capture.records()) {
-    writer.Add(record.when, record.dgram);
+    if (!writer.Add(record.when, record.dgram)) {
+      std::printf("cannot record packet %llu: larger than a UDP datagram\n",
+                  static_cast<unsigned long long>(record.dgram.id));
+      return 1;
+    }
   }
   if (!writer.WriteFile(path)) {
     std::printf("cannot write %s\n", path.c_str());

@@ -319,7 +319,9 @@ void PcapWriter::PutU32(uint32_t value) {
   bytes_ += static_cast<char>((value >> 24) & 0xFF);
 }
 
-void PcapWriter::Add(sim::Time when, const net::Datagram& dgram) {
+bool PcapWriter::Add(sim::Time when, const net::Datagram& dgram) {
+  const size_t wire_payload = dgram.payload.size() + dgram.padding_bytes;
+  if (wire_payload > kMaxUdpPayload) return false;
   // Frame bytes are network order regardless of the header endianness.
   const auto put_be16 = [this](uint16_t v) {
     bytes_ += static_cast<char>((v >> 8) & 0xFF);
@@ -342,7 +344,6 @@ void PcapWriter::Add(sim::Time when, const net::Datagram& dgram) {
     bytes_ += static_cast<char>(ip.bits() & 0xFF);
   };
 
-  const size_t wire_payload = dgram.payload.size() + dgram.padding_bytes;
   const auto udp_len = static_cast<uint16_t>(8 + wire_payload);
   const auto ip_total = static_cast<uint16_t>(20 + udp_len);
   const size_t eth_len = options_.vlan ? 18 : 14;
@@ -398,6 +399,7 @@ void PcapWriter::Add(sim::Time when, const net::Datagram& dgram) {
   put_be16(udp_len);
   put_be16(0);
   bytes_ += dgram.payload;
+  return true;
 }
 
 bool PcapWriter::WriteFile(const std::string& path) const {

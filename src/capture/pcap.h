@@ -143,8 +143,10 @@ class PcapWriter {
 
   /// Appends one frame. `dgram.padding_bytes` becomes the snap-truncated
   /// tail: the IP/UDP headers claim payload + padding bytes, but only
-  /// `payload` is stored (orig_len - incl_len = padding).
-  void Add(sim::Time when, const net::Datagram& dgram);
+  /// `payload` is stored (orig_len - incl_len = padding). Returns false and
+  /// writes nothing when payload + padding exceeds the 65,507 bytes an
+  /// IPv4 UDP datagram can carry: its 16-bit lengths would wrap.
+  bool Add(sim::Time when, const net::Datagram& dgram);
 
   const std::string& bytes() const { return bytes_; }
   bool WriteFile(const std::string& path) const;

@@ -8,34 +8,27 @@
 //
 //  - Fixed power-of-two capacity, allocated once at construction. The hot
 //    path never allocates; a full ring is backpressure, not growth.
-//  - In-place slot construction: the producer calls BeginPush() to get a
-//    pointer at the reserved slot, *reuses* whatever the slot already holds
-//    (a Datagram's payload string keeps its capacity across laps — this is
-//    what keeps the steady-state ingest path allocation-free), then
-//    CommitPush() publishes it. The consumer mirrors with Front()/Pop().
+//  - In-place slot reuse: BeginPushN() hands the producer a pointer at the
+//    reserved slot, which *reuses* whatever the slot already holds (a
+//    Datagram's payload string keeps its capacity across laps — this is
+//    what keeps the steady-state ingest path allocation-free).
+//  - Batched publish (DESIGN.md §12): repeated BeginPushN() calls reserve
+//    slots and one CommitPushN() publishes them all with a single release
+//    store. The consumer mirrors with FrontN()/At()/PopN(): one acquire
+//    load exposes up to K items, one release store retires them. A batch
+//    of one is the single-slot case.
 //  - head_ (consumer-owned) and tail_ (producer-owned) live on separate
 //    cache lines; each side keeps a cached copy of the other's index and
-//    only re-reads the shared atomic when the cache says full/empty, so an
-//    uncontended push or pop is one relaxed load + one release store.
+//    only re-reads the shared atomic when the cache says full/empty.
 //
-// Memory ordering: CommitPush stores tail_ with release; Front loads it
+// Memory ordering: CommitPushN stores tail_ with release; FrontN loads it
 // with acquire. Everything the producer wrote before the commit — the slot
 // contents AND any relaxed-atomic side state (per-shard metric counters,
 // the worker's frontier timestamp) — is therefore visible to the consumer
-// after it observes the new tail. Pop stores head_ with release so the
+// after it observes the new tail. PopN stores head_ with release so the
 // producer's acquire re-read knows the slot is reusable. This pairing is
 // the happens-before edge the whole sharded engine leans on; see
 // DESIGN.md §11.
-//
-// Batched operations (DESIGN.md §12): the producer can reserve several
-// slots with repeated BeginPushN() calls and publish them all with a
-// single CommitPushN() — one release store for the whole batch. The
-// consumer mirrors with FrontN()/At()/PopN(): one acquire load exposes up
-// to K items, one release store retires them. Per-slot cost of the index
-// handoff therefore drops from one acquire/release pair per element to
-// one pair per batch. The single-element Begin/Commit/Front/Pop are the
-// K = 1 case of the same machinery, so single and batched calls can be
-// interleaved freely from the owning thread.
 #pragma once
 
 #include <atomic>
@@ -90,21 +83,6 @@ class SpscRing {
   /// Slots reserved but not yet published (producer-side view).
   size_t open_push() const { return pending_; }
 
-  /// Producer: reserve the next slot for writing, or nullptr if the ring is
-  /// full. Single-slot case of BeginPushN(); CommitPush() publishes it.
-  T* BeginPush() { return BeginPushN(); }
-
-  /// Absolute slot index the NEXT BeginPushN() would hand out (producer
-  /// thread only). Lets a producer address side-band storage paired 1:1
-  /// with the ring's slots (a PayloadArena slab) before reserving the slot.
-  size_t ProducerNextIndex() const {
-    return (tail_.load(std::memory_order_relaxed) + pending_) & mask_;
-  }
-
-  /// Producer: publish the open batch (for single-slot use, exactly the
-  /// slot handed out by the last BeginPush()).
-  void CommitPush() { CommitPushN(); }
-
   // ---- consumer side ----
 
   /// Number of items ready to read, capped at `max`. Re-reads the shared
@@ -126,25 +104,12 @@ class SpscRing {
     return slots_[(head_.load(std::memory_order_relaxed) + i) & mask_];
   }
 
-  /// Absolute slot index of At(i) (consumer thread only) — the consumer
-  /// half of the ProducerNextIndex() side-band pairing.
-  size_t ConsumerIndex(size_t i) const {
-    return (head_.load(std::memory_order_relaxed) + i) & mask_;
-  }
-
   /// Consumer: retire the oldest `n` elements with one release store. The
   /// elements are NOT destroyed — the producer reuses them in place.
   void PopN(size_t n) {
     head_.store(head_.load(std::memory_order_relaxed) + n,
                 std::memory_order_release);
   }
-
-  /// Consumer: peek the oldest element, or nullptr if the ring is empty.
-  /// The element stays valid until Pop().
-  T* Front() { return FrontN(1) != 0 ? &At(0) : nullptr; }
-
-  /// Consumer: release the slot returned by Front().
-  void Pop() { PopN(1); }
 
   /// Approximate occupancy; exact only from the producer or consumer thread.
   size_t SizeApprox() const {

@@ -72,7 +72,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
                                  std::string_view dest,
                                  std::string_view user_agent,
                                  uint64_t call_hash) {
-  if (!config_.enabled || caller.empty()) return;
+  if (caller.empty()) return;
   const int64_t t = now.nanos();
   Profile& p = GetOrCreate(callers_, caller);
   p.last_event_ns = t;
@@ -105,7 +105,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
 
 void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
                                uint64_t call_hash) {
-  if (!config_.enabled || caller.empty()) return;
+  if (caller.empty()) return;
   const int64_t t = now.nanos();
   Profile* p = Find(callers_, caller);
   if (p == nullptr) return;  // callee-sent BYE or long-idle caller
@@ -128,7 +128,7 @@ void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
 
 void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
                                   uint64_t source_hash) {
-  if (!config_.enabled || target.empty()) return;
+  if (target.empty()) return;
   const int64_t t = now.nanos();
   Profile& p = GetOrCreate(targets_, target);
   p.last_event_ns = t;
@@ -138,7 +138,7 @@ void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
 }
 
 void BehaviorEngine::OnRegSuccess(sim::Time now, std::string_view target) {
-  if (!config_.enabled || target.empty()) return;
+  if (target.empty()) return;
   // A successful registration breaks the cracking streak. Only an existing
   // profile matters — success with no failure history builds no state.
   Profile* p = Find(targets_, target);

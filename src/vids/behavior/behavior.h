@@ -59,10 +59,6 @@ inline constexpr std::string_view kBehaviorRegCracking =
 inline constexpr std::string_view kBehaviorMachine = "behavior-profile";
 
 struct BehaviorConfig {
-  /// Master switch: when false no profiles are built and no events are
-  /// recorded (the feed calls become no-ops).
-  bool enabled = true;
-
   // --- caller-profile features ---
   /// Calls started (initial INVITEs) per caller within the window
   /// considered normal. A call-center agent places well under this; a SPIT

@@ -182,7 +182,7 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   // finals (DESIGN.md §16). Same placement as the aggregate feeds above:
   // after the tombstone gate, so a late retransmission of a completed call
   // never re-feeds a profile.
-  if (detection_.behavior.enabled) FeedBehavior(packet, is_response);
+  FeedBehavior(packet, is_response);
 
   // Only packets that actually carried SDP can move the media index. The
   // group's offer/answer globals persist for the call's whole life, so

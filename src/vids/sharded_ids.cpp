@@ -212,8 +212,7 @@ void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
   shard.spans.Record(rec);
 }
 
-void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
-                               net::Datagram& scratch) {
+void ShardedIds::ProcessPacket(Shard& shard, const ShardMsg& msg) {
   // Sampled span: note the dequeue time and post the enqueue time where
   // the alert callback can see it. Unsampled packets (and the
   // sampling-off configuration) take one never-true branch.
@@ -223,29 +222,13 @@ void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
     span_dequeue = obs::MonotonicNanos();
     shard.span_open_enqueue_ns = span_t0;
   }
-  scratch.src = msg.dgram.src;
-  scratch.dst = msg.dgram.dst;
-  scratch.kind = msg.dgram.kind;
-  scratch.padding_bytes = msg.dgram.padding_bytes;
-  scratch.sent_time = msg.dgram.sent_time;
-  scratch.id = msg.dgram.id;
-  if (msg.in_arena) {
-    // The payload bytes live in the arena slot paired with this ring slot
-    // — one contiguous slab the coordinator memcpy'd into.
-    scratch.payload.assign(shard.arena.Slot(shard.down.ConsumerIndex(at)),
-                           msg.arena_len);
-  } else {
-    // Oversized payload took the slot-string path. Swap, don't copy: the
-    // slot inherits the scratch's warm buffer for the coordinator's next
-    // assign.
-    scratch.payload.swap(msg.dgram.payload);
-  }
   // Advance this shard's private clock so detection timers (flood
   // windows, RTCP grace, sweeps) fire exactly as in the single engine:
   // all events <= `when` run before the packet is inspected, matching
   // the scheduler's timer-before-same-time-packet order.
   AdvanceShardClock(shard, sim::Time::FromNanos(msg.when_ns));
-  shard.vids->Inspect(scratch, msg.from_outside);
+  // Inspected in place: the slot stays the worker's until PopN retires it.
+  shard.vids->Inspect(msg.dgram, msg.from_outside);
   if (span_t0 != 0) {
     RecordSpan(shard, span_t0, span_dequeue);
     shard.span_open_enqueue_ns = 0;
@@ -253,7 +236,6 @@ void ShardedIds::ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
 }
 
 void ShardedIds::WorkerLoop(Shard& shard) {
-  net::Datagram scratch;
   common::SpinBackoff backoff;
   // Heartbeats only exist for the watchdog; the disabled configuration
   // never reads the wall clock here.
@@ -274,7 +256,7 @@ void ShardedIds::WorkerLoop(Shard& shard) {
       ShardMsg& msg = shard.down.At(consumed);
       switch (msg.kind) {
         case ShardMsg::Kind::kPacket:
-          ProcessPacket(shard, consumed, msg, scratch);
+          ProcessPacket(shard, msg);
           watermark = std::max(watermark, msg.when_ns);
           break;
         case ShardMsg::Kind::kRetractMedia:
@@ -318,11 +300,10 @@ void ShardedIds::WorkerLoop(Shard& shard) {
     // One release store publishes every upstream message of this round
     // (alerts, aggregate events, acks) ...
     shard.up.CommitPushN();
-    // ... then the frontiers. agg_complete first: the events it vouches
-    // for are already committed above, so an acquire read that observes
-    // the new frontier also observes them in the ring (DESIGN.md §11).
+    // ... then the frontier: the events it vouches for are already
+    // committed above, so an acquire read that observes the new frontier
+    // also observes them in the ring (DESIGN.md §11).
     shard.agg_complete_ns.store(watermark, std::memory_order_release);
-    shard.processed_ns.store(watermark, std::memory_order_release);
     // Heartbeat last: it vouches for the whole retired round. A worker
     // that wedges or blocks mid-batch never reaches this store.
     if (heartbeat) {
@@ -349,14 +330,10 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   // before the post-batch heartbeat store is reached. One monolithic
   // RunUntil would freeze the heartbeat for the whole catch-up and let the
   // watchdog mis-score genuine progress as a wedged worker. Bounded slices
-  // keep both progress signals live: the wall-clock heartbeat and the
-  // source-time frontier (processed_ns), which WatchdogCheck uses to
-  // re-anchor open episodes.
+  // keep the heartbeat live.
   constexpr int64_t kSliceNs = 60'000'000'000;  // one simulated minute
   while (when.nanos() - scheduler.Now().nanos() > kSliceNs) {
     scheduler.RunUntil(scheduler.Now() + sim::Duration::Nanos(kSliceNs));
-    shard.processed_ns.store(scheduler.Now().nanos(),
-                             std::memory_order_release);
     shard.last_progress_ns.store(obs::MonotonicNanos(),
                                  std::memory_order_release);
   }
@@ -399,7 +376,7 @@ void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
       owners_.Claim(key, shard, when_ns, HashShardOfEndpoint(key));
   if (retract.shard >= 0) {
     (retract.early ? m_early_retracts_ : m_retracts_)->Inc();
-    PushDown(retract.shard, [&](ShardMsg& msg, size_t) {
+    PushDown(retract.shard, [&](ShardMsg& msg) {
       msg.kind = ShardMsg::Kind::kRetractMedia;
       msg.when_ns = when_ns;
       msg.endpoint = endpoint;
@@ -410,9 +387,6 @@ void ShardedIds::SnoopSdp(std::string_view body, int shard, int64_t when_ns) {
 template <typename Fill>
 void ShardedIds::PushDown(int shard_index, Fill&& fill) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  // The arena slot paired with the ring slot BeginPushN hands out. Only
-  // this thread pushes, so waiting out backpressure cannot move it.
-  const size_t arena_slot = shard.down.ProducerNextIndex();
   ShardMsg* slot = shard.down.BeginPushN();
   if (slot == nullptr) {
     // Backpressure, not loss. Publish every open batch (a worker can only
@@ -430,7 +404,7 @@ void ShardedIds::PushDown(int shard_index, Fill&& fill) {
   }
   const size_t open = shard.down.open_push();
   if (open == 1) ++open_batches_;
-  fill(*slot, arena_slot);
+  fill(*slot);
   if (const auto depth = static_cast<uint64_t>(shard.down.SizeFromProducer());
       depth > shard.down_hwm) {
     shard.down_hwm = depth;
@@ -452,12 +426,9 @@ void ShardedIds::CommitAllDown(obs::Counter* reason) {
   deadline_armed_ = false;
 }
 
-void ShardedIds::DeadlineCheck(int64_t when_ns) {
+void ShardedIds::DeadlineCheck() {
   // Bounded-latency flush: a partial batch is published once it has been
-  // open for kBatchFlushMicros, enforced in both clock domains — source
-  // time first (an integer compare, no clock read), then wall clock — so a
-  // faster-than-real-time replay cannot hold a pre-gap packet unpublished
-  // while the stream's own clock races far past it.
+  // open for kBatchFlushMicros of wall time.
   if (open_batches_ == 0) {
     deadline_armed_ = false;
     return;
@@ -465,12 +436,9 @@ void ShardedIds::DeadlineCheck(int64_t when_ns) {
   if (!deadline_armed_) {
     deadline_armed_ = true;
     deadline_since_ns_ = obs::MonotonicNanos();
-    deadline_src_ns_ = when_ns;
     return;
   }
-  constexpr int64_t kDeadlineNs = kBatchFlushMicros * 1000;
-  if (when_ns - deadline_src_ns_ >= kDeadlineNs ||
-      obs::MonotonicNanos() - deadline_since_ns_ >= kDeadlineNs) {
+  if (obs::MonotonicNanos() - deadline_since_ns_ >= kBatchFlushMicros * 1000) {
     CommitAllDown(m_flush_deadline_);
   }
 }
@@ -515,34 +483,15 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
     span_ns = obs::MonotonicNanos();
   }
 
-  PushDown(target, [&](ShardMsg& msg, size_t arena_slot) {
+  PushDown(target, [&](ShardMsg& msg) {
     msg.kind = ShardMsg::Kind::kPacket;
     msg.when_ns = when_ns;
     msg.span_enqueue_ns = span_ns;  // always assigned: slots are reused
     msg.from_outside = from_outside;
-    msg.dgram.src = dgram.src;
-    msg.dgram.dst = dgram.dst;
-    msg.dgram.kind = dgram.kind;
-    msg.dgram.padding_bytes = dgram.padding_bytes;
-    msg.dgram.sent_time = dgram.sent_time;
-    msg.dgram.id = dgram.id;
-    Shard& shard = *shards_[static_cast<size_t>(target)];
-    if (shard.arena.Fits(dgram.payload.size())) {
-      // Fast path: payload bytes go to the contiguous slab; the slot's own
-      // string is left untouched (its stale bytes are dead — arena_len is
-      // the source of truth).
-      shard.arena.Store(arena_slot, dgram.payload.data(),
-                        dgram.payload.size());
-      msg.in_arena = true;
-      msg.arena_len = static_cast<uint32_t>(dgram.payload.size());
-    } else {
-      msg.in_arena = false;
-      msg.arena_len = 0;
-      msg.dgram.payload.assign(dgram.payload);  // reuses the slot's capacity
-    }
+    msg.dgram = dgram;  // the payload string reuses the slot's capacity
   });
 
-  DeadlineCheck(when_ns);
+  DeadlineCheck();
   // Opportunistic upstream drain so alerts surface and the aggregate
   // replay keeps pace without explicit Pump() calls.
   if ((++ingest_count_ & 31U) == 0) DrainUp();
@@ -573,26 +522,20 @@ void ShardedIds::WatchdogCheck() {
     ShardHealth& h = health_[i];
     const size_t depth = shard.down.SizeApprox();
     const int64_t hb = shard.last_progress_ns.load(std::memory_order_acquire);
-    const int64_t src = shard.processed_ns.load(std::memory_order_acquire);
     if (depth == 0) {
       // Nothing pending — an idle worker is healthy however old its
       // heartbeat is (idle-then-burst must not alert).
       h.hb_seen = hb;
-      h.src_seen = src;
       h.pending_since_ns = 0;
       h.alerted = false;
       continue;
     }
-    if (!continuous || h.pending_since_ns == 0 || hb != h.hb_seen ||
-        src != h.src_seen) {
+    if (!continuous || h.pending_since_ns == 0 || hb != h.hb_seen) {
       // Progress since last check (or no episode yet): anchor a fresh
       // episode at the first continuously-observed no-progress instant.
-      // Source-reported time counts as progress in its own right: under
-      // replay the worker can be busy sweeping a capture gap (or a slice
-      // heartbeat may land between our polls), and a worker whose stream
-      // clock advances is by definition not wedged.
+      // A worker sweeping a replayed capture gap stores a heartbeat per
+      // catch-up slice, so it re-anchors here too.
       h.hb_seen = hb;
-      h.src_seen = src;
       h.pending_since_ns = now;
       h.alerted = false;
       continue;
@@ -731,7 +674,7 @@ void ShardedIds::Flush(sim::Time now) {
   flush_acks_ = 0;
   // Each kFlush queues behind every packet already pushed to its shard.
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [&](ShardMsg& msg, size_t) {
+    PushDown(i, [&](ShardMsg& msg) {
       msg.kind = ShardMsg::Kind::kFlush;
       msg.when_ns = now_ns;
       msg.token = flush_token_;
@@ -785,7 +728,7 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
 void ShardedIds::Stop() {
   if (workers_joined_) return;
   for (int i = 0; i < shards(); ++i) {
-    PushDown(i, [](ShardMsg& msg, size_t) {
+    PushDown(i, [](ShardMsg& msg) {
       msg.kind = ShardMsg::Kind::kStop;
     });
   }
@@ -818,7 +761,7 @@ void ShardedIds::Stop() {
 void ShardedIds::WedgeWorkerForTest(int shard_index) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   shard.wedged.store(true, std::memory_order_release);
-  PushDown(shard_index, [&](ShardMsg& msg, size_t) {
+  PushDown(shard_index, [&](ShardMsg& msg) {
     msg.kind = ShardMsg::Kind::kWedge;
     msg.when_ns = last_ingest_ns_;
   });
@@ -896,7 +839,6 @@ size_t ShardedIds::MemoryBytes() const {
   for (const auto& shard : shards_) {
     bytes += shard->vids->fact_base().MemoryBytes();
     bytes += shard->down.capacity() * sizeof(ShardMsg) +
-             shard->arena.MemoryBytes() +
              shard->up.capacity() * sizeof(UpMsg);
   }
   bytes += owners_.MemoryBytes();

@@ -23,12 +23,12 @@
 //                    like RTP, so the ghost-media machine sees both halves.
 //   anything else  → hash of the destination endpoint.
 //
-// Each shard has ONE down ring (common/spsc_ring.h), paired 1:1 with a
-// PayloadArena slab so steady-state ingest memcpys payload bytes into a
-// contiguous arena instead of scattered slot strings, and one up ring. Both
-// rings publish in batches of up to kBatchMax slots per release/acquire
-// pair. The down ring carries packets, media retracts and the flush/stop/
-// wedge control messages in push order, so the ring itself orders a
+// Each shard has ONE down ring (common/spsc_ring.h) and one up ring. Both
+// publish in batches of up to kBatchMax slots per release/acquire pair. A
+// packet crosses the down ring in its slot's own Datagram, whose payload
+// string keeps its capacity across laps, and the worker inspects that slot
+// in place. The down ring carries packets, media retracts and the flush/
+// stop/wedge control messages in push order, so the ring itself orders a
 // barrier after every packet ingested before it (DESIGN.md §11).
 //
 // The two detectors whose counting key spans calls — INVITE flooding (per
@@ -61,7 +61,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/payload_arena.h"
 #include "common/spsc_ring.h"
 #include "net/datagram.h"
 #include "obs/flight_recorder.h"
@@ -99,8 +98,7 @@ struct ShardedConfig {
   /// Watchdog deadline (wall clock): a shard whose down ring stays
   /// non-empty while its worker's heartbeat does not advance for this long
   /// raises one structured EngineHealth alert per stall episode. 0
-  /// disables the watchdog (and the worker's per-batch heartbeat clock
-  /// read).
+  /// disables the watchdog (and the worker's heartbeat clock reads).
   int64_t watchdog_stall_ms = 2000;
 };
 
@@ -110,16 +108,10 @@ class ShardedIds {
   /// rings: amortizes the index fences and the consumer wakeups over the
   /// batch (DESIGN.md §12).
   static constexpr size_t kBatchMax = 32;
-  /// Per-slot byte budget of each down ring's payload arena (the slab is
-  /// ring capacity × this). Payloads that fit are memcpy'd into the
-  /// contiguous slab; larger ones fall back to the ring slot's own string.
-  static constexpr size_t kArenaSlotBytes = 2048;
-  /// Bound on how long a partial down-ring batch may stay unpublished while
-  /// Ingest keeps being called — enforced in BOTH clock domains: wall
-  /// clock, and the source timestamps carried by Ingest, so a faster-than-
-  /// real-time replay (pcap/trace) cannot hold packets unpublished across a
-  /// capture gap that spans almost no wall time. Flush() and Stop() always
-  /// publish immediately.
+  /// Wall-clock bound on how long a partial down-ring batch may stay
+  /// unpublished while Ingest keeps being called. Order and timestamps
+  /// travel in the slots, so the publish instant changes no verdict.
+  /// Pump(), Flush() and Stop() always publish immediately.
   static constexpr int64_t kBatchFlushMicros = 50;
 
   explicit ShardedIds(ShardedConfig config);
@@ -187,7 +179,7 @@ class ShardedIds {
   /// media index) plus the coordinator's owner map, flood/DRDoS groups,
   /// alert signatures and behavior profiles. Post-Flush.
   size_t TrackedState() const;
-  /// Total state footprint in bytes (fact bases, rings, arenas, owner map,
+  /// Total state footprint in bytes (fact bases, rings, owner map,
   /// the coordinator's replay queues and Vids state). Post-Flush.
   size_t MemoryBytes() const;
 
@@ -250,10 +242,6 @@ class ShardedIds {
     /// unsampled ones (always assigned — ring slots are reused in place).
     int64_t span_enqueue_ns = 0;
     bool from_outside = false;
-    /// kPacket payload location: bytes live in the arena slot paired with
-    /// this ring slot when in_arena, in dgram.payload otherwise.
-    bool in_arena = false;
-    uint32_t arena_len = 0;
     net::Datagram dgram;     // kPacket (payload string reused in place)
     net::Endpoint endpoint;  // kRetractMedia
     uint64_t token = 0;      // kFlush
@@ -268,9 +256,8 @@ class ShardedIds {
 
   struct Shard {
     /// Coordinator → worker: packets, retracts and control messages in
-    /// push order, plus the payload slab paired 1:1 with its slots.
+    /// push order.
     common::SpscRing<ShardMsg> down;
-    common::PayloadArena arena;
     common::SpscRing<UpMsg> up;
     std::unique_ptr<sim::Scheduler> scheduler;
     std::unique_ptr<Vids> vids;
@@ -302,30 +289,21 @@ class ShardedIds {
     uint64_t down_hwm = 0;
     uint64_t down_stalls = 0;
     uint64_t up_hwm = 0;
-    /// Watchdog heartbeat: wall-clock time of the last batch this worker
-    /// fully retired — or, during a sliced clock catch-up across a capture
-    /// gap (AdvanceShardClock), of the last completed slice. Release-stored
-    /// (only when the watchdog is enabled — the disabled config never
-    /// reads the clock). A worker that is wedged, spinning in PushUp, or
-    /// dead stops advancing it.
+    /// Watchdog heartbeat, the one progress signal: wall-clock time of the
+    /// last batch this worker fully retired — or, during a sliced clock
+    /// catch-up across a capture gap (AdvanceShardClock), of the last
+    /// completed slice. Release-stored (only when the watchdog is enabled —
+    /// the disabled config never reads the clock). A worker that is
+    /// wedged, spinning in PushUp, or dead stops advancing it.
     std::atomic<int64_t> last_progress_ns{0};
     /// Test hook: while set, the worker sleeps on its kWedge message
     /// (heartbeat frozen, down ring non-empty) — a deliberate stall.
     std::atomic<bool> wedged{false};
-    /// Source-time progress frontier: the highest packet/flush time this
-    /// worker fully processed (post-batch), or its scheduler's position
-    /// mid-catch-up (watchdog-enabled configs only). Post-batch stores are
-    /// release-ordered after every upstream message for that time; the
-    /// watchdog additionally reads this as source-reported progress so a
-    /// worker sweeping through a replayed capture gap re-anchors its stall
-    /// episode instead of alerting.
-    std::atomic<int64_t> processed_ns{0};
     /// Aggregate-complete frontier: every aggregate event this shard will
     /// ever emit with when_ns <= this value is already published in the
     /// up-ring. Written (release) with the batch watermark after the
     /// batch's up-ring commit; the coordinator's replay gate is the min of
-    /// these across shards. processed_ns cannot serve: AdvanceShardClock's
-    /// catch-up slices store it mid-batch, before that commit.
+    /// these across shards.
     std::atomic<int64_t> agg_complete_ns{0};
     /// Times this worker found its up-ring full (worker-owned plain slot;
     /// the coordinator folds it into MergedMetrics post-Flush).
@@ -337,34 +315,27 @@ class ShardedIds {
     std::atomic<bool> done{false};
 
     explicit Shard(size_t ring_capacity)
-        : down(ring_capacity),
-          arena(down.capacity(), kArenaSlotBytes),
-          up(ring_capacity) {}
+        : down(ring_capacity), up(ring_capacity) {}
   };
 
   /// Coordinator-side view of one worker's health (coordinator thread).
   /// A stall episode is anchored when the shard's down ring first shows
-  /// pending work with an unchanged heartbeat, and cleared by any progress
-  /// — wall-clock heartbeat or source-reported time. The second anchor is
-  /// what keeps faster-than-real-time replay honest: a worker sweeping
-  /// timers across a replayed capture gap advances processed_ns even when
-  /// a heartbeat store has not landed yet.
+  /// pending work with an unchanged heartbeat, and cleared by any new
+  /// heartbeat.
   struct ShardHealth {
     int64_t hb_seen = -1;
-    int64_t src_seen = -1;
     int64_t pending_since_ns = 0;  // 0 = no open episode
     bool alerted = false;
   };
 
   // ---- worker side ----
   void WorkerLoop(Shard& shard);
-  /// Inspects one kPacket whose ring slot is At(`at`).
-  void ProcessPacket(Shard& shard, size_t at, ShardMsg& msg,
-                     net::Datagram& scratch);
+  /// Inspects one kPacket in its ring slot.
+  void ProcessPacket(Shard& shard, const ShardMsg& msg);
   /// Advances a shard's private scheduler to `when` (no-op if already
   /// there). With the watchdog enabled, large jumps — replayed capture
-  /// gaps — run in bounded slices with a heartbeat and a processed_ns
-  /// store per slice, so mid-batch catch-up work is visible as progress.
+  /// gaps — run in bounded slices with a heartbeat store per slice, so
+  /// mid-batch catch-up work is visible as progress.
   void AdvanceShardClock(Shard& shard, sim::Time when);
   /// Records a sampled packet's span: latency histograms + a kSpan flight
   /// record. `t0` is the enqueue wall time, `t_dequeue` the worker's
@@ -383,17 +354,16 @@ class ShardedIds {
   /// Claims the SDP body's audio endpoint for `shard` in the owner map and
   /// pushes the resulting kRetractMedia message.
   void SnoopSdp(std::string_view body, int shard, int64_t when_ns);
-  /// Reserves and fills one down-ring slot of `shard`; fill receives the
-  /// slot and its arena index. While the ring is full, publishes every
-  /// open batch and drains upstream (backpressure).
+  /// Reserves and fills one down-ring slot of `shard`. While the ring is
+  /// full, publishes every open batch and drains upstream (backpressure).
   template <typename Fill>
   void PushDown(int shard, Fill&& fill);
   /// Publishes `shard`'s open down batch, counting it under `reason`.
   void CommitDown(Shard& shard, obs::Counter* reason);
   /// Publishes every shard's open down batch (one release store each).
   void CommitAllDown(obs::Counter* reason);
-  /// The dual-clock partial-batch deadline (kBatchFlushMicros).
-  void DeadlineCheck(int64_t when_ns);
+  /// The wall-clock partial-batch deadline (kBatchFlushMicros).
+  void DeadlineCheck();
 
   // ---- coordinator: upstream ----
   void DrainUp();
@@ -429,11 +399,10 @@ class ShardedIds {
   uint64_t flush_token_ = 0;
   size_t flush_acks_ = 0;
   /// Shards whose down ring holds an open (unpublished) batch, and the
-  /// partial-batch deadline armed while any does (both clock domains).
+  /// wall-clock partial-batch deadline armed while any does.
   size_t open_batches_ = 0;
   bool deadline_armed_ = false;
   int64_t deadline_since_ns_ = 0;
-  int64_t deadline_src_ns_ = 0;
 
   /// The aggregate replay target (DESIGN.md §11, §16): a full Vids on a
   /// coordinator-private scheduler, fed exclusively through FeedAggregate

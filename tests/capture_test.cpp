@@ -241,6 +241,25 @@ TEST(PcapRoundTrip, SnaplenTornPaddingPreserved) {
   EXPECT_EQ(packets[1].dgram.padding_bytes, 65503u);
 }
 
+TEST(PcapRoundTrip, WriterRefusesDatagramPastUdpMaximum) {
+  // 4 + 65,504 bytes is one past what UDP/IPv4 carries: its 16-bit
+  // lengths would wrap. Add refuses it without writing a byte, and the
+  // datagrams on either side still read back from a clean file.
+  PcapWriter writer;
+  EXPECT_TRUE(writer.Add(sim::Time::FromNanos(0), Dg(kOutA, kInB, "before")));
+  const size_t size_before = writer.bytes().size();
+  EXPECT_FALSE(
+      writer.Add(sim::Time::FromNanos(10), Dg(kOutA, kInB, "abcd", 65504)));
+  EXPECT_EQ(writer.bytes().size(), size_before);
+  EXPECT_TRUE(writer.Add(sim::Time::FromNanos(20), Dg(kInB, kOutA, "after")));
+  PcapFileSource source(writer.bytes());
+  const auto packets = AllPackets(source);
+  EXPECT_TRUE(source.ok()) << source.error();
+  ASSERT_EQ(packets.size(), 2u);
+  EXPECT_EQ(packets[0].dgram.payload, "before");
+  EXPECT_EQ(packets[1].dgram.payload, "after");
+}
+
 // ------------------------------------------------------- reader hardening
 
 TEST(PcapReader, PullBatchHonorsMaxAndEndsPermanently) {
@@ -564,7 +583,7 @@ TEST(TornPackets, TornCorpusPrefixesInspectCleanly) {
   EXPECT_LE(vids.alerts().size(), 2000u);
 }
 
-// --------------------------------------- sharded replay clock domains
+// ---------------------------------------------- sharded replay clock
 
 std::string WdMessage(std::string_view kind, const std::string& call_id) {
   auto build = [&](sip::Message message, bool add_to_tag) {
@@ -609,8 +628,8 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   // capture goes quiet for 8 simulated hours. Replay covers that gap in
   // microseconds of wall time; the worker has ~144k sweep timers to burn
   // through while the coordinator's watchdog (60 ms threshold) polls. The
-  // sliced catch-up heartbeats plus the source-time re-anchor must keep
-  // this scored as replay progress, not a wedged worker.
+  // heartbeat the worker stores per catch-up slice must keep this scored
+  // as replay progress, not a wedged worker.
   ids::DetectionConfig detection;
   detection.sweep_interval = sim::Duration::Millis(200);
   detection.call_idle_timeout = sim::Duration::Seconds(24 * 3600);
@@ -643,25 +662,6 @@ TEST(ShardedReplayClock, CaptureGapUnderFastReplayDoesNotTripWatchdog) {
   auto merged = engine.MergedMetrics();
   EXPECT_GE(merged.GetCounter("vids.sweeps").value(),
             static_cast<uint64_t>(gap_ms / 200 - 10));
-  engine.Stop();
-}
-
-TEST(ShardedReplayClock, SourceTimeDeadlineFlushesOpenBatch) {
-  // Two packets 10 ms apart in *source* time land within microseconds of
-  // wall time. The batch deadline must bind in the source domain: the
-  // second Ingest sees the batch open past kBatchFlushMicros of stream
-  // time and commits it, wall clock notwithstanding. Two packets stay
-  // below kBatchMax, so only the deadline can commit.
-  ids::ShardedConfig config;
-  config.shards = 1;
-  ids::ShardedIds engine(config);
-
-  engine.Ingest(Dg(kOutA, kInB, "a"), true, sim::Time::FromNanos(0));
-  engine.Ingest(Dg(kOutA, kInB, "b"), true,
-                sim::Time::FromNanos(0) + sim::Duration::Millis(10));
-  engine.Flush(sim::Time::FromNanos(0) + sim::Duration::Millis(10));
-  auto merged = engine.MergedMetrics();
-  EXPECT_GE(merged.GetCounter("pipeline.flush.deadline").value(), 1u);
   engine.Stop();
 }
 

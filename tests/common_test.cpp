@@ -7,7 +7,6 @@
 
 #include "common/backoff.h"
 #include "common/log.h"
-#include "common/payload_arena.h"
 #include "common/rng.h"
 #include "common/spsc_ring.h"
 #include "common/strings.h"
@@ -250,37 +249,6 @@ TEST(SpinBackoff, DefaultsComeFromNamedConstants) {
   EXPECT_EQ(backoff.sleeps(), 0u);
 }
 
-// ---------------------------------------------------------- payload arena
-
-TEST(PayloadArena, StoresAndReadsBackPerSlot) {
-  PayloadArena arena(/*slots=*/4, /*slot_bytes=*/16);
-  EXPECT_EQ(arena.slot_bytes(), 16u);
-  EXPECT_GE(arena.MemoryBytes(), 4u * 16u);
-  const std::string a = "alpha-payload";
-  const std::string b(16, 'x');  // exactly slot_bytes must still fit
-  arena.Store(0, a.data(), a.size());
-  arena.Store(3, b.data(), b.size());
-  EXPECT_EQ(std::string(arena.Slot(0), a.size()), a);
-  EXPECT_EQ(std::string(arena.Slot(3), b.size()), b);
-  // Slots are reused in place, exactly like the paired ring's slots.
-  const std::string c = "beta";
-  arena.Store(0, c.data(), c.size());
-  EXPECT_EQ(std::string(arena.Slot(0), c.size()), c);
-}
-
-TEST(PayloadArena, FitsRespectsSlotBoundsAndDisabledArena) {
-  PayloadArena arena(8, 32);
-  EXPECT_TRUE(arena.Fits(0));
-  EXPECT_TRUE(arena.Fits(32));
-  EXPECT_FALSE(arena.Fits(33));  // jumbo payloads take the fallback path
-  // slot_bytes == 0 disables the fast path entirely: nothing "fits", not
-  // even an empty payload, so callers never touch the zero-byte slab.
-  PayloadArena disabled(8, 0);
-  EXPECT_FALSE(disabled.Fits(0));
-  EXPECT_FALSE(disabled.Fits(1));
-  EXPECT_EQ(disabled.MemoryBytes(), 0u);
-}
-
 // ------------------------------------------- producer-side occupancy gauge
 
 TEST(SpscRing, SizeFromProducerTracksDepthAcrossLaps) {
@@ -303,10 +271,10 @@ TEST(SpscRing, SizeFromProducerTracksDepthAcrossLaps) {
     ASSERT_EQ(ring.FrontN(4), 2u);
     ring.PopN(2);
     for (int i = 0; i < 2; ++i) {
-      int* slot = ring.BeginPush();
+      int* slot = ring.BeginPushN();
       ASSERT_NE(slot, nullptr);
       *slot = lap * 10 + i;
-      ring.CommitPush();
+      ring.CommitPushN();
     }
     EXPECT_GE(ring.SizeFromProducer(), 2u);               // never under
     EXPECT_LE(ring.SizeFromProducer(), ring.capacity());  // never phantom
@@ -316,12 +284,12 @@ TEST(SpscRing, SizeFromProducerTracksDepthAcrossLaps) {
 TEST(SpscRing, SizeFromProducerSaturatesAtCapacityWhenFull) {
   SpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) {
-    int* slot = ring.BeginPush();
+    int* slot = ring.BeginPushN();
     ASSERT_NE(slot, nullptr);
     *slot = i;
-    ring.CommitPush();
+    ring.CommitPushN();
   }
-  EXPECT_EQ(ring.BeginPush(), nullptr);  // full is backpressure, not growth
+  EXPECT_EQ(ring.BeginPushN(), nullptr);  // full is backpressure, not growth
   EXPECT_EQ(ring.SizeFromProducer(), ring.capacity());
   ring.FrontN(1);
   ring.PopN(1);
@@ -330,10 +298,10 @@ TEST(SpscRing, SizeFromProducerSaturatesAtCapacityWhenFull) {
   EXPECT_GE(ring.SizeFromProducer(), ring.capacity() - 1);
   EXPECT_LE(ring.SizeFromProducer(), ring.capacity());
   // A successful push refreshes the cache: exact again, at capacity.
-  int* slot = ring.BeginPush();
+  int* slot = ring.BeginPushN();
   ASSERT_NE(slot, nullptr);
   *slot = 99;
-  ring.CommitPush();
+  ring.CommitPushN();
   EXPECT_EQ(ring.SizeFromProducer(), ring.capacity());
 }
 

@@ -39,82 +39,24 @@ TEST(SpscRing, RoundsCapacityUpToPowerOfTwo) {
   EXPECT_EQ(common::SpscRing<int>(1000).capacity(), 1024u);
 }
 
-TEST(SpscRing, FifoAcrossWraparound) {
-  common::SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Front(), nullptr);  // empty
-  int next_push = 0;
-  int next_pop = 0;
-  // Many full/empty cycles so head and tail wrap the 4-slot buffer often.
-  for (int round = 0; round < 100; ++round) {
-    while (int* slot = ring.BeginPush()) {
-      *slot = next_push++;
-      ring.CommitPush();
-    }
-    EXPECT_EQ(ring.SizeApprox(), ring.capacity());
-    EXPECT_EQ(ring.BeginPush(), nullptr);  // full: rejected, not overwritten
-    while (int* front = ring.Front()) {
-      EXPECT_EQ(*front, next_pop++);
-      ring.Pop();
-    }
-    EXPECT_EQ(ring.Front(), nullptr);
-  }
-  EXPECT_EQ(next_push, next_pop);
-  EXPECT_EQ(next_push, 400);
-}
-
 TEST(SpscRing, SlotsAreReusedInPlace) {
-  // The zero-allocation handoff depends on Pop() leaving the slot object
-  // alive: after a full lap, BeginPush must hand back the same object
+  // The zero-allocation handoff depends on PopN() leaving the slot object
+  // alive: after a full lap, BeginPushN must hand back the same object
   // (same address, warm string capacity) it handed out last lap.
   common::SpscRing<std::string> ring(2);
-  std::string* first = ring.BeginPush();
+  std::string* first = ring.BeginPushN();
   ASSERT_NE(first, nullptr);
   first->assign("warm-capacity-probe-string");
   const size_t capacity_before = first->capacity();
-  ring.CommitPush();
-  ring.Pop();
-  std::string* second = ring.BeginPush();  // slot 1
+  ring.CommitPushN();
+  ring.PopN(ring.FrontN(1));
+  std::string* second = ring.BeginPushN();  // slot 1
   ASSERT_NE(second, nullptr);
-  ring.CommitPush();
-  ring.Pop();
-  std::string* again = ring.BeginPush();  // back to slot 0
+  ring.CommitPushN();
+  ring.PopN(ring.FrontN(1));
+  std::string* again = ring.BeginPushN();  // back to slot 0
   ASSERT_EQ(again, first);
   EXPECT_GE(again->capacity(), capacity_before);
-}
-
-TEST(SpscRing, TwoThreadStressKeepsOrderAndLosesNothing) {
-  const int n = [] {
-    if (const char* s = std::getenv("SHARDED_STRESS_PACKETS")) {
-      return std::max(1000, std::atoi(s));
-    }
-    return 200'000;
-  }();
-  common::SpscRing<int> ring(64);
-  std::thread producer([&] {
-    for (int i = 0; i < n;) {
-      if (int* slot = ring.BeginPush()) {
-        *slot = i++;
-        ring.CommitPush();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  long long sum = 0;
-  while (expected < n) {
-    if (int* front = ring.Front()) {
-      ASSERT_EQ(*front, expected);  // strict FIFO under concurrency
-      sum += *front;
-      ++expected;
-      ring.Pop();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(n) * (n - 1) / 2);
-  EXPECT_EQ(ring.Front(), nullptr);
 }
 
 TEST(SpscRingBatched, WraparoundAtCapacityBoundaries) {
@@ -134,8 +76,12 @@ TEST(SpscRingBatched, WraparoundAtCapacityBoundaries) {
         ++pushed;
       }
       EXPECT_EQ(ring.open_push(), batch);
+      if (batch == cap) {
+        EXPECT_EQ(ring.BeginPushN(), nullptr);  // full: rejected, not lost
+      }
       ring.CommitPushN();
       EXPECT_EQ(ring.open_push(), 0u);
+      EXPECT_EQ(ring.SizeApprox(), batch);
       const size_t n = ring.FrontN(cap);
       ASSERT_EQ(n, batch);
       for (size_t i = 0; i < n; ++i) EXPECT_EQ(ring.At(i), next_pop++);
@@ -169,43 +115,10 @@ TEST(SpscRingBatched, PartialBatchInvisibleUntilCommit) {
   ring.PopN(8);
 }
 
-TEST(SpscRingBatched, InterleavedSingleAndBatchedOps) {
-  // Single push/pop is the K = 1 case of the batched machinery, so mixing
-  // them must preserve FIFO exactly.
-  common::SpscRing<int> ring(8);
-  int next_push = 0;
-  int next_pop = 0;
-  for (int round = 0; round < 50; ++round) {
-    // Two singles, then a batch of three.
-    for (int i = 0; i < 2; ++i) {
-      int* slot = ring.BeginPush();
-      ASSERT_NE(slot, nullptr);
-      *slot = next_push++;
-      ring.CommitPush();
-    }
-    for (int i = 0; i < 3; ++i) {
-      int* slot = ring.BeginPushN();
-      ASSERT_NE(slot, nullptr);
-      *slot = next_push++;
-    }
-    ring.CommitPushN();
-    // One single pop, then drain the rest batched.
-    int* front = ring.Front();
-    ASSERT_NE(front, nullptr);
-    EXPECT_EQ(*front, next_pop++);
-    ring.Pop();
-    const size_t n = ring.FrontN(8);
-    ASSERT_EQ(n, 4u);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(ring.At(i), next_pop++);
-    ring.PopN(n);
-  }
-  EXPECT_EQ(next_push, next_pop);
-}
-
 TEST(SpscRingBatched, TwoThreadStressKeepsOrderAndLosesNothing) {
-  // The batched analog of the single-op stress above, and the TSan surface
-  // for the one-release-store-per-batch publish: producer commits variable
-  // partial batches, consumer drains variable batch sizes.
+  // The TSan surface for the one-release-store-per-batch publish: producer
+  // commits variable partial batches (from single slots up), consumer
+  // drains variable batch sizes.
   const int n = [] {
     if (const char* s = std::getenv("SHARDED_STRESS_PACKETS")) {
       return std::max(1000, std::atoi(s));
@@ -1100,6 +1013,137 @@ TEST(ShardedEquivalence, MidStreamFlushKeepsAlertsIdentical) {
   engine.Flush(last);
   engine.Stop();
   EXPECT_EQ(reference, RenderedAlerts(engine.alerts()));
+}
+
+// --------------------------------------------- payloads past 2 KB
+
+/// Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
+constexpr size_t kMaxUdpPayload = 65'507;
+
+/// `message` with an SDP body for `media` plus one `a=` filler line, sized
+/// so the serialized message is exactly `bytes` long.
+net::Datagram PaddedSipDgram(sip::Message message, net::Endpoint media,
+                             size_t bytes, net::Endpoint src,
+                             net::Endpoint dst) {
+  const std::string offer = sdp::MakeAudioOffer(media).Serialize();
+  const auto pad = [&](size_t filler) {
+    message.SetBody(offer + "a=x-filler:" + std::string(filler, 'f') + "\r\n",
+                    "application/sdp");
+    return SipDgram(message, src, dst);
+  };
+  // A longer body can lengthen Content-Length too: shrink to fit.
+  size_t filler = bytes - pad(0).payload.size();
+  net::Datagram dgram = pad(filler);
+  while (dgram.payload.size() > bytes) dgram = pad(--filler);
+  EXPECT_EQ(dgram.payload.size(), bytes);
+  return dgram;
+}
+
+// Calls, a BYE DoS and an INVITE flood whose SIP payloads run from just
+// past 2 KB up to the 65,507-byte UDP maximum, plus RTP packets past 2 KB.
+// The coordinator's SDP snoop and the shard's classifier must both read
+// every byte to agree on routing and verdicts: the BYE DoS needs the
+// padded SDP's media binding, and the flood INVITE that crosses the
+// threshold is the maximum-size one.
+std::vector<TracePacket> LargePayloadTrace() {
+  TraceBuilder b;
+  const auto caller_of = [](int c) {
+    return net::Endpoint{net::IpAddress(10, 1, 0, 40),
+                         static_cast<uint16_t>(24000 + 2 * c)};
+  };
+  const auto callee_of = [](int c) {
+    return net::Endpoint{net::IpAddress(10, 2, 0, 40),
+                         static_cast<uint16_t>(34000 + 2 * c)};
+  };
+  const auto big_rtp = [&](int c, int seq) {
+    net::Datagram rtp = RtpDgram(
+        0x700u + static_cast<uint32_t>(c), static_cast<uint16_t>(seq),
+        160u * static_cast<uint32_t>(seq), caller_of(c), callee_of(c));
+    rtp.payload.append(2'400, static_cast<char>(0x55));
+    return rtp;
+  };
+  for (int c = 0; c < 4; ++c) {
+    const std::string call_id = "big-" + std::to_string(c) + "@trace";
+    const net::Endpoint caller = caller_of(c);
+    const net::Endpoint callee = callee_of(c);
+    const size_t bytes = 2'049 + 2'500 * static_cast<size_t>(c);
+    const auto invite = MakeInvite(call_id, "bob", caller, kProxyA);
+    b.Add(PaddedSipDgram(invite, caller, bytes, kProxyA, kProxyB), true);
+    b.Step();
+    b.Add(PaddedSipDgram(MakeResponse(invite, 200, std::nullopt), callee,
+                         bytes, kProxyB, kProxyA),
+          false);
+    b.Step();
+    b.Add(SipDgram(MakeInDialog(sip::Method::kAck, call_id, 1, caller),
+                   caller, callee),
+          true);
+    b.Step();
+    for (int seq = 1; seq <= 6; ++seq) {
+      b.Add(big_rtp(c, seq), true);
+      b.Step();
+    }
+  }
+  // A spoofed BYE in the caller's name, then the caller keeps talking past
+  // the in-flight grace.
+  b.Add(SipDgram(MakeInDialog(sip::Method::kBye, "big-3@trace", 9, kAttacker),
+                 kAttacker, kProxyB),
+        true);
+  b.Step();
+  for (int seq = 7; seq <= 16; ++seq) {
+    b.Add(big_rtp(3, seq), true);
+    b.Step();
+  }
+
+  const DetectionConfig detection;
+  for (int k = 0; k <= detection.invite_flood_threshold + 2; ++k) {
+    const std::string call_id = "big-flood-" + std::to_string(k) + "@trace";
+    const net::Endpoint media{kAttacker.ip, 42000};
+    const size_t bytes = k == detection.invite_flood_threshold
+                             ? kMaxUdpPayload
+                             : 2'049 + 97 * static_cast<size_t>(k);
+    b.Add(PaddedSipDgram(MakeInvite(call_id, "floodee", media, kAttacker),
+                         media, bytes, kAttacker, kProxyB),
+          true);
+    b.Step();
+  }
+  return b.trace();
+}
+
+TEST(ShardedEquivalence, LargePayloadsRenderIdenticalAlerts) {
+  const auto trace = LargePayloadTrace();
+  size_t past_2k = 0;
+  std::vector<sim::Time> at_max;
+  for (const TracePacket& p : trace) {
+    past_2k += p.dgram.payload.size() > 2'048 ? 1 : 0;
+    if (p.dgram.payload.size() == kMaxUdpPayload) at_max.push_back(p.when);
+  }
+  EXPECT_GE(past_2k, 50u);
+  ASSERT_EQ(at_max.size(), 1u);
+
+  // The plain engine keeps causal order within an instant; put its stream
+  // in the sharded engine's canonical order (alerts()) before comparing.
+  std::vector<Alert> plain = RunPlain(trace);
+  std::stable_sort(plain.begin(), plain.end(),
+                   [](const Alert& a, const Alert& b) {
+                     if (a.when != b.when) return a.when < b.when;
+                     return a.ToString() < b.ToString();
+                   });
+  const std::string reference = RenderedAlerts(plain);
+  EXPECT_EQ(std::count_if(plain.begin(), plain.end(),
+                          [](const Alert& a) {
+                            return a.classification == kAttackByeDos;
+                          }),
+            1);
+  const auto flood =
+      std::find_if(plain.begin(), plain.end(), [](const Alert& a) {
+        return a.classification == kAttackInviteFlood;
+      });
+  ASSERT_NE(flood, plain.end());
+  EXPECT_EQ(flood->when, at_max[0]);
+  for (int shards : {1, 4}) {
+    EXPECT_EQ(reference, RenderedAlerts(RunSharded(trace, shards)))
+        << "shards=" << shards;
+  }
 }
 
 // ------------------------------------------------------- media owner map
