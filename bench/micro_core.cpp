@@ -292,6 +292,51 @@ void BM_VidsInspectSip(benchmark::State& state) {
 }
 BENCHMARK(BM_VidsInspectSip);
 
+void BM_FactBaseChurn(benchmark::State& state) {
+  // One call per iteration through the fact base alone: a fresh 32-byte
+  // Call-ID, the two media endpoints its SDP offer and answer negotiate and
+  // their per-endpoint pattern groups. The call idles out under a short
+  // call_idle_timeout, and 10 ms of simulated time per iteration carries the
+  // clock past the sweep, keyed-idle and tombstone horizons, so the periodic
+  // sweeps reclaim calls, media groups and tombstones as fast as they are
+  // admitted. allocs_per_iter covers the admission and the amortized sweeps;
+  // once the tables and free lists are warm both recycle everything.
+  ids::DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(1);
+  config.keyed_idle_timeout = sim::Duration::Seconds(1);
+  config.tombstone_ttl = sim::Duration::Seconds(1);
+  sim::Scheduler scheduler;
+  ids::CallStateFactBase fact_base(scheduler, config, nullptr);
+  uint64_t call = 0;
+  char call_id[33];
+  const auto churn_one = [&] {
+    std::snprintf(call_id, sizeof(call_id), "churn-%026llu",
+                  static_cast<unsigned long long>(call));
+    bool created = false;
+    benchmark::DoNotOptimize(fact_base.AdmitCall(call_id, created));
+    // Endpoints cycle through 10,000 hosts, far more than live at once,
+    // whose dotted quads all have the same length: a recycled group keeps
+    // its name's capacity, so only a longer name than it ever held would
+    // allocate.
+    const auto c = static_cast<uint8_t>(100 + call / 100 % 100);
+    const auto d = static_cast<uint8_t>(100 + call % 100);
+    const net::Endpoint offer{net::IpAddress(10, 1, c, d), 20000};
+    const net::Endpoint answer{net::IpAddress(10, 2, c, d), 30000};
+    fact_base.IndexMedia(offer, call_id);
+    fact_base.IndexMedia(answer, call_id);
+    fact_base.GetOrCreateMediaGroup(offer);
+    fact_base.GetOrCreateMediaGroup(answer);
+    ++call;
+    scheduler.RunUntil(scheduler.Now() + sim::Duration::Millis(10));
+  };
+  // Warm-up: five simulated seconds fill the pipeline of live calls, media
+  // groups and tombstones, and let the tables reach their steady size.
+  for (int i = 0; i < 500; ++i) churn_one();
+  AllocCounter allocs(state);
+  for (auto _ : state) churn_one();
+}
+BENCHMARK(BM_FactBaseChurn);
+
 void BM_VidsInspectSipInDialog(benchmark::State& state) {
   sim::Scheduler scheduler;
   ids::Vids vids(scheduler);

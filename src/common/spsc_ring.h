@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace vids::common {
@@ -53,6 +54,10 @@ class SpscRing {
   SpscRing& operator=(const SpscRing&) = delete;
 
   size_t capacity() const { return mask_ + 1; }
+
+  /// Every slot in storage order, published or not. Only for a caller that
+  /// knows no thread is writing the slots' contents.
+  std::span<const T> slots() const { return slots_; }
 
   // ---- producer side ----
 

@@ -254,7 +254,10 @@ sim::Time MachineInstance::Now() const { return group_.scheduler_.Now(); }
 MachineGroup::MachineGroup(const GroupShape& shape, std::string name,
                            sim::Scheduler& scheduler, Observer* observer,
                            const EngineMetrics* metrics)
-    : shape_(&shape), scheduler_(scheduler), observer_(observer),
+    : shape_(&shape),
+      name_hash_(std::hash<std::string_view>{}(name)),
+      scheduler_(scheduler),
+      observer_(observer),
       name_(std::move(name)) {
   if (metrics != nullptr) metrics_ = *metrics;
   uint32_t timer_base = 0;
@@ -282,6 +285,7 @@ void MachineGroup::Reclaim() {
 void MachineGroup::Reset(std::string_view name) {
   Reclaim();
   name_.assign(name);
+  name_hash_ = std::hash<std::string_view>{}(name_);
   global_.Clear();
   for (auto& machine : machines_) machine.Reset();
   for (auto& channel : channels_) {

@@ -280,10 +280,10 @@ class MachineGroup {
   void set_retirement_listener(RetirementListener* listener) {
     retirement_listener_ = listener;
   }
-  /// An opaque pointer the owner may hang on the group (the fact base keeps
-  /// the group's table entry here). Reset keeps it.
-  void set_owner_data(void* data) { owner_data_ = data; }
-  void* owner_data() const { return owner_data_; }
+  /// An index the owner may hang on the group (the fact base keeps the slab
+  /// index of the group's table entry here). Reset keeps it.
+  void set_owner_index(uint32_t index) { owner_index_ = index; }
+  uint32_t owner_index() const { return owner_index_; }
 
   /// Reclaim and reset split the recycling of a group between the moment
   /// its owner lets go of it and the moment a new owner takes it:
@@ -317,6 +317,9 @@ class MachineGroup {
   MachineInstance* Find(std::string_view instance_name);
 
   const std::string& name() const { return name_; }
+  /// std::hash<std::string_view> of name(), computed when the group is
+  /// named, so a reader matching many groups by name hashes none of them.
+  size_t name_hash() const { return name_hash_; }
   sim::Scheduler& scheduler() { return scheduler_; }
   Observer* observer() { return observer_; }
   VariableStore& global() { return global_; }
@@ -369,18 +372,22 @@ class MachineGroup {
   // checking a group touches one allocation. The flight ring goes last: the
   // packet path and the sweep read the fields above it.
   const GroupShape* shape_;
+  // Next to shape_, which the fact base reads when it parks the group, so
+  // the sweep listener's name matching finds it in cache.
+  size_t name_hash_;
   sim::Scheduler& scheduler_;
   Observer* observer_;
   RetirementListener* retirement_listener_ = nullptr;
-  void* owner_data_ = nullptr;
+  uint32_t owner_index_ = 0;
   bool pumping_ = false;
+  // One scheduler handle per (machine, timer id): machine i's timers sit at
+  // [timer_base, timer_base + def.timer_count()). Kept with the fields
+  // above, so reclaiming a group reads its first two cache lines only.
+  detail::InlineArray<sim::Scheduler::EventId, 4> timers_;
   std::string name_;
   VariableStore global_;
   detail::InlineArray<MachineInstance, 4> machines_;  // one per shape entry
   detail::InlineArray<Channel, 1> channels_;  // indexed by the shape's ids
-  // One scheduler handle per (machine, timer id): machine i's timers sit at
-  // [timer_base, timer_base + def.timer_count()).
-  detail::InlineArray<sim::Scheduler::EventId, 4> timers_;
   EngineMetrics metrics_;  // copy: one indirection per update, no null check
   mutable obs::FlightRecorder recorder_;
 };

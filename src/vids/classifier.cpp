@@ -302,11 +302,15 @@ const ClassifiedPacket* PacketClassifier::ClassifyRtp(
   efsm::Event& event = out.event;
   event.name.assign(kRtpEvent);
   PutEndpoints(event, dgram, from_outside);
-  event.args[argkey::kSsrc] = static_cast<int64_t>(header->ssrc);
-  event.args[argkey::kSeq] = static_cast<int64_t>(header->sequence_number);
-  event.args[argkey::kTs] = static_cast<int64_t>(header->timestamp);
-  event.args[argkey::kPt] = static_cast<int64_t>(header->payload_type);
-  event.args[argkey::kMarker] = header->marker;
+  event.args.Slot(kSlotProtoFirst, argkey::kSsrc) =
+      static_cast<int64_t>(header->ssrc);
+  event.args.Slot(kSlotProtoFirst + 1, argkey::kSeq) =
+      static_cast<int64_t>(header->sequence_number);
+  event.args.Slot(kSlotProtoFirst + 2, argkey::kTs) =
+      static_cast<int64_t>(header->timestamp);
+  event.args.Slot(kSlotProtoFirst + 3, argkey::kPt) =
+      static_cast<int64_t>(header->payload_type);
+  event.args.Slot(kSlotProtoFirst + 4, argkey::kMarker) = header->marker;
   return &out;
 }
 

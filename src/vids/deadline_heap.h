@@ -1,16 +1,17 @@
-// Intrusive indexed min-heap of deadlines: the fact base's idle-reclamation
-// index (DESIGN.md §9).
+// Indexed min-heap of deadlines: the fact base's idle-reclamation index
+// (DESIGN.md §9).
 //
-// The heap holds pointers to nodes owned elsewhere — the fact base's
-// unordered_map nodes, whose addresses survive rehashing — ordered by the
-// deadline each was filed under. Every node stores its own heap position
-// (reached through the `SlotOf` accessor), so a node that its map erases
-// for another reason leaves the heap in O(log n) and the heap never holds a
-// stale item: its size is exactly the number of filed nodes.
+// The heap holds items by index — the slab indexes of the fact base's flat
+// tables (flat_index.h) — ordered by the deadline each was filed under. It
+// keeps every item's heap position in a dense array beside the heap, so an
+// item that its table erases for another reason leaves the heap in
+// O(log n) and the heap never holds a stale item: its size is exactly the
+// number of filed items. Keeping the positions out of the table entries
+// also keeps the writes every slot move makes inside one small array
+// rather than scattered over the slab.
 //
 // Four-ary rather than binary: a sift step compares four adjacent slots
-// (one cache line) and the tree is half as deep, which matters because
-// every slot move also writes the moved node's position into its map node.
+// (one cache line) and the tree is half as deep.
 #pragma once
 
 #include <cstddef>
@@ -22,38 +23,36 @@
 
 namespace vids::ids {
 
-/// Position-field value of a node that is not in a DeadlineHeap.
-inline constexpr uint32_t kDeadlineUnfiled =
-    std::numeric_limits<uint32_t>::max();
-
-/// `SlotOf` is a stateless functor returning a reference to the node's
-/// `uint32_t` position field (kDeadlineUnfiled while the node is not filed).
-template <typename Node, typename SlotOf>
 class DeadlineHeap {
  public:
   bool empty() const { return slots_.empty(); }
   size_t size() const { return slots_.size(); }
-  /// The node with the earliest filed deadline. The heap must not be empty.
-  Node& top() const { return *slots_.front().node; }
+  /// True while `item` is filed.
+  bool filed(uint32_t item) const {
+    return item < positions_.size() && positions_[item] != kUnfiled;
+  }
+  /// The item with the earliest filed deadline. The heap must not be empty.
+  uint32_t top() const { return slots_.front().item; }
   sim::Time top_deadline() const { return slots_.front().deadline; }
 
-  /// Files `node`, which must not be filed already, under `deadline`.
-  void Push(Node& node, sim::Time deadline) {
-    slots_.push_back(Slot{deadline, &node});
+  /// Files `item`, which must not be filed already, under `deadline`.
+  void Push(uint32_t item, sim::Time deadline) {
+    if (item >= positions_.size()) positions_.resize(item + 1, kUnfiled);
+    slots_.push_back(Slot{deadline, item});
     SiftUp(slots_.size() - 1);
   }
 
-  /// Re-files the top node under `deadline`, which must not be earlier
+  /// Re-files the top item under `deadline`, which must not be earlier
   /// than the one it was filed under.
   void RefileTop(sim::Time deadline) {
     slots_.front().deadline = deadline;
     SiftDown(0);
   }
 
-  /// Removes `node`, which must be filed.
-  void Erase(Node& node) {
-    const size_t pos = SlotOf{}(node);
-    SlotOf{}(node) = kDeadlineUnfiled;
+  /// Removes `item`, which must be filed.
+  void Erase(uint32_t item) {
+    const size_t pos = positions_[item];
+    positions_[item] = kUnfiled;
     const Slot last = slots_.back();
     slots_.pop_back();
     if (pos == slots_.size()) return;  // it was the last slot
@@ -65,22 +64,29 @@ class DeadlineHeap {
     }
   }
 
-  /// Frees the slot storage. The heap must be empty.
-  void Release() { std::vector<Slot>().swap(slots_); }
+  /// Frees the slot and position storage. The heap must be empty.
+  void Release() {
+    std::vector<Slot>().swap(slots_);
+    std::vector<uint32_t>().swap(positions_);
+  }
 
-  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+  size_t MemoryBytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           positions_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   static constexpr size_t kArity = 4;
+  static constexpr uint32_t kUnfiled = std::numeric_limits<uint32_t>::max();
 
   struct Slot {
     sim::Time deadline;
-    Node* node;
+    uint32_t item;
   };
 
   void Place(size_t pos, const Slot& slot) {
     slots_[pos] = slot;
-    SlotOf{}(*slot.node) = static_cast<uint32_t>(pos);
+    positions_[slot.item] = static_cast<uint32_t>(pos);
   }
 
   void SiftUp(size_t pos) {
@@ -101,6 +107,13 @@ class DeadlineHeap {
       const size_t first = pos * kArity + 1;
       if (first >= n) break;
       const size_t end = first + kArity < n ? first + kArity : n;
+      // Start loading every child's own children before comparing: the
+      // next level is one of those four blocks, and in a large heap the
+      // lower levels miss the cache.
+      for (size_t child = first; child < end && child * kArity + 1 < n;
+           ++child) {
+        __builtin_prefetch(&slots_[child * kArity + 1]);
+      }
       size_t best = first;
       for (size_t child = first + 1; child < end; ++child) {
         if (slots_[child].deadline < slots_[best].deadline) best = child;
@@ -113,6 +126,9 @@ class DeadlineHeap {
   }
 
   std::vector<Slot> slots_;
+  // Heap position of every item index, kUnfiled when the item is not
+  // filed; grows to the largest item ever filed.
+  std::vector<uint32_t> positions_;
 };
 
 }  // namespace vids::ids

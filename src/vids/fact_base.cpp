@@ -27,20 +27,51 @@ uint64_t DrdosKey(net::IpAddress victim) {
 // temporaries.
 const std::string& KeyedName(std::string& out, std::string_view prefix,
                              net::IpAddress ip, int port = -1) {
-  char buf[24];
-  char* end = buf;
+  char buf[8];
+  const auto append = [&](int value) {
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  out.assign(prefix);
   const uint32_t bits = ip.bits();
   for (int shift = 24; shift >= 0; shift -= 8) {
-    end = std::to_chars(end, buf + sizeof(buf), (bits >> shift) & 0xFF).ptr;
-    if (shift != 0) *end++ = '.';
+    append(static_cast<int>((bits >> shift) & 0xFF));
+    if (shift != 0) out.push_back('.');
   }
   if (port >= 0) {
-    *end++ = ':';
-    end = std::to_chars(end, buf + sizeof(buf), port).ptr;
+    out.push_back(':');
+    append(port);
   }
-  out.assign(prefix);
-  out.append(buf, end);
   return out;
+}
+
+// A sweep's reclaim touches a few cache lines per entry, scattered over the
+// slab, the groups and the table index. Loading entry k + 2·kAhead, and the
+// lines that entry k + kAhead points at, while entry k is reclaimed
+// overlaps those misses instead of paying them one after another.
+constexpr size_t kAhead = 4;
+
+template <typename Table, typename Reclaim>
+void ReclaimPrefetched(const Table& table, std::span<const uint32_t> indexes,
+                       Reclaim reclaim) {
+  const size_t n = indexes.size();
+  for (size_t k = 0; k < n; ++k) {
+    if (k + 2 * kAhead < n) __builtin_prefetch(&table[indexes[k + 2 * kAhead]]);
+    if (k + kAhead < n) {
+      const uint32_t ahead = indexes[k + kAhead];
+      const auto& entry = table[ahead];
+      if (entry.group != nullptr) {
+        // Parking a group reads its first two lines (shape, name hash,
+        // timer handles).
+        __builtin_prefetch(entry.group);
+        __builtin_prefetch(reinterpret_cast<const char*>(entry.group) + 64);
+      }
+      if constexpr (requires { entry.media; }) {
+        if (!entry.media.empty()) __builtin_prefetch(entry.media.data());
+      }
+      table.PrefetchIndexSlot(ahead);
+    }
+    reclaim(indexes[k]);
+  }
 }
 
 }  // namespace
@@ -85,10 +116,11 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
 }
 
 CallStateFactBase::~CallStateFactBase() {
-  for (auto* map : {&calls_, &keyed_str_}) {
-    for (auto& [key, entry] : *map) delete entry.group;  // null: tombstone
-  }
-  for (auto& [key, entry] : keyed_bin_) delete entry.group;
+  // Erased entries and tombstones hold no group.
+  const auto delete_group = [](const auto& entry) { delete entry.group; };
+  calls_.ForEachEntry(delete_group);
+  keyed_str_.ForEachEntry(delete_group);
+  keyed_bin_.ForEachEntry(delete_group);
   for (Recycler* recycler :
        {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
     for (efsm::MachineGroup* group : recycler->free) delete group;
@@ -162,19 +194,43 @@ void CallStateFactBase::UpdateGauges() {
   m_tombstones_->Set(static_cast<int64_t>(tombstones_));
 }
 
-efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
-    const std::string& call_id, bool& created) {
-  auto it = calls_.find(call_id);
-  if (it != calls_.end() && it->second.group != nullptr) {
+uint32_t CallStateFactBase::FindCallEntry(std::string_view call_id,
+                                          uint64_t hash) const {
+  return calls_.Find(
+      hash, [&](uint32_t index) { return calls_[index].call_id == call_id; });
+}
+
+efsm::MachineGroup* CallStateFactBase::AdmitCall(std::string_view call_id,
+                                                 bool& created) {
+  const uint64_t hash = common::StringHash{}(call_id);
+  uint32_t index = FindCallEntry(call_id, hash);
+  if (index != kNoEntry) {
+    CallEntry& entry = calls_[index];
+    if (entry.group == nullptr) return nullptr;  // tombstone
     created = false;
-    it->second.last_event = scheduler_.Now();
-    return *it->second.group;
+    entry.last_event = scheduler_.Now();
+    return entry.group;
   }
+  index = calls_.Insert(hash);
+  calls_[index].call_id.assign(call_id);
   created = true;
+  return &OpenCall(index);
+}
+
+efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
+    std::string_view call_id, bool& created) {
+  if (efsm::MachineGroup* group = AdmitCall(call_id, created)) return *group;
+  // A tombstone: its entry opens the call again.
+  --tombstones_;
+  created = true;
+  return OpenCall(FindCallEntry(call_id, common::StringHash{}(call_id)));
+}
+
+efsm::MachineGroup& CallStateFactBase::OpenCall(uint32_t index) {
   ++calls_created_;
   m_calls_created_->Inc();
-  if (it != calls_.end()) --tombstones_;  // direct reuse of a tombstoned id
-  efsm::MachineGroup* group = AcquireGroup(call_groups_, call_id);
+  CallEntry& entry = calls_[index];
+  efsm::MachineGroup* group = AcquireGroup(call_groups_, entry.call_id);
   {
     obs::Record rec;
     rec.type = obs::RecordType::kFactAssert;
@@ -182,20 +238,20 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateCall(
     rec.aux = FactAux::kCallCreated;
     group->flight_recorder().Record(rec);
   }
-  StringNode& node = *calls_.try_emplace(call_id).first;
-  node.second.group = group;
-  node.second.last_event = scheduler_.Now();
+  entry.group = group;
+  entry.last_event = scheduler_.Now();
   // A retiring machine finds its call entry through this, not by name.
-  group->set_owner_data(&node);
-  call_idle_.Push(node, node.second.last_event + config_.call_idle_timeout);
+  group->set_owner_index(index);
+  call_idle_.Push(index, entry.last_event + config_.call_idle_timeout);
   m_active_calls_->Set(static_cast<int64_t>(call_count()));
   ArmSweepTimer();
   return *group;
 }
 
 efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
-  const auto it = calls_.find(call_id);
-  return it != calls_.end() ? it->second.group : nullptr;
+  const uint32_t index =
+      FindCallEntry(call_id, common::StringHash{}(call_id));
+  return index != kNoEntry ? calls_[index].group : nullptr;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
@@ -215,172 +271,194 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
       return GetOrCreateInviteFlood(key);
   }
   // Unparseable media/victim keys.
-  const std::string name =
-      (kind == KeyedKind::kMediaEndpoint ? "media|" : "drdos|") + key;
-  auto it = keyed_str_.find(name);
-  if (it != keyed_str_.end()) {
-    it->second.last_event = scheduler_.Now();
-    return *it->second.group;
-  }
-  StringNode& node = *keyed_str_.try_emplace(name).first;
-  node.second.group = AcquireGroup(
-      kind == KeyedKind::kMediaEndpoint ? media_groups_ : drdos_groups_,
-      name);
-  node.second.last_event = scheduler_.Now();
-  keyed_str_idle_.Push(node,
-                       node.second.last_event + config_.keyed_idle_timeout);
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *node.second.group;
+  const bool media = kind == KeyedKind::kMediaEndpoint;
+  key_scratch_.assign(media ? "media|" : "drdos|");
+  key_scratch_.append(key);
+  return GetOrCreateNamed(media ? media_groups_ : drdos_groups_,
+                          key_scratch_);
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
     std::string_view aor) {
-  // Runs per INVITE request: compose the map key in the reused scratch
-  // string and find transparently so the hit path never allocates.
+  // Runs per INVITE request: compose the key in the reused scratch string
+  // so the hit path never allocates.
   key_scratch_.assign("flood|");
   key_scratch_.append(aor);
-  auto it = keyed_str_.find(key_scratch_);
-  if (it != keyed_str_.end()) {
-    it->second.last_event = scheduler_.Now();
-    return *it->second.group;
+  return GetOrCreateNamed(flood_groups_, key_scratch_);
+}
+
+efsm::MachineGroup& CallStateFactBase::GetOrCreateNamed(
+    Recycler& recycler, std::string_view name) {
+  const uint64_t hash = common::StringHash{}(name);
+  uint32_t index = keyed_str_.Find(
+      hash, [&](uint32_t i) { return keyed_str_[i].key == name; });
+  if (index != kNoEntry) {
+    keyed_str_[index].last_event = scheduler_.Now();
+    return *keyed_str_[index].group;
   }
-  StringNode& node = *keyed_str_.try_emplace(key_scratch_).first;
-  node.second.group = AcquireGroup(flood_groups_, key_scratch_);
-  node.second.last_event = scheduler_.Now();
-  keyed_str_idle_.Push(node,
-                       node.second.last_event + config_.keyed_idle_timeout);
+  index = keyed_str_.Insert(hash);
+  auto& entry = keyed_str_[index];
+  entry.key.assign(name);
+  entry.group = AcquireGroup(recycler, name);
+  entry.last_event = scheduler_.Now();
+  keyed_str_idle_.Push(index, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
-  return *node.second.group;
+  return *entry.group;
+}
+
+template <typename Name>
+efsm::MachineGroup& CallStateFactBase::GetOrCreateBinary(Recycler& recycler,
+                                                         uint64_t key,
+                                                         Name name) {
+  const uint64_t hash = std::hash<uint64_t>{}(key);
+  uint32_t index = keyed_bin_.Find(
+      hash, [&](uint32_t i) { return keyed_bin_[i].key == key; });
+  if (index != kNoEntry) {
+    keyed_bin_[index].last_event = scheduler_.Now();
+    return *keyed_bin_[index].group;
+  }
+  index = keyed_bin_.Insert(hash);
+  auto& entry = keyed_bin_[index];
+  entry.key = key;
+  entry.group = AcquireGroup(recycler, name());
+  entry.last_event = scheduler_.Now();
+  keyed_bin_idle_.Push(index, entry.last_event + config_.keyed_idle_timeout);
+  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
+  ArmSweepTimer();
+  return *entry.group;
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateMediaGroup(
     const net::Endpoint& endpoint) {
-  auto [it, inserted] = keyed_bin_.try_emplace(MediaKey(endpoint));
-  Entry& entry = it->second;
-  entry.last_event = scheduler_.Now();
-  if (!inserted) return *entry.group;
-  entry.group = AcquireGroup(
-      media_groups_,
-      KeyedName(key_scratch_, "media|", endpoint.ip, endpoint.port));
-  keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *entry.group;
+  return GetOrCreateBinary(
+      media_groups_, MediaKey(endpoint), [&]() -> std::string_view {
+        return KeyedName(key_scratch_, "media|", endpoint.ip, endpoint.port);
+      });
 }
 
 efsm::MachineGroup& CallStateFactBase::GetOrCreateDrdosGroup(
     net::IpAddress victim) {
-  auto [it, inserted] = keyed_bin_.try_emplace(DrdosKey(victim));
-  Entry& entry = it->second;
-  entry.last_event = scheduler_.Now();
-  if (!inserted) return *entry.group;
-  entry.group =
-      AcquireGroup(drdos_groups_, KeyedName(key_scratch_, "drdos|", victim));
-  keyed_bin_idle_.Push(*it, entry.last_event + config_.keyed_idle_timeout);
-  m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
-  ArmSweepTimer();
-  return *entry.group;
+  return GetOrCreateBinary(drdos_groups_, DrdosKey(victim),
+                           [&]() -> std::string_view {
+                             return KeyedName(key_scratch_, "drdos|", victim);
+                           });
 }
 
 bool CallStateFactBase::IsTombstoned(std::string_view call_id) const {
-  const auto it = calls_.find(call_id);
-  return it != calls_.end() && it->second.group == nullptr;
+  const uint32_t index =
+      FindCallEntry(call_id, common::StringHash{}(call_id));
+  return index != kNoEntry && calls_[index].group == nullptr;
+}
+
+uint32_t CallStateFactBase::FindMedia(uint64_t key) const {
+  return media_index_.Find(std::hash<uint64_t>{}(key), [&](uint32_t index) {
+    return media_index_[index].key == key;
+  });
+}
+
+void CallStateFactBase::EraseMedia(uint32_t index) {
+  media_index_[index].call = kNoEntry;
+  media_index_.Erase(index);
 }
 
 void CallStateFactBase::IndexMedia(const net::Endpoint& endpoint,
-                                   const std::string& call_id) {
-  const uint64_t key = endpoint.PackedKey();
-  auto call_it = calls_.find(call_id);
-  if (call_it != calls_.end() && call_it->second.group == nullptr) {
-    call_it = calls_.end();  // a tombstone is no call
+                                   std::string_view call_id) {
+  uint32_t call = FindCallEntry(call_id, common::StringHash{}(call_id));
+  if (call != kNoEntry && calls_[call].group == nullptr) {
+    call = kNoEntry;  // a tombstone is no call
   }
-  efsm::MachineGroup* group =
-      call_it != calls_.end() ? call_it->second.group : nullptr;
-  auto media_it = media_index_.find(key);
-  if (media_it == media_index_.end()) {
-    // Never create an index entry for a call that does not exist: the
-    // reverse index that cleans media_index_ on deletion lives in the call
-    // entry, so an ownerless entry would leak forever.
-    if (group == nullptr) return;
-    media_it = media_index_.try_emplace(key).first;
+  IndexMediaTo(endpoint.PackedKey(), call);
+}
+
+void CallStateFactBase::IndexMedia(const net::Endpoint& endpoint,
+                                   const efsm::MachineGroup& call) {
+  IndexMediaTo(endpoint.PackedKey(), call.owner_index());
+}
+
+void CallStateFactBase::IndexMediaTo(uint64_t key, uint32_t call) {
+  // Never index an endpoint to a call that does not exist: the reverse
+  // list that cleans media_index_ on deletion lives in the call entry, so
+  // an ownerless entry would leak forever.
+  if (call == kNoEntry) return;
+  uint32_t index = FindMedia(key);
+  if (index == kNoEntry) {
+    index = media_index_.Insert(std::hash<uint64_t>{}(key));
+    media_index_[index].key = key;
     ArmSweepTimer();
   }
-  MediaEntry& media = media_it->second;
-  if (media.call_id == call_id && media.group == group) return;  // no change
-  if (media.group != nullptr && media.group != group) {
+  MediaEntry& media = media_index_[index];
+  if (media.call == call) return;  // no change
+  if (media.call != kNoEntry) {
     // Re-negotiated to another call: the old call's flight log shows the
     // endpoint leaving (the media-hijack story reads directly off this).
     obs::Record rec;
     rec.type = obs::RecordType::kFactRetract;
     rec.when_ns = scheduler_.Now().nanos();
     rec.aux = FactAux::kMediaRetracted | key;
-    media.group->flight_recorder().Record(rec);
+    calls_[media.call].group->flight_recorder().Record(rec);
   }
-  media.call_id = call_id;
-  media.group = group;
-  if (call_it != calls_.end()) {
-    auto& keys = call_it->second.media_keys;
-    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-      keys.push_back(key);
-    }
+  media.call = call;
+  CallEntry& owner = calls_[call];
+  if (std::find(owner.media.begin(), owner.media.end(), index) ==
+      owner.media.end()) {
+    owner.media.push_back(index);
   }
-  if (group != nullptr) {
-    obs::Record rec;
-    rec.type = obs::RecordType::kFactAssert;
-    rec.when_ns = scheduler_.Now().nanos();
-    rec.aux = FactAux::kMediaIndexed | key;
-    group->flight_recorder().Record(rec);
-  }
+  obs::Record rec;
+  rec.type = obs::RecordType::kFactAssert;
+  rec.when_ns = scheduler_.Now().nanos();
+  rec.aux = FactAux::kMediaIndexed | key;
+  owner.group->flight_recorder().Record(rec);
   m_media_index_->Set(static_cast<int64_t>(media_index_.size()));
 }
 
 void CallStateFactBase::RetractMedia(const net::Endpoint& endpoint) {
   const uint64_t key = endpoint.PackedKey();
-  const auto it = media_index_.find(key);
-  if (it == media_index_.end()) return;
-  if (it->second.group != nullptr) {
-    obs::Record rec;
-    rec.type = obs::RecordType::kFactRetract;
-    rec.when_ns = scheduler_.Now().nanos();
-    rec.aux = FactAux::kMediaRetracted | key;
-    it->second.group->flight_recorder().Record(rec);
-  }
-  // The owning call's reverse media_keys entry stays; Sweep's ownership
-  // check tolerates keys that no longer resolve to this call.
-  media_index_.erase(it);
+  const uint32_t index = FindMedia(key);
+  if (index == kNoEntry) return;
+  obs::Record rec;
+  rec.type = obs::RecordType::kFactRetract;
+  rec.when_ns = scheduler_.Now().nanos();
+  rec.aux = FactAux::kMediaRetracted | key;
+  calls_[media_index_[index].call].group->flight_recorder().Record(rec);
+  // The owning call's reverse list keeps the index; the call's reclaim
+  // skips it, since the entry no longer names the call.
+  EraseMedia(index);
   m_media_index_->Set(static_cast<int64_t>(media_index_.size()));
 }
 
 void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
-  const auto it = keyed_bin_.find(MediaKey(endpoint));
-  if (it == keyed_bin_.end()) return;
-  efsm::MachineGroup* group = it->second.group;
+  const uint64_t key = MediaKey(endpoint);
+  const uint32_t index = keyed_bin_.Find(
+      std::hash<uint64_t>{}(key),
+      [&](uint32_t i) { return keyed_bin_[i].key == key; });
+  if (index == kNoEntry) return;
+  efsm::MachineGroup* group = keyed_bin_[index].group;
   if (sweep_listener_) {
     // Same contract as a sweep reclaim: the analysis engine evicts the
     // group's alert-dedup signatures together with the state.
     const efsm::MachineGroup* reclaimed[] = {group};
     sweep_listener_(scheduler_.Now(), reclaimed);
   }
-  keyed_bin_idle_.Erase(*it);
-  keyed_bin_.erase(it);
+  keyed_bin_idle_.Erase(index);
+  keyed_bin_[index].group = nullptr;
+  keyed_bin_.Erase(index);
   ReleaseGroup(group, /*in_sweep=*/false);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
 }
 
 std::optional<std::string> CallStateFactBase::CallByMedia(
     const net::Endpoint& endpoint) const {
-  const auto it = media_index_.find(endpoint.PackedKey());
-  if (it == media_index_.end()) return std::nullopt;
-  return it->second.call_id;
+  const uint32_t index = FindMedia(endpoint.PackedKey());
+  if (index == kNoEntry) return std::nullopt;
+  return calls_[media_index_[index].call].call_id;
 }
 
 efsm::MachineGroup* CallStateFactBase::FindGroupByMedia(
     const net::Endpoint& endpoint) const {
-  const auto it = media_index_.find(endpoint.PackedKey());
-  if (it == media_index_.end()) return nullptr;
-  return it->second.group;
+  const uint32_t index = FindMedia(endpoint.PackedKey());
+  if (index == kNoEntry) return nullptr;
+  return calls_[media_index_[index].call].group;
 }
 
 bool CallStateFactBase::CallComplete(const efsm::MachineGroup& group) const {
@@ -401,32 +479,34 @@ void CallStateFactBase::ArmSweepTimer() {
 
 void CallStateFactBase::OnMachineRetired(
     const efsm::MachineInstance& machine) {
-  // Installed on call groups only, whose owner data is their calls_ node.
+  // Installed on call groups only, whose owner index is their calls_ entry.
   const size_t index = machine.index_in_group();
   if (index != kCallSip && index != kCallRtp) return;
   if (!CallComplete(machine.group())) return;
-  auto* node = static_cast<StringNode*>(machine.group().owner_data());
-  if (node->second.completion_candidate) return;
-  node->second.completion_candidate = true;
-  completion_candidates_.push_back(node);
+  const uint32_t call = machine.group().owner_index();
+  CallEntry& entry = calls_[call];
+  if (entry.completion_candidate) return;
+  entry.completion_candidate = true;
+  completion_candidates_.push_back(call);
 }
 
-template <typename NodeT, typename Reclaim>
-uint64_t CallStateFactBase::DrainIdle(IdleHeap<NodeT>& heap,
+template <typename Table>
+uint64_t CallStateFactBase::DrainIdle(DeadlineHeap& heap, const Table& table,
                                       sim::Duration timeout, sim::Time now,
-                                      Reclaim reclaim) {
+                                      std::vector<uint32_t>& idle) {
   // A filed deadline never exceeds the entry's current last_event +
   // timeout (last_event only grows), so every entry that is idle at `now`
   // is popped here, and one that is not yet idle is re-filed under its
   // refreshed deadline, which is >= now.
+  idle.clear();
   uint64_t popped = 0;
   while (!heap.empty() && heap.top_deadline() < now) {
     ++popped;
-    NodeT& node = heap.top();
-    const sim::Time deadline = node.second.last_event + timeout;
+    const uint32_t index = heap.top();
+    const sim::Time deadline = table[index].last_event + timeout;
     if (deadline < now) {  // now - last_event > timeout
-      heap.Erase(node);
-      reclaim(node);
+      heap.Erase(index);
+      idle.push_back(index);
     } else {
       heap.RefileTop(deadline);
     }
@@ -434,34 +514,34 @@ uint64_t CallStateFactBase::DrainIdle(IdleHeap<NodeT>& heap,
   return popped;
 }
 
-void CallStateFactBase::ReclaimCall(StringNode& node, sim::Time now) {
-  const std::string& call_id = node.first;
-  Entry& entry = node.second;
+void CallStateFactBase::ReclaimCall(uint32_t index, sim::Time now) {
+  CallEntry& entry = calls_[index];
   entry.tombstone_expiry = now + config_.tombstone_ttl;
-  tombstone_fifo_.push_back(TombstoneDue{entry.tombstone_expiry, &node});
+  tombstone_fifo_.push_back(TombstoneDue{entry.tombstone_expiry, index});
   ++tombstones_;
   ++calls_deleted_;
   m_calls_deleted_->Inc();
-  // Drop this call's media-endpoint index entries via the reverse index.
+  // Drop this call's media-endpoint index entries via the reverse list.
   // The ownership check keeps endpoints that were re-negotiated to another
-  // call in the meantime.
-  for (const uint64_t key : entry.media_keys) {
-    const auto media_it = media_index_.find(key);
-    if (media_it != media_index_.end() &&
-        media_it->second.call_id == call_id) {
-      media_index_.erase(media_it);
-    }
+  // call in the meantime, and entries erased and reused since.
+  for (const uint32_t media : entry.media) {
+    if (media_index_[media].call == index) EraseMedia(media);
   }
-  entry.media_keys.clear();
+  entry.media.clear();
   ReleaseGroup(entry.group, /*in_sweep=*/true);
   entry.group = nullptr;
 }
 
 void CallStateFactBase::ReleaseDrainedStorage() {
+  calls_.Release();
+  keyed_str_.Release();
+  keyed_bin_.Release();
+  media_index_.Release();
   call_idle_.Release();
   keyed_str_idle_.Release();
   keyed_bin_idle_.Release();
-  std::vector<StringNode*>().swap(completion_candidates_);
+  std::vector<uint32_t>().swap(completion_candidates_);
+  std::vector<uint32_t>().swap(idle_);
   std::vector<TombstoneDue>().swap(tombstone_fifo_);
   tombstone_head_ = 0;
   std::vector<const efsm::MachineGroup*>().swap(swept_groups_);
@@ -480,44 +560,53 @@ void CallStateFactBase::Sweep(sim::Time now) {
   swept_groups_.clear();
   uint64_t examined = completion_candidates_.size();
 
-  // Completed calls. Candidates go first, while every queued node is still
-  // live: calls are erased only by Sweep, and reclaiming one retires no
+  // Completed calls. Candidates go first, while every queued call is still
+  // live: calls are reclaimed only by Sweep, and reclaiming one retires no
   // machine, so the queue does not change underneath this loop.
-  for (StringNode* node : completion_candidates_) {
-    node->second.completion_candidate = false;
-    if (CallComplete(*node->second.group)) {
-      call_idle_.Erase(*node);
-      ReclaimCall(*node, now);
+  ReclaimPrefetched(calls_, completion_candidates_, [&](uint32_t call) {
+    CallEntry& entry = calls_[call];
+    entry.completion_candidate = false;
+    if (CallComplete(*entry.group)) {
+      call_idle_.Erase(call);
+      ReclaimCall(call, now);
     }
-  }
+  });
   completion_candidates_.clear();
 
-  examined += DrainIdle(call_idle_, config_.call_idle_timeout, now,
-                        [&](StringNode& node) { ReclaimCall(node, now); });
-  examined += DrainIdle(keyed_str_idle_, config_.keyed_idle_timeout, now,
-                        [&](StringNode& node) {
-                          ReleaseGroup(node.second.group, /*in_sweep=*/true);
-                          keyed_str_.erase(keyed_str_.find(node.first));
-                        });
-  examined += DrainIdle(keyed_bin_idle_, config_.keyed_idle_timeout, now,
-                        [&](BinaryNode& node) {
-                          ReleaseGroup(node.second.group, /*in_sweep=*/true);
-                          const uint64_t key = node.first;
-                          keyed_bin_.erase(key);
-                        });
+  examined +=
+      DrainIdle(call_idle_, calls_, config_.call_idle_timeout, now, idle_);
+  ReclaimPrefetched(calls_, idle_,
+                    [&](uint32_t call) { ReclaimCall(call, now); });
+  const auto reclaim_keyed = [&](auto& table) {
+    ReclaimPrefetched(table, idle_, [&](uint32_t index) {
+      ReleaseGroup(table[index].group, /*in_sweep=*/true);
+      table[index].group = nullptr;
+      table.Erase(index);
+    });
+  };
+  examined += DrainIdle(keyed_str_idle_, keyed_str_,
+                        config_.keyed_idle_timeout, now, idle_);
+  reclaim_keyed(keyed_str_);
+  examined += DrainIdle(keyed_bin_idle_, keyed_bin_,
+                        config_.keyed_idle_timeout, now, idle_);
+  reclaim_keyed(keyed_bin_);
 
   // Tombstones: expiries are sweep instants plus one TTL, so the FIFO is
   // in expiry order.
-  while (tombstone_head_ < tombstone_fifo_.size() &&
-         tombstone_fifo_[tombstone_head_].expiry <= now) {
-    ++examined;
+  idle_.clear();
+  for (size_t k = tombstone_head_;
+       k < tombstone_fifo_.size() && tombstone_fifo_[k].expiry <= now; ++k) {
+    idle_.push_back(tombstone_fifo_[k].call);
+  }
+  ReclaimPrefetched(calls_, idle_, [&](uint32_t call) {
     const TombstoneDue due = tombstone_fifo_[tombstone_head_++];
-    const Entry& entry = due.node->second;
+    const CallEntry& entry = calls_[call];
     if (entry.group == nullptr && entry.tombstone_expiry == due.expiry) {
       --tombstones_;
-      calls_.erase(calls_.find(due.node->first));
+      calls_.Erase(call);
     }
-  }
+  });
+  examined += idle_.size();
   if (tombstone_head_ * 2 >= tombstone_fifo_.size()) {
     // Amortized O(1) compaction: each record moves at most once per time
     // the consumed prefix outgrows the rest.
@@ -556,24 +645,28 @@ void CallStateFactBase::Sweep(sim::Time now) {
 
 size_t CallStateFactBase::MemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const auto& [call_id, entry] : calls_) {  // calls and tombstones
-    bytes += call_id.capacity() + sizeof(Entry) +
-             entry.media_keys.capacity() * sizeof(uint64_t);
+  // Every slab entry counts, erased ones too: they keep their key and media
+  // list capacity for the next entry.
+  const auto group_bytes = [&](const auto& entry) {
     if (entry.group != nullptr) bytes += entry.group->MemoryBytes();
-  }
-  for (const auto& [key, entry] : keyed_str_) {
-    bytes += key.capacity() + sizeof(Entry) + entry.group->MemoryBytes();
-  }
-  for (const auto& [key, entry] : keyed_bin_) {
-    bytes += sizeof(uint64_t) + sizeof(Entry) + entry.group->MemoryBytes();
-  }
-  for (const auto& [key, media] : media_index_) {
-    bytes += sizeof(uint64_t) + sizeof(MediaEntry) + media.call_id.capacity();
-  }
+  };
+  calls_.ForEachEntry([&](const CallEntry& entry) {  // calls and tombstones
+    bytes += entry.call_id.capacity() +
+             entry.media.capacity() * sizeof(uint32_t);
+    group_bytes(entry);
+  });
+  keyed_str_.ForEachEntry([&](const auto& entry) {
+    bytes += entry.key.capacity();
+    group_bytes(entry);
+  });
+  keyed_bin_.ForEachEntry(group_bytes);
+  bytes += calls_.MemoryBytes() + keyed_str_.MemoryBytes() +
+           keyed_bin_.MemoryBytes() + media_index_.MemoryBytes();
   bytes += FreeListBytes();
   bytes += call_idle_.MemoryBytes() + keyed_str_idle_.MemoryBytes() +
            keyed_bin_idle_.MemoryBytes() +
-           completion_candidates_.capacity() * sizeof(StringNode*) +
+           (completion_candidates_.capacity() + idle_.capacity()) *
+               sizeof(uint32_t) +
            tombstone_fifo_.capacity() * sizeof(TombstoneDue) +
            swept_groups_.capacity() * sizeof(const efsm::MachineGroup*);
   return bytes;
@@ -597,10 +690,11 @@ size_t CallStateFactBase::free_group_count() const {
 }
 
 std::optional<size_t> CallStateFactBase::CallMemoryBytes(
-    const std::string& call_id) const {
-  const auto it = calls_.find(call_id);
-  if (it == calls_.end() || it->second.group == nullptr) return std::nullopt;
-  return it->second.group->MemoryBytes();
+    std::string_view call_id) const {
+  const uint32_t index =
+      FindCallEntry(call_id, common::StringHash{}(call_id));
+  if (index == kNoEntry || calls_[index].group == nullptr) return std::nullopt;
+  return calls_[index].group->MemoryBytes();
 }
 
 }  // namespace vids::ids

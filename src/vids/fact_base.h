@@ -15,29 +15,35 @@
 //
 // Reclamation is deadline-ordered (DESIGN.md §9), so a sweep touches only
 // the entries that are due, never the whole table:
-//   - idle calls and keyed groups sit in intrusive deadline heaps filed
-//     under last_event + timeout and re-checked lazily, so the packet path
-//     keeps its single last_event store;
+//   - idle calls and keyed groups sit in deadline heaps filed under
+//     last_event + timeout and re-checked lazily, so the packet path keeps
+//     its single last_event store;
 //   - a call can only complete when its SIP or RTP machine retires, so the
 //     call groups report retirements to the fact base, which checks just
 //     those calls at the next sweep;
 //   - a reclaimed call leaves its entry behind as the tombstone (no group,
-//     an expiry), so reclaiming it neither erases nor inserts a map node;
+//     an expiry), so reclaiming it neither erases nor inserts an entry;
 //   - tombstones expire in creation order (every expiry is a sweep instant
-//     plus the same TTL), so a FIFO beside the map replaces a scan.
+//     plus the same TTL), so a FIFO beside the table replaces a scan.
 //
-// Indexing is binary on the hot path: media endpoints and DRDoS victims key
-// hash maps by packed 48-bit endpoint / 32-bit IP values (no ToString()),
-// string-keyed maps are unordered with transparent string_view lookup, and
-// every call entry carries its media keys so a reclaimed call erases
-// exactly its own index entries instead of scanning the whole index.
+// The four tables — calls, string-keyed groups, binary-keyed groups and the
+// media index — are flat (flat_index.h): entries live in slabs behind an
+// open-addressing index of full key hashes, and everything that refers to an
+// entry holds its slab index: the deadline heaps, the completion candidates,
+// the tombstone FIFO, a call group's owner index and a media-index entry's
+// owning call. A sweep therefore reclaims by index: it never hashes a key,
+// compares a string or frees a table entry, and an erased entry keeps its
+// key string's and media list's capacity for the next one. Media endpoints
+// and DRDoS victims are keyed by packed 48-bit endpoint / 32-bit IP values
+// (no ToString()), and every call entry lists the media-index entries it
+// made, so a reclaimed call erases exactly those instead of scanning.
 //
 // Groups are recycled records (DESIGN.md §7): each group kind has one
 // efsm::GroupShape and a free list. Reclaiming a group cancels its timers
 // and parks it; creating one pops a parked group and resets it, so churn
 // stops paying for building and freeing machines. Each sweep trims every
 // free list to the groups that sweep reclaimed, and a drained fact base
-// frees them all.
+// frees them and the tables.
 #pragma once
 
 #include <functional>
@@ -45,7 +51,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
@@ -53,6 +58,7 @@
 #include "net/address.h"
 #include "vids/config.h"
 #include "vids/deadline_heap.h"
+#include "vids/flat_index.h"
 #include "vids/patterns.h"
 #include "vids/spec_machines.h"
 
@@ -96,10 +102,15 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// reports. Empty for records the fact base did not write.
   static std::string DecodeFactRecord(const obs::Record& record);
 
-  /// Returns the call's machine group, creating it (SIP + RTP spec machines,
-  /// CANCEL-DoS and hijack patterns, δ channel) on first sight.
+  /// The packet path's call lookup, one probe of the call table: nullptr
+  /// when the call completed recently (a tombstone — its late
+  /// retransmissions are dropped rather than treated as new, deviant
+  /// calls), else the call's machine group, created on first sight (SIP +
+  /// RTP spec machines, CANCEL-DoS and hijack patterns, δ channel).
   /// `created` reports whether this packet opened the call.
-  efsm::MachineGroup& GetOrCreateCall(const std::string& call_id,
+  efsm::MachineGroup* AdmitCall(std::string_view call_id, bool& created);
+  /// Like AdmitCall, but a tombstoned Call-ID opens a new call too.
+  efsm::MachineGroup& GetOrCreateCall(std::string_view call_id,
                                       bool& created);
   efsm::MachineGroup* FindCall(std::string_view call_id);
 
@@ -122,8 +133,13 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// dropped rather than treated as new (deviant) calls.
   bool IsTombstoned(std::string_view call_id) const;
 
-  /// Media-endpoint index: negotiated RTP destinations → owning call.
-  void IndexMedia(const net::Endpoint& endpoint, const std::string& call_id);
+  /// Media-endpoint index: negotiated RTP destinations → owning call. An
+  /// endpoint is only ever indexed to a live call: naming a Call-ID that
+  /// does not exist or is a tombstone changes nothing.
+  void IndexMedia(const net::Endpoint& endpoint, std::string_view call_id);
+  /// Same, for a live call group of this fact base (no Call-ID lookup).
+  void IndexMedia(const net::Endpoint& endpoint,
+                  const efsm::MachineGroup& call);
   /// Drops the endpoint's index entry, stamping a retraction record into the
   /// owning call's flight log. Used by the sharded engine when an SDP
   /// re-negotiation moves the endpoint to a call owned by a different shard
@@ -170,10 +186,11 @@ class CallStateFactBase : private efsm::RetirementListener {
   uint64_t calls_created() const { return calls_created_; }
   uint64_t calls_deleted() const { return calls_deleted_; }
 
-  /// Total footprint of all tracked state, its reclamation index and the
+  /// Total footprint of all tracked state, the tables (erased entries'
+  /// key and media-list capacity included), the reclamation index and the
   /// parked groups — the §7.3 memory metric. Once a sweep finds nothing
-  /// left to track it frees the index and every free list, so a drained
-  /// fact base is back at its freshly built footprint.
+  /// left to track it frees the tables, the index and every free list, so
+  /// a drained fact base is back at its freshly built footprint.
   size_t MemoryBytes() const;
   /// The part of MemoryBytes() held by reclaimed groups parked on the free
   /// lists — reusable capacity, not state of any tracked call.
@@ -181,7 +198,7 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// Parked groups over all shapes.
   size_t free_group_count() const;
   /// Footprint of one call's group, if it exists.
-  std::optional<size_t> CallMemoryBytes(const std::string& call_id) const;
+  std::optional<size_t> CallMemoryBytes(std::string_view call_id) const;
 
   const DetectionConfig& config() const { return config_; }
 
@@ -194,46 +211,47 @@ class CallStateFactBase : private efsm::RetirementListener {
     size_t swept = 0;  // groups the running sweep reclaimed into `free`
   };
 
-  struct Entry {
-    // Owned while the call or keyed group lives. A calls_ entry without a
-    // group is a tombstone: the call completed, and its late
-    // retransmissions are dropped until `tombstone_expiry`.
+  // A calls_ entry. A live call owns `group`; an entry without a group is
+  // a tombstone: the call completed, and its late retransmissions are
+  // dropped until `tombstone_expiry`.
+  struct CallEntry {
+    std::string call_id;
+    uint64_t hash = 0;  // StringHash of call_id
     efsm::MachineGroup* group = nullptr;
     sim::Time last_event;
     sim::Time tombstone_expiry;
-    // Reverse index: packed media-endpoint keys negotiated by this call, so
-    // deletion cleans media_index_ without a full scan.
-    std::vector<uint64_t> media_keys;
-    // Position in the idle-deadline heap of the entry's map.
-    uint32_t idle_slot = kDeadlineUnfiled;
-    // Queued in completion_candidates_ (calls only).
-    bool completion_candidate = false;
+    // Reverse index: the media_index_ entries this call indexed, so
+    // deletion cleans media_index_ without a scan. An entry that has since
+    // moved to another call, or been erased and reused, no longer names
+    // this call and is left alone.
+    std::vector<uint32_t> media;
+    uint32_t next_free = kNoEntry;
+    bool completion_candidate = false;  // queued in completion_candidates_
+  };
+  // A keyed_str_ (Key = name) or keyed_bin_ (Key = packed key) entry.
+  template <typename Key>
+  struct KeyedEntry {
+    Key key{};
+    uint64_t hash = 0;
+    efsm::MachineGroup* group = nullptr;  // owned
+    sim::Time last_event;
+    uint32_t next_free = kNoEntry;
   };
   struct MediaEntry {
-    std::string call_id;
-    efsm::MachineGroup* group = nullptr;  // owned by calls_[call_id]
+    uint64_t key = 0;  // packed endpoint
+    uint64_t hash = 0;
+    uint32_t call = kNoEntry;  // owning (live) calls_ entry
+    uint32_t next_free = kNoEntry;
   };
-
-  template <typename T>
-  using StringKeyed =
-      std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
-  using StringNode = StringKeyed<Entry>::value_type;
-  using BinaryNode = std::unordered_map<uint64_t, Entry>::value_type;
-
-  struct IdleSlotOf {
-    template <typename NodeT>
-    uint32_t& operator()(NodeT& node) const {
-      return node.second.idle_slot;
-    }
-  };
-  template <typename NodeT>
-  using IdleHeap = DeadlineHeap<NodeT, IdleSlotOf>;
+  using CallTable = FlatTable<CallEntry>;
+  using NamedTable = FlatTable<KeyedEntry<std::string>>;
+  using BinaryTable = FlatTable<KeyedEntry<uint64_t>>;
 
   struct TombstoneDue {
     sim::Time expiry;
-    // Stable: a tombstone is erased only by its latest record, and every
-    // earlier record for it comes due first.
-    StringNode* node;
+    // A tombstone is erased only by its latest record, and every earlier
+    // record for it comes due first, so the index is never stale.
+    uint32_t call;
   };
 
   /// A call is over when its SIP machine retired and its RTP machine either
@@ -248,12 +266,35 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// is not complete here cannot be complete before its next retirement.
   void OnMachineRetired(const efsm::MachineInstance& machine) override;
 
-  /// Pops every entry filed under a deadline before `now`: reclaims the
-  /// ones idle for longer than `timeout`, re-files the ones touched since.
-  /// Returns the number of entries popped.
-  template <typename NodeT, typename Reclaim>
-  static uint64_t DrainIdle(IdleHeap<NodeT>& heap, sim::Duration timeout,
-                            sim::Time now, Reclaim reclaim);
+  /// Pops every entry of `table` filed under a deadline before `now`:
+  /// re-files the ones touched since, and leaves the ones idle for longer
+  /// than `timeout`, out of the heap, in `idle` (in pop order). Returns the
+  /// number popped.
+  template <typename Table>
+  static uint64_t DrainIdle(DeadlineHeap& heap, const Table& table,
+                            sim::Duration timeout, sim::Time now,
+                            std::vector<uint32_t>& idle);
+
+  /// The calls_ entry of `call_id` (live or tombstone), or kNoEntry.
+  uint32_t FindCallEntry(std::string_view call_id, uint64_t hash) const;
+  /// Opens a call in entry `index` (new, or a tombstone being reused).
+  efsm::MachineGroup& OpenCall(uint32_t index);
+  /// The string-keyed group named `name`, created from `recycler`.
+  efsm::MachineGroup& GetOrCreateNamed(Recycler& recycler,
+                                       std::string_view name);
+  /// The binary-keyed group under `key`; `name` composes its group name on
+  /// creation.
+  template <typename Name>
+  efsm::MachineGroup& GetOrCreateBinary(Recycler& recycler, uint64_t key,
+                                        Name name);
+  /// Points the media entry of packed endpoint `key` at calls_ entry
+  /// `call`, which must be live or kNoEntry (no call: changes nothing).
+  void IndexMediaTo(uint64_t key, uint32_t call);
+  /// The media_index_ entry of packed endpoint `key`, or kNoEntry.
+  uint32_t FindMedia(uint64_t key) const;
+  /// Erases media entry `index`. Reverse lists that hold the index keep it;
+  /// the entry no longer names their call.
+  void EraseMedia(uint32_t index);
 
   /// A group of `recycler`'s shape named `name`: a parked one reset, or a
   /// new one when the free list is empty.
@@ -265,15 +306,15 @@ class CallStateFactBase : private efsm::RetirementListener {
 
   /// Deletes a call (already out of call_idle_): its entry becomes the
   /// tombstone, its media-index entries go, its group is parked.
-  void ReclaimCall(StringNode& node, sim::Time now);
+  void ReclaimCall(uint32_t index, sim::Time now);
 
-  /// Frees the reclamation index and every parked group; only when the
-  /// maps are empty.
+  /// Frees the tables, the reclamation index and every parked group; only
+  /// when the tables are empty.
   void ReleaseDrainedStorage();
 
   void UpdateGauges();
 
-  /// True while any map holds reclaimable state — the periodic sweep event
+  /// True while any table holds reclaimable state — the periodic sweep event
   /// keeps re-arming exactly as long as this holds.
   bool HasTrackedState() const {
     return !calls_.empty() || !keyed_str_.empty() || !keyed_bin_.empty() ||
@@ -318,26 +359,28 @@ class CallStateFactBase : private efsm::RetirementListener {
   // The groups the running sweep reclaimed, for the sweep listener.
   std::vector<const efsm::MachineGroup*> swept_groups_;
 
-  StringKeyed<Entry> calls_;
-  StringKeyed<Entry> keyed_str_;  // INVITE flood, name-prefixed "flood|"
-  // Reused to compose keyed-group names: the INVITE-flood map key, and the
+  CallTable calls_;
+  NamedTable keyed_str_;  // INVITE flood, name-prefixed "flood|"
+  // Reused to compose keyed-group names: the INVITE-flood key, and the
   // media / DRDoS group names.
   std::string key_scratch_;
   // Media-endpoint and DRDoS groups, keyed by kind-tagged packed binary key.
-  std::unordered_map<uint64_t, Entry> keyed_bin_;
+  BinaryTable keyed_bin_;
   size_t tombstones_ = 0;  // calls_ entries that are tombstones
-  std::unordered_map<uint64_t, MediaEntry> media_index_;
+  FlatTable<MediaEntry> media_index_;
 
-  // Reclamation index: one idle-deadline heap per entry map (every entry is
-  // filed in its map's heap from creation to erasure), the calls that
-  // retired a machine since the last sweep, and tombstone expiries in
-  // creation order. A tombstone record whose call id was tombstoned again
-  // (possible only through direct GetOrCreateCall use) is skipped when it
-  // comes due; the later record expires it.
-  IdleHeap<StringNode> call_idle_;
-  IdleHeap<StringNode> keyed_str_idle_;
-  IdleHeap<BinaryNode> keyed_bin_idle_;
-  std::vector<StringNode*> completion_candidates_;
+  // Reclamation index: one idle-deadline heap per group table (every entry
+  // is filed in its table's heap from creation to erasure, a call's until
+  // it becomes a tombstone), the calls that retired a machine since the
+  // last sweep, and tombstone expiries in creation order. A tombstone
+  // record whose call id was tombstoned again (possible only through
+  // direct GetOrCreateCall use) is skipped when it comes due; the later
+  // record expires it.
+  DeadlineHeap call_idle_;
+  DeadlineHeap keyed_str_idle_;
+  DeadlineHeap keyed_bin_idle_;
+  std::vector<uint32_t> completion_candidates_;
+  std::vector<uint32_t> idle_;  // the running DrainIdle's idle entries
   std::vector<TombstoneDue> tombstone_fifo_;
   size_t tombstone_head_ = 0;  // first unconsumed tombstone_fifo_ record
   sim::Time next_sweep_;

@@ -141,12 +141,10 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
                      .provenance = {}});
     return;
   }
-  if (fact_base_.IsTombstoned(packet.call_key)) {
-    return;  // late retransmission of a completed call
-  }
-
   bool created = false;
-  auto& group = fact_base_.GetOrCreateCall(packet.call_key, created);
+  efsm::MachineGroup* call = fact_base_.AdmitCall(packet.call_key, created);
+  if (call == nullptr) return;  // late retransmission of a completed call
+  efsm::MachineGroup& group = *call;
 
   // A response opening a "call" is unsolicited: nobody here sent the
   // request. Feed the per-victim DRDoS counter (§3.1's reflection attack);
@@ -189,7 +187,7 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   // refreshing on every packet would let an SDP-less BYE re-assert a stale
   // binding and steal an endpoint back from the call that re-negotiated it.
   if (packet.event.ArgStr(argkey::kSdpIp) != nullptr) {
-    RefreshMediaIndex(group, packet.call_key);
+    RefreshMediaIndex(group);
   }
 }
 
@@ -283,8 +281,7 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
   }
 }
 
-void Vids::RefreshMediaIndex(efsm::MachineGroup& group,
-                             const std::string& call_id) {
+void Vids::RefreshMediaIndex(efsm::MachineGroup& group) {
   const auto index_one = [&](efsm::ArgKey ip_key, efsm::ArgKey port_key) {
     const efsm::Value& ip = group.global().Get(ip_key);
     const auto port = group.global().GetInt(port_key);
@@ -292,7 +289,7 @@ void Vids::RefreshMediaIndex(efsm::MachineGroup& group,
     if (ip_str == nullptr || !port) return;
     if (const auto addr = net::IpAddress::Parse(*ip_str)) {
       fact_base_.IndexMedia(
-          net::Endpoint{*addr, static_cast<uint16_t>(*port)}, call_id);
+          net::Endpoint{*addr, static_cast<uint16_t>(*port)}, group);
     }
   };
   index_one(gkey::kOfferIp, gkey::kOfferPort);
@@ -479,21 +476,47 @@ void Vids::PruneAlertSigs(
     m_alert_sigs_->Set(0);
     return;
   }
-  // The reclaimed groups are parked, not reset, so their names are still
-  // valid views; sorting them in a reused buffer replaces a set node per
-  // group.
-  reclaimed_names_.clear();
-  for (const efsm::MachineGroup* group : reclaimed) {
-    reclaimed_names_.push_back(group->name());
-  }
-  std::sort(reclaimed_names_.begin(), reclaimed_names_.end());
   const sim::Duration window = detection_.alert_dedup_window;
-  std::erase_if(recent_alerts_, [&](const auto& kv) {
-    return now - kv.second >= window ||
-           std::binary_search(reclaimed_names_.begin(),
-                              reclaimed_names_.end(),
-                              std::string_view(kv.first.group));
-  });
+  std::erase_if(recent_alerts_,
+                [&](const auto& kv) { return now - kv.second >= window; });
+  if (recent_alerts_.empty() || reclaimed.empty()) {
+    m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
+    return;
+  }
+  // A sweep reclaims hundreds of groups while a few signatures live, so
+  // the reclaimed groups probe an index of the signatures' group names, by
+  // the name hash each group cached when it was named, and only a hash
+  // match compares names. The reclaimed groups are parked, not reset, so
+  // their names are still valid views (unlike the keys the erase below
+  // frees).
+  sig_groups_.clear();
+  sig_index_.Clear();
+  for (const auto& [sig, when] : recent_alerts_) {
+    const std::string_view group = sig.group;
+    const size_t hash = std::hash<std::string_view>{}(group);
+    const auto same = [&](uint32_t i) { return sig_groups_[i] == group; };
+    if (sig_index_.Find(hash, same) != kNoEntry) continue;
+    sig_index_.Insert(hash, static_cast<uint32_t>(sig_groups_.size()));
+    sig_groups_.push_back(group);
+  }
+  doomed_groups_.clear();
+  for (size_t i = 0; i < reclaimed.size(); ++i) {
+    if (i + 8 < reclaimed.size()) __builtin_prefetch(reclaimed[i + 8]);
+    const efsm::MachineGroup* group = reclaimed[i];
+    const auto same = [&](uint32_t k) {
+      return sig_groups_[k] == group->name();
+    };
+    if (sig_index_.Find(group->name_hash(), same) != kNoEntry) {
+      doomed_groups_.push_back(group->name());
+    }
+  }
+  if (!doomed_groups_.empty()) {
+    std::sort(doomed_groups_.begin(), doomed_groups_.end());
+    std::erase_if(recent_alerts_, [&](const auto& kv) {
+      return std::binary_search(doomed_groups_.begin(), doomed_groups_.end(),
+                                std::string_view(kv.first.group));
+    });
+  }
   m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
 }
 

@@ -215,8 +215,7 @@ class Vids : public efsm::Observer {
   void EmitAggregate(const AggregateEvent& event);
   void HandleRtp(const ClassifiedPacket& packet);
   void HandleRtcp(const ClassifiedPacket& packet);
-  void RefreshMediaIndex(efsm::MachineGroup& group,
-                         const std::string& call_id);
+  void RefreshMediaIndex(efsm::MachineGroup& group);
   void RaiseAlert(Alert alert);
   /// True when an identical alert fired within the dedup window. Probes the
   /// signature table without building any string — attack self-loops call
@@ -280,8 +279,12 @@ class Vids : public efsm::Observer {
   std::unordered_map<detail::AlertSig, sim::Time, detail::AlertSigHash,
                      detail::AlertSigEq>
       recent_alerts_;
-  /// PruneAlertSigs' sorted view of the reclaimed groups' names.
-  std::vector<std::string_view> reclaimed_names_;
+  /// PruneAlertSigs' reused buffers: the live signatures' distinct group
+  /// names, an index of them by name hash, and the reclaimed groups that
+  /// match one. Views, valid for one prune.
+  std::vector<std::string_view> sig_groups_;
+  FlatIndex sig_index_;
+  std::vector<std::string_view> doomed_groups_;
 };
 
 }  // namespace vids::ids

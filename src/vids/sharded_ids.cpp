@@ -840,6 +840,11 @@ size_t ShardedIds::MemoryBytes() const {
     bytes += shard->vids->fact_base().MemoryBytes();
     bytes += shard->down.capacity() * sizeof(ShardMsg) +
              shard->up.capacity() * sizeof(UpMsg);
+    // A down-ring slot's payload keeps the capacity of the largest datagram
+    // it has carried. Only this (coordinator) thread writes those strings.
+    for (const ShardMsg& msg : shard->down.slots()) {
+      bytes += msg.dgram.payload.capacity();
+    }
   }
   bytes += owners_.MemoryBytes();
   for (const auto& queue : pending_) bytes += queue.size() * sizeof(AggEvent);

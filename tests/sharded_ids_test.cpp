@@ -1146,6 +1146,32 @@ TEST(ShardedEquivalence, LargePayloadsRenderIdenticalAlerts) {
   }
 }
 
+// A down-ring slot keeps the heap block of the largest payload it carried,
+// so MemoryBytes must count those blocks, not just sizeof(ShardMsg).
+TEST(ShardedMemory, CountsRingSlotPayloads) {
+  ShardedConfig config;
+  config.shards = 1;
+  ShardedIds engine(config);
+  const sim::Time t0 = sim::Time::FromNanos(1);
+  engine.Flush(t0);
+  const size_t before = engine.MemoryBytes();
+
+  rtp::RtpHeader header;
+  header.ssrc = 0xB16;
+  net::Datagram dgram;
+  dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
+  dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
+  dgram.kind = net::PayloadKind::kRtp;
+  for (uint16_t i = 0; i < 64; ++i) {
+    header.sequence_number = i;
+    dgram.payload = header.Serialize();
+    dgram.payload.resize(8 * 1024, '\0');
+    engine.Ingest(dgram, true, t0);
+  }
+  engine.Flush(t0);
+  EXPECT_GE(engine.MemoryBytes(), before + 512 * 1024);
+}
+
 // ------------------------------------------------------- media owner map
 
 TEST(MediaOwnerMap, FirstClaimRetractsHashShardOnlyIfItDiffers) {

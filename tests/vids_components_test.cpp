@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <random>
+#include <unordered_map>
 
 #include "rtp/packet.h"
 #include "rtp/rtcp.h"
@@ -15,6 +16,7 @@
 #include "vids/classifier.h"
 #include "vids/deadline_heap.h"
 #include "vids/fact_base.h"
+#include "vids/flat_index.h"
 
 namespace vids::ids {
 namespace {
@@ -531,35 +533,27 @@ TEST(FactBaseSweep, SweepExaminesOnlyDueEntries) {
 }
 
 // The heap against an ordered multimap reference: random pushes, erases
-// of arbitrary nodes and top re-files keep the same minimum and leave every
-// node's stored position pointing at itself.
+// of arbitrary items and top re-files keep the same minimum, and exactly
+// the filed items report filed.
 TEST(DeadlineHeap, MatchesAnOrderedReferenceUnderRandomOperations) {
-  struct Payload {
-    uint32_t slot = kDeadlineUnfiled;
-  };
-  using Node = std::pair<const int, Payload>;
-  struct SlotOf {
-    uint32_t& operator()(Node& node) const { return node.second.slot; }
-  };
-  std::map<int, Payload> nodes;  // stable node addresses
-  DeadlineHeap<Node, SlotOf> heap;
-  std::multimap<int64_t, int> reference;  // deadline -> node key
-  std::map<int, int64_t> filed;
+  DeadlineHeap heap;
+  std::multimap<int64_t, uint32_t> reference;  // deadline -> item
+  std::map<uint32_t, int64_t> filed;
   std::mt19937 rng(7);
-  int next_key = 0;
+  uint32_t next_item = 0;
 
   for (int step = 0; step < 20000; ++step) {
     const int op = static_cast<int>(rng() % 3);
     if (op == 0 || filed.empty()) {
       const int64_t deadline = static_cast<int64_t>(rng() % 1000);
-      Node& node = *nodes.try_emplace(next_key).first;
-      heap.Push(node, sim::Time::FromNanos(deadline));
-      reference.emplace(deadline, next_key);
-      filed[next_key++] = deadline;
+      const uint32_t item = next_item++;
+      heap.Push(item, sim::Time::FromNanos(deadline));
+      reference.emplace(deadline, item);
+      filed[item] = deadline;
     } else if (op == 1) {
       auto victim = filed.begin();
       std::advance(victim, static_cast<long>(rng() % filed.size()));
-      heap.Erase(*nodes.find(victim->first));
+      heap.Erase(victim->first);
       const auto range = reference.equal_range(victim->second);
       for (auto it = range.first; it != range.second; ++it) {
         if (it->second == victim->first) {
@@ -567,37 +561,124 @@ TEST(DeadlineHeap, MatchesAnOrderedReferenceUnderRandomOperations) {
           break;
         }
       }
-      EXPECT_EQ(nodes[victim->first].slot, kDeadlineUnfiled);
+      EXPECT_FALSE(heap.filed(victim->first));
       filed.erase(victim);
     } else {
-      const int key = heap.top().first;
-      const int64_t later =
-          filed[key] + static_cast<int64_t>(rng() % 500);
-      const auto range = reference.equal_range(filed[key]);
+      const uint32_t item = heap.top();
+      const int64_t later = filed[item] + static_cast<int64_t>(rng() % 500);
+      const auto range = reference.equal_range(filed[item]);
       for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == key) {
+        if (it->second == item) {
           reference.erase(it);
           break;
         }
       }
       heap.RefileTop(sim::Time::FromNanos(later));
-      reference.emplace(later, key);
-      filed[key] = later;
+      reference.emplace(later, item);
+      filed[item] = later;
     }
     ASSERT_EQ(heap.size(), filed.size());
     if (!heap.empty()) {
       ASSERT_EQ(heap.top_deadline().nanos(), reference.begin()->first);
-      ASSERT_EQ(filed.at(heap.top().first), reference.begin()->first);
+      ASSERT_EQ(filed.at(heap.top()), reference.begin()->first);
     }
   }
-  for (const auto& [key, deadline] : filed) {
-    Node& node = *nodes.find(key);
-    ASSERT_NE(node.second.slot, kDeadlineUnfiled);
-    heap.Erase(node);
+  for (const auto& [item, deadline] : filed) {
+    ASSERT_TRUE(heap.filed(item));
+    heap.Erase(item);
   }
   EXPECT_TRUE(heap.empty());
   heap.Release();
   EXPECT_EQ(heap.MemoryBytes(), 0u);
+}
+
+// The flat table against an unordered_map reference: random inserts, finds
+// and erases over a key space that makes the index double several times,
+// under the identity hash the fact base uses for packed keys and under a
+// coarse hash that files four keys under each full hash (so probes compare
+// keys and backward shifts cross runs of equal homes). Erased entries must
+// come back, most recent first, and Release must free everything.
+TEST(FlatIndex, MatchesAnUnorderedMapReferenceUnderRandomOperations) {
+  struct Entry {
+    uint64_t key = 0;
+    uint64_t hash = 0;
+    uint32_t next_free = kNoEntry;
+  };
+  const auto run = [](auto hash_of) {
+    FlatTable<Entry> table;
+    std::unordered_map<uint64_t, uint32_t> reference;  // key -> index
+    std::vector<uint32_t> erased;  // free list, most recent last
+    std::mt19937 rng(13);
+    const auto find = [&](uint64_t key) {
+      return table.Find(hash_of(key),
+                        [&](uint32_t index) { return table[index].key == key; });
+    };
+    const size_t empty_bytes = table.MemoryBytes();
+    size_t peak = 0;
+    for (int step = 0; step < 60000; ++step) {
+      // Grow for the first half, then shrink back towards empty.
+      const bool growing = step < 30000;
+      const uint64_t key = rng() % 8192;
+      const auto it = reference.find(key);
+      ASSERT_EQ(find(key), it != reference.end() ? it->second : kNoEntry)
+          << step;
+      const bool insert = rng() % 4 < (growing ? 3u : 1u);
+      if (insert && it == reference.end()) {
+        const uint32_t index = table.Insert(hash_of(key));
+        if (!erased.empty()) {
+          ASSERT_EQ(index, erased.back());  // recycled, most recent first
+          erased.pop_back();
+        }
+        table[index].key = key;
+        reference.emplace(key, index);
+      } else if (!insert && it != reference.end()) {
+        table.Erase(it->second);
+        erased.push_back(it->second);
+        reference.erase(it);
+        ASSERT_EQ(find(key), kNoEntry);
+      }
+      ASSERT_EQ(table.size(), reference.size());
+      peak = std::max(peak, reference.size());
+      if (step % 5000 == 0) {
+        for (const auto& [k, index] : reference) ASSERT_EQ(find(k), index);
+      }
+    }
+    EXPECT_GT(peak, 2000u);  // 16 -> 4096+ slots: eight doublings or more
+    for (const auto& [k, index] : reference) ASSERT_EQ(find(k), index);
+    for (const auto& [k, index] : reference) table.Erase(index);
+    EXPECT_TRUE(table.empty());
+    for (uint64_t k = 0; k < 8192; ++k) ASSERT_EQ(find(k), kNoEntry);
+    table.Release();
+    EXPECT_EQ(table.MemoryBytes(), empty_bytes);
+    // A released table starts over.
+    const uint32_t index = table.Insert(hash_of(7));
+    table[index].key = 7;
+    EXPECT_EQ(index, 0u);
+    EXPECT_EQ(find(7), index);
+  };
+  run([](uint64_t key) { return std::hash<uint64_t>{}(key); });
+  run([](uint64_t key) { return std::hash<uint64_t>{}(key >> 2); });
+}
+
+// An erased entry keeps what its members hold: the next insert reuses the
+// key string's capacity instead of allocating.
+TEST(FlatIndex, ErasedEntryKeepsItsMembersCapacity) {
+  struct Entry {
+    std::string key;
+    uint64_t hash = 0;
+    uint32_t next_free = kNoEntry;
+  };
+  FlatTable<Entry> table;
+  const std::string long_key(64, 'a');
+  const uint32_t first = table.Insert(common::StringHash{}(long_key));
+  table[first].key = long_key;
+  const size_t capacity = table[first].key.capacity();
+  table.Erase(first);
+  const std::string next_key(40, 'b');
+  const uint32_t second = table.Insert(common::StringHash{}(next_key));
+  ASSERT_EQ(second, first);
+  table[second].key.assign(next_key);
+  EXPECT_EQ(table[second].key.capacity(), capacity);
 }
 
 // ------------------------------------------------------ group recycling

@@ -1,13 +1,18 @@
-// Steady-state allocation test: once a call's media session is established
+// Steady-state allocation tests: once a call's media session is established
 // and the per-endpoint pattern groups exist, inspecting an in-session RTP
-// packet must not touch the heap. Global operator new/delete are replaced
-// with counting forwarders; the counter is armed only around the measured
-// loop, so gtest internals and the warmup phase are free to allocate.
+// packet must not touch the heap, and under steady call churn a fact-base
+// sweep must neither allocate nor free. Global operator new/delete are
+// replaced with counting forwarders; the counters are armed only around the
+// measured code, so gtest internals and the warmup phase are free to
+// allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "rtp/packet.h"
 #include "sdp/sdp.h"
@@ -16,7 +21,15 @@
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_free_count{0};
 std::atomic<bool> g_counting{false};
+
+void CountedFree(void* p) noexcept {
+  if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
+    g_free_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -40,10 +53,10 @@ void* operator new[](std::size_t size) {
 // positive, as both sides of the pair are replaced together.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 #pragma GCC diagnostic pop
 
 namespace vids::ids {
@@ -231,6 +244,93 @@ TEST(ZeroAlloc, SteadyStateInDialogSipInspectionDoesNotAllocate) {
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "steady-state in-dialog SIP inspection touched the heap";
   EXPECT_GT(vids.stats().sip_packets, 600u);
+}
+
+// Steady call churn through the fact base: every interval admits the calls
+// the previous sweep reclaimed, each under a fresh 32-byte Call-ID with an
+// SDP offer and answer (two media-index entries) and the two per-endpoint
+// pattern groups its media creates. Calls idle out, their tombstones
+// expire, their media groups idle out. Once warm, a sweep that reclaims
+// hundreds of entries must make no allocation and no deallocation — the
+// tables recycle their entries and the groups go to the free lists — and
+// admitting the next interval's calls must allocate nothing either.
+TEST(ZeroAlloc, FactBaseSweepUnderSteadyChurnNeitherAllocatesNorFrees) {
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(3);
+  config.keyed_idle_timeout = sim::Duration::Seconds(2);
+  config.tombstone_ttl = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  CallStateFactBase fact_base(scheduler, config, nullptr);
+  size_t reclaimed = 0;
+  fact_base.set_sweep_listener(
+      [&](sim::Time, std::span<const efsm::MachineGroup* const> groups) {
+        reclaimed = groups.size();
+      });
+
+  constexpr size_t kCallsPerInterval = 128;
+  uint64_t next_call = 0;
+  char call_id[33];
+  const auto admit = [&](size_t calls) {
+    for (size_t i = 0; i < calls; ++i, ++next_call) {
+      std::snprintf(call_id, sizeof(call_id), "churn-%026llu",
+                    static_cast<unsigned long long>(next_call));
+      bool created = false;
+      fact_base.GetOrCreateCall(call_id, created);
+      // Same-length dotted quads: a recycled group keeps its name's
+      // capacity, so only a longer name than it ever held would allocate.
+      const auto host = static_cast<uint8_t>(100 + next_call % 100);
+      const auto port = static_cast<uint16_t>(20000 + 2 * (next_call / 100));
+      const net::Endpoint offer{net::IpAddress(10, 1, 0, host), port};
+      const net::Endpoint answer{net::IpAddress(10, 2, 0, host), port};
+      fact_base.IndexMedia(offer, call_id);
+      fact_base.IndexMedia(answer, call_id);
+      fact_base.GetOrCreateMediaGroup(offer);
+      fact_base.GetOrCreateMediaGroup(answer);
+    }
+  };
+
+  // Admissions land right after each periodic sweep (at 0.5 s + k s), so a
+  // call is reclaimed 4 sweeps after it opened, its media groups 3 sweeps
+  // after, and its tombstone expires 2 sweeps after its reclaim: from the
+  // sixth sweep on, each sweep reclaims one interval's calls, media groups
+  // and tombstones.
+  sim::Time at = sim::Time::FromNanos(500'000'000);
+  scheduler.RunUntil(at);
+  admit(kCallsPerInterval);
+  size_t to_admit = kCallsPerInterval;
+  for (int interval = 1; interval <= 12; ++interval) {
+    at = at + config.sweep_interval;
+    const uint64_t deleted_before = fact_base.calls_deleted();
+    const size_t tombstones_before = fact_base.tombstone_count();
+    const bool measured = interval >= 10;
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(measured);
+    scheduler.RunUntil(at);  // the sweep
+    g_counting.store(false);
+    const uint64_t sweep_allocs = g_alloc_count.load();
+    const uint64_t sweep_frees = g_free_count.load();
+    const uint64_t calls_reclaimed = fact_base.calls_deleted() - deleted_before;
+    const size_t tombstones_expired =
+        tombstones_before + calls_reclaimed - fact_base.tombstone_count();
+    if (calls_reclaimed != 0) to_admit = calls_reclaimed;
+
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(measured);
+    admit(to_admit);
+    g_counting.store(false);
+    if (!measured) continue;
+    ASSERT_GE(calls_reclaimed, 100u) << "interval " << interval;
+    ASSERT_GE(reclaimed - calls_reclaimed, 100u) << "interval " << interval;
+    ASSERT_GE(tombstones_expired, 100u) << "interval " << interval;
+    EXPECT_EQ(sweep_allocs, 0u) << "the sweep allocated, interval " << interval;
+    EXPECT_EQ(sweep_frees, 0u) << "the sweep freed, interval " << interval;
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "admitting calls allocated, interval " << interval;
+    EXPECT_EQ(g_free_count.load(), 0u)
+        << "admitting calls freed, interval " << interval;
+  }
 }
 
 }  // namespace
