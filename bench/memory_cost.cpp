@@ -49,7 +49,6 @@ net::Datagram Wrap(const sip::Message& message) {
   dgram.src = kProxyA;
   dgram.dst = kProxyB;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   return dgram;
 }
 
@@ -126,7 +125,6 @@ int main() {
     rtp_dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
     rtp_dgram.dst = callee_media;
     rtp_dgram.payload = header.Serialize();
-    rtp_dgram.kind = net::PayloadKind::kRtp;
     vids.Inspect(rtp_dgram, true);
     std::printf("one media endpoint group (after one RTP packet): %zu B\n",
                 vids.fact_base().GetOrCreateMediaGroup(callee_media)

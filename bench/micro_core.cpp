@@ -149,7 +149,6 @@ void BM_ClassifySip(benchmark::State& state) {
   dgram.src = kProxyA;
   dgram.dst = kProxyB;
   dgram.payload = TypicalInvite("bench").Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   for (auto _ : state) {
     benchmark::DoNotOptimize(classifier.Classify(dgram, true));
   }
@@ -163,7 +162,6 @@ void BM_ClassifyRtp(benchmark::State& state) {
   dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
   dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
   dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   for (auto _ : state) {
     benchmark::DoNotOptimize(classifier.Classify(dgram, true));
   }
@@ -260,7 +258,6 @@ void BM_VidsInspectSip(benchmark::State& state) {
   net::Datagram dgram;
   dgram.src = kProxyA;
   dgram.dst = kProxyB;
-  dgram.kind = net::PayloadKind::kSip;
   // Pre-serialized INVITE; each iteration patches the ten Call-ID digits in
   // place (the Via branch embeds the Call-ID, so both spots get patched) —
   // the measured cost is Inspect(), not message construction.
@@ -347,7 +344,6 @@ void BM_VidsInspectSipInDialog(benchmark::State& state) {
   net::Datagram d_invite;
   d_invite.src = kProxyA;
   d_invite.dst = kProxyB;
-  d_invite.kind = net::PayloadKind::kSip;
   d_invite.payload = invite.Serialize();
   vids.Inspect(d_invite, true);
 
@@ -391,7 +387,6 @@ void BM_VidsInspectSipInDialog(benchmark::State& state) {
   net::Datagram d_ok;
   d_ok.src = kProxyB;
   d_ok.dst = kProxyA;
-  d_ok.kind = net::PayloadKind::kSip;
   d_ok.payload = make_ok(invite).Serialize();
   vids.Inspect(d_ok, false);
 
@@ -456,7 +451,6 @@ void BM_VidsInspectSipBehavior(benchmark::State& state) {
   net::Datagram dgram;
   dgram.src = kProxyA;
   dgram.dst = kProxyB;
-  dgram.kind = net::PayloadKind::kSip;
   dgram.payload = invite.Serialize();
 
   // Warmup: group + profile creation, the one behavioral alert (rate far
@@ -487,7 +481,6 @@ void BM_VidsInspectRtpInSession(benchmark::State& state) {
   net::Datagram invite;
   invite.src = kProxyA;
   invite.dst = kProxyB;
-  invite.kind = net::PayloadKind::kSip;
   invite.payload = TypicalInvite("media-bench").Serialize();
   vids.Inspect(invite, true);
 
@@ -496,7 +489,6 @@ void BM_VidsInspectRtpInSession(benchmark::State& state) {
   net::Datagram dgram;
   dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
   dgram.dst = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
-  dgram.kind = net::PayloadKind::kRtp;
   dgram.payload = header.Serialize();
   // Patch sequence/timestamp bytes in place (RFC 3550 big-endian offsets):
   // the measured cost is the IDS, not datagram construction.
@@ -550,7 +542,6 @@ void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config) {
     net::Datagram invite;
     invite.src = kProxyA;
     invite.dst = kProxyB;
-    invite.kind = net::PayloadKind::kSip;
     invite.payload =
         TypicalInvite("shard-bench-" + std::to_string(i), offer).Serialize();
     engine.Ingest(invite, true, t0);
@@ -561,7 +552,6 @@ void RunShardedIngestBench(benchmark::State& state, ids::ShardedConfig config) {
     dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10),
                               static_cast<uint16_t>(30000 + 2 * i)};
     dgram.dst = offer;
-    dgram.kind = net::PayloadKind::kRtp;
     dgram.payload = header.Serialize();
     media.push_back(std::move(dgram));
   }
@@ -703,7 +693,6 @@ void WriteMetricsSnapshot(const char* path) {
   net::Datagram invite;
   invite.src = kProxyA;
   invite.dst = kProxyB;
-  invite.kind = net::PayloadKind::kSip;
   invite.payload = TypicalInvite("metrics-snapshot").Serialize();
   vids.Inspect(invite, true);
 
@@ -712,7 +701,6 @@ void WriteMetricsSnapshot(const char* path) {
   net::Datagram dgram;
   dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
   dgram.dst = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
-  dgram.kind = net::PayloadKind::kRtp;
   dgram.payload = header.Serialize();
   uint16_t seq = 0;
   uint32_t ts = 0;
@@ -752,7 +740,6 @@ void WritePipelineSnapshot(const char* path) {
     net::Datagram invite;
     invite.src = kProxyA;
     invite.dst = kProxyB;
-    invite.kind = net::PayloadKind::kSip;
     invite.payload =
         TypicalInvite("span-snapshot-" + std::to_string(i), offer).Serialize();
     engine.Ingest(invite, true, t0);
@@ -763,7 +750,6 @@ void WritePipelineSnapshot(const char* path) {
     dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10),
                               static_cast<uint16_t>(31000 + 2 * i)};
     dgram.dst = offer;
-    dgram.kind = net::PayloadKind::kRtp;
     dgram.payload = header.Serialize();
     media.push_back(std::move(dgram));
   }

@@ -168,7 +168,6 @@ void RunPipelineView() {
     net::Datagram d_invite;
     d_invite.src = proxy_a;
     d_invite.dst = proxy_b;
-    d_invite.kind = net::PayloadKind::kSip;
     d_invite.payload = invite.Serialize();
     engine.Ingest(d_invite, true, t0);
 
@@ -178,7 +177,6 @@ void RunPipelineView() {
     dgram.src = net::Endpoint{net::IpAddress(10, 2, 0, 10),
                               static_cast<uint16_t>(42000 + 2 * i)};
     dgram.dst = offer;
-    dgram.kind = net::PayloadKind::kRtp;
     dgram.payload = header.Serialize();
     media.push_back(std::move(dgram));
   }

@@ -1,13 +1,15 @@
 #include "attacks/eavesdropper.h"
 
 #include "rtp/packet.h"
+#include "rtp/rtcp.h"
 #include "sdp/sdp.h"
 #include "sip/message.h"
 
 namespace vids::attacks {
 
 void Eavesdropper::Feed(const net::Datagram& dgram, bool) {
-  if (dgram.kind == net::PayloadKind::kRtp) {
+  if (rtp::IsRtcp(dgram.payload)) return;  // reports carry nothing to steal
+  if (rtp::IsRtp(dgram.payload)) {
     FeedRtp(dgram);
   } else {
     FeedSip(dgram);

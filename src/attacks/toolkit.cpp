@@ -25,7 +25,6 @@ void AttackToolkit::SendSip(const Message& message, net::Endpoint dst,
   dgram.src = spoofed_src.value_or(attacker_endpoint());
   dgram.dst = dst;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   if (dgram.payload.size() < 500) {
     dgram.padding_bytes = 500 - static_cast<uint32_t>(dgram.payload.size());
   }
@@ -133,7 +132,6 @@ void AttackToolkit::LaunchMediaSpam(const CallSnapshot& call, int count,
           dgram.src = call.caller_media.value_or(attacker_endpoint());
           dgram.dst = target;
           dgram.payload = header.Serialize();
-          dgram.kind = net::PayloadKind::kRtp;
           dgram.padding_bytes = 10;
           ++packets_sent_;
           host_.SendRaw(std::move(dgram));
@@ -159,7 +157,6 @@ void AttackToolkit::LaunchRtpFlood(net::Endpoint target, int pps,
       dgram.src = net::Endpoint{host_.ip(), 40002};
       dgram.dst = target;
       dgram.payload = header.Serialize();
-      dgram.kind = net::PayloadKind::kRtp;
       dgram.padding_bytes = 160;  // bulky G.711-sized payloads
       ++packets_sent_;
       host_.SendRaw(std::move(dgram));
@@ -211,7 +208,6 @@ void AttackToolkit::SendSpoofedRtcpBye(const CallSnapshot& call) {
   dgram.dst = net::Endpoint{call.callee_media->ip,
                             static_cast<uint16_t>(call.callee_media->port + 1)};
   dgram.payload = bye.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   ++packets_sent_;
   host_.SendRaw(std::move(dgram));
 }

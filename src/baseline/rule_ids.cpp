@@ -9,31 +9,25 @@ namespace vids::baseline {
 
 void RuleIds::Inspect(const net::Datagram& dgram, bool, sim::Time now) {
   Sweep(now);
-  if (rtp::LooksLikeRtcp(dgram.payload)) return;  // no RTCP rules
-  if (dgram.kind != net::PayloadKind::kRtp) {
-    if (sip::Message::Parse(dgram.payload)) {
-      InspectSip(dgram, now);
-      return;
-    }
-  }
-  if (rtp::RtpHeader::Parse(dgram.payload)) {
+  // The IDS's dispatch order, by the same rtp:: predicates.
+  if (rtp::IsRtcp(dgram.payload)) return;  // no RTCP rules
+  if (rtp::IsRtp(dgram.payload)) {
     InspectRtp(dgram, now);
-  } else if (dgram.kind == net::PayloadKind::kSip &&
-             sip::Message::Parse(dgram.payload)) {
-    InspectSip(dgram, now);
+  } else if (const auto message = sip::Message::Parse(dgram.payload)) {
+    InspectSip(*message, dgram, now);
   }
 }
 
-void RuleIds::InspectSip(const net::Datagram& dgram, sim::Time now) {
-  const auto message = sip::Message::Parse(dgram.payload);
-  const auto call_id_hdr = message->CallId();
+void RuleIds::InspectSip(const sip::Message& message,
+                         const net::Datagram& dgram, sim::Time now) {
+  const auto call_id_hdr = message.CallId();
   if (!call_id_hdr) return;
   SessionState& session = sessions_[std::string(*call_id_hdr)];
   session.call_id = std::string(*call_id_hdr);
   session.last_event_at = now;
 
   const auto note_media = [&](std::optional<net::Endpoint>& slot) {
-    if (const auto sd = sdp::SessionDescription::Parse(message->body())) {
+    if (const auto sd = sdp::SessionDescription::Parse(message.body())) {
       if (const auto ep = sd->AudioEndpoint()) {
         slot = *ep;
         media_to_call_[*ep] = session.call_id;
@@ -41,15 +35,15 @@ void RuleIds::InspectSip(const net::Datagram& dgram, sim::Time now) {
     }
   };
 
-  if (message->IsRequest()) {
-    switch (message->method()) {
+  if (message.IsRequest()) {
+    switch (message.method()) {
       case sip::Method::kInvite:
         if (!session.invite_seen) {
           session.invite_seen = true;
           session.invite_src = dgram.src.ip;
           note_media(session.offer_media);
           // --- rule: invite-rate (per destination AOR) ---
-          if (const auto to = message->To()) {
+          if (const auto to = message.To()) {
             RateWindow& window = invite_rates_[to->uri.UserAtHost()];
             if (window.count == 0 ||
                 now - window.start > config_.invite_window) {
@@ -83,8 +77,8 @@ void RuleIds::InspectSip(const net::Datagram& dgram, sim::Time now) {
     }
     return;
   }
-  if (message->status() >= 200 && message->status() < 300 &&
-      message->method() == sip::Method::kInvite) {
+  if (message.status() >= 200 && message.status() < 300 &&
+      message.method() == sip::Method::kInvite) {
     session.established = true;
     note_media(session.answer_media);
   }

@@ -22,6 +22,7 @@
 
 #include "net/datagram.h"
 #include "sim/time.h"
+#include "sip/message.h"
 
 namespace vids::baseline {
 
@@ -74,7 +75,8 @@ class RuleIds {
   size_t session_count() const { return sessions_.size(); }
 
  private:
-  void InspectSip(const net::Datagram& dgram, sim::Time now);
+  void InspectSip(const sip::Message& message, const net::Datagram& dgram,
+                  sim::Time now);
   void InspectRtp(const net::Datagram& dgram, sim::Time now);
   void Raise(sim::Time now, std::string rule, const std::string& call_id,
              std::string detail);

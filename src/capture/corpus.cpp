@@ -19,25 +19,19 @@ const net::Endpoint kProxyA{net::IpAddress(10, 1, 0, 1), 5060};
 const net::Endpoint kProxyB{net::IpAddress(10, 2, 0, 1), 5060};
 const net::Endpoint kAttacker{net::IpAddress(10, 9, 0, 66), 5060};
 
-net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
-                       net::Endpoint dst) {
-  net::Datagram dgram;
-  dgram.src = src;
-  dgram.dst = dst;
-  dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
-  return dgram;
-}
-
 net::Datagram RawDgram(std::string payload, net::Endpoint src,
                        net::Endpoint dst, uint32_t padding = 0) {
   net::Datagram dgram;
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = std::move(payload);
-  dgram.kind = net::PayloadKind::kOther;
   dgram.padding_bytes = padding;
   return dgram;
+}
+
+net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
+                       net::Endpoint dst) {
+  return RawDgram(message.Serialize(), src, dst);
 }
 
 net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts, bool marker,
@@ -49,12 +43,7 @@ net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts, bool marker,
   header.timestamp = ts;
   header.marker = marker;
   header.payload_type = payload_type;
-  net::Datagram dgram;
-  dgram.src = src;
-  dgram.dst = dst;
-  dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
-  return dgram;
+  return RawDgram(header.Serialize(), src, dst);
 }
 
 sip::Message MakeInvite(const std::string& call_id,

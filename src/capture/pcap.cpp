@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <string_view>
 
-#include "rtp/rtcp.h"
-
 namespace vids::capture {
 
 namespace {
@@ -52,20 +50,6 @@ uint32_t FrameU32(std::string_view frame, size_t offset) {
          (static_cast<uint32_t>(static_cast<uint8_t>(frame[offset + 2]))
           << 8) |
          static_cast<uint32_t>(static_cast<uint8_t>(frame[offset + 3]));
-}
-
-/// The router/classifier dispatch is content-based (RTCP sniffed first,
-/// then SIP, then RTP), so the kind label is only a dispatch-order hint.
-/// Label RTP-shaped payloads kRtp (version bits 2, fixed header present);
-/// everything else — including SIP, whose first byte is ASCII and can
-/// never carry version bits 2 — stays kOther and classifies by content.
-net::PayloadKind InferKind(std::string_view payload) {
-  if (rtp::LooksLikeRtcp(payload)) return net::PayloadKind::kOther;
-  if (payload.size() >= 12 &&
-      (static_cast<uint8_t>(payload[0]) >> 6) == 2) {
-    return net::PayloadKind::kRtp;
-  }
-  return net::PayloadKind::kOther;
 }
 
 }  // namespace
@@ -282,7 +266,6 @@ bool PcapFileSource::DecodeNext(TimedPacket& out) {
     out.dgram.src = net::Endpoint{src_ip, src_port};
     out.dgram.dst = net::Endpoint{dst_ip, dst_port};
     out.dgram.payload.assign(frame.substr(udp + 8, captured));
-    out.dgram.kind = InferKind(out.dgram.payload);
     out.dgram.padding_bytes = static_cast<uint32_t>(full_payload - captured);
     out.dgram.sent_time = out.when;
     out.dgram.id = next_id_++;

@@ -19,9 +19,8 @@
 // The writer emits one UDP/IPv4/Ethernet frame per datagram with MACs
 // derived from the IPs, in either byte order, so recordings, the corpus
 // (tools/make_corpus) and the round-trip tests are deterministic captures.
-// A frame carries neither the tap direction nor the payload-kind hint: the
-// reader derives the direction from `PcapReadOptions::inside` and the kind
-// from the payload bytes.
+// A frame does not carry the tap direction: the reader derives it from
+// `PcapReadOptions::inside`.
 #pragma once
 
 #include <cstdint>

@@ -43,8 +43,8 @@ class SpinBackoff {
   /// Call after useful work: the next wait starts spinning again.
   void Reset() { idle_ = 0; }
 
-  /// Times Pause() took the sleep path since construction (observability
-  /// and tests; the sharded engine folds this into its stall counters).
+  /// Times Pause() took the sleep path since construction. Only tests read
+  /// it: the sharded engine's stall counters count waits, not sleeps.
   uint64_t sleeps() const { return sleeps_; }
 
  private:

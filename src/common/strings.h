@@ -7,6 +7,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -40,6 +41,20 @@ struct StringHash {
     return std::hash<std::string_view>{}(s);
   }
 };
+
+/// FNV-1a 64 over the raw bytes, the same in every process (unlike
+/// std::hash): the sharded engine partitions Call-IDs by it and the
+/// behavior layer keys identities by it. Its offset basis is a digit short
+/// of the published 14695981039346656037; changing it would move every
+/// call's shard and every behavior key.
+inline uint64_t Fnv1a64(std::string_view s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// Case-insensitive comparison for header names and tokens.
 bool IEquals(std::string_view a, std::string_view b);

@@ -30,7 +30,6 @@ net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   return dgram;
 }
 
@@ -46,7 +45,6 @@ net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts, bool marker,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   return dgram;
 }
 

@@ -28,10 +28,8 @@ std::optional<IpAddress> IpAddress::Parse(std::string_view text) {
 }
 
 std::string IpAddress::ToString() const {
-  return std::to_string((bits_ >> 24) & 0xFF) + "." +
-         std::to_string((bits_ >> 16) & 0xFF) + "." +
-         std::to_string((bits_ >> 8) & 0xFF) + "." +
-         std::to_string(bits_ & 0xFF);
+  FormatBuffer buf;
+  return std::string(Format(buf));
 }
 
 std::optional<Subnet> Subnet::Parse(std::string_view text) {

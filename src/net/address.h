@@ -1,6 +1,7 @@
 // IPv4 addressing for the simulated network.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -25,6 +26,22 @@ class IpAddress {
 
   constexpr uint32_t bits() const { return bits_; }
   std::string ToString() const;
+
+  /// Room for the longest dotted quad, "255.255.255.255".
+  using FormatBuffer = std::array<char, 15>;
+  /// Writes the dotted quad into `buf` and returns the written text: the
+  /// allocation-free form of ToString() for per-packet paths.
+  std::string_view Format(FormatBuffer& buf) const {
+    char* out = buf.data();
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      const uint32_t octet = (bits_ >> shift) & 0xFF;
+      if (octet >= 100) *out++ = static_cast<char>('0' + octet / 100);
+      if (octet >= 10) *out++ = static_cast<char>('0' + octet / 10 % 10);
+      *out++ = static_cast<char>('0' + octet % 10);
+      if (shift != 0) *out++ = '.';
+    }
+    return {buf.data(), static_cast<size_t>(out - buf.data())};
+  }
 
   constexpr auto operator<=>(const IpAddress&) const = default;
 

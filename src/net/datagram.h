@@ -3,6 +3,8 @@
 // SIP (the paper prefers UDP transport, §2.1) and RTP both ride on UDP, so
 // the simulator carries exactly one packet type. The wire size used for link
 // serialization is payload + padding + the 28-byte UDP/IPv4 header.
+// What protocol a datagram carries is decided from its payload bytes alone
+// (ids::DecideProto): attack traffic does not announce itself honestly.
 #pragma once
 
 #include <cstdint>
@@ -13,17 +15,10 @@
 
 namespace vids::net {
 
-/// Which application protocol a datagram carries; set by the sender so the
-/// packet classifier and per-protocol processing-delay model can dispatch
-/// without re-parsing. (A real deployment infers this from ports; the
-/// simulation keeps the label explicit and the classifier verifies it.)
-enum class PayloadKind : uint8_t { kSip, kRtp, kOther };
-
 struct Datagram {
   Endpoint src;
   Endpoint dst;
   std::string payload;
-  PayloadKind kind = PayloadKind::kOther;
 
   /// Extra bytes counted on the wire but not carried in `payload`; used to
   /// model the paper's constant 500-byte SIP messages and codec payloads

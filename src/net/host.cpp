@@ -7,12 +7,11 @@
 namespace vids::net {
 
 void Host::SendUdp(uint16_t src_port, Endpoint dst, std::string payload,
-                   PayloadKind kind, uint32_t padding_bytes) {
+                   uint32_t padding_bytes) {
   Datagram dgram;
   dgram.src = Endpoint{ip_, src_port};
   dgram.dst = dst;
   dgram.payload = std::move(payload);
-  dgram.kind = kind;
   dgram.padding_bytes = padding_bytes;
   SendRaw(std::move(dgram));
 }

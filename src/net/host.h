@@ -37,7 +37,7 @@ class Host : public Node {
 
   /// Sends a UDP datagram from this host's address.
   void SendUdp(uint16_t src_port, Endpoint dst, std::string payload,
-               PayloadKind kind, uint32_t padding_bytes = 0);
+               uint32_t padding_bytes = 0);
 
   /// Sends a fully caller-controlled datagram (spoofing allowed). Used by
   /// attack injectors; legitimate applications use SendUdp.

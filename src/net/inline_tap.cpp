@@ -9,17 +9,16 @@ namespace vids::net {
 void InlineTap::HandlePacket(const Datagram& dgram, bool from_outside) {
   ++packets_seen_;
   if (monitor_) monitor_(dgram, from_outside);
-  sim::Duration cost{};
-  if (inspector_) cost = inspector_(dgram, from_outside);
-  if (cost <= sim::Duration{}) {
+  Verdict verdict;
+  if (inspector_) verdict = inspector_(dgram, from_outside);
+  if (verdict.cost <= sim::Duration{}) {
     Forward(dgram, from_outside);
     return;
   }
-  cpu_time_used_ += cost;
-  sim::Time& lane = dgram.kind == PayloadKind::kRtp ? media_busy_until_
-                                                    : signaling_busy_until_;
+  cpu_time_used_ += verdict.cost;
+  sim::Time& lane = busy_until_[static_cast<size_t>(verdict.lane)];
   const sim::Time start = std::max(scheduler_.Now(), lane);
-  lane = start + cost;
+  lane = start + verdict.cost;
   scheduler_.ScheduleAt(lane, [this, dgram, from_outside] {
     Forward(dgram, from_outside);
   });

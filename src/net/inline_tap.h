@@ -6,17 +6,18 @@
 // inside link to port_from_inside(), so the inspector learns the true
 // arrival direction — which IP spoofing cannot forge.
 //
-// Processing model: the inspector returns a cost per packet; packets queue
-// in a FIFO per *lane* and are forwarded when processing completes. There
-// are two lanes — signaling and media — so heavyweight SIP analysis
-// (~50 ms per message on the paper's hardware) delays call setup but does
-// not serialize the latency-critical RTP fast path. This mirrors the
-// paper's measurements, where vIDS adds ~100 ms to call setup yet only
-// ~1.5 ms to RTP delay: impossible on a single shared service queue. With
-// a null inspector the tap is the paper's "without vIDS" arm — plain
-// forwarding at zero cost.
+// Processing model: the inspector returns a cost per packet and the *lane*
+// it occupies; packets queue in a FIFO per lane and are forwarded when
+// processing completes. There are two lanes — signaling and media — so
+// heavyweight SIP analysis (~50 ms per message on the paper's hardware)
+// delays call setup but does not serialize the latency-critical RTP fast
+// path. This mirrors the paper's measurements, where vIDS adds ~100 ms to
+// call setup yet only ~1.5 ms to RTP delay: impossible on a single shared
+// service queue. With a null inspector the tap is the paper's "without
+// vIDS" arm — plain forwarding at zero cost.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "net/link.h"
@@ -27,10 +28,18 @@ namespace vids::net {
 
 class InlineTap {
  public:
-  /// Inspects a packet and returns the CPU time to charge for it.
-  /// `from_outside` is true when the packet arrived on the outside port.
-  using Inspector =
-      std::function<sim::Duration(const Datagram&, bool from_outside)>;
+  /// The two CPU queues of the processing model.
+  enum class Lane : uint8_t { kSignaling, kMedia };
+  /// The inspector's verdict on a packet: the CPU time to charge for it
+  /// and the lane that time occupies.
+  struct Verdict {
+    sim::Duration cost;
+    Lane lane = Lane::kMedia;
+  };
+
+  /// Inspects a packet and returns its verdict. `from_outside` is true
+  /// when the packet arrived on the outside port.
+  using Inspector = std::function<Verdict(const Datagram&, bool from_outside)>;
 
   InlineTap(std::string name, sim::Scheduler& scheduler)
       : scheduler_(scheduler),
@@ -84,8 +93,7 @@ class InlineTap {
   Link* outside_link_ = nullptr;
   Inspector inspector_;
   Monitor monitor_;
-  sim::Time signaling_busy_until_;
-  sim::Time media_busy_until_;
+  sim::Time busy_until_[2];  // per Lane
   uint64_t packets_seen_ = 0;
   sim::Duration cpu_time_used_;
 };

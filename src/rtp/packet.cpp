@@ -21,13 +21,12 @@ std::string RtpHeader::Serialize() const {
 }
 
 std::optional<RtpHeader> RtpHeader::Parse(std::string_view data) {
-  if (data.size() < kRtpHeaderSize) return std::nullopt;
+  if (!IsRtp(data)) return std::nullopt;
   const auto byte = [&](size_t i) {
     return static_cast<uint8_t>(data[i]);
   };
   RtpHeader header;
   header.version = byte(0) >> 6;
-  if (header.version != 2) return std::nullopt;
   header.padding = (byte(0) & 0x20) != 0;
   header.extension = (byte(0) & 0x10) != 0;
   header.csrc_count = byte(0) & 0x0F;

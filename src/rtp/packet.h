@@ -36,6 +36,14 @@ struct RtpHeader {
 
 constexpr size_t kRtpHeaderSize = 12;
 
+/// The RTP decision: true exactly when RtpHeader::Parse accepts `data`
+/// (at least the 12-byte fixed header, version 2). RTCP passes it too, so
+/// callers that must tell the two apart test rtp::IsRtcp first.
+inline bool IsRtp(std::string_view data) {
+  return data.size() >= kRtpHeaderSize &&
+         (static_cast<uint8_t>(data[0]) >> 6) == 2;
+}
+
 /// 16-bit sequence-number distance with wraparound: how far `b` is ahead of
 /// `a` (negative if behind). Used by both the receiver's loss accounting and
 /// the IDS gap predicate.

@@ -123,17 +123,14 @@ std::string RtcpBye::Serialize() const {
   return out;
 }
 
-bool LooksLikeRtcp(std::string_view data) {
+bool IsRtcp(std::string_view data) {
   if (data.size() < 4) return false;
   const auto byte0 = static_cast<uint8_t>(data[0]);
-  const auto byte1 = static_cast<uint8_t>(data[1]);
-  return (byte0 >> 6) == 2 && byte1 >= 200 && byte1 <= 204;
-}
-
-bool IsRtcp(std::string_view data) {
-  if (!LooksLikeRtcp(data)) return false;
-  const auto byte0 = static_cast<uint8_t>(data[0]);
   const auto packet_type = static_cast<uint8_t>(data[1]);
+  // Most packets are RTP or SIP: turn them away on the first two bytes.
+  if ((byte0 >> 6) != 2 || packet_type < 200 || packet_type > 203) {
+    return false;
+  }
   const size_t count = byte0 & 0x1F;
   const size_t body_bytes =
       ((static_cast<size_t>(static_cast<uint8_t>(data[2])) << 8) |
@@ -147,7 +144,7 @@ bool IsRtcp(std::string_view data) {
     case 203:
       return body_bytes >= count * 4;
     default:
-      return false;  // SDES/APP not modeled
+      return false;  // SDES not modeled
   }
 }
 

@@ -79,15 +79,12 @@ struct RtcpPacket {
   }
 };
 
-/// Quick structural sniff: does this look like RTCP (version 2, packet
-/// type 200..204)? An RTP packet with the marker bit set and payload type
-/// 72..76 looks like RTCP too, so this is only a hint (pcap's kind guess).
-bool LooksLikeRtcp(std::string_view data);
-
-/// The RTCP decision: true exactly when ParseRtcp accepts `data` (SR, RR
-/// or BYE whose declared length and report count fit), without building
-/// the packet. The classifier and the sharded router both demux on this,
-/// so they cannot disagree about what a packet is.
+/// The RTCP decision: true exactly when ParseRtcp accepts `data` (version
+/// 2, SR, RR or BYE whose declared length and report count fit), without
+/// building the packet. An RTP packet with the marker bit set and payload
+/// type 72..76 carries 200..204 in the type byte, so the type alone
+/// decides nothing. ids::DecideProto, which the classifier and the
+/// sharded router both call, tests this first.
 bool IsRtcp(std::string_view data);
 
 /// Parses one RTCP packet. Returns nullopt when IsRtcp rejects `data`.

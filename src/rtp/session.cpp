@@ -105,7 +105,7 @@ void MediaSession::SendFrame() {
   m_packets_sent_->Inc();
   octets_sent_ += config_.codec.bytes_per_frame;
   host_.SendUdp(config_.local_port, config_.remote, header.Serialize(),
-                net::PayloadKind::kRtp, config_.codec.bytes_per_frame);
+                config_.codec.bytes_per_frame);
   ScheduleNextFrame();
 }
 
@@ -130,7 +130,7 @@ void MediaSession::SendSenderReport() {
   ++rtcp_sent_;
   m_rtcp_sent_->Inc();
   host_.SendUdp(static_cast<uint16_t>(config_.local_port + 1), RemoteRtcp(),
-                report.Serialize(), net::PayloadKind::kRtp);
+                report.Serialize());
   rtcp_timer_.Start(config_.rtcp_interval, [this] { SendSenderReport(); });
 }
 
@@ -141,7 +141,7 @@ void MediaSession::SendRtcpBye() {
   ++rtcp_sent_;
   m_rtcp_sent_->Inc();
   host_.SendUdp(static_cast<uint16_t>(config_.local_port + 1), RemoteRtcp(),
-                bye.Serialize(), net::PayloadKind::kRtp);
+                bye.Serialize());
 }
 
 void MediaSession::OnRtcpDatagram(const net::Datagram& dgram) {

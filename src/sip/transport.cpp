@@ -28,7 +28,7 @@ void Transport::Send(const Message& message, net::Endpoint dst) {
     padding = pad_to_bytes_ - static_cast<uint32_t>(wire.size());
   }
   ++messages_sent_;
-  host_.SendUdp(port_, dst, std::move(wire), net::PayloadKind::kSip, padding);
+  host_.SendUdp(port_, dst, std::move(wire), padding);
 }
 
 }  // namespace vids::sip

@@ -77,8 +77,12 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
   Profile& p = GetOrCreate(callers_, caller);
   p.last_event_ns = t;
   p.call_rate.Touch(t, config_.call_rate_window.nanos());
-  if (!dest.empty()) p.fanout.Touch(HashKey(dest), t);
-  if (!user_agent.empty()) p.user_agents.Touch(HashKey(user_agent), t);
+  // Stable across processes, so two engines fed one stream keep identical
+  // ring contents.
+  if (!dest.empty()) p.fanout.Touch(common::Fnv1a64(dest), t);
+  if (!user_agent.empty()) {
+    p.user_agents.Touch(common::Fnv1a64(user_agent), t);
+  }
 
   // Open-call slot: a repeated initial INVITE (retransmission) refreshes
   // its start; otherwise take the stalest slot — empty and TTL-expired

@@ -127,7 +127,8 @@ class BehaviorEngine {
   const BehaviorConfig& config() const { return config_; }
 
   /// An initial INVITE (no To tag) from `caller` to `dest`. `call_hash`
-  /// identifies the call for duration tracking (HashKey of the Call-ID);
+  /// identifies the call for duration tracking (common::Fnv1a64 of the
+  /// Call-ID);
   /// `user_agent` may be empty when the header is absent.
   void OnCallStart(sim::Time now, std::string_view caller,
                    std::string_view dest, std::string_view user_agent,
@@ -162,18 +163,6 @@ class BehaviorEngine {
   /// caller-terminated calls) plus the durations of already-reclaimed
   /// profiles into `into`.
   void MergeDurationHistogram(obs::Histogram& into) const;
-
-  /// FNV-1a 64 — stable across processes (unlike std::hash), so two
-  /// separately-run engines fed the same stream keep identical ring
-  /// contents. Used for Call-ID, destination, and User-Agent identities.
-  static uint64_t HashKey(std::string_view s) {
-    uint64_t h = 1469598103934665603ULL;
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
 
  private:
   /// Armed-window counter (patterns.cpp BuildWindowCounter semantics): the

@@ -35,25 +35,9 @@ void AssignUserAtHost(efsm::Value& slot, const sip::UriView& uri) {
   str.append(uri.host);
 }
 
-// Dotted-quad into a stack buffer — cheaper than IpAddress::ToString()'s
-// string temporaries (or snprintf's format-string machinery) on the
-// per-packet path.
 void AssignIp(efsm::Value& slot, net::IpAddress ip) {
-  char buf[16];
-  char* out = buf;
-  const uint32_t bits = ip.bits();
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    const uint32_t octet = (bits >> shift) & 0xFF;
-    if (octet >= 100) {
-      *out++ = static_cast<char>('0' + octet / 100);
-      *out++ = static_cast<char>('0' + octet / 10 % 10);
-    } else if (octet >= 10) {
-      *out++ = static_cast<char>('0' + octet / 10);
-    }
-    *out++ = static_cast<char>('0' + octet % 10);
-    if (shift != 0) *out++ = '.';
-  }
-  AssignStr(slot, std::string_view(buf, static_cast<size_t>(out - buf)));
+  net::IpAddress::FormatBuffer buf;
+  AssignStr(slot, ip.Format(buf));
 }
 
 // Every classifier scratch event is filled with the same keys in the same
@@ -82,38 +66,30 @@ void PutEndpoints(efsm::Event& event, const net::Datagram& dgram,
 
 }  // namespace
 
+PacketProto DecideProto(std::string_view payload, sip::LazyMessage& lazy) {
+  if (rtp::IsRtcp(payload)) return PacketProto::kRtcp;
+  if (rtp::IsRtp(payload)) return PacketProto::kRtp;
+  if (lazy.Index(payload)) return PacketProto::kSip;
+  return PacketProto::kUnknown;
+}
+
+std::optional<net::Endpoint> RtcpMediaEndpoint(const net::Endpoint& dst) {
+  if (dst.port < 1) return std::nullopt;
+  return net::Endpoint{dst.ip, static_cast<uint16_t>(dst.port - 1)};
+}
+
 const ClassifiedPacket* PacketClassifier::Classify(const net::Datagram& dgram,
                                                    bool from_outside) {
-  // RTCP must be tried before RTP: an RTCP packet also parses as an RTP
-  // header. rtp::IsRtcp is the one RTCP decision — ShardedIds routes on it
-  // too — and a payload it rejects falls through to RTP/SIP.
-  if (rtp::IsRtcp(dgram.payload)) {
-    if (const auto* rtcp = ClassifyRtcp(dgram, from_outside)) {
-      ++rtcp_packets_;
-      return rtcp;
-    }
-  }
-  // Content-based dispatch: try the hinted protocol first, then the other.
-  if (dgram.kind != net::PayloadKind::kRtp) {
-    if (lazy_.Index(dgram.payload)) {
-      ++sip_packets_;
+  switch (DecideProto(dgram.payload, lazy_)) {
+    case PacketProto::kRtcp:
+      return ClassifyRtcp(dgram, from_outside);
+    case PacketProto::kRtp:
+      return ClassifyRtp(dgram, from_outside);
+    case PacketProto::kSip:
       return ClassifySip(dgram, from_outside);
-    }
-    if (const auto* rtp = ClassifyRtp(dgram, from_outside)) {
-      ++rtp_packets_;
-      return rtp;
-    }
-  } else {
-    if (const auto* rtp = ClassifyRtp(dgram, from_outside)) {
-      ++rtp_packets_;
-      return rtp;
-    }
-    if (lazy_.Index(dgram.payload)) {
-      ++sip_packets_;
-      return ClassifySip(dgram, from_outside);
-    }
+    case PacketProto::kUnknown:
+      break;
   }
-  ++unknown_packets_;
   return nullptr;
 }
 

@@ -2,12 +2,16 @@
 //
 // Turns raw datagrams into protocol-tagged EFSM events carrying the input
 // vector x̄ the predicates read: SIP header fields and SDP media parameters,
-// or RTP header fields. Classification is by content (a parse attempt),
-// with the port/label only as a hint — attack traffic does not announce
-// itself honestly.
+// or RTP header fields. Classification is by content alone — neither port
+// nor sender says what a packet is, because attack traffic does not
+// announce itself honestly. DecideProto is that decision, made in one
+// place: the classifier and the sharded router both call it, so the shard
+// a packet is routed to and the machines it reaches there agree on it.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "efsm/machine.h"
 #include "net/datagram.h"
@@ -16,6 +20,18 @@
 namespace vids::ids {
 
 enum class PacketProto { kSip, kRtp, kRtcp, kUnknown };
+
+/// What a payload is, tried in this order: RTCP when rtp::IsRtcp accepts
+/// (RTCP is RTP-shaped too), RTP when rtp::IsRtp does (the 12-byte fixed
+/// header, version 2), SIP when `lazy` indexes it, else unknown. SIP starts
+/// with an ASCII byte, so only crafted bytes pass both the RTP and the SIP
+/// test; they are RTP. On kSip, `lazy` holds the payload's index.
+PacketProto DecideProto(std::string_view payload, sip::LazyMessage& lazy);
+
+/// RTCP runs on its media port + 1: the media endpoint of an RTCP datagram
+/// sent to `dst` (nullopt for port 0), whose pattern group Vids::HandleRtcp
+/// feeds and whose shard the sharded router picks.
+std::optional<net::Endpoint> RtcpMediaEndpoint(const net::Endpoint& dst);
 
 struct ClassifiedPacket {
   PacketProto proto = PacketProto::kUnknown;
@@ -33,19 +49,14 @@ struct ClassifiedPacket {
 
 class PacketClassifier {
  public:
-  /// Classifies one datagram. Returns nullptr when it is neither parsable
-  /// SIP nor RTP. The result points at per-protocol scratch owned by the
+  /// Classifies one datagram by DecideProto. Returns nullptr when it is
+  /// unknown. The result points at per-protocol scratch owned by the
   /// classifier — valid until the next Classify call — so the steady-state
   /// path reuses event-argument and key-string capacity instead of
   /// rebuilding a ClassifiedPacket per packet. SIP fields come from the
   /// zero-copy lazy lexer; no sip::Message is materialized.
   const ClassifiedPacket* Classify(const net::Datagram& dgram,
                                    bool from_outside);
-
-  uint64_t sip_packets() const { return sip_packets_; }
-  uint64_t rtp_packets() const { return rtp_packets_; }
-  uint64_t rtcp_packets() const { return rtcp_packets_; }
-  uint64_t unknown_packets() const { return unknown_packets_; }
 
  private:
   const ClassifiedPacket* ClassifySip(const net::Datagram& dgram,
@@ -54,11 +65,6 @@ class PacketClassifier {
                                       bool from_outside);
   const ClassifiedPacket* ClassifyRtcp(const net::Datagram& dgram,
                                        bool from_outside);
-
-  uint64_t sip_packets_ = 0;
-  uint64_t rtp_packets_ = 0;
-  uint64_t rtcp_packets_ = 0;
-  uint64_t unknown_packets_ = 0;
 
   // Reused per packet; each protocol shape writes its full argument set
   // every time (absent fields become monostate) so no value leaks from one

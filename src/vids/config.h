@@ -95,7 +95,9 @@ struct DetectionConfig {
   behavior::BehaviorConfig behavior;
 };
 
-/// Simulated CPU cost the inline vIDS host charges per analyzed packet.
+/// Simulated CPU cost the inline vIDS host charges per analyzed packet:
+/// SIP analysis on the tap's signaling lane, everything else (RTP, RTCP,
+/// unparsable bytes) on its media lane.
 struct CostModel {
   sim::Duration sip_cost = sim::Duration::Millis(50);
   sim::Duration rtp_cost = sim::Duration::Millis(1);

@@ -27,19 +27,13 @@ uint64_t DrdosKey(net::IpAddress victim) {
 // temporaries.
 const std::string& KeyedName(std::string& out, std::string_view prefix,
                              net::IpAddress ip, int port = -1) {
-  char buf[8];
-  const auto append = [&](int value) {
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
-  };
+  net::IpAddress::FormatBuffer ip_text;
   out.assign(prefix);
-  const uint32_t bits = ip.bits();
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    append(static_cast<int>((bits >> shift) & 0xFF));
-    if (shift != 0) out.push_back('.');
-  }
+  out.append(ip.Format(ip_text));
   if (port >= 0) {
+    char buf[8];
     out.push_back(':');
-    append(port);
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), port).ptr);
   }
   return out;
 }
@@ -254,41 +248,13 @@ efsm::MachineGroup* CallStateFactBase::FindCall(std::string_view call_id) {
   return index != kNoEntry ? calls_[index].group : nullptr;
 }
 
-efsm::MachineGroup& CallStateFactBase::GetOrCreateKeyed(
-    KeyedKind kind, const std::string& key) {
-  switch (kind) {
-    case KeyedKind::kMediaEndpoint:
-      if (const auto endpoint = net::Endpoint::Parse(key)) {
-        return GetOrCreateMediaGroup(*endpoint);
-      }
-      break;
-    case KeyedKind::kDrdos:
-      if (const auto victim = net::IpAddress::Parse(key)) {
-        return GetOrCreateDrdosGroup(*victim);
-      }
-      break;
-    case KeyedKind::kInviteFlood:
-      return GetOrCreateInviteFlood(key);
-  }
-  // Unparseable media/victim keys.
-  const bool media = kind == KeyedKind::kMediaEndpoint;
-  key_scratch_.assign(media ? "media|" : "drdos|");
-  key_scratch_.append(key);
-  return GetOrCreateNamed(media ? media_groups_ : drdos_groups_,
-                          key_scratch_);
-}
-
 efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
     std::string_view aor) {
   // Runs per INVITE request: compose the key in the reused scratch string
   // so the hit path never allocates.
   key_scratch_.assign("flood|");
   key_scratch_.append(aor);
-  return GetOrCreateNamed(flood_groups_, key_scratch_);
-}
-
-efsm::MachineGroup& CallStateFactBase::GetOrCreateNamed(
-    Recycler& recycler, std::string_view name) {
+  const std::string_view name = key_scratch_;
   const uint64_t hash = common::StringHash{}(name);
   uint32_t index = keyed_str_.Find(
       hash, [&](uint32_t i) { return keyed_str_[i].key == name; });
@@ -299,7 +265,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateNamed(
   index = keyed_str_.Insert(hash);
   auto& entry = keyed_str_[index];
   entry.key.assign(name);
-  entry.group = AcquireGroup(recycler, name);
+  entry.group = AcquireGroup(flood_groups_, name);
   entry.last_event = scheduler_.Now();
   keyed_str_idle_.Push(index, entry.last_event + config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));

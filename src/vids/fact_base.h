@@ -64,9 +64,6 @@
 
 namespace vids::ids {
 
-/// Keyed (non-call) group families.
-enum class KeyedKind : uint8_t { kInviteFlood, kMediaEndpoint, kDrdos };
-
 /// Machine indexes of each group shape, in the order the fact base builds
 /// them (and delivers a packet to them). The Event Distributor addresses
 /// machines by these, never by instance name.
@@ -114,18 +111,14 @@ class CallStateFactBase : private efsm::RetirementListener {
                                       bool& created);
   efsm::MachineGroup* FindCall(std::string_view call_id);
 
-  /// Per-destination pattern group, generic string-keyed entry point:
-  /// INVITE flood (key = callee AOR), media spam + RTP flood (key = media
-  /// endpoint "ip:port"), DRDoS (key = victim IP). Media/DRDoS keys that
-  /// parse as endpoint/IP are routed to the binary-keyed overloads below.
-  efsm::MachineGroup& GetOrCreateKeyed(KeyedKind kind, const std::string& key);
-
-  /// INVITE-flood fast path: runs once per INVITE request, so the "flood|"
-  /// prefixed map key is composed in a reused scratch string and looked up
-  /// transparently — the hit path performs no allocation.
+  /// Per-destination pattern groups, created on first use. The INVITE
+  /// flood group of callee AOR `aor` runs once per INVITE request, so its
+  /// "flood|" prefixed key is composed in a reused scratch string — the hit
+  /// path performs no allocation.
   efsm::MachineGroup& GetOrCreateInviteFlood(std::string_view aor);
-
-  /// Binary-keyed fast paths — no string formatting or parsing.
+  /// The media spam, RTP flood and RTCP BYE group of a media endpoint, and
+  /// the DRDoS group of a victim IP: binary-keyed, no string formatting or
+  /// parsing on a hit.
   efsm::MachineGroup& GetOrCreateMediaGroup(const net::Endpoint& endpoint);
   efsm::MachineGroup& GetOrCreateDrdosGroup(net::IpAddress victim);
 
@@ -279,9 +272,6 @@ class CallStateFactBase : private efsm::RetirementListener {
   uint32_t FindCallEntry(std::string_view call_id, uint64_t hash) const;
   /// Opens a call in entry `index` (new, or a tombstone being reused).
   efsm::MachineGroup& OpenCall(uint32_t index);
-  /// The string-keyed group named `name`, created from `recycler`.
-  efsm::MachineGroup& GetOrCreateNamed(Recycler& recycler,
-                                       std::string_view name);
   /// The binary-keyed group under `key`; `name` composes its group name on
   /// creation.
   template <typename Name>

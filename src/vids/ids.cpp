@@ -3,33 +3,9 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace vids::ids {
-
-namespace {
-
-// Dotted-quad into a caller-provided stack buffer (the classifier's
-// AssignIp shape) — the DRDoS aggregate key must always be the victim IP
-// from the packet itself, never an event arg that could be absent, and
-// formatting it here keeps the aggregate path allocation-free.
-std::string_view FormatIpv4(char (&buf)[16], net::IpAddress ip) {
-  char* out = buf;
-  const uint32_t bits = ip.bits();
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    const uint32_t octet = (bits >> shift) & 0xFF;
-    if (octet >= 100) {
-      *out++ = static_cast<char>('0' + octet / 100);
-      *out++ = static_cast<char>('0' + octet / 10 % 10);
-    } else if (octet >= 10) {
-      *out++ = static_cast<char>('0' + octet / 10);
-    }
-    *out++ = static_cast<char>('0' + octet % 10);
-    if (shift != 0) *out++ = '.';
-  }
-  return {buf, static_cast<size_t>(out - buf)};
-}
-
-}  // namespace
 
 Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
            CostModel cost)
@@ -85,7 +61,9 @@ Vids::Stats Vids::stats() const {
   return s;
 }
 
-sim::Duration Vids::Inspect(const net::Datagram& dgram, bool from_outside) {
+net::InlineTap::Verdict Vids::Inspect(const net::Datagram& dgram,
+                                      bool from_outside) {
+  using Lane = net::InlineTap::Lane;
   m_packets_->Inc();
   fact_base_.Sweep(scheduler_.Now());
 
@@ -101,30 +79,29 @@ sim::Duration Vids::Inspect(const net::Datagram& dgram, bool from_outside) {
                      .detail = "from " + dgram.src.ToString(),
                      .trigger = "",
                      .provenance = {}});
-    return cost_.rtp_cost;  // rejecting junk is cheap
+    return {cost_.rtp_cost, Lane::kMedia};  // rejecting junk is cheap
   }
   if (packet->proto == PacketProto::kSip) {
     m_sip_packets_->Inc();
     HandleSip(*packet);
-    return cost_.sip_cost;
+    return {cost_.sip_cost, Lane::kSignaling};
   }
   if (packet->proto == PacketProto::kRtcp) {
     m_rtcp_packets_->Inc();
     HandleRtcp(*packet);
-    return cost_.rtp_cost;
+    return {cost_.rtp_cost, Lane::kMedia};
   }
   m_rtp_packets_->Inc();
   HandleRtp(*packet);
-  return cost_.rtp_cost;
+  return {cost_.rtp_cost, Lane::kMedia};
 }
 
 void Vids::HandleRtcp(const ClassifiedPacket& packet) {
-  // RTCP runs on the media port + 1; fold it onto the media endpoint's
-  // pattern group so the ghost-media machine sees both streams.
-  if (packet.dst.port < 1) return;
-  const net::Endpoint media_endpoint{
-      packet.dst.ip, static_cast<uint16_t>(packet.dst.port - 1)};
-  auto& media_group = fact_base_.GetOrCreateMediaGroup(media_endpoint);
+  // Fold RTCP onto its media endpoint's pattern group so the ghost-media
+  // machine sees both streams.
+  const auto media_endpoint = RtcpMediaEndpoint(packet.dst);
+  if (!media_endpoint) return;
+  auto& media_group = fact_base_.GetOrCreateMediaGroup(*media_endpoint);
   media_group.DeliverData(media_group.machine(kMediaRtcpBye), packet.event);
 }
 
@@ -152,9 +129,11 @@ void Vids::HandleSip(const ClassifiedPacket& packet) {
   const std::string* kind = packet.event.ArgStr(argkey::kKind);
   const bool is_response = kind != nullptr && *kind == "response";
   if (created && is_response) {
-    char victim[16];
+    // The DRDoS key is the victim IP from the packet itself, never an
+    // event arg that could be absent.
+    net::IpAddress::FormatBuffer victim;
     EmitAggregate({.kind = AggregateKind::kUnsolicitedResponse,
-                   .key = FormatIpv4(victim, packet.dst.ip),
+                   .key = packet.dst.ip.Format(victim),
                    .src_ip = packet.src.ip,
                    .dst_ip = packet.dst.ip});
   }
@@ -205,7 +184,7 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
          .key = *from,
          .peer = packet.dest_key,
          .ua = ua != nullptr ? std::string_view(*ua) : std::string_view(),
-         .aux = behavior::BehaviorEngine::HashKey(packet.call_key)});
+         .aux = common::Fnv1a64(packet.call_key)});
     return;
   }
   if (!is_response && *method == "BYE") {
@@ -213,7 +192,7 @@ void Vids::FeedBehavior(const ClassifiedPacket& packet, bool is_response) {
     if (from == nullptr) return;
     EmitAggregate({.kind = AggregateKind::kBehaviorCallEnd,
                    .key = *from,
-                   .aux = behavior::BehaviorEngine::HashKey(packet.call_key)});
+                   .aux = common::Fnv1a64(packet.call_key)});
     return;
   }
   if (is_response && *method == "REGISTER") {
@@ -257,12 +236,12 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
       // The window counter reads no argument; OnAttackState reads the two
       // addresses for the alert detail. Event names and dotted quads fit
       // the small-string buffer, so refilling the event never allocates.
-      char ip[16];
+      net::IpAddress::FormatBuffer ip;
       aggregate_scratch_.name.assign(invite ? kSipEvent : kUnsolicitedEvent);
       aggregate_scratch_.args.Slot(0, argkey::kSrcIp)
-          .emplace<std::string>(FormatIpv4(ip, event.src_ip));
+          .emplace<std::string>(event.src_ip.Format(ip));
       aggregate_scratch_.args.Slot(1, argkey::kDstIp)
-          .emplace<std::string>(FormatIpv4(ip, event.dst_ip));
+          .emplace<std::string>(event.dst_ip.Format(ip));
       group.DeliverData(machine, aggregate_scratch_);
       return;
     }

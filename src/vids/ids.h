@@ -91,11 +91,14 @@ class Vids : public efsm::Observer {
   Vids(sim::Scheduler& scheduler, DetectionConfig detection = {},
        CostModel cost = {});
 
-  /// Analyzes one packet; returns the simulated CPU cost to charge. This is
-  /// the Event Distributor: it classifies, routes events to the fact base's
-  /// machine groups, feeds the per-destination patterns and maintains the
+  /// Analyzes one packet; returns the tap verdict: the simulated CPU cost
+  /// to charge and its lane (SIP analysis on the signaling lane, everything
+  /// else on the media lane, priced by CostModel). This is the Event
+  /// Distributor: it classifies, routes events to the fact base's machine
+  /// groups, feeds the per-destination patterns and maintains the
   /// media-endpoint index.
-  sim::Duration Inspect(const net::Datagram& dgram, bool from_outside);
+  net::InlineTap::Verdict Inspect(const net::Datagram& dgram,
+                                  bool from_outside);
 
   /// Adapter for net::InlineTap.
   net::InlineTap::Inspector MakeInspector() {

@@ -4,24 +4,13 @@
 #include <chrono>
 
 #include "common/backoff.h"
-#include "rtp/rtcp.h"
+#include "common/strings.h"
 #include "sdp/sdp.h"
+#include "vids/classifier.h"
 
 namespace vids::ids {
 
 namespace {
-
-// Call-ID → shard. FNV-1a over the raw bytes: Call-IDs are adversarial
-// input, but the partition only needs balance, not collision resistance —
-// a skewed shard is a throughput problem, never a correctness one.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // Endpoint key → shard. PackedKey is structured (ip << 16 | port), so mix
 // it before taking the residue.
@@ -343,7 +332,10 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
 // ------------------------------------------------------ coordinator: routing
 
 int ShardedIds::ShardOfCallId(std::string_view call_id) const {
-  return static_cast<int>(Fnv1a(call_id) % shards_.size());
+  // Call-IDs are adversarial input, but the partition only needs balance,
+  // not collision resistance — a skewed shard is a throughput problem,
+  // never a correctness one.
+  return static_cast<int>(common::Fnv1a64(call_id) % shards_.size());
 }
 
 int ShardedIds::HashShardOfEndpoint(uint64_t packed_key) const {
@@ -449,22 +441,13 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
   const int64_t when_ns = when.nanos();
   last_ingest_ns_ = std::max(last_ingest_ns_, when_ns);
 
-  // Replicate the classifier's dispatch order (classifier.cpp) so the
-  // router and the shard-side classifier agree on what a packet is:
-  // RTCP first — by the same rtp::IsRtcp decision — then the hint-ordered
-  // SIP attempt, then endpoint routing for RTP and everything else. The
-  // kSip-vs-content check is byte-accurate (the same lazy parser); the kRtp
-  // hint is trusted — a payload labeled RTP never reaches the SIP router,
-  // which is exactly the classifier's behavior for parseable RTP.
+  // Route on the classifier's own decision (DecideProto), so the router
+  // and the shard-side classifier agree on what a packet is. SIP goes by
+  // its Call-ID; RTCP goes with the RTP of its media endpoint; RTP and
+  // unknown bytes go by their destination endpoint.
   int target;
-  if (rtp::IsRtcp(dgram.payload) && dgram.dst.port >= 1) {
-    // Fold RTCP onto its media endpoint (port − 1) so the control and media
-    // halves of one stream meet on one shard, as in Vids::HandleRtcp.
-    const net::Endpoint media{dgram.dst.ip,
-                              static_cast<uint16_t>(dgram.dst.port - 1)};
-    target = RouteEndpoint(media, when_ns);
-  } else if (dgram.kind != net::PayloadKind::kRtp &&
-             lazy_.Index(dgram.payload)) {
+  const PacketProto proto = DecideProto(dgram.payload, lazy_);
+  if (proto == PacketProto::kSip) {
     const auto call_id = lazy_.CallId();
     target = ShardOfCallId(call_id.value_or(std::string_view()));
     m_sip_routed_->Inc();
@@ -472,7 +455,10 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
       SnoopSdp(lazy_.body(), target, when_ns);
     }
   } else {
-    target = RouteEndpoint(dgram.dst, when_ns);
+    const auto media = proto == PacketProto::kRtcp
+                           ? RtcpMediaEndpoint(dgram.dst)
+                           : std::nullopt;
+    target = RouteEndpoint(media.value_or(dgram.dst), when_ns);
   }
 
   // Span sampling: one in trace_sample_period packets gets its enqueue

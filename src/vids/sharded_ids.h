@@ -5,9 +5,9 @@
 // there is no cross-call coupling in the fact base itself. That makes the
 // engine horizontally partitionable: ShardedIds runs N complete, private
 // `Vids` instances ("shards"), one worker thread each. The coordinator
-// thread — the one that calls Ingest — classifies each packet just far
-// enough to route it, so every piece of keyed state is only ever touched
-// by one worker:
+// thread — the one that calls Ingest — routes each packet on the shards'
+// own protocol decision (ids::DecideProto), so every piece of keyed state
+// is only ever touched by one worker:
 //
 //   SIP            → FNV-1a(Call-ID) mod N. All packets of a dialog land on
 //                    one shard, so call groups, tombstones and the per-call

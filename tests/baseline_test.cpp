@@ -102,7 +102,6 @@ class RuleIdsFixture : public ::testing::Test {
     dgram.src = net::Endpoint{src, 5060};
     dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 1), 5060};
     dgram.payload = message.Serialize();
-    dgram.kind = net::PayloadKind::kSip;
     return dgram;
   }
 
@@ -160,7 +159,6 @@ class RuleIdsFixture : public ::testing::Test {
     dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
     dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
     dgram.payload = header.Serialize();
-    dgram.kind = net::PayloadKind::kRtp;
     return dgram;
   }
 

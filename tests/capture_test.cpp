@@ -1,11 +1,15 @@
 // Tests for the capture front end (DESIGN.md §14): the pcap reader/writer
 // pair and its pull-batch contract, the corpus generator, the RunSource
-// replay driver, and the sharded engine's clock-domain hardening under
-// faster-than-real-time replay.
+// replay driver, the sharded engine's clock-domain hardening under
+// faster-than-real-time replay, and plain-vs-sharded agreement on corpus
+// captures mutated across the protocol-dispatch boundaries.
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 #include "capture/corpus.h"
 #include "capture/pcap.h"
 #include "capture/replay.h"
+#include "common/rng.h"
 #include "net/address.h"
 #include "net/datagram.h"
 #include "sim/scheduler.h"
@@ -44,14 +49,6 @@ std::vector<TimedPacket> AllPackets(PcapFileSource& source) {
     for (auto& packet : batch) all.push_back(std::move(packet));
   }
   return all;
-}
-
-/// A 12-byte RTP-shaped payload (version bits 2) that is not RTCP-shaped.
-std::string RtpShaped() {
-  std::string payload(12, '\0');
-  payload[0] = static_cast<char>(0x80);
-  payload[1] = static_cast<char>(0x12);  // PT 18, not in the RTCP range
-  return payload;
 }
 
 // ------------------------------------------------- hand-built pcap bytes
@@ -137,6 +134,7 @@ void AddRecord(std::string& file, uint32_t ts_sec, uint32_t ts_frac,
 // ------------------------------------------------------------ round-trip
 
 TEST(PcapRoundTrip, AllMagicVariants) {
+  const std::string binary("\x80\x12\0\0\0\0\0\0\0\0\0\0", 12);
   for (const bool big_endian : {false, true}) {
     for (const bool nanosecond : {false, true}) {
       PcapWriteOptions write;
@@ -146,7 +144,7 @@ TEST(PcapRoundTrip, AllMagicVariants) {
       // Microsecond-aligned times so the µs variants round-trip losslessly.
       writer.Add(sim::Time::FromNanos(0), Dg(kOutA, kInB, "hello"));
       writer.Add(sim::Time::FromNanos(0) + sim::Duration::Millis(1),
-                 Dg(kInB, kOutA, RtpShaped()));
+                 Dg(kInB, kOutA, binary));
       writer.Add(sim::Time::FromNanos(0) + sim::Duration::Millis(2),
                  Dg(kOutA, kInB, "world"));
 
@@ -165,14 +163,12 @@ TEST(PcapRoundTrip, AllMagicVariants) {
       EXPECT_EQ(packets[1].when.nanos(), 1'000'000);
       EXPECT_EQ(packets[2].when.nanos(), 2'000'000);
       EXPECT_EQ(packets[0].dgram.payload, "hello");
-      EXPECT_EQ(packets[1].dgram.payload, RtpShaped());
+      EXPECT_EQ(packets[1].dgram.payload, binary);
       EXPECT_EQ(packets[2].dgram.payload, "world");
       EXPECT_EQ(packets[0].dgram.src, kOutA);
       EXPECT_EQ(packets[0].dgram.dst, kInB);
       EXPECT_TRUE(packets[0].from_outside);   // src 10.1.0.1 is outside
       EXPECT_FALSE(packets[1].from_outside);  // src 10.2.0.1 is inside
-      EXPECT_EQ(packets[0].dgram.kind, net::PayloadKind::kOther);
-      EXPECT_EQ(packets[1].dgram.kind, net::PayloadKind::kRtp);
       EXPECT_EQ(packets[0].dgram.padding_bytes, 0u);
       EXPECT_EQ(packets[0].dgram.sent_time, packets[0].when);
       EXPECT_LT(packets[0].dgram.id, packets[1].dgram.id);
@@ -410,28 +406,74 @@ TEST(PcapReader, RebaseDisabledKeepsAbsoluteEpoch) {
 
 // -------------------------------------------------------------- corpus
 
-std::map<std::string, int> ReplayClassifications(const std::string& bytes,
-                                                 int shards) {
+struct Replayed {
+  std::vector<ids::Alert> alerts;
+  size_t tracked = 0;  // sharded: TrackedState() 600 s after the capture
+};
+
+// Replays `bytes` into a plain Vids (shards = 0) or into ShardedIds.
+Replayed Replay(const std::string& bytes, int shards) {
   PcapReadOptions read;
   read.inside = corpus::InsideSubnet();
   PcapFileSource source(bytes, read);
-  std::map<std::string, int> counts;
+  Replayed out;
   if (shards > 0) {
     ids::ShardedConfig config;
     config.shards = shards;
+    config.watchdog_stall_ms = 0;
     ids::ShardedIds engine(config);
     const ReplayStats replay = RunSource(source, engine);
-    engine.Stop();
     EXPECT_TRUE(replay.ok);
-    for (const auto& alert : engine.alerts()) ++counts[alert.classification];
+    out.alerts = engine.alerts();
+    engine.Flush(replay.end + sim::Duration::Seconds(600));
+    out.tracked = engine.TrackedState();
   } else {
     sim::Scheduler scheduler;
     ids::Vids vids(scheduler);
-    const ReplayStats replay = RunSource(source, vids, scheduler);
-    EXPECT_TRUE(replay.ok);
-    for (const auto& alert : vids.alerts()) ++counts[alert.classification];
+    EXPECT_TRUE(RunSource(source, vids, scheduler).ok);
+    out.alerts = vids.alerts();
+  }
+  return out;
+}
+
+std::map<std::string, int> DirectClassifications(const std::string& bytes) {
+  std::map<std::string, int> counts;
+  for (const auto& alert : Replay(bytes, 0).alerts) {
+    ++counts[alert.classification];
   }
   return counts;
+}
+
+// Alerts as sorted (when, rendered text) pairs, without engine-health
+// alerts: those report on the pipeline, not on the traffic.
+std::vector<std::pair<int64_t, std::string>> Canonical(
+    const std::vector<ids::Alert>& alerts) {
+  std::vector<std::pair<int64_t, std::string>> out;
+  for (const auto& alert : alerts) {
+    if (alert.kind == ids::AlertKind::kEngineHealth) continue;
+    out.emplace_back(alert.when.nanos(), alert.ToString());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// ShardedIds at 1 and 4 shards must raise the plain Vids's alerts and
+// drain all tracked state past the idle horizon. Returns how many shard
+// counts disagreed with the plain engine.
+int ExpectEnginesAgree(const std::string& bytes, const std::string& label) {
+  const Replayed direct = Replay(bytes, 0);
+  int mismatches = 0;
+  for (const int shards : {1, 4}) {
+    const Replayed sharded = Replay(bytes, shards);
+    EXPECT_EQ(sharded.tracked, 0u) << label << ", " << shards << " shards";
+    if (Canonical(sharded.alerts) != Canonical(direct.alerts)) {
+      ++mismatches;
+      ADD_FAILURE() << label << ": " << shards << " shards raised "
+                    << sharded.alerts.size() << " alerts, direct "
+                    << direct.alerts.size();
+    }
+  }
+  return mismatches;
 }
 
 TEST(Corpus, RegenerationIsByteDeterministic) {
@@ -471,7 +513,7 @@ TEST(Corpus, InviteFloodRaisesExactlyOneAggregateAlert) {
   EXPECT_TRUE(probe.swapped());
   EXPECT_FALSE(probe.nanosecond());
 
-  const auto counts = ReplayClassifications(files[1].bytes, 0);
+  const auto counts = DirectClassifications(files[1].bytes);
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts.at("INVITE flood"), 1);
 }
@@ -486,7 +528,7 @@ TEST(Corpus, TornCorpusFailsClosedPerPacket) {
   EXPECT_TRUE(source.ok()) << source.error();
   EXPECT_EQ(packets.size(), 21u);  // VLAN-tagged frames all decode
 
-  const auto counts = ReplayClassifications(files[2].bytes, 0);
+  const auto counts = DirectClassifications(files[2].bytes);
   // The snaplen-torn INVITE, the Content-Length overrun and the compact-
   // form unterminated message fail closed as unparsable; the clean call,
   // the LF-framed OPTIONS, the truncated RTP and the runts raise nothing.
@@ -510,15 +552,9 @@ TEST(Corpus, BehavioralCapturesRaiseExactlyOneBehaviorAlert) {
     const auto it = expected.find(file.name);
     if (it == expected.end()) continue;
     ++covered;
-    PcapReadOptions read;
-    read.inside = corpus::InsideSubnet();
-    PcapFileSource source(file.bytes, read);
-    sim::Scheduler scheduler;
-    ids::Vids vids(scheduler);
-    const ReplayStats replay = RunSource(source, vids, scheduler);
-    EXPECT_TRUE(replay.ok);
-    ASSERT_EQ(vids.alerts().size(), 1u) << file.name;
-    const ids::Alert& alert = vids.alerts().front();
+    const Replayed replayed = Replay(file.bytes, 0);
+    ASSERT_EQ(replayed.alerts.size(), 1u) << file.name;
+    const ids::Alert& alert = replayed.alerts.front();
     EXPECT_EQ(alert.kind, ids::AlertKind::kBehavior) << file.name;
     EXPECT_EQ(alert.classification, it->second) << file.name;
     EXPECT_EQ(alert.machine, "behavior-profile") << file.name;
@@ -530,12 +566,64 @@ TEST(Corpus, BehavioralCapturesRaiseExactlyOneBehaviorAlert) {
 
 TEST(Corpus, AlertEqualityAcrossShardCounts) {
   for (const auto& file : corpus::BuildAll()) {
-    const auto direct = ReplayClassifications(file.bytes, 0);
-    const auto one = ReplayClassifications(file.bytes, 1);
-    const auto four = ReplayClassifications(file.bytes, 4);
-    EXPECT_EQ(direct, one) << file.name;
-    EXPECT_EQ(direct, four) << file.name;
+    ExpectEnginesAgree(file.bytes, file.name);
   }
+}
+
+// ------------------------------------ protocol dispatch on hostile bytes
+
+// Rewrites the leading bytes of `payload` across one of the boundaries
+// ids::DecideProto draws between RTCP, RTP, SIP and unknown bytes.
+void CrossDispatchBoundary(std::string& payload, common::Stream& rng) {
+  switch (rng.NextInRange(0, 3)) {
+    case 0:  // ASCII first byte <-> RTP version bits
+      if (payload.empty()) return;
+      payload[0] = static_cast<char>(static_cast<uint8_t>(payload[0]) < 0x80
+                                         ? rng.NextInRange(0x80, 0xBF)
+                                         : rng.NextInRange('A', 'Z'));
+      return;
+    case 1:  // second byte in RTCP's packet-type range
+      if (payload.size() >= 2) {
+        payload[1] = static_cast<char>(rng.NextInRange(200, 204));
+      }
+      return;
+    case 2:  // shorter than the RTCP header
+      payload.resize(std::min<size_t>(payload.size(), rng.NextInRange(0, 7)));
+      return;
+    default:  // shorter than the RTP fixed header
+      payload.resize(std::min<size_t>(payload.size(), rng.NextInRange(8, 11)));
+      return;
+  }
+}
+
+// The router and the shard-side classifier make one dispatch decision, so
+// bytes crafted across its boundaries must not split the engines. Each
+// seeded copy of a corpus capture mutates 1-4 packets. DIFFERENTIAL_COPIES
+// sets the copies per capture (default 32, about 1 s in a Release build);
+// the nightly lane runs 3200.
+TEST(DispatchDifferential, EnginesAgreeOnMutatedCorpus) {
+  const char* env = std::getenv("DIFFERENTIAL_COPIES");
+  const int copies = env != nullptr ? std::max(1, std::atoi(env)) : 32;
+  int mismatches = 0;
+  for (const auto& file : corpus::BuildAll()) {
+    PcapFileSource source(file.bytes);
+    const std::vector<TimedPacket> packets = AllPackets(source);
+    ASSERT_FALSE(packets.empty()) << file.name;
+    common::Stream rng(20, file.name);
+    for (int copy = 0; copy < copies; ++copy) {
+      std::vector<TimedPacket> mutated = packets;
+      for (uint64_t n = rng.NextInRange(1, 4); n > 0; --n) {
+        CrossDispatchBoundary(
+            mutated[rng.NextInRange(0, mutated.size() - 1)].dgram.payload, rng);
+      }
+      PcapWriter writer;
+      for (const auto& packet : mutated) writer.Add(packet.when, packet.dgram);
+      mismatches += ExpectEnginesAgree(
+          writer.bytes(), file.name + " copy " + std::to_string(copy));
+    }
+  }
+  std::printf("%d mutated copies per corpus capture, %d mismatches\n",
+              copies, mismatches);
 }
 
 // ------------------------------------------- torn-packet parser hardening

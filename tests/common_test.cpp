@@ -157,6 +157,13 @@ TEST(Strings, JoinInvertsSplit) {
 
 // -------------------------------------------------------------------- rng
 
+TEST(Strings, Fnv1a64IsPinned) {
+  // Shard assignment and behavior keys are functions of these values.
+  EXPECT_EQ(Fnv1a64(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(Fnv1a64("call-1@10.1.0.1"), 0x556760ba5f2297fcULL);
+}
+
 TEST(Rng, SameSeedAndNameReproduces) {
   Stream a(7, "calls");
   Stream b(7, "calls");

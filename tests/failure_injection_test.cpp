@@ -22,7 +22,7 @@ class DropOnce {
 
   net::Link::DropFilter AsFilter() {
     return [this](const net::Datagram& dgram) {
-      if (done_ || dgram.kind != net::PayloadKind::kSip) return false;
+      if (done_) return false;
       const auto message = sip::Message::Parse(dgram.payload);
       if (!message || !want_(*message)) return false;
       done_ = true;

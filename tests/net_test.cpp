@@ -15,6 +15,16 @@ TEST(Address, ParseAndFormatRoundTrip) {
   ASSERT_TRUE(addr.has_value());
   EXPECT_EQ(addr->ToString(), "10.1.0.255");
   EXPECT_EQ(*addr, IpAddress(10, 1, 0, 255));
+  // Every octet width, first and last position included.
+  IpAddress::FormatBuffer buf;
+  for (int octet = 0; octet < 256; ++octet) {
+    const std::string text = std::to_string(octet) + ".20.1." +
+                             std::to_string(255 - octet);
+    const auto parsed = IpAddress::Parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed->Format(buf), text);
+    EXPECT_EQ(parsed->ToString(), text);
+  }
 }
 
 TEST(Address, ParseRejectsMalformed) {
@@ -198,7 +208,7 @@ TEST_F(NetFixture, HostStampsSendTimeAndId) {
   b.BindUdp(7, [&](const Datagram& d) { got.push_back(d); });
 
   scheduler_.ScheduleAfter(sim::Duration::Millis(3), [&] {
-    a.SendUdp(5060, Endpoint{b.ip(), 7}, "hello", PayloadKind::kOther);
+    a.SendUdp(5060, Endpoint{b.ip(), 7}, "hello");
   });
   scheduler_.Run();
   ASSERT_EQ(got.size(), 1u);
@@ -210,8 +220,7 @@ TEST_F(NetFixture, HostStampsSendTimeAndId) {
 TEST_F(NetFixture, HostSendWithoutUplinkThrows) {
   auto& host = network_.AddNode<Host>(network_, "h", IpAddress(10, 0, 0, 1));
   EXPECT_THROW(
-      host.SendUdp(1, Endpoint{IpAddress(1, 1, 1, 1), 1}, "x",
-                   PayloadKind::kOther),
+      host.SendUdp(1, Endpoint{IpAddress(1, 1, 1, 1), 1}, "x"),
       std::logic_error);
 }
 
@@ -257,7 +266,8 @@ TEST_F(TapFixture, NullInspectorAddsNoDelay) {
 
 TEST_F(TapFixture, InspectorChargesSerializedCpuTime) {
   tap_.SetInspector([](const Datagram&, bool) {
-    return sim::Duration::Millis(10);
+    return InlineTap::Verdict{sim::Duration::Millis(10),
+                              InlineTap::Lane::kSignaling};
   });
   Datagram d;
   d.payload = "x";
@@ -270,11 +280,36 @@ TEST_F(TapFixture, InspectorChargesSerializedCpuTime) {
   EXPECT_EQ(tap_.cpu_time_used(), sim::Duration::Millis(20));
 }
 
+TEST_F(TapFixture, LanesQueueIndependentlyByVerdict) {
+  // Same bytes each time: a packet's lane is the one its verdict names.
+  const InlineTap::Verdict verdicts[] = {
+      {sim::Duration::Millis(100), InlineTap::Lane::kSignaling},
+      {sim::Duration::Millis(1), InlineTap::Lane::kMedia},
+      {sim::Duration::Millis(1), InlineTap::Lane::kSignaling}};
+  size_t next = 0;
+  tap_.SetInspector([&](const Datagram&, bool) { return verdicts[next++]; });
+  for (const char* payload : {"a", "b", "c"}) {
+    Datagram d;
+    d.payload = payload;
+    tap_.port_from_outside().Receive(d);
+  }
+  // The media packet is not held behind the 100 ms signaling charge; the
+  // second signaling packet is (100 + 1 ms).
+  scheduler_.RunUntil(sim::Time{} + sim::Duration::Millis(50));
+  ASSERT_EQ(inside_.received.size(), 1u);
+  EXPECT_EQ(inside_.received[0].payload, "b");
+  scheduler_.Run();
+  ASSERT_EQ(inside_.received.size(), 3u);
+  EXPECT_EQ(inside_.received[1].payload, "a");
+  EXPECT_EQ(inside_.received[2].payload, "c");
+  EXPECT_GE(scheduler_.Now(), sim::Time{} + sim::Duration::Millis(101));
+}
+
 TEST_F(TapFixture, InspectorSeesTrueArrivalDirection) {
   std::vector<bool> directions;
   tap_.SetInspector([&](const Datagram&, bool from_outside) {
     directions.push_back(from_outside);
-    return sim::Duration{};
+    return InlineTap::Verdict{};
   });
   Datagram d;
   d.payload = "x";

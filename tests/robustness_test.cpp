@@ -72,8 +72,6 @@ TEST(Robustness, IdsSurvivesArbitraryJunk) {
     for (auto& byte : dgram.payload) {
       byte = static_cast<char>(rng.NextInRange(0, 255));
     }
-    dgram.kind = rng.NextBernoulli(0.5) ? net::PayloadKind::kSip
-                                        : net::PayloadKind::kRtp;
     vids.Inspect(dgram, rng.NextBernoulli(0.5));
   }
   // It classified, counted and (for the RTP-header-shaped minority) tracked

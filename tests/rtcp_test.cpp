@@ -71,11 +71,11 @@ TEST(Rtcp, DiscriminatesFromRtp) {
   RtpHeader rtp;
   rtp.payload_type = 18;
   rtp.marker = true;
-  EXPECT_FALSE(LooksLikeRtcp(rtp.Serialize()));
+  EXPECT_FALSE(IsRtcp(rtp.Serialize()));
 
   SenderReport sr;
   sr.sender_ssrc = 1;
-  EXPECT_TRUE(LooksLikeRtcp(sr.Serialize()));
+  EXPECT_TRUE(IsRtcp(sr.Serialize()));
   // RTCP *would* parse as RTP (shared first bytes) — which is exactly why
   // the classifier checks RTCP first.
   EXPECT_TRUE(RtpHeader::Parse(sr.Serialize()).has_value());
@@ -107,7 +107,7 @@ TEST(Rtcp, IsRtcpAcceptsExactlyWhatParseRtcpParses) {
   RtpHeader lookalike;
   lookalike.marker = true;
   lookalike.payload_type = 72;  // second byte 0x80 | 72 = 200
-  ASSERT_TRUE(LooksLikeRtcp(lookalike.Serialize()));
+  ASSERT_EQ(static_cast<uint8_t>(lookalike.Serialize()[1]), 200);
   EXPECT_FALSE(IsRtcp(lookalike.Serialize()));
 
   const std::string packets[] = {sr.Serialize(), rr.Serialize(),

@@ -181,7 +181,7 @@ TEST_F(SessionFixture, ReceiverCountsAlienSsrc) {
     header.ssrc = ssrc;
     header.sequence_number = seq;
     host_a_.SendUdp(20000, net::Endpoint{host_b_.ip(), 20002},
-                    header.Serialize(), net::PayloadKind::kRtp, 10);
+                    header.Serialize(), 10);
   };
   send(111, 1);
   send(111, 2);
@@ -200,7 +200,7 @@ TEST_F(SessionFixture, ReceiverCountsLossAndMisorder) {
     header.ssrc = 7;
     header.sequence_number = seq;
     host_a_.SendUdp(20000, net::Endpoint{host_b_.ip(), 20002},
-                    header.Serialize(), net::PayloadKind::kRtp, 10);
+                    header.Serialize(), 10);
   };
   send(1);
   send(2);

@@ -183,7 +183,6 @@ net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   return dgram;
 }
 
@@ -198,7 +197,6 @@ net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   return dgram;
 }
 
@@ -1161,7 +1159,6 @@ TEST(ShardedMemory, CountsRingSlotPayloads) {
   net::Datagram dgram;
   dgram.src = net::Endpoint{net::IpAddress(10, 1, 0, 10), 20000};
   dgram.dst = net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000};
-  dgram.kind = net::PayloadKind::kRtp;
   for (uint16_t i = 0; i < 64; ++i) {
     header.sequence_number = i;
     dgram.payload = header.Serialize();

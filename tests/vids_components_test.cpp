@@ -24,12 +24,11 @@ namespace {
 const net::Endpoint kSrc{net::IpAddress(10, 1, 0, 1), 5060};
 const net::Endpoint kDst{net::IpAddress(10, 2, 0, 1), 5060};
 
-net::Datagram Wrap(std::string payload, net::PayloadKind kind) {
+net::Datagram Wrap(std::string payload) {
   net::Datagram dgram;
   dgram.src = kSrc;
   dgram.dst = kDst;
   dgram.payload = std::move(payload);
-  dgram.kind = kind;
   return dgram;
 }
 
@@ -58,7 +57,7 @@ TEST(Classifier, SipRequestEventCarriesTheInputVector) {
       "application/sdp");
 
   const auto result = classifier.Classify(
-      Wrap(invite.Serialize(), net::PayloadKind::kSip), true);
+      Wrap(invite.Serialize()), true);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(result->proto, PacketProto::kSip);
   EXPECT_EQ(result->call_key, "cid-1");
@@ -86,8 +85,7 @@ TEST(Classifier, RtpEventCarriesStreamFields) {
   header.timestamp = 4242;
   header.payload_type = 18;
   header.marker = true;
-  const auto result = classifier.Classify(
-      Wrap(header.Serialize(), net::PayloadKind::kRtp), false);
+  const auto result = classifier.Classify(Wrap(header.Serialize()), false);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(result->proto, PacketProto::kRtp);
   EXPECT_EQ(result->event.ArgInt("ssrc"), 0xCAFE);
@@ -101,32 +99,35 @@ TEST(Classifier, RtcpSniffedBeforeRtp) {
   rtp::SenderReport sr;
   sr.sender_ssrc = 9;
   sr.packet_count = 500;
-  const auto result = classifier.Classify(
-      Wrap(sr.Serialize(), net::PayloadKind::kRtp), true);
+  const auto result = classifier.Classify(Wrap(sr.Serialize()), true);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(result->proto, PacketProto::kRtcp);
   EXPECT_EQ(result->event.ArgString("kind"), "SR");
   EXPECT_EQ(result->event.ArgInt("packet_count"), 500);
 }
 
-TEST(Classifier, HintIsOnlyAHint) {
-  PacketClassifier classifier;
-  // SIP content labeled as RTP still classifies as SIP (content wins).
-  const auto result = classifier.Classify(
-      Wrap("OPTIONS sip:x@y SIP/2.0\r\nCSeq: 1 OPTIONS\r\n"
-           "Content-Length: 0\r\n\r\n",
-           net::PayloadKind::kRtp),
-      true);
-  ASSERT_NE(result, nullptr);
-  EXPECT_EQ(result->proto, PacketProto::kSip);
+TEST(Classifier, DecideProtoTriesRtpBeforeSip) {
+  sip::LazyMessage lazy;
+  std::string text =
+      "OPTIONS sip:x@y SIP/2.0\r\nCSeq: 1 OPTIONS\r\n"
+      "Content-Length: 0\r\n\r\n";
+  EXPECT_EQ(DecideProto(text, lazy), PacketProto::kSip);
+  EXPECT_EQ(lazy.method(), sip::Method::kOptions);  // left indexed
+  // Crafted bytes that are both an RTP header and a SIP start line are
+  // RTP; below the 12-byte fixed header they are neither.
+  text[0] = static_cast<char>(0x80);
+  ASSERT_TRUE(lazy.Index(text));
+  EXPECT_EQ(DecideProto(text, lazy), PacketProto::kRtp);
+  EXPECT_EQ(DecideProto(text.substr(0, 11), lazy), PacketProto::kUnknown);
+  EXPECT_EQ(DecideProto("\x01\x02garbage", lazy), PacketProto::kUnknown);
+  EXPECT_EQ(PacketClassifier().Classify(Wrap("\x01\x02garbage"), true),
+            nullptr);
 }
 
-TEST(Classifier, JunkIsCountedUnknown) {
-  PacketClassifier classifier;
-  EXPECT_EQ(classifier.Classify(
-                Wrap("\x01\x02garbage", net::PayloadKind::kSip), true),
-            nullptr);
-  EXPECT_EQ(classifier.unknown_packets(), 1u);
+TEST(Classifier, RtcpFoldsOntoItsMediaEndpoint) {
+  EXPECT_EQ(RtcpMediaEndpoint(net::Endpoint{kDst.ip, 30001}),
+            (net::Endpoint{kDst.ip, 30000}));
+  EXPECT_EQ(RtcpMediaEndpoint(net::Endpoint{kDst.ip, 0}), std::nullopt);
 }
 
 // ------------------------------------------------------------ fact base
@@ -177,17 +178,22 @@ TEST_F(FactBaseFixture, CrossProtocolAblationSkipsChannel) {
 }
 
 TEST_F(FactBaseFixture, KeyedGroupsPerKindAndKey) {
-  auto& flood1 = fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
-  auto& flood2 = fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
-  auto& media = fact_base_.GetOrCreateKeyed(KeyedKind::kMediaEndpoint,
-                                            "10.2.0.10:30000");
+  auto& flood1 = fact_base_.GetOrCreateInviteFlood("bob@b");
+  auto& flood2 = fact_base_.GetOrCreateInviteFlood("bob@b");
+  auto& media = fact_base_.GetOrCreateMediaGroup(
+      net::Endpoint{net::IpAddress(10, 2, 0, 10), 30000});
+  auto& drdos = fact_base_.GetOrCreateDrdosGroup(net::IpAddress(10, 2, 0, 1));
   EXPECT_EQ(&flood1, &flood2);
   EXPECT_NE(static_cast<void*>(&flood1), static_cast<void*>(&media));
-  EXPECT_EQ(fact_base_.keyed_count(), 2u);
+  EXPECT_EQ(fact_base_.keyed_count(), 3u);
   EXPECT_NE(flood1.Find("invite-flood"), nullptr);
   EXPECT_NE(media.Find("media-spam"), nullptr);
   EXPECT_NE(media.Find("rtp-flood"), nullptr);
   EXPECT_NE(media.Find("rtcp-bye"), nullptr);
+  EXPECT_NE(drdos.Find("drdos"), nullptr);
+  EXPECT_EQ(flood1.name(), "flood|bob@b");
+  EXPECT_EQ(media.name(), "media|10.2.0.10:30000");
+  EXPECT_EQ(drdos.name(), "drdos|10.2.0.1");
 }
 
 TEST_F(FactBaseFixture, MediaIndexMapsEndpointsToCalls) {
@@ -211,7 +217,7 @@ TEST_F(FactBaseFixture, MediaForUnknownCallIsNotIndexed) {
 }
 
 TEST_F(FactBaseFixture, SweepReclaimsIdleKeyedGroups) {
-  fact_base_.GetOrCreateKeyed(KeyedKind::kInviteFlood, "bob@b");
+  fact_base_.GetOrCreateInviteFlood("bob@b");
   scheduler_.RunUntil(scheduler_.Now() + config_.keyed_idle_timeout +
                       sim::Duration::Seconds(2));
   fact_base_.Sweep(scheduler_.Now());
@@ -244,21 +250,6 @@ TEST_F(FactBaseFixture, SweepDropsMediaIndexOfDeletedCall) {
                       sim::Duration::Seconds(2));
   fact_base_.Sweep(scheduler_.Now());
   EXPECT_FALSE(fact_base_.CallByMedia(ep).has_value());
-}
-
-TEST_F(FactBaseFixture, BinaryAndStringMediaKeysAlias) {
-  const net::Endpoint ep{net::IpAddress(10, 2, 0, 10), 30000};
-  auto& by_string =
-      fact_base_.GetOrCreateKeyed(KeyedKind::kMediaEndpoint, ep.ToString());
-  auto& by_endpoint = fact_base_.GetOrCreateMediaGroup(ep);
-  EXPECT_EQ(&by_string, &by_endpoint);
-  EXPECT_EQ(fact_base_.keyed_count(), 1u);
-
-  auto& drdos_by_string =
-      fact_base_.GetOrCreateKeyed(KeyedKind::kDrdos, "10.2.0.1");
-  auto& drdos_by_ip = fact_base_.GetOrCreateDrdosGroup(net::IpAddress(10, 2, 0, 1));
-  EXPECT_EQ(&drdos_by_string, &drdos_by_ip);
-  EXPECT_EQ(fact_base_.keyed_count(), 2u);
 }
 
 TEST_F(FactBaseFixture, FindGroupByMediaResolvesTheOwningGroup) {

@@ -16,7 +16,6 @@ net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   return dgram;
 }
 
@@ -31,7 +30,6 @@ net::Datagram RtpDgram(uint32_t ssrc, uint16_t seq, uint32_t ts,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   return dgram;
 }
 
@@ -132,13 +130,16 @@ class IdsFixture : public ::testing::Test {
   Vids vids_;
 };
 
-TEST_F(IdsFixture, ChargesConfiguredCosts) {
+TEST_F(IdsFixture, ChargesConfiguredCostsOnTheirLanes) {
+  using Lane = net::InlineTap::Lane;
   const auto invite = MakeInvite("c1");
-  EXPECT_EQ(vids_.Inspect(SipDgram(invite, kProxyA, kProxyB), true),
-            CostModel{}.sip_cost);
-  EXPECT_EQ(vids_.Inspect(RtpDgram(1, 1, 80, kCallerMedia, kCalleeMedia),
-                          true),
-            CostModel{}.rtp_cost);
+  const auto sip = vids_.Inspect(SipDgram(invite, kProxyA, kProxyB), true);
+  EXPECT_EQ(sip.cost, CostModel{}.sip_cost);
+  EXPECT_EQ(sip.lane, Lane::kSignaling);
+  const auto rtp =
+      vids_.Inspect(RtpDgram(1, 1, 80, kCallerMedia, kCalleeMedia), true);
+  EXPECT_EQ(rtp.cost, CostModel{}.rtp_cost);
+  EXPECT_EQ(rtp.lane, Lane::kMedia);
   EXPECT_EQ(vids_.stats().sip_packets, 1u);
   EXPECT_EQ(vids_.stats().rtp_packets, 1u);
 }
@@ -230,8 +231,9 @@ TEST_F(IdsFixture, MalformedPacketIsFlagged) {
   junk.src = kAttacker;
   junk.dst = kProxyB;
   junk.payload = "complete garbage that is neither SIP nor RTP";
-  junk.kind = net::PayloadKind::kSip;
-  vids_.Inspect(junk, true);
+  const auto verdict = vids_.Inspect(junk, true);
+  EXPECT_EQ(verdict.cost, CostModel{}.rtp_cost);  // rejecting junk is cheap
+  EXPECT_EQ(verdict.lane, net::InlineTap::Lane::kMedia);
   EXPECT_EQ(vids_.CountAlerts(AlertKind::kMalformed), 1u);
 }
 

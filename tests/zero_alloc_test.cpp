@@ -73,7 +73,6 @@ net::Datagram SipDgram(const sip::Message& message, net::Endpoint src,
   dgram.src = src;
   dgram.dst = dst;
   dgram.payload = message.Serialize();
-  dgram.kind = net::PayloadKind::kSip;
   return dgram;
 }
 
@@ -144,7 +143,6 @@ TEST(ZeroAlloc, SteadyStateRtpInspectionDoesNotAllocate) {
   dgram.src = kCallerMedia;
   dgram.dst = kCalleeMedia;
   dgram.payload = header.Serialize();
-  dgram.kind = net::PayloadKind::kRtp;
   const auto patch = [&dgram](uint16_t seq, uint32_t ts) {
     dgram.payload[2] = static_cast<char>(seq >> 8);
     dgram.payload[3] = static_cast<char>(seq & 0xFF);
