@@ -7,6 +7,11 @@ namespace vids::ids::behavior {
 
 namespace {
 
+// The profile wheel's slot width: the default sweep interval, so a 1 Hz
+// sweep visits about one slot and the default IdleHorizon() (120 s) fits
+// in one revolution.
+constexpr sim::Duration kProfileSlotWidth = sim::Duration::Seconds(1);
+
 int64_t Over(int64_t value, int threshold) {
   return value > threshold ? value - threshold : 0;
 }
@@ -47,25 +52,39 @@ void BehaviorEngine::Profile::Reset() {
 }
 
 BehaviorEngine::BehaviorEngine(const BehaviorConfig& config)
-    : config_(config) {}
+    : config_(config), wheel_(kProfileSlotWidth) {}
 
-BehaviorEngine::Profile* BehaviorEngine::Find(ProfileMap& map,
-                                              std::string_view key) {
-  const auto it = map.find(key);
-  return it == map.end() ? nullptr : it->second.get();
+sim::Time BehaviorEngine::IdleDue(int64_t last_event_ns) const {
+  // Reclaimable once now - last_event > IdleHorizon().
+  return sim::Time::FromNanos(last_event_ns) + config_.IdleHorizon() +
+         sim::Duration::Nanos(1);
 }
 
-BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileMap& map,
-                                                     std::string_view key) {
-  if (Profile* existing = Find(map, key)) return *existing;
-  std::unique_ptr<Profile> profile;
+BehaviorEngine::Profile* BehaviorEngine::Find(ProfileKind kind,
+                                              std::string_view key) {
+  ProfileTable& table = TableOf(kind);
+  const uint32_t index = table.Find(
+      common::StringHash{}(key),
+      [&](uint32_t i) { return table[i].key == key; });
+  return index == kNoEntry ? nullptr : table[index].profile.get();
+}
+
+BehaviorEngine::Profile& BehaviorEngine::GetOrCreate(ProfileKind kind,
+                                                     std::string_view key,
+                                                     int64_t t) {
+  if (Profile* existing = Find(kind, key)) return *existing;
+  ProfileTable& table = TableOf(kind);
+  const uint32_t index = table.Insert(common::StringHash{}(key));
+  ProfileEntry& entry = table[index];
+  entry.key.assign(key);
   if (!pool_.empty()) {
-    profile = std::move(pool_.back());
+    entry.profile = std::move(pool_.back());
     pool_.pop_back();
   } else {
-    profile = std::make_unique<Profile>();
+    entry.profile = std::make_unique<Profile>();
   }
-  return *map.emplace(std::string(key), std::move(profile)).first->second;
+  wheel_.File(IdleDue(t), index, kind);
+  return *entry.profile;
 }
 
 void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
@@ -74,7 +93,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
                                  uint64_t call_hash) {
   if (caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(callers_, caller);
+  Profile& p = GetOrCreate(kCaller, caller, t);
   p.last_event_ns = t;
   p.call_rate.Touch(t, config_.call_rate_window.nanos());
   // Stable across processes, so two engines fed one stream keep identical
@@ -111,7 +130,7 @@ void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
                                uint64_t call_hash) {
   if (caller.empty()) return;
   const int64_t t = now.nanos();
-  Profile* p = Find(callers_, caller);
+  Profile* p = Find(kCaller, caller);
   if (p == nullptr) return;  // callee-sent BYE or long-idle caller
   p->last_event_ns = t;
   const int64_t ttl = config_.open_call_ttl.nanos();
@@ -134,7 +153,7 @@ void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
                                   uint64_t source_hash) {
   if (target.empty()) return;
   const int64_t t = now.nanos();
-  Profile& p = GetOrCreate(targets_, target);
+  Profile& p = GetOrCreate(kTarget, target, t);
   p.last_event_ns = t;
   p.reg_failures.Touch(t, config_.reg_failure_window.nanos());
   p.reg_sources.Touch(source_hash, t);
@@ -145,7 +164,7 @@ void BehaviorEngine::OnRegSuccess(sim::Time now, std::string_view target) {
   if (target.empty()) return;
   // A successful registration breaks the cracking streak. Only an existing
   // profile matters — success with no failure history builds no state.
-  Profile* p = Find(targets_, target);
+  Profile* p = Find(kTarget, target);
   if (p == nullptr) return;
   p->last_event_ns = now.nanos();
   p->reg_failures.Reset();
@@ -240,25 +259,33 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
 void BehaviorEngine::Sweep(sim::Time now) {
   const int64_t horizon = config_.IdleHorizon().nanos();
   const int64_t t = now.nanos();
+  due_.clear();
+  wheel_.Drain(now, [&](const ReclaimWheel::Record& record) {
+    due_.push_back(record);
+  });
+  sweep_examined_ += due_.size();
   size_t reclaimed = 0;
-  const auto reclaim = [&](ProfileMap& map) {
-    for (auto it = map.begin(); it != map.end();) {
-      Profile& p = *it->second;
-      if (p.last_event_ns != INT64_MIN && t - p.last_event_ns <= horizon) {
-        ++it;
-        continue;
-      }
-      retired_durations_.MergeFrom(p.durations);
-      p.Reset();
-      pool_.push_back(std::move(it->second));
-      ++reclaimed;
-      it = map.erase(it);
+  for (const ReclaimWheel::Record& record : due_) {
+    const auto kind = static_cast<ProfileKind>(record.table);
+    ProfileTable& table = TableOf(kind);
+    ProfileEntry& entry = table[record.item];
+    Profile& p = *entry.profile;
+    if (p.last_event_ns != INT64_MIN && t - p.last_event_ns <= horizon) {
+      wheel_.File(IdleDue(p.last_event_ns), record.item, kind);  // touched
+      continue;
     }
-  };
-  reclaim(callers_);
-  reclaim(targets_);
+    retired_durations_.MergeFrom(p.durations);
+    p.Reset();
+    pool_.push_back(std::move(entry.profile));
+    table.Erase(record.item);
+    ++reclaimed;
+  }
   if (profile_count() == 0) {
     std::vector<std::unique_ptr<Profile>>().swap(pool_);
+    callers_.Release();
+    targets_.Release();
+    wheel_.Release();
+    std::vector<ReclaimWheel::Record>().swap(due_);
   } else if (pool_.size() > reclaimed) {
     // Keep the profiles this sweep reclaimed (the newest, at the back):
     // about what the next interval admits at the current churn.
@@ -269,22 +296,25 @@ void BehaviorEngine::Sweep(sim::Time now) {
 
 size_t BehaviorEngine::MemoryBytes() const {
   size_t bytes = sizeof(*this);
-  const auto count = [&](const ProfileMap& map) {
-    for (const auto& [key, profile] : map) {
-      bytes += key.capacity() + sizeof(Profile);
-    }
+  const auto count = [&](const ProfileTable& table) {
+    table.ForEachEntry([&](const ProfileEntry& entry) {
+      bytes += entry.key.capacity();
+      if (entry.profile != nullptr) bytes += sizeof(Profile);
+    });
+    bytes += table.MemoryBytes();
   };
   count(callers_);
   count(targets_);
-  bytes += pool_.size() * sizeof(Profile);
+  bytes += pool_.size() * sizeof(Profile) + wheel_.MemoryBytes() +
+           due_.capacity() * sizeof(ReclaimWheel::Record);
   return bytes;
 }
 
 void BehaviorEngine::MergeDurationHistogram(obs::Histogram& into) const {
   into.MergeFrom(retired_durations_);
-  for (const auto& [key, profile] : callers_) {
-    into.MergeFrom(profile->durations);
-  }
+  callers_.ForEachEntry([&](const ProfileEntry& entry) {
+    if (entry.profile != nullptr) into.MergeFrom(entry.profile->durations);
+  });
 }
 
 }  // namespace vids::ids::behavior

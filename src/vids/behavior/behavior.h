@@ -26,12 +26,17 @@
 // regardless of shard count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
-// allocation-free — transparent string_view map probes, fixed-slot distinct
+// allocation-free — flat-table probes by key hash, fixed-slot distinct
 // rings, armed-window counters, in-place open-call slots, one histogram
 // Record. Profiles are drawn from and recycled to a pool that each sweep
-// trims to the profiles it reclaimed (a drained engine frees it, the fact
-// base's free-list rule); only first contact with a new entity beyond the
-// pool or an actual alert emission allocates.
+// trims to the profiles it reclaimed (a drained engine frees it and the
+// tables, the fact base's free-list rule); only first contact with a new
+// entity beyond the pool or an actual alert emission allocates.
+//
+// Reclamation is O(due): every profile files one record in a timing wheel
+// (reclaim_wheel.h) when it is created, due once it has been idle past
+// IdleHorizon(), and a sweep examines only the records due at its instant,
+// re-filing the profiles touched since.
 #pragma once
 
 #include <array>
@@ -40,13 +45,14 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
 #include "vids/alert.h"
+#include "vids/flat_index.h"
+#include "vids/reclaim_wheel.h"
 
 namespace vids::ids::behavior {
 
@@ -146,15 +152,18 @@ class BehaviorEngine {
   void OnRegSuccess(sim::Time now, std::string_view target);
 
   /// Reclaims profiles idle past IdleHorizon() into the recycle pool, then
-  /// trims the pool to what this sweep reclaimed, or frees it when no
-  /// profile is left. Memory-only by the determinism contract — callers
-  /// may invoke this on any cadence (the fact-base sweep listener rides
-  /// both the packet path and the sharded coordinator's Flush) without
-  /// affecting emissions.
+  /// trims the pool to what this sweep reclaimed, or frees it and the
+  /// tables when no profile is left. Examines only the profiles whose
+  /// records are due at `now`. Memory-only by the determinism contract —
+  /// callers may invoke this on any cadence (the fact-base sweep listener
+  /// rides both the packet path and the periodic sweep) without affecting
+  /// emissions.
   void Sweep(sim::Time now);
 
   size_t profile_count() const { return callers_.size() + targets_.size(); }
   size_t pool_size() const { return pool_.size(); }
+  /// Profiles all sweeps so far examined: each due record once.
+  uint64_t sweep_examined() const { return sweep_examined_; }
   uint64_t alerts_emitted() const { return alerts_emitted_; }
   uint64_t cooldown_suppressed() const { return cooldown_suppressed_; }
   size_t MemoryBytes() const;
@@ -248,15 +257,29 @@ class BehaviorEngine {
     void Reset();
   };
 
-  template <typename T>
-  using StringKeyed =
-      std::unordered_map<std::string, T, common::StringHash, std::equal_to<>>;
-  using ProfileMap = StringKeyed<std::unique_ptr<Profile>>;
+  // A profile table entry. A live entry owns its profile; an erased one
+  // keeps its key's capacity for the next entry.
+  struct ProfileEntry {
+    std::string key;
+    uint64_t hash = 0;
+    std::unique_ptr<Profile> profile;
+    uint32_t next_free = kNoEntry;
+  };
+  using ProfileTable = FlatTable<ProfileEntry>;
+  // The tables, as wheel record tags.
+  enum ProfileKind : uint32_t { kCaller, kTarget };
 
+  ProfileTable& TableOf(ProfileKind kind) {
+    return kind == kCaller ? callers_ : targets_;
+  }
   /// Existing profile or nullptr — the allocation-free steady-state probe.
-  Profile* Find(ProfileMap& map, std::string_view key);
-  /// Existing or pool-recycled/new profile (creation path).
-  Profile& GetOrCreate(ProfileMap& map, std::string_view key);
+  Profile* Find(ProfileKind kind, std::string_view key);
+  /// Existing or pool-recycled/new profile, last touched at `t` (creation
+  /// path).
+  Profile& GetOrCreate(ProfileKind kind, std::string_view key, int64_t t);
+  /// The instant a profile last touched at `last_event_ns` becomes
+  /// reclaimable.
+  sim::Time IdleDue(int64_t last_event_ns) const;
 
   void ScoreCaller(Profile& profile, std::string_view caller, int64_t t);
   void ScoreTarget(Profile& profile, std::string_view target, int64_t t);
@@ -266,8 +289,13 @@ class BehaviorEngine {
 
   BehaviorConfig config_;
   AlertSink sink_;
-  ProfileMap callers_;  // key = caller AOR (From user@host)
-  ProfileMap targets_;  // key = registration target AOR (To user@host)
+  ProfileTable callers_;  // key = caller AOR (From user@host)
+  ProfileTable targets_;  // key = registration target AOR (To user@host)
+  // One record per live profile, never stale: a profile dies only when
+  // its record comes due.
+  ReclaimWheel wheel_;
+  std::vector<ReclaimWheel::Record> due_;  // the running sweep's records
+  uint64_t sweep_examined_ = 0;
   std::vector<std::unique_ptr<Profile>> pool_;
   obs::Histogram retired_durations_;  // folded in from reclaimed profiles
   uint64_t alerts_emitted_ = 0;

@@ -38,6 +38,12 @@ const std::string& KeyedName(std::string& out, std::string_view prefix,
   return out;
 }
 
+// The instant from which an entry last touched at `last_event` is idle:
+// a sweep reclaims it once now - last_event > timeout.
+sim::Time IdleDue(sim::Time last_event, sim::Duration timeout) {
+  return last_event + timeout + sim::Duration::Nanos(1);
+}
+
 // A sweep's reclaim touches a few cache lines per entry, scattered over the
 // slab, the groups and the table index. Loading entry k + 2·kAhead, and the
 // lines that entry k + kAhead points at, while entry k is reclaimed
@@ -79,7 +85,8 @@ CallStateFactBase::CallStateFactBase(sim::Scheduler& scheduler,
       observer_(observer),
       sip_spec_(BuildSipSpecMachine(config)),
       rtp_spec_(BuildRtpSpecMachine(config)),
-      scenarios_(config) {
+      scenarios_(config),
+      wheel_(config.sweep_interval) {
   // The shapes' AddMachine order is the CallMachine / MediaMachine order.
   efsm::GroupShape& call = call_groups_.shape;
   call.AddMachine(sip_spec_, std::string(kSipMachineName));
@@ -188,6 +195,16 @@ void CallStateFactBase::UpdateGauges() {
   m_tombstones_->Set(static_cast<int64_t>(tombstones_));
 }
 
+template <typename Entry>
+void CallStateFactBase::FileIdle(Entry& entry, uint32_t index, DueTable tag,
+                                 sim::Duration timeout) {
+  // A pending record, left by the entry's previous use, is due no later
+  // than this one would be: the entry adopts it.
+  if (entry.idle_filed) return;
+  entry.idle_filed = true;
+  wheel_.File(IdleDue(entry.last_event, timeout), index, tag);
+}
+
 uint32_t CallStateFactBase::FindCallEntry(std::string_view call_id,
                                           uint64_t hash) const {
   return calls_.Find(
@@ -236,7 +253,7 @@ efsm::MachineGroup& CallStateFactBase::OpenCall(uint32_t index) {
   entry.last_event = scheduler_.Now();
   // A retiring machine finds its call entry through this, not by name.
   group->set_owner_index(index);
-  call_idle_.Push(index, entry.last_event + config_.call_idle_timeout);
+  FileIdle(entry, index, kCallIdle, config_.call_idle_timeout);
   m_active_calls_->Set(static_cast<int64_t>(call_count()));
   ArmSweepTimer();
   return *group;
@@ -267,7 +284,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateInviteFlood(
   entry.key.assign(name);
   entry.group = AcquireGroup(flood_groups_, name);
   entry.last_event = scheduler_.Now();
-  keyed_str_idle_.Push(index, entry.last_event + config_.keyed_idle_timeout);
+  FileIdle(entry, index, kFloodIdle, config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
   return *entry.group;
@@ -289,7 +306,7 @@ efsm::MachineGroup& CallStateFactBase::GetOrCreateBinary(Recycler& recycler,
   entry.key = key;
   entry.group = AcquireGroup(recycler, name());
   entry.last_event = scheduler_.Now();
-  keyed_bin_idle_.Push(index, entry.last_event + config_.keyed_idle_timeout);
+  FileIdle(entry, index, kBinaryIdle, config_.keyed_idle_timeout);
   m_keyed_groups_->Set(static_cast<int64_t>(keyed_count()));
   ArmSweepTimer();
   return *entry.group;
@@ -404,9 +421,10 @@ void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
     // Same contract as a sweep reclaim: the analysis engine evicts the
     // group's alert-dedup signatures together with the state.
     const efsm::MachineGroup* reclaimed[] = {group};
-    sweep_listener_(scheduler_.Now(), reclaimed);
+    listener_holds_state_ = sweep_listener_(scheduler_.Now(), reclaimed);
   }
-  keyed_bin_idle_.Erase(index);
+  // The entry's idle record stays in the wheel: dropped when it comes due,
+  // or adopted by the entry's next group.
   keyed_bin_[index].group = nullptr;
   keyed_bin_.Erase(index);
   ReleaseGroup(group, /*in_sweep=*/false);
@@ -437,9 +455,10 @@ void CallStateFactBase::ArmSweepTimer() {
   if (scheduler_.IsPending(sweep_event_)) return;
   sweep_event_ = scheduler_.ScheduleAfter(config_.sweep_interval, [this] {
     Sweep(scheduler_.Now());
-    // The fired event is no longer pending, so this re-arms. An empty fact
-    // base schedules nothing; the next state creation re-arms the chain.
-    if (HasTrackedState()) ArmSweepTimer();
+    // The fired event is no longer pending, so this re-arms. With nothing
+    // left to reclaim here or in the listener's tables it schedules
+    // nothing; the next state creation re-arms the chain.
+    if (HasTrackedState() || listener_holds_state_) ArmSweepTimer();
   });
 }
 
@@ -456,34 +475,41 @@ void CallStateFactBase::OnMachineRetired(
   completion_candidates_.push_back(call);
 }
 
-template <typename Table>
-uint64_t CallStateFactBase::DrainIdle(DeadlineHeap& heap, const Table& table,
-                                      sim::Duration timeout, sim::Time now,
-                                      std::vector<uint32_t>& idle) {
-  // A filed deadline never exceeds the entry's current last_event +
-  // timeout (last_event only grows), so every entry that is idle at `now`
-  // is popped here, and one that is not yet idle is re-filed under its
-  // refreshed deadline, which is >= now.
-  idle.clear();
-  uint64_t popped = 0;
-  while (!heap.empty() && heap.top_deadline() < now) {
-    ++popped;
-    const uint32_t index = heap.top();
-    const sim::Time deadline = table[index].last_event + timeout;
-    if (deadline < now) {  // now - last_event > timeout
-      heap.Erase(index);
-      idle.push_back(index);
-    } else {
-      heap.RefileTop(deadline);
+template <typename Table, typename Reclaim>
+void CallStateFactBase::DrainIdle(Table& table, DueTable tag,
+                                  sim::Duration timeout, sim::Time now,
+                                  Reclaim reclaim) {
+  // A filed due instant never exceeds the entry's current one (last_event
+  // only grows), so every entry idle at `now` has its record here, and one
+  // not yet idle moves to the slot of its refreshed due instant, > now.
+  ReclaimPrefetched(table, due_[tag], [&](uint32_t index) {
+    auto& entry = table[index];
+    if (entry.group == nullptr) {  // stale: no live group holds the entry
+      entry.idle_filed = false;
+      return;
     }
-  }
-  return popped;
+    const sim::Time due = IdleDue(entry.last_event, timeout);
+    if (due <= now) {  // now - last_event > timeout
+      entry.idle_filed = false;
+      reclaim(index);
+    } else {
+      wheel_.File(due, index, tag);
+    }
+  });
 }
 
 void CallStateFactBase::ReclaimCall(uint32_t index, sim::Time now) {
   CallEntry& entry = calls_[index];
   entry.tombstone_expiry = now + config_.tombstone_ttl;
-  tombstone_fifo_.push_back(TombstoneDue{entry.tombstone_expiry, index});
+  if (!entry.tombstone_filed) {
+    entry.tombstone_filed = true;
+    if (entry.tombstone_expiry <= now) {
+      // A TTL of zero: the tombstone phase of this sweep expires it.
+      due_[kTombstoneDue].push_back(index);
+    } else {
+      wheel_.File(entry.tombstone_expiry, index, kTombstoneDue);
+    }
+  }
   ++tombstones_;
   ++calls_deleted_;
   m_calls_deleted_->Inc();
@@ -503,13 +529,10 @@ void CallStateFactBase::ReleaseDrainedStorage() {
   keyed_str_.Release();
   keyed_bin_.Release();
   media_index_.Release();
-  call_idle_.Release();
-  keyed_str_idle_.Release();
-  keyed_bin_idle_.Release();
+  // Records of erased entries may remain; they go with the tables.
+  wheel_.Release();
   std::vector<uint32_t>().swap(completion_candidates_);
-  std::vector<uint32_t>().swap(idle_);
-  std::vector<TombstoneDue>().swap(tombstone_fifo_);
-  tombstone_head_ = 0;
+  for (auto& due : due_) std::vector<uint32_t>().swap(due);
   std::vector<const efsm::MachineGroup*>().swap(swept_groups_);
   for (Recycler* recycler :
        {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
@@ -524,68 +547,62 @@ void CallStateFactBase::Sweep(sim::Time now) {
   m_sweeps_->Inc();
   const int64_t sweep_start = obs::MonotonicNanos();
   swept_groups_.clear();
+  for (auto& due : due_) due.clear();
   uint64_t examined = completion_candidates_.size();
 
   // Completed calls. Candidates go first, while every queued call is still
   // live: calls are reclaimed only by Sweep, and reclaiming one retires no
-  // machine, so the queue does not change underneath this loop.
+  // machine, so the queue does not change underneath this loop. A
+  // reclaimed call's idle record stays in the wheel, stale.
   ReclaimPrefetched(calls_, completion_candidates_, [&](uint32_t call) {
     CallEntry& entry = calls_[call];
     entry.completion_candidate = false;
-    if (CallComplete(*entry.group)) {
-      call_idle_.Erase(call);
-      ReclaimCall(call, now);
-    }
+    if (CallComplete(*entry.group)) ReclaimCall(call, now);
   });
   completion_candidates_.clear();
 
-  examined +=
-      DrainIdle(call_idle_, calls_, config_.call_idle_timeout, now, idle_);
-  ReclaimPrefetched(calls_, idle_,
-                    [&](uint32_t call) { ReclaimCall(call, now); });
-  const auto reclaim_keyed = [&](auto& table) {
-    ReclaimPrefetched(table, idle_, [&](uint32_t index) {
-      ReleaseGroup(table[index].group, /*in_sweep=*/true);
-      table[index].group = nullptr;
-      table.Erase(index);
-    });
+  // The records due at `now`, sorted by table; each table's are then
+  // settled in one pass that prefetches a few records ahead.
+  wheel_.Drain(now, [&](const ReclaimWheel::Record& record) {
+    due_[record.table].push_back(record.item);
+  });
+  DrainIdle(calls_, kCallIdle, config_.call_idle_timeout, now,
+            [&](uint32_t call) { ReclaimCall(call, now); });
+  const auto reclaim_keyed = [this](auto& keyed) {
+    return [this, table = &keyed](uint32_t index) {
+      ReleaseGroup((*table)[index].group, /*in_sweep=*/true);
+      (*table)[index].group = nullptr;
+      table->Erase(index);
+    };
   };
-  examined += DrainIdle(keyed_str_idle_, keyed_str_,
-                        config_.keyed_idle_timeout, now, idle_);
-  reclaim_keyed(keyed_str_);
-  examined += DrainIdle(keyed_bin_idle_, keyed_bin_,
-                        config_.keyed_idle_timeout, now, idle_);
-  reclaim_keyed(keyed_bin_);
+  DrainIdle(keyed_str_, kFloodIdle, config_.keyed_idle_timeout, now,
+            reclaim_keyed(keyed_str_));
+  DrainIdle(keyed_bin_, kBinaryIdle, config_.keyed_idle_timeout, now,
+            reclaim_keyed(keyed_bin_));
 
-  // Tombstones: expiries are sweep instants plus one TTL, so the FIFO is
-  // in expiry order.
-  idle_.clear();
-  for (size_t k = tombstone_head_;
-       k < tombstone_fifo_.size() && tombstone_fifo_[k].expiry <= now; ++k) {
-    idle_.push_back(tombstone_fifo_[k].call);
-  }
-  ReclaimPrefetched(calls_, idle_, [&](uint32_t call) {
-    const TombstoneDue due = tombstone_fifo_[tombstone_head_++];
-    const CallEntry& entry = calls_[call];
-    if (entry.group == nullptr && entry.tombstone_expiry == due.expiry) {
+  // Tombstones, last, so a call reclaimed by this sweep under a zero TTL
+  // expires in it too. A record of a reopened call is stale; one of a
+  // call tombstoned again since it was filed moves to the later expiry.
+  ReclaimPrefetched(calls_, due_[kTombstoneDue], [&](uint32_t call) {
+    CallEntry& entry = calls_[call];
+    entry.tombstone_filed = false;
+    if (entry.group != nullptr) return;
+    if (entry.tombstone_expiry <= now) {
       --tombstones_;
       calls_.Erase(call);
+    } else {
+      entry.tombstone_filed = true;
+      wheel_.File(entry.tombstone_expiry, call, kTombstoneDue);
     }
   });
-  examined += idle_.size();
-  if (tombstone_head_ * 2 >= tombstone_fifo_.size()) {
-    // Amortized O(1) compaction: each record moves at most once per time
-    // the consumed prefix outgrows the rest.
-    tombstone_fifo_.erase(
-        tombstone_fifo_.begin(),
-        tombstone_fifo_.begin() + static_cast<ptrdiff_t>(tombstone_head_));
-    tombstone_head_ = 0;
-  }
+  for (const auto& due : due_) examined += due.size();
 
   m_sweep_examined_->Inc(examined);
   // The listener reads the reclaimed groups' names, so it runs before any
   // parked group can be freed.
-  if (sweep_listener_) sweep_listener_(now, swept_groups_);
+  if (sweep_listener_) {
+    listener_holds_state_ = sweep_listener_(now, swept_groups_);
+  }
   if (HasTrackedState()) {
     for (Recycler* recycler :
          {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
@@ -629,12 +646,10 @@ size_t CallStateFactBase::MemoryBytes() const {
   bytes += calls_.MemoryBytes() + keyed_str_.MemoryBytes() +
            keyed_bin_.MemoryBytes() + media_index_.MemoryBytes();
   bytes += FreeListBytes();
-  bytes += call_idle_.MemoryBytes() + keyed_str_idle_.MemoryBytes() +
-           keyed_bin_idle_.MemoryBytes() +
-           (completion_candidates_.capacity() + idle_.capacity()) *
-               sizeof(uint32_t) +
-           tombstone_fifo_.capacity() * sizeof(TombstoneDue) +
+  bytes += wheel_.MemoryBytes() +
+           completion_candidates_.capacity() * sizeof(uint32_t) +
            swept_groups_.capacity() * sizeof(const efsm::MachineGroup*);
+  for (const auto& due : due_) bytes += due.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

@@ -13,25 +13,26 @@
 // index that lets the Event Distributor hand RTP packets to the right call
 // group.
 //
-// Reclamation is deadline-ordered (DESIGN.md §9), so a sweep touches only
-// the entries that are due, never the whole table:
-//   - idle calls and keyed groups sit in deadline heaps filed under
-//     last_event + timeout and re-checked lazily, so the packet path keeps
-//     its single last_event store;
+// Reclamation runs on a timing wheel of sweep-interval slots (DESIGN.md §9,
+// reclaim_wheel.h), so a sweep touches only the entries that are due, never
+// the whole table:
+//   - every call, keyed group and tombstone files one record when it is
+//     created, in O(1): idle entries under last_event + timeout, re-checked
+//     lazily when the record comes due, so the packet path keeps its single
+//     last_event store and a touched entry moves to its new slot with one
+//     append;
 //   - a call can only complete when its SIP or RTP machine retires, so the
 //     call groups report retirements to the fact base, which checks just
 //     those calls at the next sweep;
 //   - a reclaimed call leaves its entry behind as the tombstone (no group,
-//     an expiry), so reclaiming it neither erases nor inserts an entry;
-//   - tombstones expire in creation order (every expiry is a sweep instant
-//     plus the same TTL), so a FIFO beside the table replaces a scan.
+//     an expiry), so reclaiming it neither erases nor inserts an entry.
 //
 // The four tables — calls, string-keyed groups, binary-keyed groups and the
 // media index — are flat (flat_index.h): entries live in slabs behind an
 // open-addressing index of full key hashes, and everything that refers to an
-// entry holds its slab index: the deadline heaps, the completion candidates,
-// the tombstone FIFO, a call group's owner index and a media-index entry's
-// owning call. A sweep therefore reclaims by index: it never hashes a key,
+// entry holds its slab index: the wheel's records, the completion
+// candidates, a call group's owner index and a media-index entry's owning
+// call. A sweep therefore reclaims by index: it never hashes a key,
 // compares a string or frees a table entry, and an erased entry keeps its
 // key string's and media list's capacity for the next one. Media endpoints
 // and DRDoS victims are keyed by packed 48-bit endpoint / 32-bit IP values
@@ -46,6 +47,7 @@
 // frees them and the tables.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <span>
@@ -57,9 +59,9 @@
 #include "efsm/engine.h"
 #include "net/address.h"
 #include "vids/config.h"
-#include "vids/deadline_heap.h"
 #include "vids/flat_index.h"
 #include "vids/patterns.h"
+#include "vids/reclaim_wheel.h"
 #include "vids/spec_machines.h"
 
 namespace vids::ids {
@@ -157,19 +159,30 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// CallComplete holds or `now - last_event > call_idle_timeout`, a keyed
   /// group when `now - last_event > keyed_idle_timeout`, and a tombstone
   /// when its expiry is `<= now`. It costs O(due): it examines the calls
-  /// that retired a machine since the last sweep plus the index entries
-  /// filed under a deadline before `now` (counted in vids.sweep_examined).
+  /// that retired a machine since the last sweep plus the wheel records due
+  /// at `now` (counted in vids.sweep_examined).
   void Sweep(sim::Time now);
 
   /// Called at the end of every executed sweep with the groups it reclaimed
   /// (possibly none). They are parked but not yet reset, so their names are
   /// still the call ids and keyed-group names they had. The analysis engine
   /// uses this both as its time-driven pruning tick and to evict
-  /// alert-dedup signatures belonging to state that no longer exists.
-  using SweepListener = std::function<void(
+  /// alert-dedup signatures belonging to state that no longer exists. It
+  /// returns whether its owner still holds state the sweeps reclaim (alert
+  /// signatures, behavior profiles): the periodic sweep keeps re-arming
+  /// while that or the fact base's own state lasts.
+  using SweepListener = std::function<bool(
       sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed)>;
   void set_sweep_listener(SweepListener listener) {
     sweep_listener_ = std::move(listener);
+  }
+  /// The listener's owner created state its listener reclaims: arms the
+  /// periodic sweep, which then re-arms until the listener reports that
+  /// state gone. Cheap enough for the packet path; schedules nothing while
+  /// the sweep is pending.
+  void KeepSweepArmed() {
+    listener_holds_state_ = true;
+    ArmSweepTimer();
   }
 
   size_t call_count() const { return calls_.size() - tombstones_; }
@@ -220,6 +233,12 @@ class CallStateFactBase : private efsm::RetirementListener {
     std::vector<uint32_t> media;
     uint32_t next_free = kNoEntry;
     bool completion_candidate = false;  // queued in completion_candidates_
+    // A kCallIdle / kTombstoneDue record for this entry is in the wheel.
+    // It may be stale (the call completed, the tombstone reopened, the
+    // entry was erased); a call or tombstone made here while one is
+    // pending adopts it, since it is due no later than the new deadline.
+    bool idle_filed = false;
+    bool tombstone_filed = false;
   };
   // A keyed_str_ (Key = name) or keyed_bin_ (Key = packed key) entry.
   template <typename Key>
@@ -229,6 +248,7 @@ class CallStateFactBase : private efsm::RetirementListener {
     efsm::MachineGroup* group = nullptr;  // owned
     sim::Time last_event;
     uint32_t next_free = kNoEntry;
+    bool idle_filed = false;  // as CallEntry::idle_filed
   };
   struct MediaEntry {
     uint64_t key = 0;  // packed endpoint
@@ -240,11 +260,13 @@ class CallStateFactBase : private efsm::RetirementListener {
   using NamedTable = FlatTable<KeyedEntry<std::string>>;
   using BinaryTable = FlatTable<KeyedEntry<uint64_t>>;
 
-  struct TombstoneDue {
-    sim::Time expiry;
-    // A tombstone is erased only by its latest record, and every earlier
-    // record for it comes due first, so the index is never stale.
-    uint32_t call;
+  // The tables that file into the wheel, as its record tags.
+  enum DueTable : uint32_t {
+    kCallIdle,
+    kFloodIdle,
+    kBinaryIdle,
+    kTombstoneDue,
+    kDueTables
   };
 
   /// A call is over when its SIP machine retired and its RTP machine either
@@ -259,14 +281,18 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// is not complete here cannot be complete before its next retirement.
   void OnMachineRetired(const efsm::MachineInstance& machine) override;
 
-  /// Pops every entry of `table` filed under a deadline before `now`:
-  /// re-files the ones touched since, and leaves the ones idle for longer
-  /// than `timeout`, out of the heap, in `idle` (in pop order). Returns the
-  /// number popped.
-  template <typename Table>
-  static uint64_t DrainIdle(DeadlineHeap& heap, const Table& table,
-                            sim::Duration timeout, sim::Time now,
-                            std::vector<uint32_t>& idle);
+  /// Files the idle record of `entry` (slab index `index`, just touched)
+  /// unless one is pending.
+  template <typename Entry>
+  void FileIdle(Entry& entry, uint32_t index, DueTable tag,
+                sim::Duration timeout);
+  /// Settles the due idle records of `table` (tag `tag`): drops the stale
+  /// ones (the entry died or became a tombstone), hands each entry idle
+  /// for longer than `timeout` to `reclaim`, and re-files the ones touched
+  /// since they were filed under their refreshed due instant.
+  template <typename Table, typename Reclaim>
+  void DrainIdle(Table& table, DueTable tag, sim::Duration timeout,
+                 sim::Time now, Reclaim reclaim);
 
   /// The calls_ entry of `call_id` (live or tombstone), or kNoEntry.
   uint32_t FindCallEntry(std::string_view call_id, uint64_t hash) const;
@@ -294,25 +320,27 @@ class CallStateFactBase : private efsm::RetirementListener {
   void ReleaseGroup(efsm::MachineGroup* group, bool in_sweep);
   Recycler& RecyclerOf(const efsm::MachineGroup& group);
 
-  /// Deletes a call (already out of call_idle_): its entry becomes the
-  /// tombstone, its media-index entries go, its group is parked.
+  /// Deletes a call: its entry becomes the tombstone (filed unless a
+  /// tombstone record is pending), its media-index entries go, its group is
+  /// parked.
   void ReclaimCall(uint32_t index, sim::Time now);
 
-  /// Frees the tables, the reclamation index and every parked group; only
-  /// when the tables are empty.
+  /// Frees the tables, the wheel and every parked group; only when the
+  /// tables are empty.
   void ReleaseDrainedStorage();
 
   void UpdateGauges();
 
   /// True while any table holds reclaimable state — the periodic sweep event
-  /// keeps re-arming exactly as long as this holds.
+  /// keeps re-arming as long as this or listener_holds_state_ holds.
   bool HasTrackedState() const {
     return !calls_.empty() || !keyed_str_.empty() || !keyed_bin_.empty() ||
            !media_index_.empty();
   }
 
   /// Arms the periodic sweep event if it is not already pending. Called on
-  /// state creation only, so the steady-state packet path never schedules.
+  /// state creation only (here and through KeepSweepArmed), so the
+  /// steady-state packet path never schedules.
   void ArmSweepTimer();
 
   sim::Scheduler& scheduler_;
@@ -359,23 +387,17 @@ class CallStateFactBase : private efsm::RetirementListener {
   size_t tombstones_ = 0;  // calls_ entries that are tombstones
   FlatTable<MediaEntry> media_index_;
 
-  // Reclamation index: one idle-deadline heap per group table (every entry
-  // is filed in its table's heap from creation to erasure, a call's until
-  // it becomes a tombstone), the calls that retired a machine since the
-  // last sweep, and tombstone expiries in creation order. A tombstone
-  // record whose call id was tombstoned again (possible only through
-  // direct GetOrCreateCall use) is skipped when it comes due; the later
-  // record expires it.
-  DeadlineHeap call_idle_;
-  DeadlineHeap keyed_str_idle_;
-  DeadlineHeap keyed_bin_idle_;
+  // Reclamation index: the wheel, where every live entry has exactly one
+  // record of its kind pending (plus stale records of entries that died
+  // early), the calls that retired a machine since the last sweep, and the
+  // running sweep's due records, by tag.
+  ReclaimWheel wheel_;
   std::vector<uint32_t> completion_candidates_;
-  std::vector<uint32_t> idle_;  // the running DrainIdle's idle entries
-  std::vector<TombstoneDue> tombstone_fifo_;
-  size_t tombstone_head_ = 0;  // first unconsumed tombstone_fifo_ record
+  std::array<std::vector<uint32_t>, kDueTables> due_;
   sim::Time next_sweep_;
   sim::Scheduler::EventId sweep_event_;
   SweepListener sweep_listener_;
+  bool listener_holds_state_ = false;  // the listener's last answer
   uint64_t calls_created_ = 0;
   uint64_t calls_deleted_ = 0;
 };

@@ -29,7 +29,8 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
   // The fact base's sweep doubles as the dedup table's pruning tick and the
   // behavior layer's profile-reclaim tick, so both tables are reclaimed on
   // the same time-driven cadence as the call state — including during
-  // traffic silence. BehaviorEngine::Sweep is memory-only by its
+  // traffic silence, since the sweep keeps re-arming while either table
+  // holds anything. BehaviorEngine::Sweep is memory-only by its
   // determinism contract, so riding an arbitrary cadence is safe.
   fact_base_.set_sweep_listener(
       [this](sim::Time now,
@@ -38,6 +39,7 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
         behavior_.Sweep(now);
         m_behavior_profiles_->Set(
             static_cast<int64_t>(behavior_.profile_count()));
+        return !recent_alerts_.empty() || behavior_.profile_count() != 0;
       });
   // Behavioral alerts ride the normal alert path. The engine's own
   // cooldown (>= the dedup window by contract) means RaiseAlert's dedup
@@ -224,6 +226,7 @@ void Vids::EmitAggregate(const AggregateEvent& event) {
 
 void Vids::FeedAggregate(const AggregateEvent& event) {
   const sim::Time now = scheduler_.Now();
+  const size_t profiles = behavior_.profile_count();
   switch (event.kind) {
     case AggregateKind::kUnsolicitedResponse:
     case AggregateKind::kInviteRequest: {
@@ -247,17 +250,20 @@ void Vids::FeedAggregate(const AggregateEvent& event) {
     }
     case AggregateKind::kBehaviorCallStart:
       behavior_.OnCallStart(now, event.key, event.peer, event.ua, event.aux);
-      return;
+      break;
     case AggregateKind::kBehaviorCallEnd:
       behavior_.OnCallEnd(now, event.key, event.aux);
-      return;
+      break;
     case AggregateKind::kBehaviorRegFailure:
       behavior_.OnRegFailure(now, event.key, event.aux);
-      return;
+      break;
     case AggregateKind::kBehaviorRegSuccess:
       behavior_.OnRegSuccess(now, event.key);
-      return;
+      break;
   }
+  // A new profile can outlive every call: the sweep must run until it is
+  // reclaimed.
+  if (behavior_.profile_count() > profiles) fact_base_.KeepSweepArmed();
 }
 
 void Vids::RefreshMediaIndex(efsm::MachineGroup& group) {
@@ -519,6 +525,8 @@ void Vids::RaiseAlert(Alert alert) {
         detail::AlertSig{alert.group, alert.machine, alert.classification},
         alert.when);
     m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
+    // A malformed packet's signature may be the only state there is.
+    fact_base_.KeepSweepArmed();
   }
   VIDS_INFO_C("vids") << alert.ToString();
   if (alert_callback_) alert_callback_(alert);

@@ -701,14 +701,11 @@ void ShardedIds::PruneCoordinator(int64_t now_ns) {
           .nanos();
   owners_.Prune(now_ns, owner_horizon_ns);
 
-  // The replay reached now_ns: catch the coordinator's clock up, then
-  // sweep as the plain engine's packet path would. The coordinator fact
-  // base arms its periodic sweep only while it holds flood/DRDoS groups,
-  // so without this call behavior profiles and alert signatures would
-  // never be reclaimed on a behavior-only stream. Sweep cadence is
-  // unobservable in alerts (DESIGN.md §9, §16).
+  // The replay reached now_ns: catch the coordinator's clock up. Its
+  // periodic sweep stays armed while it holds flood/DRDoS groups, alert
+  // signatures or behavior profiles, so running its timers to now_ns
+  // reclaims them on the plain engine's horizons.
   AdvanceCoordinator(now_ns);
-  coordinator_.fact_base().Sweep(coord_scheduler_.Now());
 }
 
 void ShardedIds::Stop() {

@@ -381,7 +381,7 @@ class ShardedIds {
   /// alerts()).
   void EmitAlert(Alert alert);
   /// Flush-time reclamation: prunes idle owner-map entries, then advances
-  /// the coordinator Vids to `now_ns` and sweeps it.
+  /// the coordinator Vids to `now_ns`, which runs its periodic sweeps.
   void PruneCoordinator(int64_t now_ns);
   /// Stall detector (coordinator thread, called from DrainUp and throttled
   /// to ~threshold/8): raises one EngineHealth alert per stall episode.

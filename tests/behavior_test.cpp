@@ -189,6 +189,35 @@ TEST(BehaviorEngineTest, SweepIsInvisibleToEmissionsAndRecyclesProfiles) {
   EXPECT_EQ(swept.engine.pool_size(), 0u);
 }
 
+TEST(BehaviorEngineTest, SweepExaminesOnlyDueProfiles) {
+  // 50k profiles, callers and registration targets, last touched over the
+  // first 50 s: each is reclaimable only once idle past IdleHorizon()
+  // (120 s).
+  Harness h;
+  constexpr int kProfiles = 50000;
+  for (int i = 0; i < kProfiles; ++i) {
+    const std::string entity = "user-" + std::to_string(i) + "@a.example.com";
+    if (i % 2 == 0) {
+      h.engine.OnCallStart(At(0.001 * i), entity, "dest@b.example.com", "",
+                           static_cast<uint64_t>(i));
+    } else {
+      h.engine.OnRegFailure(At(0.001 * i), entity, static_cast<uint64_t>(i));
+    }
+  }
+  ASSERT_EQ(h.engine.profile_count(), static_cast<size_t>(kProfiles));
+
+  // 120 sweeps, none of them with a profile due: nothing examined.
+  for (int second = 1; second <= 120; ++second) h.engine.Sweep(At(second));
+  EXPECT_EQ(h.engine.sweep_examined(), 0u);
+  EXPECT_EQ(h.engine.profile_count(), static_cast<size_t>(kProfiles));
+
+  // Every profile is due at 171 s: examined exactly once, and reclaimed.
+  h.engine.Sweep(At(171.0));
+  EXPECT_EQ(h.engine.sweep_examined(), static_cast<uint64_t>(kProfiles));
+  EXPECT_EQ(h.engine.profile_count(), 0u);
+  EXPECT_TRUE(h.alerts.empty());
+}
+
 TEST(BehaviorEngineTest, DurationHistogramSurvivesReclaim) {
   Harness h;
   h.engine.OnCallStart(At(0.0), "alice@a.example.com", "bob@b.example.com",

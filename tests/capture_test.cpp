@@ -408,7 +408,9 @@ TEST(PcapReader, RebaseDisabledKeepsAbsoluteEpoch) {
 
 struct Replayed {
   std::vector<ids::Alert> alerts;
-  size_t tracked = 0;  // sharded: TrackedState() 600 s after the capture
+  // 600 s after the capture: the sharded engine's TrackedState(), the plain
+  // engine's fact-base entries, alert signatures and behavior profiles.
+  size_t tracked = 0;
 };
 
 // Replays `bytes` into a plain Vids (shards = 0) or into ShardedIds.
@@ -430,8 +432,14 @@ Replayed Replay(const std::string& bytes, int shards) {
   } else {
     sim::Scheduler scheduler;
     ids::Vids vids(scheduler);
-    EXPECT_TRUE(RunSource(source, vids, scheduler).ok);
+    const ReplayStats replay = RunSource(source, vids, scheduler);
+    EXPECT_TRUE(replay.ok);
     out.alerts = vids.alerts();
+    scheduler.RunUntil(replay.end + sim::Duration::Seconds(600));
+    const ids::CallStateFactBase& fb = vids.fact_base();
+    out.tracked = fb.call_count() + fb.keyed_count() + fb.tombstone_count() +
+                  fb.media_index_count() + vids.alert_sig_count() +
+                  vids.behavior().profile_count();
   }
   return out;
 }
@@ -457,11 +465,12 @@ std::vector<std::pair<int64_t, std::string>> Canonical(
   return out;
 }
 
-// ShardedIds at 1 and 4 shards must raise the plain Vids's alerts and
-// drain all tracked state past the idle horizon. Returns how many shard
-// counts disagreed with the plain engine.
+// ShardedIds at 1 and 4 shards must raise the plain Vids's alerts, and
+// every engine must drain all tracked state past the idle horizon. Returns
+// how many shard counts disagreed with the plain engine.
 int ExpectEnginesAgree(const std::string& bytes, const std::string& label) {
   const Replayed direct = Replay(bytes, 0);
+  EXPECT_EQ(direct.tracked, 0u) << label << ", direct";
   int mismatches = 0;
   for (const int shards : {1, 4}) {
     const Replayed sharded = Replay(bytes, shards);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <random>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "rtp/packet.h"
@@ -14,9 +17,9 @@
 #include "sdp/sdp.h"
 #include "sip/message.h"
 #include "vids/classifier.h"
-#include "vids/deadline_heap.h"
 #include "vids/fact_base.h"
 #include "vids/flat_index.h"
+#include "vids/reclaim_wheel.h"
 
 namespace vids::ids {
 namespace {
@@ -287,7 +290,7 @@ TEST_F(FactBaseFixture, SweepKeepsReboundMediaIndexEntry) {
   EXPECT_EQ(fact_base_.FindGroupByMedia(ep), &c2);
 }
 
-// ------------------------------------------- deadline-ordered sweeping
+// --------------------------------------------------- due-only sweeping
 //
 // The sweep reclaims only what is due (DESIGN.md §9), yet must reclaim each
 // entry at the same sweep instant a scan of every entry would. These tests
@@ -523,64 +526,259 @@ TEST(FactBaseSweep, SweepExaminesOnlyDueEntries) {
   EXPECT_EQ(fact_base.calls_deleted(), static_cast<uint64_t>(kEach));
 }
 
-// The heap against an ordered multimap reference: random pushes, erases
-// of arbitrary items and top re-files keep the same minimum, and exactly
-// the filed items report filed.
-TEST(DeadlineHeap, MatchesAnOrderedReferenceUnderRandomOperations) {
-  DeadlineHeap heap;
-  std::multimap<int64_t, uint32_t> reference;  // deadline -> item
-  std::map<uint32_t, int64_t> filed;
-  std::mt19937 rng(7);
-  uint32_t next_item = 0;
+// Step budget of the two reclamation reference tests below:
+// RECLAIM_REFERENCE_STEPS when set (the nightly lane runs 100x), else a
+// budget of about a second in a Release build.
+int ReclaimReferenceSteps() {
+  const char* env = std::getenv("RECLAIM_REFERENCE_STEPS");
+  return env != nullptr ? std::max(1, std::atoi(env)) : 100000;
+}
 
-  for (int step = 0; step < 20000; ++step) {
-    const int op = static_cast<int>(rng() % 3);
-    if (op == 0 || filed.empty()) {
-      const int64_t deadline = static_cast<int64_t>(rng() % 1000);
-      const uint32_t item = next_item++;
-      heap.Push(item, sim::Time::FromNanos(deadline));
-      reference.emplace(deadline, item);
-      filed[item] = deadline;
-    } else if (op == 1) {
-      auto victim = filed.begin();
-      std::advance(victim, static_cast<long>(rng() % filed.size()));
-      heap.Erase(victim->first);
-      const auto range = reference.equal_range(victim->second);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == victim->first) {
-          reference.erase(it);
-          break;
-        }
-      }
-      EXPECT_FALSE(heap.filed(victim->first));
-      filed.erase(victim);
+// The wheel against an ordered multimap of every pending record: random
+// files (already due, within one revolution and several revolutions out),
+// re-files of drained records and erasures of their items (which leave the
+// item's record pending, stale, as the tables do), with drains at instants
+// that are not slot edges and gaps from under a slot to several
+// revolutions. Each drain must hand back exactly the reference's due set.
+TEST(ReclaimWheel, MatchesAnOrderedReferenceUnderRandomOperations) {
+  constexpr int64_t kWidth = 1000;
+  constexpr int64_t kRevolution = ReclaimWheel::kSlots * kWidth;
+  using Rec = std::tuple<int64_t, uint32_t, uint32_t>;  // due, item, table
+  ReclaimWheel wheel(sim::Duration::Nanos(kWidth));
+  std::multiset<Rec> reference;
+  std::map<uint32_t, bool> live;  // item -> still held by its table
+  std::mt19937_64 rng(11);
+  const auto pick = [&](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo));
+  };
+  int64_t now = 0;
+  uint32_t next_item = 0;
+  const auto file = [&](uint32_t item, int64_t due) {
+    const auto table = static_cast<uint32_t>(item % 3);
+    wheel.File(sim::Time::FromNanos(due), item, table);
+    reference.emplace(due, item, table);
+  };
+  size_t drained = 0;
+  const int steps = ReclaimReferenceSteps();
+  for (int step = 0; step < steps; ++step) {
+    const int op = static_cast<int>(rng() % 10);
+    if (op < 4) {
+      const int64_t offset = rng() % 8 == 0 ? pick(-2 * kRevolution, 0)
+                             : rng() % 4 == 0
+                                 ? pick(kRevolution, 4 * kRevolution)
+                                 : pick(0, kRevolution);
+      live[next_item] = true;
+      file(next_item++, now + offset);
+    } else if (op < 5 && !live.empty()) {
+      auto victim = live.begin();
+      std::advance(victim, static_cast<long>(rng() % live.size()));
+      victim->second = false;  // its record stays pending, stale
     } else {
-      const uint32_t item = heap.top();
-      const int64_t later = filed[item] + static_cast<int64_t>(rng() % 500);
-      const auto range = reference.equal_range(filed[item]);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == item) {
-          reference.erase(it);
-          break;
+      const int64_t gap = rng() % 16 == 0 ? pick(kRevolution, 3 * kRevolution)
+                          : rng() % 2 == 0 ? pick(1, kWidth)
+                                           : pick(kWidth, 8 * kWidth);
+      now += gap;
+      if (now % kWidth == 0) ++now;  // never a slot edge
+      std::vector<Rec> got;
+      wheel.Drain(sim::Time::FromNanos(now),
+                  [&](const ReclaimWheel::Record& record) {
+                    got.emplace_back(record.due.nanos(), record.item,
+                                     record.table);
+                  });
+      std::vector<Rec> want(reference.begin(),
+                            reference.upper_bound(Rec{now, UINT32_MAX,
+                                                      UINT32_MAX}));
+      reference.erase(reference.begin(),
+                      reference.upper_bound(Rec{now, UINT32_MAX, UINT32_MAX}));
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "step " << step << ", now " << now;
+      drained += got.size();
+      // The tables' part: a live item's record re-files under a later
+      // deadline about half the time (touched since), or is reclaimed.
+      for (const Rec& rec : got) {
+        const uint32_t item = std::get<1>(rec);
+        if (live.at(item) && rng() % 2 == 0) {
+          file(item, now + pick(1, 2 * kRevolution));
+        } else {
+          live.erase(item);
         }
       }
-      heap.RefileTop(sim::Time::FromNanos(later));
-      reference.emplace(later, item);
-      filed[item] = later;
     }
-    ASSERT_EQ(heap.size(), filed.size());
-    if (!heap.empty()) {
-      ASSERT_EQ(heap.top_deadline().nanos(), reference.begin()->first);
-      ASSERT_EQ(filed.at(heap.top()), reference.begin()->first);
+    ASSERT_EQ(wheel.size(), reference.size()) << "step " << step;
+  }
+  EXPECT_GT(drained, static_cast<size_t>(steps) / 10);
+  now += 5 * kRevolution + 1;
+  size_t last = 0;
+  wheel.Drain(sim::Time::FromNanos(now),
+              [&](const ReclaimWheel::Record&) { ++last; });
+  EXPECT_EQ(last, reference.size());
+  EXPECT_EQ(wheel.size(), 0u);
+  wheel.Release();
+  EXPECT_EQ(wheel.MemoryBytes(), 0u);
+}
+
+// The fact base against a model that scans every entry at every sweep: it
+// mirrors each call's last_event, completion and tombstone expiry, each
+// keyed group's last_event and the media index, under random admissions,
+// touches, completions, reopened tombstones, media indexing,
+// DropMediaKeyedGroup calls, packet-path sweeps and clock steps. The groups
+// each sweep hands its listener must be exactly the model's set, and the
+// table counts must match after every step. A 100 ms sweep over a 40 s
+// call idle timeout files call deadlines past one wheel revolution.
+TEST(FactBaseReference, SweepsReclaimExactlyWhatAFullScanWould) {
+  DetectionConfig config;
+  config.sweep_interval = sim::Duration::Millis(100);
+  config.call_idle_timeout = sim::Duration::Seconds(40);
+  config.keyed_idle_timeout = sim::Duration::Seconds(3);
+  config.tombstone_ttl = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  CallStateFactBase fact_base(scheduler, config, nullptr);
+
+  struct Call {
+    sim::Time last_event;
+    bool live = true;
+    bool registered = false;  // REGISTER delivered: complete
+    sim::Time expiry{};       // tombstones
+  };
+  std::map<std::string, Call> calls;
+  std::map<std::string, sim::Time> keyed;         // group name -> last_event
+  std::map<uint64_t, std::string> media;          // endpoint -> owning call
+  std::mt19937_64 rng(29);
+  const auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+
+  // The model's sweep: what a scan of every entry reclaims at `now`.
+  const auto model_sweep = [&](sim::Time now) {
+    std::vector<std::string> reclaimed;
+    for (auto& [id, call] : calls) {
+      if (!call.live) continue;
+      if (call.registered ||
+          now - call.last_event > config.call_idle_timeout) {
+        reclaimed.push_back(id);
+        call.live = false;
+        call.expiry = now + config.tombstone_ttl;
+        std::erase_if(media, [&](const auto& kv) { return kv.second == id; });
+      }
     }
+    for (auto it = keyed.begin(); it != keyed.end();) {
+      if (now - it->second > config.keyed_idle_timeout) {
+        reclaimed.push_back(it->first);
+        it = keyed.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::erase_if(calls, [&](const auto& kv) {
+      return !kv.second.live && kv.second.expiry <= now;
+    });
+    std::sort(reclaimed.begin(), reclaimed.end());
+    return reclaimed;
+  };
+
+  std::string dropping;  // the group a DropMediaKeyedGroup call hands over
+  size_t sweeps = 0;
+  size_t reclaimed_total = 0;
+  fact_base.set_sweep_listener(
+      [&](sim::Time now, std::span<const efsm::MachineGroup* const> groups) {
+        std::vector<std::string> got;
+        for (const efsm::MachineGroup* group : groups) {
+          got.push_back(group->name());
+        }
+        std::sort(got.begin(), got.end());
+        if (!dropping.empty()) {
+          EXPECT_EQ(got, std::vector<std::string>{dropping});
+          return false;
+        }
+        ++sweeps;
+        reclaimed_total += got.size();
+        EXPECT_EQ(got, model_sweep(now)) << "sweep at " << now;
+        return false;
+      });
+
+  const auto call_id = [&] { return "c" + std::to_string(pick(300)); };
+  const auto endpoint = [&] {
+    return net::Endpoint{net::IpAddress(10, 2, 0, static_cast<uint8_t>(pick(60))),
+                         static_cast<uint16_t>(30000 + 2 * pick(2))};
+  };
+  const int steps = ReclaimReferenceSteps();
+  for (int step = 0; step < steps; ++step) {
+    const sim::Time now = scheduler.Now();
+    const size_t op = pick(100);
+    if (op < 30) {  // a packet of a call: admit or touch
+      const std::string id = call_id();
+      bool created = false;
+      const bool reopen = op < 4;
+      if (reopen) {
+        fact_base.GetOrCreateCall(id, created);
+      } else {
+        fact_base.AdmitCall(id, created);
+      }
+      auto it = calls.find(id);
+      if (it == calls.end() || (reopen && !it->second.live)) {
+        calls[id] = Call{now};
+      } else if (it->second.live) {
+        it->second.last_event = now;
+      }
+    } else if (op < 40) {  // a REGISTER transaction completes a fresh call
+      std::vector<std::string> fresh;
+      for (const auto& [id, call] : calls) {
+        if (call.live && !call.registered) fresh.push_back(id);
+      }
+      if (fresh.empty()) continue;
+      const std::string& id = fresh[pick(fresh.size())];
+      efsm::MachineGroup* group = fact_base.FindCall(id);
+      ASSERT_NE(group, nullptr) << id;
+      auto& sip = *group->Find(kSipMachineName);
+      group->DeliverData(sip, SipEvent("request", "REGISTER", 0));
+      group->DeliverData(sip, SipEvent("response", "REGISTER", 200));
+      ASSERT_TRUE(sip.retired());
+      calls[id].registered = true;
+    } else if (op < 55) {  // keyed groups: created or touched
+      std::string name;
+      if (op < 45) {
+        const std::string aor = "aor-" + std::to_string(pick(40));
+        fact_base.GetOrCreateInviteFlood(aor);
+        name = "flood|" + aor;
+      } else if (op < 52) {
+        const net::Endpoint ep = endpoint();
+        fact_base.GetOrCreateMediaGroup(ep);
+        name = "media|" + ep.ToString();
+      } else {
+        const net::IpAddress victim(10, 3, 0, static_cast<uint8_t>(pick(20)));
+        fact_base.GetOrCreateDrdosGroup(victim);
+        name = "drdos|" + victim.ToString();
+      }
+      keyed[name] = now;
+    } else if (op < 60) {  // SDP names an endpoint for a call
+      const net::Endpoint ep = endpoint();
+      const std::string id = call_id();
+      fact_base.IndexMedia(ep, id);
+      const auto it = calls.find(id);
+      if (it != calls.end() && it->second.live) media[ep.PackedKey()] = id;
+    } else if (op < 64) {  // media ownership moved to another shard
+      const net::Endpoint ep = endpoint();
+      const std::string name = "media|" + ep.ToString();
+      if (keyed.erase(name) != 0) dropping = name;
+      fact_base.DropMediaKeyedGroup(ep);
+      dropping.clear();
+    } else if (op < 70) {  // the packet path's sweep
+      fact_base.Sweep(now);
+    } else {  // the clock moves: periodic sweeps fire
+      const int64_t step_ns =
+          pick(200) == 0
+              ? static_cast<int64_t>(30'000'000'000 + rng() % 30'000'000'000)
+              : static_cast<int64_t>(rng() % 300'000'000);
+      scheduler.RunUntil(now + sim::Duration::Nanos(step_ns));
+    }
+    size_t live = 0;
+    for (const auto& [id, call] : calls) live += call.live ? 1 : 0;
+    ASSERT_EQ(fact_base.call_count(), live) << "step " << step;
+    ASSERT_EQ(fact_base.tombstone_count(), calls.size() - live)
+        << "step " << step;
+    ASSERT_EQ(fact_base.keyed_count(), keyed.size()) << "step " << step;
+    ASSERT_EQ(fact_base.media_index_count(), media.size()) << "step " << step;
   }
-  for (const auto& [item, deadline] : filed) {
-    ASSERT_TRUE(heap.filed(item));
-    heap.Erase(item);
-  }
-  EXPECT_TRUE(heap.empty());
-  heap.Release();
-  EXPECT_EQ(heap.MemoryBytes(), 0u);
+  EXPECT_GT(sweeps, static_cast<size_t>(steps) / 10);
+  EXPECT_GT(reclaimed_total, static_cast<size_t>(steps) / 20);
 }
 
 // The flat table against an unordered_map reference: random inserts, finds
@@ -1034,6 +1232,7 @@ TEST(GroupRecycling, FreeListsNeverHoldMoreThanTheLastSweepReclaimed) {
       [&](sim::Time, std::span<const efsm::MachineGroup* const> reclaimed) {
         last_reclaimed = reclaimed.size();
         ++sweeps;
+        return false;  // no state of its own
       });
   std::mt19937 rng(11);
   bool created = false;

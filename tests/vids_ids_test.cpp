@@ -396,6 +396,44 @@ TEST_F(IdsFixture, IdleStateDiesWithZeroPackets) {
   EXPECT_GT(examined->value(), 0u);
 }
 
+TEST_F(IdsFixture, QuietLinkReclaimsProfilesThatOutliveTheLastCall) {
+  // One failed registration. Its transaction ends on the 401, so the call
+  // is reclaimed at the next sweep and its tombstone expires tombstone_ttl
+  // later; the registration target's behavior profile lives for
+  // IdleHorizon(), long after the fact base has drained. No packet follows:
+  // the periodic sweep alone must reclaim the profile, then stop.
+  auto reg = sip::Message::MakeRequest(
+      sip::Method::kRegister, *sip::SipUri::Parse("sip:b.example.com"));
+  sip::Via via;
+  via.sent_by = kProxyA;
+  via.branch = "z9hG4bKreg-quiet";
+  reg.PushVia(via);
+  sip::NameAddr from;
+  from.uri = *sip::SipUri::Parse("sip:alice@b.example.com");
+  from.SetTag("tag-alice");
+  reg.SetFrom(from);
+  sip::NameAddr to;
+  to.uri = *sip::SipUri::Parse("sip:alice@b.example.com");
+  reg.SetTo(to);
+  reg.SetCallId("reg-quiet");
+  reg.SetCseq(sip::CSeq{1, sip::Method::kRegister});
+  vids_.Inspect(SipDgram(reg, kProxyA, kProxyB), true);
+  vids_.Inspect(SipDgram(MakeResponse(reg, 401, false), kProxyB, kProxyA),
+                false);
+  ASSERT_EQ(vids_.behavior().profile_count(), 1u);
+
+  const DetectionConfig& detection = vids_.detection();
+  scheduler_.RunUntil(scheduler_.Now() + detection.behavior.IdleHorizon() +
+                      detection.tombstone_ttl + sim::Duration::Seconds(2));
+  const CallStateFactBase& fb = vids_.fact_base();
+  EXPECT_EQ(fb.call_count() + fb.tombstone_count() + fb.keyed_count() +
+                fb.media_index_count(),
+            0u);
+  EXPECT_EQ(vids_.behavior().profile_count(), 0u);
+  EXPECT_EQ(vids_.alert_sig_count(), 0u);
+  EXPECT_EQ(scheduler_.PendingEvents(), 0u);  // the periodic sweep stopped
+}
+
 TEST_F(IdsFixture, RetainedAlertHistoryRespectsItsCap) {
   vids_.set_max_retained_alerts(4);
   for (int i = 0; i < 8; ++i) {

@@ -263,6 +263,7 @@ TEST(ZeroAlloc, FactBaseSweepUnderSteadyChurnNeitherAllocatesNorFrees) {
   fact_base.set_sweep_listener(
       [&](sim::Time, std::span<const efsm::MachineGroup* const> groups) {
         reclaimed = groups.size();
+        return false;  // no state of its own
       });
 
   constexpr size_t kCallsPerInterval = 128;
