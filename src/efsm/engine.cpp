@@ -255,7 +255,6 @@ MachineGroup::MachineGroup(const GroupShape& shape, std::string name,
                            sim::Scheduler& scheduler, Observer* observer,
                            const EngineMetrics* metrics)
     : shape_(&shape),
-      name_hash_(std::hash<std::string_view>{}(name)),
       scheduler_(scheduler),
       observer_(observer),
       name_(std::move(name)) {
@@ -285,7 +284,6 @@ void MachineGroup::Reclaim() {
 void MachineGroup::Reset(std::string_view name) {
   Reclaim();
   name_.assign(name);
-  name_hash_ = std::hash<std::string_view>{}(name_);
   global_.Clear();
   for (auto& machine : machines_) machine.Reset();
   for (auto& channel : channels_) {

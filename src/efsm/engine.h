@@ -317,9 +317,12 @@ class MachineGroup {
   MachineInstance* Find(std::string_view instance_name);
 
   const std::string& name() const { return name_; }
-  /// std::hash<std::string_view> of name(), computed when the group is
-  /// named, so a reader matching many groups by name hashes none of them.
-  size_t name_hash() const { return name_hash_; }
+  /// An identity the owner stamps on each use of the group (the fact base
+  /// hands out a fresh one whenever it acquires a group, new or recycled),
+  /// so a reader can tell two uses apart without comparing names. 0 until
+  /// stamped; Reset keeps it.
+  void set_serial(uint64_t serial) { serial_ = serial; }
+  uint64_t serial() const { return serial_; }
   sim::Scheduler& scheduler() { return scheduler_; }
   Observer* observer() { return observer_; }
   VariableStore& global() { return global_; }
@@ -372,9 +375,7 @@ class MachineGroup {
   // checking a group touches one allocation. The flight ring goes last: the
   // packet path and the sweep read the fields above it.
   const GroupShape* shape_;
-  // Next to shape_, which the fact base reads when it parks the group, so
-  // the sweep listener's name matching finds it in cache.
-  size_t name_hash_;
+  uint64_t serial_ = 0;
   sim::Scheduler& scheduler_;
   Observer* observer_;
   RetirementListener* retirement_listener_ = nullptr;

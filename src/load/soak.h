@@ -110,7 +110,7 @@ struct SoakSample {
   size_t keyed = 0;          // keyed_str_ + keyed_bin_
   size_t tombstones = 0;     // tombstones_
   size_t media_index = 0;    // media_index_
-  size_t alert_sigs = 0;     // recent_alerts_ (dedup signatures)
+  size_t alert_sigs = 0;     // Vids::alert_sig_count() (dedup signatures)
   size_t alerts_retained = 0;  // alerts() history after capping
   uint64_t alerts_total = 0;   // "vids.alerts" counter (monotonic)
 };

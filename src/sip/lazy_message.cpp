@@ -1,5 +1,7 @@
 #include "sip/lazy_message.h"
 
+#include <array>
+
 #include "common/strings.h"
 #include "sip/message.h"
 
@@ -25,6 +27,27 @@ constexpr std::string_view kCanonicalNames[] = {
     "Subject"};
 static_assert(std::size(kCanonicalNames) ==
               static_cast<size_t>(HeaderId::kOther));
+
+// RFC 3261 §25.1: token = 1*(alphanum / "-" / "." / "!" / "%" / "*" / "_" /
+// "+" / "`" / "'" / "~"). Methods and header names are tokens, so a control
+// byte, a space, '@' or any byte above 0x7F in one is not SIP.
+bool IsToken(std::string_view text) {
+  static constexpr auto kTokenByte = [] {
+    std::array<bool, 256> table{};
+    for (int c = '0'; c <= '9'; ++c) table[c] = true;
+    for (int c = 'A'; c <= 'Z'; ++c) table[c] = true;
+    for (int c = 'a'; c <= 'z'; ++c) table[c] = true;
+    for (const char c : std::string_view("-.!%*_+`'~")) {
+      table[static_cast<unsigned char>(c)] = true;
+    }
+    return table;
+  }();
+  if (text.empty()) return false;
+  for (const char c : text) {
+    if (!kTokenByte[static_cast<unsigned char>(c)]) return false;
+  }
+  return true;
+}
 
 // Splits ";name=value;flag" tails into `params`. Mirrors the std::map
 // ParseParams in message.cpp: pieces trimmed, empty pieces skipped, and the
@@ -360,6 +383,7 @@ bool LazyMessage::Index(std::string_view payload) {
         if (line.find(' ', space2 + 1) != std::string_view::npos) return false;
         if (Trim(line.substr(space2 + 1)) != kSipVersion) return false;
         method_token_ = Trim(line.substr(0, space1));
+        if (!IsToken(method_token_)) return false;
         const auto uri_text = Trim(line.substr(space1 + 1, space2 - space1 - 1));
         if (!ParseUriView(uri_text, request_uri_)) return false;
       }
@@ -369,6 +393,7 @@ bool LazyMessage::Index(std::string_view payload) {
     const auto colon = line.find(':');
     if (colon == std::string_view::npos) return false;
     const std::string_view name = Trim(line.substr(0, colon));
+    if (!IsToken(name)) return false;
     const std::string_view value = Trim(line.substr(colon + 1));
     const HeaderId id = CanonicalHeaderId(name);
     if (id == HeaderId::kVia) {

@@ -144,8 +144,9 @@ class LazyMessage {
   };
 
   /// Indexes one datagram payload. Returns false on exactly the inputs
-  /// Message::Parse rejects (bad start line, header without colon,
-  /// unparsable CSeq / Content-Length, truncated body, bad request URI).
+  /// Message::Parse rejects (bad start line, a method or header name that
+  /// is not an RFC 3261 token, header without colon, unparsable CSeq /
+  /// Content-Length, truncated body, bad request URI).
   /// Invalidates all views handed out for the previous payload.
   bool Index(std::string_view payload);
 

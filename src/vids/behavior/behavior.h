@@ -106,9 +106,9 @@ struct BehaviorConfig {
   int alert_score = 1000;
   int critical_score = 3000;
   /// Per-profile re-alert suppression. Must be at least the Vids
-  /// alert_dedup_window so the plain engine's dedup table never fires on a
-  /// behavioral alert — that keeps the plain and coordinator emission
-  /// streams identical by construction.
+  /// alert_dedup_window: the dedup table would then never suppress a
+  /// behavioral alert, so Vids passes them around it, and the plain and
+  /// coordinator emission streams are identical by construction.
   sim::Duration alert_cooldown = sim::Duration::Seconds(10);
   /// A call still open after this long can no longer be closed (no
   /// duration recorded). Bounds the open-call slots *and* is part of the

@@ -60,8 +60,8 @@ void ReclaimPrefetched(const Table& table, std::span<const uint32_t> indexes,
       const uint32_t ahead = indexes[k + kAhead];
       const auto& entry = table[ahead];
       if (entry.group != nullptr) {
-        // Parking a group reads its first two lines (shape, name hash,
-        // timer handles).
+        // Parking a group reads its first two lines (shape, timer
+        // handles).
         __builtin_prefetch(entry.group);
         __builtin_prefetch(reinterpret_cast<const char*>(entry.group) + 64);
       }
@@ -130,16 +130,17 @@ CallStateFactBase::~CallStateFactBase() {
 
 efsm::MachineGroup* CallStateFactBase::AcquireGroup(Recycler& recycler,
                                                     std::string_view name) {
+  efsm::MachineGroup* group = nullptr;
   if (recycler.free.empty()) {
-    auto* group = new efsm::MachineGroup(recycler.shape, std::string(name),
-                                         scheduler_, observer_,
-                                         &engine_metrics_);
+    group = new efsm::MachineGroup(recycler.shape, std::string(name),
+                                   scheduler_, observer_, &engine_metrics_);
     if (&recycler == &call_groups_) group->set_retirement_listener(this);
-    return group;
+  } else {
+    group = recycler.free.back();
+    recycler.free.pop_back();
+    group->Reset(name);
   }
-  efsm::MachineGroup* group = recycler.free.back();
-  recycler.free.pop_back();
-  group->Reset(name);
+  group->set_serial(++last_serial_);
   return group;
 }
 
@@ -417,12 +418,6 @@ void CallStateFactBase::DropMediaKeyedGroup(const net::Endpoint& endpoint) {
       [&](uint32_t i) { return keyed_bin_[i].key == key; });
   if (index == kNoEntry) return;
   efsm::MachineGroup* group = keyed_bin_[index].group;
-  if (sweep_listener_) {
-    // Same contract as a sweep reclaim: the analysis engine evicts the
-    // group's alert-dedup signatures together with the state.
-    const efsm::MachineGroup* reclaimed[] = {group};
-    listener_holds_state_ = sweep_listener_(scheduler_.Now(), reclaimed);
-  }
   // The entry's idle record stays in the wheel: dropped when it comes due,
   // or adopted by the entry's next group.
   keyed_bin_[index].group = nullptr;
@@ -598,7 +593,7 @@ void CallStateFactBase::Sweep(sim::Time now) {
   for (const auto& due : due_) examined += due.size();
 
   m_sweep_examined_->Inc(examined);
-  // The listener reads the reclaimed groups' names, so it runs before any
+  // The listener may read the reclaimed groups, so it runs before any
   // parked group can be freed.
   if (sweep_listener_) {
     listener_holds_state_ = sweep_listener_(now, swept_groups_);

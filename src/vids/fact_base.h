@@ -141,11 +141,13 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// — this shard must stop claiming the media stream. No-op when unknown.
   void RetractMedia(const net::Endpoint& endpoint);
   /// Drops the endpoint's per-endpoint keyed pattern group (media-spam /
-  /// RTP-flood / RTCP-BYE counters) and its alert-dedup signatures, as if
-  /// the group had just been swept. Used by the sharded engine when media
-  /// ownership of the endpoint moves to another shard: the loser's partial
-  /// counts must die deterministically rather than linger until the idle
-  /// sweep and split the stream's counting. No-op when absent.
+  /// RTP-flood / RTCP-BYE counters), as if the group had just been swept.
+  /// Used by the sharded engine when media ownership of the endpoint moves
+  /// to another shard: the loser's partial counts must die
+  /// deterministically rather than linger until the idle sweep and split
+  /// the stream's counting. A group made here later gets a new serial, so
+  /// the dropped group's alert-dedup signatures cannot suppress its alerts
+  /// and need no eviction. No-op when absent.
   void DropMediaKeyedGroup(const net::Endpoint& endpoint);
   std::optional<std::string> CallByMedia(const net::Endpoint& endpoint) const;
   /// Zero-copy variant: the indexed call's group, or nullptr when the
@@ -166,11 +168,11 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// Called at the end of every executed sweep with the groups it reclaimed
   /// (possibly none). They are parked but not yet reset, so their names are
   /// still the call ids and keyed-group names they had. The analysis engine
-  /// uses this both as its time-driven pruning tick and to evict
-  /// alert-dedup signatures belonging to state that no longer exists. It
-  /// returns whether its owner still holds state the sweeps reclaim (alert
-  /// signatures, behavior profiles): the periodic sweep keeps re-arming
-  /// while that or the fact base's own state lasts.
+  /// uses it as the time-driven reclaim tick of its own tables (alert
+  /// signatures, behavior profiles), which expire by time alone and so
+  /// ignore the groups. It returns whether its owner still holds such
+  /// state: the periodic sweep keeps re-arming while that or the fact
+  /// base's own state lasts.
   using SweepListener = std::function<bool(
       sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed)>;
   void set_sweep_listener(SweepListener listener) {
@@ -313,7 +315,8 @@ class CallStateFactBase : private efsm::RetirementListener {
   void EraseMedia(uint32_t index);
 
   /// A group of `recycler`'s shape named `name`: a parked one reset, or a
-  /// new one when the free list is empty.
+  /// new one when the free list is empty. Either way it gets the next
+  /// serial, so no two uses of a group share one.
   efsm::MachineGroup* AcquireGroup(Recycler& recycler, std::string_view name);
   /// Parks a group its entry let go of: cancels its timers and pushes it on
   /// its shape's free list. Reset waits for reuse.
@@ -400,6 +403,7 @@ class CallStateFactBase : private efsm::RetirementListener {
   bool listener_holds_state_ = false;  // the listener's last answer
   uint64_t calls_created_ = 0;
   uint64_t calls_deleted_ = 0;
+  uint64_t last_serial_ = 0;  // the serial AcquireGroup stamped last
 };
 
 }  // namespace vids::ids

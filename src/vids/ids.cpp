@@ -1,7 +1,5 @@
 #include "vids/ids.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "common/strings.h"
 
@@ -25,26 +23,28 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
       m_alerts_(&registry_.GetCounter("vids.alerts")),
       m_alerts_suppressed_(&registry_.GetCounter("vids.alerts_suppressed")),
       m_alert_sigs_(&registry_.GetGauge("vids.alert_sigs")),
-      m_behavior_profiles_(&registry_.GetGauge("vids.behavior_profiles")) {
-  // The fact base's sweep doubles as the dedup table's pruning tick and the
+      m_behavior_profiles_(&registry_.GetGauge("vids.behavior_profiles")),
+      sig_wheel_(detection_.sweep_interval) {
+  // The fact base's sweep doubles as the dedup table's expiry tick and the
   // behavior layer's profile-reclaim tick, so both tables are reclaimed on
   // the same time-driven cadence as the call state — including during
   // traffic silence, since the sweep keeps re-arming while either table
-  // holds anything. BehaviorEngine::Sweep is memory-only by its
-  // determinism contract, so riding an arbitrary cadence is safe.
+  // holds anything. Both expire by time alone: a signature's window
+  // decides its duplicates whether or not it was erased yet, and
+  // BehaviorEngine::Sweep is memory-only by its determinism contract, so
+  // riding an arbitrary cadence is safe.
   fact_base_.set_sweep_listener(
-      [this](sim::Time now,
-             std::span<const efsm::MachineGroup* const> reclaimed) {
-        PruneAlertSigs(now, reclaimed);
+      [this](sim::Time now, std::span<const efsm::MachineGroup* const>) {
+        ExpireAlertSigs(now);
         behavior_.Sweep(now);
         m_behavior_profiles_->Set(
             static_cast<int64_t>(behavior_.profile_count()));
-        return !recent_alerts_.empty() || behavior_.profile_count() != 0;
+        return !sigs_.empty() || behavior_.profile_count() != 0;
       });
-  // Behavioral alerts ride the normal alert path. The engine's own
-  // cooldown (>= the dedup window by contract) means RaiseAlert's dedup
-  // never suppresses one — the emission stream is the engine's alone, so
-  // the sharded coordinator's instance reproduces it byte-for-byte.
+  // Behavioral alerts skip the dedup table. The engine's own cooldown
+  // (>= the dedup window by contract) means the table would never
+  // suppress one — the emission stream is the engine's alone, so the
+  // sharded coordinator's instance reproduces it byte-for-byte.
   behavior_.set_alert_sink([this](Alert&& alert) {
     RaiseAlert(std::move(alert));
   });
@@ -72,15 +72,20 @@ net::InlineTap::Verdict Vids::Inspect(const net::Datagram& dgram,
   const auto packet = classifier_.Classify(dgram, from_outside);
   if (!packet) {
     m_unknown_packets_->Inc();
-    RaiseAlert(Alert{.when = scheduler_.Now(),
-                     .kind = AlertKind::kMalformed,
-                     .classification = "unparsable packet",
-                     .machine = "classifier",
-                     .group = dgram.dst.ToString(),
-                     .state = "",
-                     .detail = "from " + dgram.src.ToString(),
-                     .trigger = "",
-                     .provenance = {}});
+    if (AdmitAlert(
+            {.origin = kClassifierOrigin | dgram.dst.PackedKey(),
+             .classification = efsm::ArgKey::Intern("unparsable packet").id()},
+            scheduler_.Now())) {
+      RaiseAlert(Alert{.when = scheduler_.Now(),
+                       .kind = AlertKind::kMalformed,
+                       .classification = "unparsable packet",
+                       .machine = "classifier",
+                       .group = dgram.dst.ToString(),
+                       .state = "",
+                       .detail = "from " + dgram.src.ToString(),
+                       .trigger = "",
+                       .provenance = {}});
+    }
     return {cost_.rtp_cost, Lane::kMedia};  // rejecting junk is cheap
   }
   if (packet->proto == PacketProto::kSip) {
@@ -109,15 +114,22 @@ void Vids::HandleRtcp(const ClassifiedPacket& packet) {
 
 void Vids::HandleSip(const ClassifiedPacket& packet) {
   if (packet.call_key.empty()) {
-    RaiseAlert(Alert{.when = scheduler_.Now(),
-                     .kind = AlertKind::kMalformed,
-                     .classification = "SIP message without Call-ID",
-                     .machine = "classifier",
-                     .group = "",
-                     .state = "",
-                     .detail = "",
-                     .trigger = "",
-                     .provenance = {}});
+    // The alert names no group, so one signature covers every destination.
+    if (AdmitAlert(
+            {.origin = kClassifierOrigin,
+             .classification =
+                 efsm::ArgKey::Intern("SIP message without Call-ID").id()},
+            scheduler_.Now())) {
+      RaiseAlert(Alert{.when = scheduler_.Now(),
+                       .kind = AlertKind::kMalformed,
+                       .classification = "SIP message without Call-ID",
+                       .machine = "classifier",
+                       .group = "",
+                       .state = "",
+                       .detail = "",
+                       .trigger = "",
+                       .provenance = {}});
+    }
     return;
   }
   bool created = false;
@@ -343,11 +355,7 @@ void Vids::OnAttackState(const efsm::MachineInstance& machine,
   // repeats before building the Alert so the steady state allocates nothing.
   const std::string_view classification = machine.def().StateName(state);
   const sim::Time now = scheduler_.Now();
-  if (IsDuplicateAlert(machine.group().name(), machine.def().name(),
-                       classification, now)) {
-    m_alerts_suppressed_->Inc();
-    return;
-  }
+  if (!AdmitAlert(KeyOf(machine, classification), now)) return;
 
   Alert alert;
   alert.when = now;
@@ -396,11 +404,7 @@ void Vids::OnDeviation(const efsm::MachineInstance& machine,
   const std::string_view classification =
       DescribeDeviation(machine, event, scratch);
   const sim::Time now = scheduler_.Now();
-  if (IsDuplicateAlert(machine.group().name(), machine.def().name(),
-                       classification, now)) {
-    m_alerts_suppressed_->Inc();
-    return;
-  }
+  if (!AdmitAlert(KeyOf(machine, classification), now)) return;
 
   Alert alert;
   alert.when = now;
@@ -425,11 +429,7 @@ void Vids::OnNondeterminism(const efsm::MachineInstance& machine,
                             const efsm::Event& event, size_t enabled_count) {
   constexpr std::string_view kClassification = "non-disjoint predicates";
   const sim::Time now = scheduler_.Now();
-  if (IsDuplicateAlert(machine.group().name(), machine.def().name(),
-                       kClassification, now)) {
-    m_alerts_suppressed_->Inc();
-    return;
-  }
+  if (!AdmitAlert(KeyOf(machine, kClassification), now)) return;
 
   Alert alert;
   alert.when = now;
@@ -446,88 +446,69 @@ void Vids::OnNondeterminism(const efsm::MachineInstance& machine,
   RaiseAlert(std::move(alert));
 }
 
-bool Vids::IsDuplicateAlert(std::string_view group, std::string_view machine,
-                            std::string_view classification,
-                            sim::Time when) const {
-  const auto it = recent_alerts_.find(
-      detail::AlertSigView{group, machine, classification});
-  return it != recent_alerts_.end() &&
-         when - it->second < detection_.alert_dedup_window;
+Vids::AlertKey Vids::KeyOf(const efsm::MachineInstance& machine,
+                           std::string_view classification) {
+  return {.origin = machine.group().serial(),
+          .machine = machine.index_in_group(),
+          .classification = efsm::ArgKey::Intern(classification).id()};
 }
 
-void Vids::PruneAlertSigs(
-    sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed) {
-  if (recent_alerts_.empty()) {
-    m_alert_sigs_->Set(0);
-    return;
+bool Vids::AdmitAlert(const AlertKey& key, sim::Time now) {
+  const uint64_t hash = key.origin ^ (uint64_t{key.machine} << 48) ^
+                        (uint64_t{key.classification} << 32);
+  uint32_t index =
+      sigs_.Find(hash, [&](uint32_t i) { return sigs_[i].key == key; });
+  if (index != kNoEntry) {
+    if (now - sigs_[index].last < detection_.alert_dedup_window) {
+      m_alerts_suppressed_->Inc();
+      return false;
+    }
+  } else {
+    index = sigs_.Insert(hash);
+    sigs_[index].key = key;
+    sig_wheel_.File(now + detection_.alert_dedup_window, index, 0);
+    m_alert_sigs_->Set(static_cast<int64_t>(sigs_.size()));
+    // A malformed packet's signature may be the only state there is.
+    fact_base_.KeepSweepArmed();
   }
+  sigs_[index].last = now;
+  return true;
+}
+
+void Vids::ExpireAlertSigs(sim::Time now) {
+  sig_due_.clear();
+  sig_wheel_.Drain(now, [&](const ReclaimWheel::Record& record) {
+    sig_due_.push_back(record.item);
+  });
   const sim::Duration window = detection_.alert_dedup_window;
-  std::erase_if(recent_alerts_,
-                [&](const auto& kv) { return now - kv.second >= window; });
-  if (recent_alerts_.empty() || reclaimed.empty()) {
-    m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
-    return;
-  }
-  // A sweep reclaims hundreds of groups while a few signatures live, so
-  // the reclaimed groups probe an index of the signatures' group names, by
-  // the name hash each group cached when it was named, and only a hash
-  // match compares names. The reclaimed groups are parked, not reset, so
-  // their names are still valid views (unlike the keys the erase below
-  // frees).
-  sig_groups_.clear();
-  sig_index_.Clear();
-  for (const auto& [sig, when] : recent_alerts_) {
-    const std::string_view group = sig.group;
-    const size_t hash = std::hash<std::string_view>{}(group);
-    const auto same = [&](uint32_t i) { return sig_groups_[i] == group; };
-    if (sig_index_.Find(hash, same) != kNoEntry) continue;
-    sig_index_.Insert(hash, static_cast<uint32_t>(sig_groups_.size()));
-    sig_groups_.push_back(group);
-  }
-  doomed_groups_.clear();
-  for (size_t i = 0; i < reclaimed.size(); ++i) {
-    if (i + 8 < reclaimed.size()) __builtin_prefetch(reclaimed[i + 8]);
-    const efsm::MachineGroup* group = reclaimed[i];
-    const auto same = [&](uint32_t k) {
-      return sig_groups_[k] == group->name();
-    };
-    if (sig_index_.Find(group->name_hash(), same) != kNoEntry) {
-      doomed_groups_.push_back(group->name());
+  for (const uint32_t index : sig_due_) {
+    const sim::Time end = sigs_[index].last + window;
+    if (end <= now) {  // now - last >= window: no longer a duplicate
+      sigs_.Erase(index);
+    } else {
+      sig_wheel_.File(end, index, 0);  // restamped since it was filed
     }
   }
-  if (!doomed_groups_.empty()) {
-    std::sort(doomed_groups_.begin(), doomed_groups_.end());
-    std::erase_if(recent_alerts_, [&](const auto& kv) {
-      return std::binary_search(doomed_groups_.begin(), doomed_groups_.end(),
-                                std::string_view(kv.first.group));
-    });
+  if (sigs_.empty()) {
+    // Back to the freshly built footprint, as a drained fact base is.
+    sigs_.Release();
+    sig_wheel_.Release();
+    std::vector<uint32_t>().swap(sig_due_);
   }
-  m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
+  m_alert_sigs_->Set(static_cast<int64_t>(sigs_.size()));
+}
+
+size_t Vids::AlertSigBytes() const {
+  return sigs_.MemoryBytes() + sig_wheel_.MemoryBytes() +
+         sig_due_.capacity() * sizeof(uint32_t);
 }
 
 void Vids::RaiseAlert(Alert alert) {
-  if (IsDuplicateAlert(alert.group, alert.machine, alert.classification,
-                       alert.when)) {
-    m_alerts_suppressed_->Inc();
-    return;
-  }
   m_alerts_->Inc();
   // Per-classification counters are created lazily here — alert emission is
   // already off the clean steady-state path, and the classification set is
   // small and bounded by the modeled scenarios.
   registry_.GetCounter("alerts." + alert.classification).Inc();
-  const auto it = recent_alerts_.find(detail::AlertSigView{
-      alert.group, alert.machine, alert.classification});
-  if (it != recent_alerts_.end()) {
-    it->second = alert.when;
-  } else {
-    recent_alerts_.emplace(
-        detail::AlertSig{alert.group, alert.machine, alert.classification},
-        alert.when);
-    m_alert_sigs_->Set(static_cast<int64_t>(recent_alerts_.size()));
-    // A malformed packet's signature may be the only state there is.
-    fact_base_.KeepSweepArmed();
-  }
   VIDS_INFO_C("vids") << alert.ToString();
   if (alert_callback_) alert_callback_(alert);
   alerts_.push_back(std::move(alert));

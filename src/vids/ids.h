@@ -15,10 +15,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/inline_tap.h"
@@ -28,50 +26,6 @@
 #include "vids/fact_base.h"
 
 namespace vids::ids {
-
-namespace detail {
-
-/// Alert-deduplication signature (group, machine, classification). The view
-/// variant lets the per-packet suppression pre-check probe the table with
-/// borrowed strings — no concatenated key, no allocation.
-struct AlertSig {
-  std::string group;
-  std::string machine;
-  std::string classification;
-};
-struct AlertSigView {
-  std::string_view group;
-  std::string_view machine;
-  std::string_view classification;
-};
-struct AlertSigHash {
-  using is_transparent = void;
-  static size_t Mix(std::string_view group, std::string_view machine,
-                    std::string_view classification) {
-    const std::hash<std::string_view> h;
-    size_t seed = h(group);
-    seed ^= h(machine) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-    seed ^=
-        h(classification) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-    return seed;
-  }
-  size_t operator()(const AlertSig& s) const {
-    return Mix(s.group, s.machine, s.classification);
-  }
-  size_t operator()(const AlertSigView& s) const {
-    return Mix(s.group, s.machine, s.classification);
-  }
-};
-struct AlertSigEq {
-  using is_transparent = void;
-  template <typename A, typename B>
-  bool operator()(const A& a, const B& b) const {
-    return a.group == b.group && a.machine == b.machine &&
-           a.classification == b.classification;
-  }
-};
-
-}  // namespace detail
 
 class Vids : public efsm::Observer {
  public:
@@ -123,9 +77,11 @@ class Vids : public efsm::Observer {
   void set_max_retained_alerts(size_t max) { max_retained_alerts_ = max; }
 
   /// Live alert-dedup signatures (also exported as the "vids.alert_sigs"
-  /// gauge). Bounded: signatures expire past the dedup window and die with
-  /// their swept group.
-  size_t alert_sig_count() const { return recent_alerts_.size(); }
+  /// gauge). Bounded: each expires alert_dedup_window after the last alert
+  /// it let through.
+  size_t alert_sig_count() const { return sigs_.size(); }
+  /// Footprint of the dedup table: its slab, index and expiry wheel.
+  size_t AlertSigBytes() const;
 
   /// Optional trace of every EFSM transition (group, machine, label) — the
   /// live view of the state-transition analysis; used by the examples.
@@ -219,12 +175,33 @@ class Vids : public efsm::Observer {
   void HandleRtp(const ClassifiedPacket& packet);
   void HandleRtcp(const ClassifiedPacket& packet);
   void RefreshMediaIndex(efsm::MachineGroup& group);
+
+  /// Who raised an alert, as its dedup signature: the raising group's
+  /// serial and the machine's index in it (or, for the classifier's alerts,
+  /// kClassifierOrigin over an unparsable packet's packed destination
+  /// endpoint), and the interned classification. Holds no string, so a
+  /// probe allocates nothing, and no later group can match a dead group's
+  /// signature: serials are never reused.
+  struct AlertKey {
+    uint64_t origin = 0;
+    uint32_t machine = 0;
+    uint32_t classification = 0;
+    friend bool operator==(const AlertKey&, const AlertKey&) = default;
+  };
+  /// Above every group serial.
+  static constexpr uint64_t kClassifierOrigin = uint64_t{1} << 63;
+  static AlertKey KeyOf(const efsm::MachineInstance& machine,
+                        std::string_view classification);
+  /// The dedup decision for an alert under `key` at `now`: false, counting
+  /// the suppression, when one was let through within alert_dedup_window;
+  /// else true, stamping the signature (filed if new). Attack self-loops
+  /// call it per packet before any alert string exists, so the suppressed
+  /// path is one probe and allocates nothing.
+  bool AdmitAlert(const AlertKey& key, sim::Time now);
+  /// Emits an alert: counters, log, callback and the retained history.
+  /// Behavior alerts come here directly: the engine's cooldown is at least
+  /// the dedup window, so the table would never suppress one.
   void RaiseAlert(Alert alert);
-  /// True when an identical alert fired within the dedup window. Probes the
-  /// signature table without building any string — attack self-loops call
-  /// this per packet, so the suppressed path must stay allocation-free.
-  bool IsDuplicateAlert(std::string_view group, std::string_view machine,
-                        std::string_view classification, sim::Time when) const;
   /// Human classification of a specification deviation from its context.
   /// Returns a literal for the common cases (so the suppression pre-check
   /// stays allocation-free); composed descriptions are built in `scratch`.
@@ -236,12 +213,11 @@ class Vids : public efsm::Observer {
   /// group and stamps a kAlert record into the group's flight recorder.
   void AttachProvenance(Alert& alert, const efsm::MachineInstance& machine);
 
-  /// Sweep-driven upkeep of the dedup table: drops signatures older than
-  /// the dedup window and signatures whose machine group was reclaimed by
-  /// the sweep. Keeps recent_alerts_ bounded by the alert rate of the last
-  /// window instead of the deployment lifetime.
-  void PruneAlertSigs(sim::Time now,
-                      std::span<const efsm::MachineGroup* const> reclaimed);
+  /// Sweep-driven upkeep of the dedup table: erases the signatures whose
+  /// window has passed at `now`, examining only those the wheel holds due,
+  /// so the table stays bounded by the alert rate of the last window. A
+  /// signature of a group that is gone lives out its window unmatched.
+  void ExpireAlertSigs(sim::Time now);
 
   sim::Scheduler& scheduler_;
   DetectionConfig detection_;
@@ -276,18 +252,19 @@ class Vids : public efsm::Observer {
   /// FeedAggregate's reused EFSM event for the window counters: carries
   /// only the source/destination IP args their alert detail reads.
   efsm::Event aggregate_scratch_;
-  /// Dedup: last alert time per (group, machine, classification). Bounded:
-  /// PruneAlertSigs (driven by the fact-base sweep) expires stale entries
-  /// and evicts those of reclaimed groups.
-  std::unordered_map<detail::AlertSig, sim::Time, detail::AlertSigHash,
-                     detail::AlertSigEq>
-      recent_alerts_;
-  /// PruneAlertSigs' reused buffers: the live signatures' distinct group
-  /// names, an index of them by name hash, and the reclaimed groups that
-  /// match one. Views, valid for one prune.
-  std::vector<std::string_view> sig_groups_;
-  FlatIndex sig_index_;
-  std::vector<std::string_view> doomed_groups_;
+  /// Dedup: the last alert let through per AlertKey, in a recycled flat
+  /// table. Each live signature has one record in sig_wheel_, due when its
+  /// window ends; ExpireAlertSigs erases it then or, if an alert restamped
+  /// it since, moves the record to the new end.
+  struct SigEntry {
+    AlertKey key;
+    uint64_t hash = 0;
+    sim::Time last;
+    uint32_t next_free = kNoEntry;
+  };
+  FlatTable<SigEntry> sigs_;
+  ReclaimWheel sig_wheel_;
+  std::vector<uint32_t> sig_due_;  // the running expiry's due signatures
 };
 
 }  // namespace vids::ids

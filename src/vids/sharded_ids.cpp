@@ -820,7 +820,8 @@ size_t ShardedIds::TrackedState() const {
 size_t ShardedIds::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& shard : shards_) {
-    bytes += shard->vids->fact_base().MemoryBytes();
+    bytes += shard->vids->fact_base().MemoryBytes() +
+             shard->vids->AlertSigBytes();
     bytes += shard->down.capacity() * sizeof(ShardMsg) +
              shard->up.capacity() * sizeof(UpMsg);
     // A down-ring slot's payload keeps the capacity of the largest datagram
@@ -832,9 +833,7 @@ size_t ShardedIds::MemoryBytes() const {
   bytes += owners_.MemoryBytes();
   for (const auto& queue : pending_) bytes += queue.size() * sizeof(AggEvent);
   bytes += coordinator_.fact_base().MemoryBytes() +
-           coordinator_.alert_sig_count() *
-               (sizeof(detail::AlertSig) + sizeof(sim::Time)) +
-           behavior().MemoryBytes();
+           coordinator_.AlertSigBytes() + behavior().MemoryBytes();
   return bytes;
 }
 

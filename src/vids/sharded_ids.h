@@ -179,10 +179,11 @@ class ShardedIds {
   /// media index) plus the coordinator's owner map, flood/DRDoS groups,
   /// alert signatures and behavior profiles. Post-Flush.
   size_t TrackedState() const;
-  /// Total state footprint in bytes (fact bases, rings with the payload
-  /// capacity every down-ring slot keeps, owner map, the coordinator's
-  /// replay queues and Vids state). Post-Flush, on the thread that calls
-  /// Ingest: it is the only writer of the ring slots' payload strings.
+  /// Total state footprint in bytes (fact bases and alert-dedup tables of
+  /// every shard, rings with the payload capacity every down-ring slot
+  /// keeps, owner map, the coordinator's replay queues and Vids state).
+  /// Post-Flush, on the thread that calls Ingest: it is the only writer of
+  /// the ring slots' payload strings.
   size_t MemoryBytes() const;
 
   /// Times Ingest or a control push found a down ring full and had to

@@ -223,6 +223,35 @@ TEST(SipLazyParity, HandcraftedRejectCorpus) {
   for (const auto& wire : corpus) ExpectParity(wire);
 }
 
+// RFC 3261 methods and header names are tokens (§25.1). Binary garbage
+// before " sip:x@y SIP/2.0", or a header name with a space or '@', is not
+// SIP: both parsers reject it. Every token character is accepted.
+TEST(SipLazyGrammar, MethodsAndHeaderNamesMustBeTokens) {
+  const std::string rejects[] = {
+      std::string("\x01NVITE sip:b@h SIP/2.0\r\n\r\n"),  // control byte
+      std::string("\x7FNVITE sip:b@h SIP/2.0\r\n\r\n"),  // DEL
+      std::string("\xC3\xA9NVITE sip:b@h SIP/2.0\r\n\r\n"),
+      std::string("\xFFNVITE sip:b@h SIP/2.0\r\n\r\n"),
+      std::string("\x80PTIONS sip:b@h SIP/2.0\r\n\r\n"),  // RTP's byte
+      std::string("IN\tVITE sip:b@h SIP/2.0\r\n\r\n"),
+      "INVITE sip:b@h SIP/2.0\r\nCall ID: x\r\n\r\n",
+      "INVITE sip:b@h SIP/2.0\r\nCall@ID: x\r\n\r\n",
+      "INVITE sip:b@h SIP/2.0\r\n: x\r\n\r\n",  // empty name
+      std::string("SIP/2.0 200 OK\r\nX-\x01: x\r\n\r\n"),
+  };
+  LazyMessage lazy;
+  for (const auto& wire : rejects) {
+    EXPECT_FALSE(lazy.Index(wire)) << ::testing::PrintToString(wire);
+    ExpectParity(wire);
+  }
+  const std::string token = "Az09-.!%*_+`'~";
+  const std::string accepted =
+      token + " sip:b@h SIP/2.0\r\n" + token + ": x\r\n\r\n";
+  ASSERT_TRUE(lazy.Index(accepted));
+  EXPECT_EQ(lazy.method_token(), token);
+  ExpectParity(accepted);
+}
+
 TEST(SipLazyParity, WireRealisticFramingCorpus) {
   // Inputs a tap actually sees (the torn_truncated pcap corpus replays
   // these same shapes end to end): LF-only framing, unterminated final

@@ -41,7 +41,8 @@ const net::Endpoint kAttacker{net::IpAddress(10, 9, 0, 66), 5060};
 
 class IdsFixture : public ::testing::Test {
  protected:
-  IdsFixture() : vids_(scheduler_) {}
+  explicit IdsFixture(DetectionConfig detection = {})
+      : vids_(scheduler_, detection) {}
 
   sip::Message MakeInvite(const std::string& call_id) {
     auto invite = sip::Message::MakeRequest(
@@ -235,6 +236,30 @@ TEST_F(IdsFixture, MalformedPacketIsFlagged) {
   EXPECT_EQ(verdict.cost, CostModel{}.rtp_cost);  // rejecting junk is cheap
   EXPECT_EQ(verdict.lane, net::InlineTap::Lane::kMedia);
   EXPECT_EQ(vids_.CountAlerts(AlertKind::kMalformed), 1u);
+}
+
+TEST_F(IdsFixture, NonTokenMethodOrHeaderNameIsUnparsable) {
+  // None of these first bytes is RTP's (version 2) or RTCP's, so only the
+  // SIP grammar decides: each is junk, not a request of unknown method.
+  const std::string payloads[] = {
+      std::string("\x01NVITE sip:bob@b.example.com SIP/2.0\r\n\r\n"),
+      std::string("\xC3NVITE sip:bob@b.example.com SIP/2.0\r\n\r\n"),
+      std::string("\xFFNVITE sip:bob@b.example.com SIP/2.0\r\n\r\n"),
+      "INVITE sip:bob@b.example.com SIP/2.0\r\nCall ID: x\r\n\r\n",
+      "INVITE sip:bob@b.example.com SIP/2.0\r\nCall@ID: x\r\n\r\n",
+  };
+  uint16_t port = 5060;
+  for (const auto& payload : payloads) {
+    net::Datagram dgram;
+    dgram.src = kAttacker;
+    // A destination each: the classifier's alerts dedup per destination.
+    dgram.dst = net::Endpoint{kProxyB.ip, port++};
+    dgram.payload = payload;
+    vids_.Inspect(dgram, true);
+  }
+  EXPECT_EQ(vids_.CountAlerts("unparsable packet"), std::size(payloads));
+  EXPECT_EQ(vids_.stats().unknown_packets, std::size(payloads));
+  EXPECT_EQ(vids_.stats().sip_packets, 0u);
 }
 
 TEST_F(IdsFixture, CompletedCallIsSweptAndTombstoned) {
@@ -476,15 +501,104 @@ TEST(IdsLifecycle, ReclaimedGroupEvictsItsAlertSigInsideTheWindow) {
   ASSERT_GT(first, 0u);
   ASSERT_GT(vids.alert_sig_count(), 0u);
 
-  // Idle out the group; its signature is evicted although the dedup
-  // window is nowhere near over.
+  // Idle out the group. Its signature lives out the dedup window, but the
+  // next group under the same name has a serial of its own, so the
+  // signature can no longer suppress anything.
   scheduler.RunUntil(scheduler.Now() + detection.call_idle_timeout +
                      detection.tombstone_ttl + sim::Duration::Seconds(4));
-  EXPECT_EQ(vids.alert_sig_count(), 0u);
+  ASSERT_EQ(vids.fact_base().call_count(), 0u);
 
   vids.Inspect(SipDgram(bye, kAttacker, kCalleeMedia), true);
   EXPECT_EQ(vids.alerts().size(), first + 1)
       << "fresh group's deviation was suppressed by a dead group's sig";
+
+  // Once the window is over the sweeps have expired every signature.
+  scheduler.RunUntil(scheduler.Now() + detection.alert_dedup_window +
+                     sim::Duration::Seconds(2));
+  EXPECT_EQ(vids.alert_sig_count(), 0u);
+  EXPECT_EQ(vids.metrics().GetGauge("vids.alert_sigs").value(), 0);
+}
+
+// A dedup window far longer than any test step, so only which signature an
+// alert finds decides whether it is suppressed.
+class LongDedupFixture : public IdsFixture {
+ protected:
+  LongDedupFixture() : IdsFixture(LongWindow()) {}
+  static DetectionConfig LongWindow() {
+    DetectionConfig detection;
+    detection.alert_dedup_window = sim::Duration::Seconds(60);
+    return detection;
+  }
+  void InviteBurst(const std::string& prefix) {
+    for (int i = 0; i <= vids_.detection().invite_flood_threshold; ++i) {
+      vids_.Inspect(SipDgram(MakeInvite(prefix + std::to_string(i)),
+                             kAttacker, kProxyB),
+                    true);
+    }
+  }
+};
+
+TEST_F(LongDedupFixture, CallNamedLikeAFloodGroupLeavesTheFloodSuppressed) {
+  // The INVITE flood to bob alerts once, from group "flood|bob@...".
+  InviteBurst("burst-a-");
+  ASSERT_EQ(Attacks("INVITE flood"), 1u);
+
+  // A REGISTER transaction whose Call-ID spells that group's name
+  // completes and is reclaimed while the flood's signature is live.
+  const std::string twin = "flood|bob@b.example.com";
+  auto reg = sip::Message::MakeRequest(
+      sip::Method::kRegister, *sip::SipUri::Parse("sip:b.example.com"));
+  sip::Via via;
+  via.sent_by = kProxyA;
+  via.branch = "z9hG4bKtwin";
+  reg.PushVia(via);
+  sip::NameAddr from;
+  from.uri = *sip::SipUri::Parse("sip:carol@b.example.com");
+  from.SetTag("tag-carol");
+  reg.SetFrom(from);
+  sip::NameAddr to;
+  to.uri = *sip::SipUri::Parse("sip:carol@b.example.com");
+  reg.SetTo(to);
+  reg.SetCallId(twin);
+  reg.SetCseq(sip::CSeq{1, sip::Method::kRegister});
+  vids_.Inspect(SipDgram(reg, kProxyA, kProxyB), true);
+  vids_.Inspect(SipDgram(MakeResponse(reg, 200, false), kProxyB, kProxyA),
+                false);
+  scheduler_.RunUntil(scheduler_.Now() + sim::Duration::Seconds(2));
+  ASSERT_TRUE(vids_.fact_base().IsTombstoned(twin));
+
+  // The flood group lives on; its next burst re-enters the attack state
+  // inside the window and must stay suppressed.
+  const uint64_t suppressed = vids_.stats().alerts_suppressed;
+  InviteBurst("burst-b-");
+  EXPECT_EQ(Attacks("INVITE flood"), 1u)
+      << "reclaiming a same-named call lifted the flood's suppression";
+  EXPECT_GT(vids_.stats().alerts_suppressed, suppressed);
+}
+
+TEST_F(LongDedupFixture, DroppedMediaGroupsSuccessorAlertsAgain) {
+  // An RTP flood at kCalleeMedia alerts once; its continuation is
+  // suppressed.
+  uint16_t seq = 0;
+  const auto flood = [&] {
+    for (int i = 0; i <= vids_.detection().rtp_flood_threshold + 10; ++i) {
+      ++seq;
+      vids_.Inspect(RtpDgram(0xF100D, seq, 160u * seq, kCallerMedia,
+                             kCalleeMedia),
+                    true);
+    }
+  };
+  flood();
+  ASSERT_EQ(Attacks("RTP flood"), 1u);
+  ASSERT_GT(vids_.stats().alerts_suppressed, 0u);
+
+  // Media ownership of the endpoint moves to another shard: the endpoint's
+  // pattern group is dropped. A fresh flood there, still inside the dedup
+  // window, builds a new group and is a new alert.
+  vids_.fact_base().DropMediaKeyedGroup(kCalleeMedia);
+  flood();
+  EXPECT_EQ(Attacks("RTP flood"), 2u)
+      << "the dropped group's signature suppressed its successor";
 }
 
 }  // namespace

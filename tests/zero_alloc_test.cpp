@@ -1,6 +1,6 @@
 // Steady-state allocation tests: once a call's media session is established
 // and the per-endpoint pattern groups exist, inspecting an in-session RTP
-// packet must not touch the heap, and under steady call churn a fact-base
+// packet must not touch the heap, and under steady call or alert churn a
 // sweep must neither allocate nor free. Global operator new/delete are
 // replaced with counting forwarders; the counters are armed only around the
 // measured code, so gtest internals and the warmup phase are free to
@@ -330,6 +330,79 @@ TEST(ZeroAlloc, FactBaseSweepUnderSteadyChurnNeitherAllocatesNorFrees) {
     EXPECT_EQ(g_free_count.load(), 0u)
         << "admitting calls freed, interval " << interval;
   }
+}
+
+// A steady stream of distinct deviation alerts: each dialog-less BYE under
+// a fresh Call-ID opens a call group and raises one deviation, planting one
+// dedup signature. Two batches arrive per sweep interval, right after a
+// sweep and half an interval later, so a sweep expires the signatures of
+// the two batches whose window has passed while the latest batch's stay
+// live (a table emptied by a sweep is released, like a drained fact base). The calls idle out and their
+// tombstones expire. Once warm, the timer-driven sweep that expires
+// signatures and reclaims calls must make no allocation and no
+// deallocation; the alerts themselves, raised between sweeps, may allocate.
+TEST(ZeroAlloc, AlertSignatureExpiryNeitherAllocatesNorFrees) {
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(3);
+  config.tombstone_ttl = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  Vids vids(scheduler, config);
+
+  constexpr int kPerBatch = 32;
+  uint64_t next_call = 0;
+  char call_id[25];
+  const auto batch = [&] {
+    for (int i = 0; i < kPerBatch; ++i, ++next_call) {
+      std::snprintf(call_id, sizeof(call_id), "sig-%020llu",
+                    static_cast<unsigned long long>(next_call));
+      auto bye = sip::Message::MakeRequest(
+          sip::Method::kBye, *sip::SipUri::Parse("sip:bob@10.2.0.10"));
+      sip::Via via;
+      via.sent_by = kProxyA;
+      via.branch = std::string("z9hG4bK") + call_id;
+      bye.PushVia(via);
+      sip::NameAddr from;
+      from.uri = *sip::SipUri::Parse("sip:alice@a.example.com");
+      from.SetTag("tag-alice");
+      bye.SetFrom(from);
+      sip::NameAddr to;
+      to.uri = *sip::SipUri::Parse("sip:bob@b.example.com");
+      to.SetTag("tag-bob");
+      bye.SetTo(to);
+      bye.SetCallId(call_id);
+      bye.SetCseq(sip::CSeq{2, sip::Method::kBye});
+      vids.Inspect(SipDgram(bye, kProxyA, kProxyB), true);
+    }
+  };
+
+  const sim::Duration half = sim::Duration::Millis(500);
+  sim::Time at = sim::Time::FromNanos(500'000'000);
+  scheduler.RunUntil(at);
+  for (int interval = 1; interval <= 12; ++interval) {
+    batch();
+    scheduler.RunUntil(at + half);
+    batch();
+    at = at + config.sweep_interval;
+    const size_t sigs_before = vids.alert_sig_count();
+    const uint64_t deleted_before = vids.fact_base().calls_deleted();
+    const bool measured = interval >= 9;
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(measured);
+    scheduler.RunUntil(at);  // the sweep
+    g_counting.store(false);
+    if (!measured) continue;
+    ASSERT_EQ(sigs_before, 3u * kPerBatch) << "interval " << interval;
+    ASSERT_EQ(vids.alert_sig_count(), static_cast<size_t>(kPerBatch))
+        << "interval " << interval;
+    ASSERT_GT(vids.fact_base().calls_deleted(), deleted_before)
+        << "interval " << interval;
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "the sweep allocated, interval " << interval;
+    EXPECT_EQ(g_free_count.load(), 0u)
+        << "the sweep freed, interval " << interval;
+  }
+  EXPECT_EQ(vids.alerts().size(), 12u * 2 * kPerBatch);
 }
 
 }  // namespace
