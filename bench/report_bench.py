@@ -33,8 +33,11 @@ After merging, the run is screened:
     even when the previous run already regressed. The time is cpu_ns,
     except on `/real_time` rows (UseRealTime pipeline benches), whose
     cpu_ns is only the driving thread's CPU time: those compare real_ns.
-    Runs recorded on a different (or unrecorded) core count are not
-    compared at all; an INFO line names the skipped run instead.
+    When both runs recorded repetitions, a move inside their measured
+    spread is noise: the row is flagged only if, beyond the 10%, its
+    repetition range lies wholly above the other run's. Runs recorded on
+    a different (or unrecorded) core count are not compared at all; an
+    INFO line names the skipped run instead.
 Violations of the first two are fatal with --check (exit 1); time
 regressions stay warnings — CI runners are too noisy to gate on latency
 alone.
@@ -79,7 +82,9 @@ def time_key(name: str) -> str:
 
 def warn_regressions(last: dict, against: dict) -> None:
     """Warns about rows of run `last` more than 10% slower than in run
-    `against`, if both runs were recorded on the same core count."""
+    `against` (and, when both recorded repetitions, slower in every
+    repetition than `against` in any), if both runs were recorded on the
+    same core count."""
     label = against["label"]
     cores, their_cores = last.get("cpu_count"), against.get("cpu_count")
     if not cores or cores != their_cores:
@@ -91,13 +96,19 @@ def warn_regressions(last: dict, against: dict) -> None:
         if name not in against["results"]:
             continue
         key = time_key(name)
-        before = against["results"][name].get(key, 0)
+        theirs = against["results"][name]
+        before = theirs.get(key, 0)
         after = entry.get(key, 0)
-        if before > 0 and after > before * REGRESSION_TOLERANCE:
-            pct = 100.0 * (after / before - 1.0)
-            print(f"WARNING: {name} regressed {pct:.1f}% vs "
-                  f"'{label}' ({before} -> {after} {key[:-3]} ns)",
-                  file=sys.stderr)
+        if before <= 0 or after <= before * REGRESSION_TOLERANCE:
+            continue
+        reps_after = entry.get("reps_" + key)
+        reps_before = theirs.get("reps_" + key)
+        if reps_after and reps_before and min(reps_after) <= max(reps_before):
+            continue  # the repetition ranges overlap
+        pct = 100.0 * (after / before - 1.0)
+        print(f"WARNING: {name} regressed {pct:.1f}% vs "
+              f"'{label}' ({before} -> {after} {key[:-3]} ns)",
+              file=sys.stderr)
 
 
 def screen_scaling(last: dict, check: bool) -> int:

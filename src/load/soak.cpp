@@ -537,8 +537,8 @@ struct SoakDriver::Impl {
   // Fixed simulated-time schedules, independent of the Poisson benign
   // stream, so every run (and every shard count fed the same
   // stream) sees the identical packet sequence. Burst sizes are sized to
-  // cross the default BehaviorConfig thresholds with margin while staying
-  // inside the engine's fixed distinct-slot rings.
+  // cross the behavior engine's thresholds (behavior.h) with margin while
+  // staying inside its fixed distinct-slot rings.
   static constexpr int kSpitCallsPerBurst = 40;       // rate 15/10s crossed
   static constexpr int kRegCrackAttemptsPerBurst = 30;  // failures 8/30s
   static constexpr int kTollFraudCallsPerBurst = 25;    // fanout 16/60s

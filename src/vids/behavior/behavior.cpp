@@ -8,8 +8,7 @@ namespace vids::ids::behavior {
 namespace {
 
 // The profile wheel's slot width: the default sweep interval, so a 1 Hz
-// sweep visits about one slot and the default IdleHorizon() (120 s) fits
-// in one revolution.
+// sweep visits about one slot and kMinIdleHorizon fits in one revolution.
 constexpr sim::Duration kProfileSlotWidth = sim::Duration::Seconds(1);
 
 int64_t Over(int64_t value, int threshold) {
@@ -28,16 +27,6 @@ void AppendFeature(std::string& out, std::string_view name, int64_t value,
 
 }  // namespace
 
-sim::Duration BehaviorConfig::IdleHorizon() const {
-  sim::Duration horizon = call_rate_window;
-  for (const sim::Duration d :
-       {short_call_window, fanout_window, ua_window, reg_failure_window,
-        alert_cooldown, open_call_ttl}) {
-    if (d.nanos() > horizon.nanos()) horizon = d;
-  }
-  return horizon;
-}
-
 void BehaviorEngine::Profile::Reset() {
   last_event_ns = INT64_MIN;
   last_alert_ns = INT64_MIN;
@@ -46,17 +35,18 @@ void BehaviorEngine::Profile::Reset() {
   fanout.Reset();
   user_agents.Reset();
   open_calls.fill(OpenCall{});
-  durations = obs::Histogram{};
   reg_failures.Reset();
   reg_sources.Reset();
 }
 
-BehaviorEngine::BehaviorEngine(const BehaviorConfig& config)
-    : config_(config), wheel_(kProfileSlotWidth) {}
+BehaviorEngine::BehaviorEngine(sim::Duration dedup_window)
+    : cooldown_(std::max(kMinAlertCooldown, dedup_window)),
+      horizon_(std::max(kMinIdleHorizon, cooldown_)),
+      wheel_(kProfileSlotWidth) {}
 
 sim::Time BehaviorEngine::IdleDue(int64_t last_event_ns) const {
   // Reclaimable once now - last_event > IdleHorizon().
-  return sim::Time::FromNanos(last_event_ns) + config_.IdleHorizon() +
+  return sim::Time::FromNanos(last_event_ns) + horizon_ +
          sim::Duration::Nanos(1);
 }
 
@@ -95,7 +85,7 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
   const int64_t t = now.nanos();
   Profile& p = GetOrCreate(kCaller, caller, t);
   p.last_event_ns = t;
-  p.call_rate.Touch(t, config_.call_rate_window.nanos());
+  p.call_rate.Touch(t, kCallRateWindow.nanos());
   // Stable across processes, so two engines fed one stream keep identical
   // ring contents.
   if (!dest.empty()) p.fanout.Touch(common::Fnv1a64(dest), t);
@@ -104,9 +94,9 @@ void BehaviorEngine::OnCallStart(sim::Time now, std::string_view caller,
   }
 
   // Open-call slot: a repeated initial INVITE (retransmission) refreshes
-  // its start; otherwise take the stalest slot — empty and TTL-expired
-  // slots are stalest by construction, and when none exist the oldest open
-  // call is evicted (its BYE will simply record nothing).
+  // its start; otherwise take the stalest slot — empty slots are stalest by
+  // construction, and when none exist the oldest open call is evicted (its
+  // BYE will simply count nothing).
   size_t stalest = 0;
   bool placed = false;
   for (size_t i = 0; i < p.open_calls.size(); ++i) {
@@ -133,15 +123,10 @@ void BehaviorEngine::OnCallEnd(sim::Time now, std::string_view caller,
   Profile* p = Find(kCaller, caller);
   if (p == nullptr) return;  // callee-sent BYE or long-idle caller
   p->last_event_ns = t;
-  const int64_t ttl = config_.open_call_ttl.nanos();
   for (OpenCall& slot : p->open_calls) {
     if (slot.start_ns == INT64_MIN || slot.hash != call_hash) continue;
-    if (t - slot.start_ns <= ttl) {
-      const int64_t duration_ns = t - slot.start_ns;
-      p->durations.Record(duration_ns / 1'000'000);  // ms
-      if (duration_ns <= config_.short_call_max.nanos()) {
-        p->short_calls.Touch(t, config_.short_call_window.nanos());
-      }
+    if (t - slot.start_ns <= kShortCallMax.nanos()) {
+      p->short_calls.Touch(t, kShortCallWindow.nanos());
     }
     slot = OpenCall{};
     break;
@@ -155,7 +140,7 @@ void BehaviorEngine::OnRegFailure(sim::Time now, std::string_view target,
   const int64_t t = now.nanos();
   Profile& p = GetOrCreate(kTarget, target, t);
   p.last_event_ns = t;
-  p.reg_failures.Touch(t, config_.reg_failure_window.nanos());
+  p.reg_failures.Touch(t, kRegFailureWindow.nanos());
   p.reg_sources.Touch(source_hash, t);
   ScoreTarget(p, target, t);
 }
@@ -175,20 +160,17 @@ void BehaviorEngine::ScoreCaller(Profile& p, std::string_view caller,
                                  int64_t t) {
   const int64_t rate = p.call_rate.Count(t);
   const int64_t shorts = p.short_calls.Count(t);
-  const int64_t fanout = p.fanout.Count(t, config_.fanout_window.nanos());
-  const int64_t uas = p.user_agents.Count(t, config_.ua_window.nanos());
+  const int64_t fanout = p.fanout.Count(t, kFanoutWindow.nanos());
+  const int64_t uas = p.user_agents.Count(t, kUaWindow.nanos());
 
-  const int64_t c_rate =
-      config_.weight_call_rate * Over(rate, config_.call_rate_threshold);
-  const int64_t c_short =
-      config_.weight_short_call * Over(shorts, config_.short_call_threshold);
-  const int64_t c_fanout =
-      config_.weight_fanout * Over(fanout, config_.fanout_threshold);
-  const int64_t c_ua = config_.weight_ua * Over(uas, config_.ua_threshold);
+  const int64_t c_rate = kWeightCallRate * Over(rate, kCallRateThreshold);
+  const int64_t c_short = kWeightShortCall * Over(shorts, kShortCallThreshold);
+  const int64_t c_fanout = kWeightFanout * Over(fanout, kFanoutThreshold);
+  const int64_t c_ua = kWeightUa * Over(uas, kUaThreshold);
   const int64_t score = c_rate + c_short + c_fanout + c_ua;
-  if (score < config_.alert_score) return;
+  if (score < kAlertScore) return;
   if (p.last_alert_ns != INT64_MIN &&
-      t - p.last_alert_ns < config_.alert_cooldown.nanos()) {
+      t - p.last_alert_ns < cooldown_.nanos()) {
     ++cooldown_suppressed_;
     return;
   }
@@ -213,16 +195,14 @@ void BehaviorEngine::ScoreCaller(Profile& p, std::string_view caller,
 void BehaviorEngine::ScoreTarget(Profile& p, std::string_view target,
                                  int64_t t) {
   const int64_t failures = p.reg_failures.Count(t);
-  const int64_t sources =
-      p.reg_sources.Count(t, config_.reg_failure_window.nanos());
+  const int64_t sources = p.reg_sources.Count(t, kRegFailureWindow.nanos());
   const int64_t c_fail =
-      config_.weight_reg_failure * Over(failures, config_.reg_failure_threshold);
-  const int64_t c_src =
-      config_.weight_reg_source * Over(sources, config_.reg_source_threshold);
+      kWeightRegFailure * Over(failures, kRegFailureThreshold);
+  const int64_t c_src = kWeightRegSource * Over(sources, kRegSourceThreshold);
   const int64_t score = c_fail + c_src;
-  if (score < config_.alert_score) return;
+  if (score < kAlertScore) return;
   if (p.last_alert_ns != INT64_MIN &&
-      t - p.last_alert_ns < config_.alert_cooldown.nanos()) {
+      t - p.last_alert_ns < cooldown_.nanos()) {
     ++cooldown_suppressed_;
     return;
   }
@@ -249,7 +229,7 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
   alert.machine = std::string(kBehaviorMachine);
   alert.group = std::string(group_prefix);
   alert.group += entity;
-  alert.state = score >= config_.critical_score ? "critical" : "elevated";
+  alert.state = score >= kCriticalScore ? "critical" : "elevated";
   alert.detail = std::move(detail);
   alert.trigger = std::string(kBehaviorMachine) +
                   ": weighted profile score crossed the alert threshold";
@@ -257,7 +237,7 @@ void BehaviorEngine::Emit(Profile& p, std::string_view group_prefix,
 }
 
 void BehaviorEngine::Sweep(sim::Time now) {
-  const int64_t horizon = config_.IdleHorizon().nanos();
+  const int64_t horizon = horizon_.nanos();
   const int64_t t = now.nanos();
   due_.clear();
   wheel_.Drain(now, [&](const ReclaimWheel::Record& record) {
@@ -274,7 +254,6 @@ void BehaviorEngine::Sweep(sim::Time now) {
       wheel_.File(IdleDue(p.last_event_ns), record.item, kind);  // touched
       continue;
     }
-    retired_durations_.MergeFrom(p.durations);
     p.Reset();
     pool_.push_back(std::move(entry.profile));
     table.Erase(record.item);
@@ -308,13 +287,6 @@ size_t BehaviorEngine::MemoryBytes() const {
   bytes += pool_.size() * sizeof(Profile) + wheel_.MemoryBytes() +
            due_.capacity() * sizeof(ReclaimWheel::Record);
   return bytes;
-}
-
-void BehaviorEngine::MergeDurationHistogram(obs::Histogram& into) const {
-  into.MergeFrom(retired_durations_);
-  callers_.ForEachEntry([&](const ProfileEntry& entry) {
-    if (entry.profile != nullptr) into.MergeFrom(entry.profile->durations);
-  });
 }
 
 }  // namespace vids::ids::behavior

@@ -6,32 +6,33 @@
 // This engine profiles *who* is talking instead of *how*: per-caller and
 // per-registration-target sliding-window profiles (call rate, short-call
 // mass, destination fan-out, User-Agent diversity, failed-registration
-// streaks and their distinct-source spread, call-duration distribution on
-// the obs log2 histogram) feed a weighted integer scoring function that
-// emits severity-ranked AlertKind::kBehavior alerts carrying the full
-// per-feature score breakdown as provenance.
+// streaks and their distinct-source spread) feed a weighted integer scoring
+// function that emits severity-ranked AlertKind::kBehavior alerts carrying
+// the full per-feature score breakdown as provenance. The thresholds,
+// windows and weights are the constants below; the engine derives its
+// cooldown and reclaim horizon from the owning Vids's dedup window.
 //
 // Determinism contract (the shard-equivalence argument, DESIGN.md §16):
 // every state transition in this engine is a pure function of the event
 // stream — (event time, event content) only. Sweep(now) exists solely to
 // reclaim memory: a profile is only reclaimable once it has been idle past
-// IdleHorizon(), which dominates every feature window, the alert cooldown
-// and the open-call TTL, so a swept-and-recreated profile reacts to the
-// next event exactly like a stale retained one (expired windows restart,
-// expired distinct-slots are ignored, expired open calls are unclosable,
-// the cooldown has lapsed either way). Vids::FeedAggregate feeds it: the
-// plain Vids inline from the inspect path, the sharded engine's coordinator
-// Vids from the frontier-gated aggregate replay — both instances see the
-// same time-ordered event stream, so they emit byte-identical alerts
-// regardless of shard count.
+// IdleHorizon(), which dominates every feature window and the alert
+// cooldown, so a swept-and-recreated profile reacts to the next event
+// exactly like a stale retained one (expired windows restart, expired
+// distinct-slots are ignored, a call open that long can no longer be
+// short, the cooldown has lapsed either way). Vids::FeedAggregate feeds
+// it: the plain Vids inline from the inspect path, the sharded engine's
+// coordinator Vids from the frontier-gated aggregate replay — both
+// instances see the same time-ordered event stream, so they emit
+// byte-identical alerts regardless of shard count.
 //
 // Allocation discipline: the steady-state feed path (existing profile) is
 // allocation-free — flat-table probes by key hash, fixed-slot distinct
-// rings, armed-window counters, in-place open-call slots, one histogram
-// Record. Profiles are drawn from and recycled to a pool that each sweep
-// trims to the profiles it reclaimed (a drained engine frees it and the
-// tables, the fact base's free-list rule); only first contact with a new
-// entity beyond the pool or an actual alert emission allocates.
+// rings, armed-window counters, in-place open-call slots. Profiles are
+// drawn from and recycled to a pool that each sweep trims to the profiles
+// it reclaimed (a drained engine frees it and the tables, the fact base's
+// free-list rule); only first contact with a new entity beyond the pool or
+// an actual alert emission allocates.
 //
 // Reclamation is O(due): every profile files one record in a timing wheel
 // (reclaim_wheel.h) when it is created, due once it has been idle past
@@ -39,6 +40,7 @@
 // re-filing the profiles touched since.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -48,7 +50,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
 #include "sim/time.h"
 #include "vids/alert.h"
 #include "vids/flat_index.h"
@@ -64,62 +65,56 @@ inline constexpr std::string_view kBehaviorRegCracking =
 /// Machine name stamped on every behavioral alert.
 inline constexpr std::string_view kBehaviorMachine = "behavior-profile";
 
-struct BehaviorConfig {
-  // --- caller-profile features ---
-  /// Calls started (initial INVITEs) per caller within the window
-  /// considered normal. A call-center agent places well under this; a SPIT
-  /// bot blasts through it in seconds.
-  int call_rate_threshold = 15;
-  sim::Duration call_rate_window = sim::Duration::Seconds(10);
-  /// Completed calls shorter than `short_call_max` within the window
-  /// considered normal (mass short calls = answered-and-hung-up spam).
-  int short_call_threshold = 12;
-  sim::Duration short_call_window = sim::Duration::Seconds(10);
-  sim::Duration short_call_max = sim::Duration::Seconds(2);
-  /// Distinct destination AORs per caller within the window considered
-  /// normal. The long window is what catches low-and-slow toll-fraud
-  /// fan-out that keeps its rate under every short-window threshold.
-  int fanout_threshold = 16;
-  sim::Duration fanout_window = sim::Duration::Seconds(60);
-  /// Distinct User-Agent strings per caller within the window considered
-  /// normal (a real endpoint has one; rotating stacks are bot behavior).
-  int ua_threshold = 4;
-  sim::Duration ua_window = sim::Duration::Seconds(60);
+// --- caller-profile features ---
+/// Calls started (initial INVITEs) per caller within the window considered
+/// normal. A call-center agent places well under this; a SPIT bot blasts
+/// through it in seconds.
+inline constexpr int kCallRateThreshold = 15;
+inline constexpr sim::Duration kCallRateWindow = sim::Duration::Seconds(10);
+/// Completed calls no longer than kShortCallMax within the window
+/// considered normal (mass short calls = answered-and-hung-up spam).
+inline constexpr int kShortCallThreshold = 12;
+inline constexpr sim::Duration kShortCallWindow = sim::Duration::Seconds(10);
+inline constexpr sim::Duration kShortCallMax = sim::Duration::Seconds(2);
+/// Distinct destination AORs per caller within the window considered
+/// normal. The long window is what catches low-and-slow toll-fraud fan-out
+/// that keeps its rate under every short-window threshold.
+inline constexpr int kFanoutThreshold = 16;
+inline constexpr sim::Duration kFanoutWindow = sim::Duration::Seconds(60);
+/// Distinct User-Agent strings per caller within the window considered
+/// normal (a real endpoint has one; rotating stacks are bot behavior).
+inline constexpr int kUaThreshold = 4;
+inline constexpr sim::Duration kUaWindow = sim::Duration::Seconds(60);
 
-  // --- registration-target features ---
-  /// Failed REGISTER attempts (401/403/407 finals) against one AOR within
-  /// the window considered normal (typos happen; crackers do not stop).
-  int reg_failure_threshold = 8;
-  sim::Duration reg_failure_window = sim::Duration::Seconds(30);
-  /// Distinct failing source addresses within the window considered normal
-  /// — the "distributed" in distributed registration cracking.
-  int reg_source_threshold = 4;
+// --- registration-target features ---
+/// Failed REGISTER attempts (401/403/407 finals) against one AOR within the
+/// window considered normal (typos happen; crackers do not stop).
+inline constexpr int kRegFailureThreshold = 8;
+inline constexpr sim::Duration kRegFailureWindow = sim::Duration::Seconds(30);
+/// Distinct failing source addresses within the same window considered
+/// normal — the "distributed" in distributed registration cracking.
+inline constexpr int kRegSourceThreshold = 4;
 
-  // --- scoring (integer milli-units per unit over threshold) ---
-  int weight_call_rate = 400;
-  int weight_short_call = 100;
-  int weight_fanout = 150;
-  int weight_ua = 250;
-  int weight_reg_failure = 200;
-  int weight_reg_source = 150;
-  /// Total score at which an alert is emitted / escalates to "critical".
-  int alert_score = 1000;
-  int critical_score = 3000;
-  /// Per-profile re-alert suppression. Must be at least the Vids
-  /// alert_dedup_window: the dedup table would then never suppress a
-  /// behavioral alert, so Vids passes them around it, and the plain and
-  /// coordinator emission streams are identical by construction.
-  sim::Duration alert_cooldown = sim::Duration::Seconds(10);
-  /// A call still open after this long can no longer be closed (no
-  /// duration recorded). Bounds the open-call slots *and* is part of the
-  /// sweep-independence argument (see IdleHorizon).
-  sim::Duration open_call_ttl = sim::Duration::Seconds(120);
+// --- scoring (integer milli-units per unit over threshold) ---
+inline constexpr int kWeightCallRate = 400;
+inline constexpr int kWeightShortCall = 100;
+inline constexpr int kWeightFanout = 150;
+inline constexpr int kWeightUa = 250;
+inline constexpr int kWeightRegFailure = 200;
+inline constexpr int kWeightRegSource = 150;
+/// Total score at which an alert is emitted / escalates to "critical".
+inline constexpr int kAlertScore = 1000;
+inline constexpr int kCriticalScore = 3000;
 
-  /// The profile reclaim horizon: the maximum of every feature window, the
-  /// alert cooldown and the open-call TTL. Sweeping a profile idle longer
-  /// than this is invisible to future emissions (header comment).
-  sim::Duration IdleHorizon() const;
-};
+// --- derived bounds (BehaviorEngine::cooldown(), IdleHorizon()) ---
+/// The shortest per-profile re-alert cooldown.
+inline constexpr sim::Duration kMinAlertCooldown = sim::Duration::Seconds(10);
+/// The shortest profile reclaim horizon. Every feature window, and the
+/// short-call bound, must lapse inside it (header comment).
+inline constexpr sim::Duration kMinIdleHorizon = sim::Duration::Seconds(120);
+static_assert(kMinIdleHorizon >= std::max({kCallRateWindow, kShortCallWindow,
+                                           kShortCallMax, kFanoutWindow,
+                                           kUaWindow, kRegFailureWindow}));
 
 class BehaviorEngine {
  public:
@@ -127,21 +122,31 @@ class BehaviorEngine {
   /// sharded coordinator's Vids included).
   using AlertSink = std::function<void(Alert&&)>;
 
-  explicit BehaviorEngine(const BehaviorConfig& config);
+  /// `dedup_window` is the owning Vids's alert_dedup_window, the one input
+  /// the engine cannot know; its cooldown and horizon derive from it.
+  explicit BehaviorEngine(sim::Duration dedup_window);
 
   void set_alert_sink(AlertSink sink) { sink_ = std::move(sink); }
-  const BehaviorConfig& config() const { return config_; }
+
+  /// Per-profile re-alert suppression: max(kMinAlertCooldown, the dedup
+  /// window). The dedup table would therefore never suppress a behavioral
+  /// alert, so Vids passes them around it, and the plain and coordinator
+  /// emission streams are identical by construction.
+  sim::Duration cooldown() const { return cooldown_; }
+  /// The profile reclaim horizon: max(kMinIdleHorizon, cooldown()). Sweeping
+  /// a profile idle longer than this is invisible to future emissions
+  /// (header comment).
+  sim::Duration IdleHorizon() const { return horizon_; }
 
   /// An initial INVITE (no To tag) from `caller` to `dest`. `call_hash`
-  /// identifies the call for duration tracking (common::Fnv1a64 of the
+  /// identifies the call for short-call tracking (common::Fnv1a64 of the
   /// Call-ID);
   /// `user_agent` may be empty when the header is absent.
   void OnCallStart(sim::Time now, std::string_view caller,
                    std::string_view dest, std::string_view user_agent,
                    uint64_t call_hash);
   /// A BYE request from `caller`. Closes the matching open call (if the
-  /// caller's profile holds one younger than open_call_ttl) and records
-  /// its duration.
+  /// caller's profile holds one), counting it when it was short.
   void OnCallEnd(sim::Time now, std::string_view caller, uint64_t call_hash);
   /// A 401/403/407 final to a REGISTER for `target`; `source_hash`
   /// identifies the registering client address.
@@ -167,11 +172,6 @@ class BehaviorEngine {
   uint64_t alerts_emitted() const { return alerts_emitted_; }
   uint64_t cooldown_suppressed() const { return cooldown_suppressed_; }
   size_t MemoryBytes() const;
-
-  /// Folds every live profile's call-duration histogram (milliseconds,
-  /// caller-terminated calls) plus the durations of already-reclaimed
-  /// profiles into `into`.
-  void MergeDurationHistogram(obs::Histogram& into) const;
 
  private:
   /// Armed-window counter (patterns.cpp BuildWindowCounter semantics): the
@@ -249,7 +249,6 @@ class BehaviorEngine {
     DistinctWindow<64> fanout;
     DistinctWindow<8> user_agents;
     std::array<OpenCall, 16> open_calls{};
-    obs::Histogram durations;  // ms; observability only, never scored
     // Registration-target features.
     WindowCounter reg_failures;
     DistinctWindow<32> reg_sources;
@@ -287,7 +286,8 @@ class BehaviorEngine {
             std::string_view entity, std::string_view classification,
             int64_t t, int64_t score, std::string detail);
 
-  BehaviorConfig config_;
+  sim::Duration cooldown_;
+  sim::Duration horizon_;
   AlertSink sink_;
   ProfileTable callers_;  // key = caller AOR (From user@host)
   ProfileTable targets_;  // key = registration target AOR (To user@host)
@@ -297,7 +297,6 @@ class BehaviorEngine {
   std::vector<ReclaimWheel::Record> due_;  // the running sweep's records
   uint64_t sweep_examined_ = 0;
   std::vector<std::unique_ptr<Profile>> pool_;
-  obs::Histogram retired_durations_;  // folded in from reclaimed profiles
   uint64_t alerts_emitted_ = 0;
   uint64_t cooldown_suppressed_ = 0;
 };

@@ -12,7 +12,6 @@
 #pragma once
 
 #include "sim/time.h"
-#include "vids/behavior/behavior.h"
 
 namespace vids::ids {
 
@@ -62,7 +61,9 @@ struct DetectionConfig {
   /// Suppression window for repeated identical alerts (an ongoing flood
   /// would otherwise alert per packet). Dedup signatures older than this
   /// are pruned on sweep, so the signature table is bounded by the alert
-  /// rate of the last window rather than by deployment lifetime.
+  /// rate of the last window rather than by deployment lifetime. The
+  /// behavior engine's re-alert cooldown is never shorter than this
+  /// (DESIGN.md §16).
   sim::Duration alert_dedup_window = sim::Duration::Seconds(1);
 
   // --- Call-state lifecycle (paper §5: machines deleted at final state) ---
@@ -87,12 +88,6 @@ struct DetectionConfig {
   /// (stray retransmits happen; floods do not).
   int drdos_threshold = 10;
   sim::Duration drdos_window = sim::Duration::Seconds(2);
-
-  // --- Behavioral anomaly layer (DESIGN.md §16) ---
-  /// Per-endpoint profiling/scoring thresholds and weights. Rides inside
-  /// DetectionConfig so the sharded engine's per-shard Vids and the
-  /// coordinator's replay-side engine are configured identically for free.
-  behavior::BehaviorConfig behavior;
 };
 
 /// Simulated CPU cost the inline vIDS host charges per analyzed packet:

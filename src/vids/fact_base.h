@@ -170,9 +170,11 @@ class CallStateFactBase : private efsm::RetirementListener {
   /// still the call ids and keyed-group names they had. The analysis engine
   /// uses it as the time-driven reclaim tick of its own tables (alert
   /// signatures, behavior profiles), which expire by time alone and so
-  /// ignore the groups. It returns whether its owner still holds such
-  /// state: the periodic sweep keeps re-arming while that or the fact
-  /// base's own state lasts.
+  /// ignore the groups. The span stays for the fact base's reference test,
+  /// which checks each sweep's reclaimed set through it; filling it costs
+  /// one push into a reused vector per reclaimed group. The listener
+  /// returns whether its owner still holds such state: the periodic sweep
+  /// keeps re-arming while that or the fact base's own state lasts.
   using SweepListener = std::function<bool(
       sim::Time now, std::span<const efsm::MachineGroup* const> reclaimed)>;
   void set_sweep_listener(SweepListener listener) {

@@ -11,7 +11,7 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
       detection_(detection),
       cost_(cost),
       fact_base_(scheduler, detection, this, &registry_),
-      behavior_(detection_.behavior),
+      behavior_(detection_.alert_dedup_window),
       m_packets_(&registry_.GetCounter("vids.packets")),
       m_sip_packets_(&registry_.GetCounter("vids.sip_packets")),
       m_rtp_packets_(&registry_.GetCounter("vids.rtp_packets")),
@@ -42,8 +42,8 @@ Vids::Vids(sim::Scheduler& scheduler, DetectionConfig detection,
         return !sigs_.empty() || behavior_.profile_count() != 0;
       });
   // Behavioral alerts skip the dedup table. The engine's own cooldown
-  // (>= the dedup window by contract) means the table would never
-  // suppress one — the emission stream is the engine's alone, so the
+  // (derived from the dedup window, never shorter) means the table would
+  // never suppress one — the emission stream is the engine's alone, so the
   // sharded coordinator's instance reproduces it byte-for-byte.
   behavior_.set_alert_sink([this](Alert&& alert) {
     RaiseAlert(std::move(alert));

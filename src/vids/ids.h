@@ -21,6 +21,7 @@
 
 #include "net/inline_tap.h"
 #include "vids/alert.h"
+#include "vids/behavior/behavior.h"
 #include "vids/classifier.h"
 #include "vids/config.h"
 #include "vids/fact_base.h"

@@ -21,7 +21,9 @@
 // Records live in fixed-size blocks drawn from one pool that every slot
 // shares, and a drained slot gives its blocks back. Steady churn therefore
 // reuses the same blocks whichever slots it files into, and the pool grows
-// only when more records are pending than ever before; Release frees it.
+// only when more records are pending than ever before. Each block is its
+// own 1 KiB allocation, so growth adds one block and moves no pending
+// record; Release frees them all.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/time.h"
@@ -60,7 +63,7 @@ class ReclaimWheel {
     Slot& slot = slots_[Index(std::max(Tick(due), cursor_))];
     const uint32_t at = slot.size % kBlockRecords;
     if (at == 0) AppendBlock(slot);
-    records_[size_t{slot.tail} * kBlockRecords + at] = Record{due, item, table};
+    (*blocks_[slot.tail])[at] = Record{due, item, table};
     ++slot.size;
     ++size_;
   }
@@ -79,21 +82,25 @@ class ReclaimWheel {
 
   /// Frees the record pool and forgets every pending record.
   void Release() {
-    std::vector<Record>().swap(records_);
+    std::vector<std::unique_ptr<Block>>().swap(blocks_);
     std::vector<uint32_t>().swap(next_);
     slots_.fill(Slot{});
     free_ = kNone;
     size_ = 0;
   }
 
-  /// The record pool; the slot array is part of the owner's footprint.
+  /// The record pool: its blocks and the two per-block index vectors. The
+  /// slot array is part of the owner's footprint.
   size_t MemoryBytes() const {
-    return records_.capacity() * sizeof(Record) +
+    return blocks_.size() * sizeof(Block) +
+           blocks_.capacity() * sizeof(blocks_[0]) +
            next_.capacity() * sizeof(uint32_t);
   }
 
- private:
   static constexpr uint32_t kBlockRecords = 64;  // 1 KiB of records
+
+ private:
+  using Block = std::array<Record, kBlockRecords>;
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
   // A slot's records fill its chain of blocks from the head, in filing
@@ -117,9 +124,9 @@ class ReclaimWheel {
     if (block != kNone) {
       free_ = next_[block];
     } else {
-      block = static_cast<uint32_t>(next_.size());
+      block = static_cast<uint32_t>(blocks_.size());
+      blocks_.push_back(std::make_unique<Block>());
       next_.push_back(kNone);
-      records_.resize(records_.size() + kBlockRecords);
     }
     next_[block] = kNone;
     if (slot.tail == kNone) {
@@ -143,17 +150,17 @@ class ReclaimWheel {
       if (at == 0) {
         if (k != 0) read = next_[read];
         if (next_[read] != kNone) {
-          __builtin_prefetch(&records_[size_t{next_[read]} * kBlockRecords]);
+          __builtin_prefetch(blocks_[next_[read]].get());
         }
       }
-      const Record record = records_[size_t{read} * kBlockRecords + at];
+      const Record record = (*blocks_[read])[at];
       if (record.due <= now) {
         take(record);
         continue;
       }
       const uint32_t to = kept % kBlockRecords;
       if (to == 0 && kept != 0) write = next_[write];
-      records_[size_t{write} * kBlockRecords + to] = record;
+      (*blocks_[write])[to] = record;
       ++kept;
     }
     size_ -= slot.size - kept;
@@ -176,9 +183,9 @@ class ReclaimWheel {
   // still hold records due later in its tick.
   int64_t cursor_ = 0;
   std::array<Slot, kSlots> slots_{};
-  std::vector<Record> records_;  // kBlockRecords per block
-  std::vector<uint32_t> next_;   // per block: the next block of its chain
-  uint32_t free_ = kNone;        // first block of the free chain
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::vector<uint32_t> next_;  // per block: the next block of its chain
+  uint32_t free_ = kNone;       // first block of the free chain
   size_t size_ = 0;
 };
 

@@ -280,7 +280,6 @@ void ShardedIds::WorkerLoop(Shard& shard) {
       }
       ++consumed;
     }
-    shard.down.PopN(consumed);
 
     // Worker-owned plain metric fields must be written before the commit
     // below: the coordinator reads `shard.pipeline` after acquiring the
@@ -293,6 +292,10 @@ void ShardedIds::WorkerLoop(Shard& shard) {
     // committed above, so an acquire read that observes the new frontier
     // also observes them in the ring (DESIGN.md §11).
     shard.agg_complete_ns.store(watermark, std::memory_order_release);
+    // Retire the batch only now: a coordinator that sees this shard's down
+    // ring empty may count it complete through the last ingest, so every
+    // event of the batch must already be committed above.
+    shard.down.PopN(consumed);
     // Heartbeat last: it vouches for the whole retired round. A worker
     // that wedges or blocks mid-batch never reaches this store.
     if (heartbeat) {
@@ -558,10 +561,18 @@ void ShardedIds::DrainUp() {
   // instead would let an event committed mid-drain sit at-or-before a
   // fresher frontier while missing from pending_ — and a later-timestamped
   // event from another shard would replay ahead of it, out of order.
+  // A caught-up shard (nothing open or unretired in its down ring) counts
+  // as complete through the last ingest: it retires a batch only after
+  // committing its events, and its next event comes from a packet not yet
+  // ingested, so it can only tie that frontier. An idle shard thus never
+  // holds back the others' aggregate alerts.
   int64_t frontier = INT64_MAX;
   for (const auto& shard : shards_) {
-    frontier = std::min(
-        frontier, shard->agg_complete_ns.load(std::memory_order_acquire));
+    int64_t complete = shard->agg_complete_ns.load(std::memory_order_acquire);
+    if (shard->down.open_push() == 0 && shard->down.SizeApprox() == 0) {
+      complete = std::max(complete, last_ingest_ns_);
+    }
+    frontier = std::min(frontier, complete);
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];

@@ -1,5 +1,6 @@
 // Tests of the behavioral anomaly layer (src/vids/behavior, DESIGN.md §16):
-// engine-level scoring/classification/cooldown semantics, the
+// engine-level scoring/classification/cooldown semantics, the cooldown and
+// horizon derived from the dedup window, the
 // sweep-independence contract, false-positive resistance on a benign
 // call-center workload, the three protocol-legal attack scenarios riding
 // through the soak harness, and byte-identical alert streams across shard
@@ -22,7 +23,9 @@ sim::Time At(double seconds) {
 }
 
 struct Harness {
-  explicit Harness(const BehaviorConfig& config = {}) : engine(config) {
+  explicit Harness(
+      sim::Duration dedup_window = DetectionConfig{}.alert_dedup_window)
+      : engine(dedup_window) {
     engine.set_alert_sink(
         [this](Alert&& alert) { alerts.push_back(std::move(alert)); });
   }
@@ -50,28 +53,46 @@ TEST(BehaviorEngineTest, SpitBurstScoresRateDominantThenCoolsDown) {
   EXPECT_NE(alert.detail.find("score="), std::string::npos);
   EXPECT_NE(alert.detail.find("calls="), std::string::npos);
   EXPECT_NE(alert.detail.find("fanout="), std::string::npos);
-  // The 18th call is the first to clear alert_score (400 * (18 - 15));
+  // The 18th call is the first to clear kAlertScore (400 * (18 - 15));
   // every over-threshold call after it lands inside the cooldown.
   EXPECT_EQ(h.engine.alerts_emitted(), 1u);
   EXPECT_GT(h.engine.cooldown_suppressed(), 0u);
 }
 
 TEST(BehaviorEngineTest, ReemissionAfterCooldownEscalatesToCritical) {
-  BehaviorConfig config;
-  config.alert_cooldown = sim::Duration::Seconds(1);
-  Harness h(config);
-  for (int k = 0; k < 30; ++k) {
-    h.engine.OnCallStart(At(0.1 * k), "burster@a.example.com",
+  Harness h;
+  for (int k = 0; k < 60; ++k) {
+    h.engine.OnCallStart(At(0.3 * k), "burster@a.example.com",
                          "victim-" + std::to_string(k) + "@b.example.com",
                          "spitware/1.0", static_cast<uint64_t>(k));
   }
-  // First alert at call 18 (t=1.7 s, score 1200: elevated). The next
-  // emission waits out the 1 s cooldown; by then the window holds enough
-  // calls that rate + fanout clear critical_score.
+  // First alert at call 18 (t=5.1 s, rate 18 and fan-out 18, score 1500:
+  // elevated, rate-led). The next emission waits out the 10 s cooldown, to
+  // call 52 at 15.3 s: the rate window restarted at 10.2 s and holds 18
+  // calls again, but the 60 s fan-out window holds 52 destinations, so the
+  // score clears kCriticalScore and fan-out leads it.
   ASSERT_EQ(h.alerts.size(), 2u);
   EXPECT_EQ(h.alerts[0].state, "elevated");
+  EXPECT_EQ(h.alerts[0].classification, kBehaviorSpit);
   EXPECT_EQ(h.alerts[1].state, "critical");
-  EXPECT_EQ(h.alerts[1].classification, kBehaviorSpit);
+  EXPECT_EQ(h.alerts[1].classification, kBehaviorTollFraud);
+  EXPECT_EQ(h.alerts[0].when, At(0.3 * 17));
+  EXPECT_EQ(h.alerts[1].when, At(0.3 * 51));
+}
+
+TEST(BehaviorEngineTest, CooldownAndHorizonDeriveFromTheDedupWindow) {
+  // A dedup window under the floors leaves both at their constants.
+  const BehaviorEngine second(sim::Duration::Seconds(1));
+  EXPECT_EQ(second.cooldown(), kMinAlertCooldown);
+  EXPECT_EQ(second.IdleHorizon(), kMinIdleHorizon);
+  // A longer window lifts the cooldown to itself; the horizon follows it
+  // once the cooldown outgrows the floor.
+  const BehaviorEngine minute(sim::Duration::Seconds(60));
+  EXPECT_EQ(minute.cooldown(), sim::Duration::Seconds(60));
+  EXPECT_EQ(minute.IdleHorizon(), kMinIdleHorizon);
+  const BehaviorEngine ten_minutes(sim::Duration::Seconds(600));
+  EXPECT_EQ(ten_minutes.cooldown(), sim::Duration::Seconds(600));
+  EXPECT_EQ(ten_minutes.IdleHorizon(), sim::Duration::Seconds(600));
 }
 
 TEST(BehaviorEngineTest, LowAndSlowFanoutClassifiesAsTollFraud) {
@@ -216,22 +237,6 @@ TEST(BehaviorEngineTest, SweepExaminesOnlyDueProfiles) {
   EXPECT_EQ(h.engine.sweep_examined(), static_cast<uint64_t>(kProfiles));
   EXPECT_EQ(h.engine.profile_count(), 0u);
   EXPECT_TRUE(h.alerts.empty());
-}
-
-TEST(BehaviorEngineTest, DurationHistogramSurvivesReclaim) {
-  Harness h;
-  h.engine.OnCallStart(At(0.0), "alice@a.example.com", "bob@b.example.com",
-                       "softphone/3.2", 7u);
-  h.engine.OnCallEnd(At(5.0), "alice@a.example.com", 7u);
-  obs::Histogram live;
-  h.engine.MergeDurationHistogram(live);
-  EXPECT_EQ(live.count(), 1u);
-
-  h.engine.Sweep(At(300.0));  // reclaim folds durations into the engine
-  EXPECT_EQ(h.engine.profile_count(), 0u);
-  obs::Histogram retired;
-  h.engine.MergeDurationHistogram(retired);
-  EXPECT_EQ(retired.count(), 1u);
 }
 
 }  // namespace

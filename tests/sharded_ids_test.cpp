@@ -18,6 +18,7 @@
 #include "obs/flight_recorder.h"
 
 #include "common/spsc_ring.h"
+#include "common/strings.h"
 #include "rtp/packet.h"
 #include "sdp/sdp.h"
 #include "sip/message.h"
@@ -1011,6 +1012,44 @@ TEST(ShardedEquivalence, MidStreamFlushKeepsAlertsIdentical) {
   engine.Flush(last);
   engine.Stop();
   EXPECT_EQ(reference, RenderedAlerts(engine.alerts()));
+}
+
+TEST(ShardedEquivalence, IdleShardDoesNotHoldBackAggregateAlerts) {
+  // 40 INVITEs to one AOR, 10 ms apart, every Call-ID hashed to shard 0,
+  // so shard 1 never sees a packet. Its worker has nothing to vouch for,
+  // but nothing it could still send can precede the last ingest either:
+  // the INVITE flood (and the caller's SPIT burst) must replay on Pump(),
+  // without waiting for a Flush.
+  std::vector<TracePacket> trace;
+  const net::Endpoint media{net::IpAddress(10, 1, 0, 10), 20000};
+  for (int n = 0; trace.size() < 40; ++n) {
+    const std::string call_id = "idle-shard-" + std::to_string(n);
+    if (common::Fnv1a64(call_id) % 2 != 0) continue;
+    trace.push_back({SipDgram(MakeInvite(call_id, "bob", media, kProxyA),
+                              kAttacker, kProxyB),
+                     true,
+                     sim::Time::FromNanos(
+                         10'000'000 * static_cast<int64_t>(trace.size()))});
+  }
+  ShardedConfig config;
+  config.shards = 2;
+  config.watchdog_stall_ms = 0;
+  ShardedIds engine(config);
+  for (const TracePacket& p : trace) {
+    engine.Ingest(p.dgram, p.from_outside, p.when);
+  }
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.CountAlerts("INVITE flood") == 0 &&
+         std::chrono::steady_clock::now() < cap) {
+    engine.Pump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.CountAlerts("INVITE flood"), 1u)
+      << "the idle shard held the aggregate replay back";
+
+  engine.Flush(trace.back().when);
+  engine.Stop();
+  EXPECT_EQ(SortedSigs(RunPlain(trace)), SortedSigs(engine.alerts()));
 }
 
 // --------------------------------------------- payloads past 2 KB

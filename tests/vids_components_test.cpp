@@ -618,6 +618,33 @@ TEST(ReclaimWheel, MatchesAnOrderedReferenceUnderRandomOperations) {
   EXPECT_EQ(wheel.MemoryBytes(), 0u);
 }
 
+// The pool grows one block at a time and holds nothing beyond the blocks in
+// use and its two per-block index vectors (vector growth at most doubles
+// those).
+TEST(ReclaimWheel, PoolHoldsOnlyTheBlocksInUse) {
+  constexpr size_t kBlockBytes = 1024;
+  static_assert(ReclaimWheel::kBlockRecords * sizeof(ReclaimWheel::Record) ==
+                kBlockBytes);
+  ReclaimWheel wheel(sim::Duration::Seconds(1));
+  const sim::Time due = sim::Time::FromNanos(0) + sim::Duration::Seconds(5);
+  uint32_t item = 0;
+  for (size_t blocks = 1; blocks <= 40; ++blocks) {
+    // One slot, so its chain fills every block before opening the next.
+    for (uint32_t i = 0; i < ReclaimWheel::kBlockRecords; ++i) {
+      wheel.File(due, item++, 0);
+    }
+    const size_t index_bytes =
+        2 * blocks * (sizeof(void*) + sizeof(uint32_t));
+    EXPECT_LE(wheel.MemoryBytes(), blocks * kBlockBytes + index_bytes)
+        << blocks << " blocks in use";
+  }
+  size_t drained = 0;
+  wheel.Drain(due, [&](const ReclaimWheel::Record& record) {
+    EXPECT_EQ(record.item, drained++);
+  });
+  EXPECT_EQ(drained, size_t{item});
+}
+
 // The fact base against a model that scans every entry at every sweep: it
 // mirrors each call's last_event, completion and tombstone expiry, each
 // keyed group's last_event and the media index, under random admissions,

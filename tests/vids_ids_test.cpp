@@ -44,9 +44,11 @@ class IdsFixture : public ::testing::Test {
   explicit IdsFixture(DetectionConfig detection = {})
       : vids_(scheduler_, detection) {}
 
-  sip::Message MakeInvite(const std::string& call_id) {
-    auto invite = sip::Message::MakeRequest(
-        sip::Method::kInvite, *sip::SipUri::Parse("sip:bob@b.example.com"));
+  sip::Message MakeInvite(const std::string& call_id,
+                          const std::string& callee = "bob") {
+    const std::string aor = "sip:" + callee + "@b.example.com";
+    auto invite = sip::Message::MakeRequest(sip::Method::kInvite,
+                                            *sip::SipUri::Parse(aor));
     sip::Via via;
     via.sent_by = kProxyA;
     via.branch = "z9hG4bK" + call_id;
@@ -56,7 +58,7 @@ class IdsFixture : public ::testing::Test {
     from.SetTag("tag-alice");
     invite.SetFrom(from);
     sip::NameAddr to;
-    to.uri = *sip::SipUri::Parse("sip:bob@b.example.com");
+    to.uri = *sip::SipUri::Parse(aor);
     invite.SetTo(to);
     invite.SetCallId(call_id);
     invite.SetCseq(sip::CSeq{1, sip::Method::kInvite});
@@ -448,7 +450,7 @@ TEST_F(IdsFixture, QuietLinkReclaimsProfilesThatOutliveTheLastCall) {
   ASSERT_EQ(vids_.behavior().profile_count(), 1u);
 
   const DetectionConfig& detection = vids_.detection();
-  scheduler_.RunUntil(scheduler_.Now() + detection.behavior.IdleHorizon() +
+  scheduler_.RunUntil(scheduler_.Now() + vids_.behavior().IdleHorizon() +
                       detection.tombstone_ttl + sim::Duration::Seconds(2));
   const CallStateFactBase& fb = vids_.fact_base();
   EXPECT_EQ(fb.call_count() + fb.tombstone_count() + fb.keyed_count() +
@@ -599,6 +601,22 @@ TEST_F(LongDedupFixture, DroppedMediaGroupsSuccessorAlertsAgain) {
   flood();
   EXPECT_EQ(Attacks("RTP flood"), 2u)
       << "the dropped group's signature suppressed its successor";
+}
+
+TEST_F(LongDedupFixture, BehaviorCooldownCoversTheDedupWindow) {
+  // One caller fans 134 INVITEs out to distinct AORs, 0.3 s apart: a 40 s
+  // burst over the behavior thresholds from its 18th call on. Behavior
+  // alerts bypass the dedup table, so the engine's cooldown alone must
+  // keep them to one per window.
+  for (int k = 0; k < 134; ++k) {
+    scheduler_.RunUntil(sim::Time::FromNanos(300'000'000LL * k));
+    vids_.Inspect(SipDgram(MakeInvite("fan-" + std::to_string(k),
+                                      "victim-" + std::to_string(k)),
+                           kProxyA, kProxyB),
+                  true);
+  }
+  EXPECT_EQ(vids_.CountAlerts(AlertKind::kBehavior), 1u)
+      << "a behavior alert repeated inside the dedup window";
 }
 
 }  // namespace
