@@ -472,19 +472,6 @@ std::vector<std::string> MachineGroup::ExplainFlight(
         }
         break;
       }
-      case obs::RecordType::kSpan: {
-        // Pipeline spans live in the sharded engine's per-shard recorders,
-        // not in call groups — but render them anyway so a mixed ring stays
-        // readable: shard, end-to-end ns, and the two stage times in µs.
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "span shard=%d e2e=%lluns queue=%uus inspect=%dus",
-                      static_cast<int>(rec.to),
-                      static_cast<unsigned long long>(rec.aux),
-                      static_cast<unsigned>(rec.a), static_cast<int>(rec.from));
-        line += buf;
-        break;
-      }
       case obs::RecordType::kNone:
         line += "<empty>";
         break;

@@ -28,12 +28,6 @@ enum class RecordType : uint8_t {
   kFactAssert,   // fact-base assertion; aux = producer-tagged payload
   kFactRetract,  // fact-base retraction; aux = producer-tagged payload
   kAlert,        // machine, a = interned classification, aux = alert kind
-  // Pipeline span (sharded engine, DESIGN.md §13): one sampled packet's
-  // trip through ingest → ring → worker. when_ns = wall-clock enqueue
-  // time, aux = end-to-end nanoseconds (enqueue → inspect complete),
-  // a = ingest→dequeue µs (saturating), from = inspect µs (saturating),
-  // to = shard index.
-  kSpan,
 };
 
 /// One compact binary event. Field semantics depend on `type` (see

@@ -3,8 +3,11 @@
 // The sharded engine routes RTP/RTCP by the media endpoint's owner: the
 // shard of the call whose SDP negotiated it (DESIGN.md §11). Only the
 // coordinator thread routes, and it sees every claim in stream order, so
-// the map is a plain single-writer hash map — each entry is the current
-// owner plus a last-seen stamp for idle pruning.
+// the map is single-writer: a FlatTable of (endpoint, owner, last seen)
+// whose entries expire through a ReclaimWheel, like every other table with
+// a time-to-live (DESIGN.md §9). An entry idle longer than the horizon is
+// absent to Lookup and Claim, so draining the wheel, at any instant, only
+// frees memory. Each entry has one record, and dies only when it comes due.
 //
 // A claim reports at most one ownership edge: the shard that must drop its
 // state for the endpoint so exactly one shard counts the stream from the
@@ -17,7 +20,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
+#include <vector>
+
+#include "sim/time.h"
+#include "vids/flat_index.h"
+#include "vids/reclaim_wheel.h"
 
 namespace vids::ids {
 
@@ -30,50 +38,95 @@ class MediaOwnerMap {
     bool early = false;
   };
 
+  /// Entries idle longer than `horizon` are absent; the wheel's slots are
+  /// `slot_width` wide.
+  MediaOwnerMap(sim::Duration horizon, sim::Duration slot_width)
+      : horizon_ns_(horizon.nanos()), wheel_(slot_width) {}
+
   /// The shard owning `key`, or -1. A hit refreshes the idle stamp.
   int Lookup(uint64_t key, int64_t when_ns) {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return -1;
-    it->second.last_seen_ns = when_ns;
-    return it->second.shard;
+    const uint32_t index = Find(key);
+    if (index == kNoEntry || Idle(entries_[index], when_ns)) return -1;
+    entries_[index].last_seen_ns = when_ns;
+    return entries_[index].shard;
   }
 
   /// `shard` claims `key` at `when_ns`; `hash_shard` is where the endpoint's
   /// media routed while unclaimed.
   Retract Claim(uint64_t key, int shard, int64_t when_ns, int hash_shard) {
-    const auto [it, inserted] =
-        entries_.try_emplace(key, Entry{shard, when_ns});
-    if (inserted) {
-      return hash_shard != shard ? Retract{hash_shard, true} : Retract{};
+    uint32_t index = Find(key);
+    // An idle entry not yet drained keeps its record: the drain files it
+    // again under the new stamp.
+    const bool first = index == kNoEntry || Idle(entries_[index], when_ns);
+    if (index == kNoEntry) {
+      index = entries_.Insert(std::hash<uint64_t>{}(key));
+      entries_[index].key = key;
+      wheel_.File(Due(when_ns), index, 0);
     }
-    Entry& e = it->second;
-    e.last_seen_ns = when_ns;
-    const int previous = e.shard;
+    Entry& e = entries_[index];
+    const int previous = first ? hash_shard : e.shard;
     e.shard = shard;
-    return previous != shard ? Retract{previous, false} : Retract{};
+    e.last_seen_ns = when_ns;
+    return previous != shard ? Retract{previous, first} : Retract{};
   }
 
-  /// Drops entries neither claimed nor looked up for more than `horizon_ns`.
-  void Prune(int64_t now_ns, int64_t horizon_ns) {
-    std::erase_if(entries_, [&](const auto& kv) {
-      return now_ns - kv.second.last_seen_ns > horizon_ns;
+  /// Erases the entries whose records are due at `now` if they are still
+  /// idle, and files the touched ones again. A map that drains to empty
+  /// frees its table and its wheel.
+  void Drain(sim::Time now) {
+    due_.clear();
+    wheel_.Drain(now, [&](const ReclaimWheel::Record& record) {
+      due_.push_back(record.item);
     });
+    for (const uint32_t index : due_) {
+      if (Idle(entries_[index], now.nanos())) {
+        entries_.Erase(index);
+      } else {
+        wheel_.File(Due(entries_[index].last_seen_ns), index, 0);
+      }
+    }
+    if (entries_.empty()) {
+      entries_.Release();
+      wheel_.Release();
+      std::vector<uint32_t>().swap(due_);
+    }
   }
 
+  /// Entries held, idle ones no drain has reached yet included.
   size_t size() const { return entries_.size(); }
 
-  /// Approximate footprint: bucket array plus one node per entry.
+  /// Heap footprint: the table, the wheel's records and the drain buffer.
   size_t MemoryBytes() const {
-    return sizeof(*this) + entries_.bucket_count() * sizeof(void*) +
-           entries_.size() * (sizeof(void*) + sizeof(uint64_t) + sizeof(Entry));
+    return entries_.MemoryBytes() + wheel_.MemoryBytes() +
+           due_.capacity() * sizeof(uint32_t);
   }
 
  private:
   struct Entry {
-    int shard;
-    int64_t last_seen_ns;
+    uint64_t key = 0;  // packed endpoint
+    uint64_t hash = 0;
+    int64_t last_seen_ns = 0;
+    int shard = -1;
+    uint32_t next_free = kNoEntry;
   };
-  std::unordered_map<uint64_t, Entry> entries_;
+
+  uint32_t Find(uint64_t key) const {
+    return entries_.Find(std::hash<uint64_t>{}(key), [&](uint32_t index) {
+      return entries_[index].key == key;
+    });
+  }
+  bool Idle(const Entry& e, int64_t now_ns) const {
+    return now_ns - e.last_seen_ns > horizon_ns_;
+  }
+  /// The first instant an entry last seen at `last_seen_ns` is idle.
+  sim::Time Due(int64_t last_seen_ns) const {
+    return sim::Time::FromNanos(last_seen_ns + horizon_ns_ + 1);
+  }
+
+  int64_t horizon_ns_;
+  FlatTable<Entry> entries_;
+  ReclaimWheel wheel_;         // one record per entry
+  std::vector<uint32_t> due_;  // the running drain's entries
 };
 
 }  // namespace vids::ids

@@ -1,7 +1,8 @@
 // Hashed timing wheel of reclamation deadlines (DESIGN.md §9): the clock
 // behind the tables with a time-to-live — the fact base's calls, keyed
-// groups and tombstones, the behavior engine's profiles and Vids's
-// alert-dedup signatures, one wheel per owner.
+// groups and tombstones, the behavior engine's profiles, Vids's
+// alert-dedup signatures and the sharded coordinator's media owners, one
+// wheel per owner.
 //
 // A table files one record per entry: the instant the entry comes due, its
 // slab index and a tag naming the table. The record goes into the slot of

@@ -44,6 +44,10 @@ void AssignAlert(Alert& dst, const Alert& src) {
 
 ShardedIds::ShardedIds(ShardedConfig config)
     : config_(config),
+      // The owner horizon's argument: DESIGN.md §11, "Caveats".
+      owners_(config_.detection.call_idle_timeout +
+                  config_.detection.keyed_idle_timeout,
+              config_.detection.sweep_interval),
       coordinator_(coord_scheduler_, config_.detection),
       m_stalls_(&coord_metrics_.GetCounter("sharded.ingest_stalls")),
       m_sip_routed_(&coord_metrics_.GetCounter("sharded.sip_routed")),
@@ -182,25 +186,6 @@ void ShardedIds::PushUp(Shard& shard, Fill&& fill) {
   // messages with one release store at batch end.
 }
 
-void ShardedIds::RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue) {
-  const int64_t t_done = obs::MonotonicNanos();
-  shard.lat_ingest_to_dequeue->Record(t_dequeue - t0);
-  shard.lat_inspect->Record(t_done - t_dequeue);
-  shard.lat_e2e->Record(t_done - t0);
-  obs::Record rec;
-  rec.type = obs::RecordType::kSpan;
-  rec.when_ns = t0;
-  rec.aux = static_cast<uint64_t>(t_done - t0);
-  const auto micros = [](int64_t ns, int64_t cap) {
-    const int64_t us = ns / 1000;
-    return us > cap ? cap : (us < 0 ? int64_t{0} : us);
-  };
-  rec.a = static_cast<uint16_t>(micros(t_dequeue - t0, 65535));
-  rec.from = static_cast<int16_t>(micros(t_done - t_dequeue, 32767));
-  rec.to = static_cast<int16_t>(shard.index);
-  shard.spans.Record(rec);
-}
-
 void ShardedIds::ProcessPacket(Shard& shard, const ShardMsg& msg) {
   // Sampled span: note the dequeue time and post the enqueue time where
   // the alert callback can see it. Unsampled packets (and the
@@ -219,7 +204,10 @@ void ShardedIds::ProcessPacket(Shard& shard, const ShardMsg& msg) {
   // Inspected in place: the slot stays the worker's until PopN retires it.
   shard.vids->Inspect(msg.dgram, msg.from_outside);
   if (span_t0 != 0) {
-    RecordSpan(shard, span_t0, span_dequeue);
+    const int64_t span_done = obs::MonotonicNanos();
+    shard.lat_ingest_to_dequeue->Record(span_dequeue - span_t0);
+    shard.lat_inspect->Record(span_done - span_dequeue);
+    shard.lat_e2e->Record(span_done - span_t0);
     shard.span_open_enqueue_ns = 0;
   }
 }
@@ -443,6 +431,11 @@ void ShardedIds::Ingest(const net::Datagram& dgram, bool from_outside,
   if (workers_joined_) return;  // stopped engines drop quietly
   const int64_t when_ns = when.nanos();
   last_ingest_ns_ = std::max(last_ingest_ns_, when_ns);
+  // Frees expired owner entries; routing already treats them as absent.
+  if (when_ns >= next_owner_drain_ns_) {
+    owners_.Drain(when);
+    next_owner_drain_ns_ = when_ns + config_.detection.sweep_interval.nanos();
+  }
 
   // Route on the classifier's own decision (DecideProto), so the router
   // and the shard-side classifier agree on what a packet is. SIP goes by
@@ -642,29 +635,29 @@ void ShardedIds::AdvanceCoordinator(int64_t when_ns) {
 
 void ShardedIds::EmitAlert(Alert alert) {
   if (alert_callback_) alert_callback_(alert);
-  // Ordered insert at the canonical position (see alerts()). Alerts
-  // arrive near-sorted — each source's stream is time-ordered — so the
-  // upper_bound lands near the back, and the retained history stays small
-  // under max_retained_alerts.
-  AlertKey key{alert.when.nanos(), alert.ToString()};
-  const auto it =
-      std::upper_bound(alert_keys_.begin(), alert_keys_.end(), key);
-  const auto at = it - alert_keys_.begin();
-  alert_keys_.insert(it, std::move(key));
-  alerts_.insert(alerts_.begin() + at, std::move(alert));
+  // Ordered insert at the canonical position (see alerts()). Only the
+  // alerts of the same instant are rendered, by a binary search among them.
+  const auto [first, last] = std::equal_range(
+      alerts_.begin(), alerts_.end(), alert,
+      [](const Alert& a, const Alert& b) { return a.when < b.when; });
+  auto at = last;
+  if (first != last) {
+    const std::string text = alert.ToString();
+    at = std::upper_bound(first, last, text,
+                          [](const std::string& t, const Alert& a) {
+                            return t < a.ToString();
+                          });
+  }
+  alerts_.insert(at, std::move(alert));
   if (config_.max_retained_alerts != 0 &&
       alerts_.size() > config_.max_retained_alerts) {
-    const auto drop = static_cast<ptrdiff_t>(alerts_.size() / 2);
-    alerts_.erase(alerts_.begin(), alerts_.begin() + drop);
-    alert_keys_.erase(alert_keys_.begin(), alert_keys_.begin() + drop);
+    alerts_.erase(alerts_.begin(),
+                  alerts_.begin() + static_cast<ptrdiff_t>(alerts_.size() / 2));
   }
 }
 
 void ShardedIds::Flush(sim::Time now) {
-  if (workers_joined_) {
-    ReplayAggregates(INT64_MAX);
-    return;
-  }
+  if (workers_joined_) return;  // Stop() replayed everything
   m_flushes_->Inc();
   const int64_t now_ns = std::max(now.nanos(), last_ingest_ns_);
   ++flush_token_;
@@ -697,26 +690,13 @@ void ShardedIds::Flush(sim::Time now) {
     std::this_thread::yield();
   }
   DrainUp();
-  PruneCoordinator(now_ns);
-}
-
-void ShardedIds::PruneCoordinator(int64_t now_ns) {
-  // A media-owner entry is refreshed by every RTP hit, so idleness past the
-  // shard-side state horizon (tombstone TTL + keyed idle timeout) means no
-  // shard still holds state for the endpoint; routing can safely fall back
-  // to the hash. (Streams with longer in-stream gaps would re-route — the
-  // keyed group they'd rejoin was reclaimed at the 30 s idle timeout
-  // anyway, so the fresh-count behavior matches the single engine.)
-  const int64_t owner_horizon_ns =
-      (config_.detection.tombstone_ttl + config_.detection.keyed_idle_timeout)
-          .nanos();
-  owners_.Prune(now_ns, owner_horizon_ns);
-
   // The replay reached now_ns: catch the coordinator's clock up. Its
   // periodic sweep stays armed while it holds flood/DRDoS groups, alert
   // signatures or behavior profiles, so running its timers to now_ns
-  // reclaims them on the plain engine's horizons.
+  // reclaims them on the plain engine's horizons. The owner drain only
+  // frees memory, so that TrackedState() reaches 0 once traffic stops.
   AdvanceCoordinator(now_ns);
+  owners_.Drain(sim::Time::FromNanos(now_ns));
 }
 
 void ShardedIds::Stop() {

@@ -18,7 +18,8 @@
 //                    falling back to a hash of the destination endpoint for
 //                    unnegotiated media. Either way one endpoint → one
 //                    shard, so the per-endpoint pattern groups (RTP flood,
-//                    media spam, RTCP BYE) count a coherent stream.
+//                    media spam, RTCP BYE) count a coherent stream. Owner
+//                    entries expire on ingest time.
 //   RTCP           → folded onto its media endpoint (port − 1) and routed
 //                    like RTP, so the ghost-media machine sees both halves.
 //   anything else  → hash of the destination endpoint.
@@ -39,6 +40,9 @@
 // aggregate-complete frontier, and replays them into its own Vids on a
 // coordinator-private scheduler — the same EFSM groups, alert dedup and
 // behavior engine the plain engine runs inline. See DESIGN.md §11.
+//
+// Flush is a pure barrier: no state needs it to stay bounded, and it
+// changes no routing decision (DESIGN.md §11, "Reclamation").
 //
 // Thread-ownership invariants (DESIGN.md §11):
 //   - each shard's Scheduler + Vids are touched only by its worker thread;
@@ -63,7 +67,6 @@
 
 #include "common/spsc_ring.h"
 #include "net/datagram.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sim/scheduler.h"
 #include "sip/lazy_message.h"
@@ -90,10 +93,10 @@ struct ShardedConfig {
   /// Sample one in this many ingested packets for a pipeline span: the
   /// coordinator stamps the enqueue wall time, the worker records
   /// ingest→dequeue / inspect / end-to-end (and, if the packet alerted,
-  /// ingest→alert) into its shard-local latency histograms plus a kSpan
-  /// flight record. Rounded up to a power of two. 0 disables tracing: the
-  /// ingest path then carries a single always-false branch — no clock
-  /// read, no counter tick — and the worker's span branch never takes.
+  /// ingest→alert) into its shard-local latency histograms. Rounded up to
+  /// a power of two. 0 disables tracing: the ingest path then carries a
+  /// single always-false branch — no clock read, no counter tick — and the
+  /// worker's span branch never takes.
   uint32_t trace_sample_period = 1024;
   /// Watchdog deadline (wall clock): a shard whose down ring stays
   /// non-empty while its worker's heartbeat does not advance for this long
@@ -133,7 +136,8 @@ class ShardedIds {
   /// every shard's detection timers have advanced to `now`, all aggregate
   /// events up to `now` are replayed and the coordinator's scheduler has
   /// advanced to `now` too, and shard state (metrics(), fact_base()) may be
-  /// read until the next Ingest. Also prunes the idle media-owner entries.
+  /// read until the next Ingest. Also drains the media-owner wheel at
+  /// `now`, which frees memory and changes no routing decision.
   void Flush(sim::Time now);
 
   /// Stops and joins the workers, then drains everything still in flight.
@@ -196,12 +200,8 @@ class ShardedIds {
   uint64_t early_media_retracts() const { return m_early_retracts_->value(); }
   /// Stall episodes the watchdog has alerted on (one per episode).
   uint64_t watchdog_stalls() const { return m_watchdog_stalls_->value(); }
-
-  /// The shard's last 32 sampled pipeline spans (kSpan flight records,
-  /// oldest first). Post-Flush only.
-  const obs::FlightRecorder& shard_spans(int i) const {
-    return shards_[static_cast<size_t>(i)]->spans;
-  }
+  /// Owner-map entries, expired ones not yet drained included. No Flush.
+  size_t media_owner_count() const { return owners_.size(); }
 
   /// Test hooks: deliberately stall / release a worker so the watchdog's
   /// stall detection can be exercised. A wedged worker keeps its down ring
@@ -279,9 +279,6 @@ class ShardedIds {
     obs::Histogram* lat_e2e = nullptr;
     obs::Histogram* lat_ingest_to_alert = nullptr;
     obs::Histogram* batch_consumed = nullptr;
-    /// Last 32 sampled spans as kSpan flight records (worker-owned;
-    /// post-Flush read via shard_spans()).
-    obs::FlightRecorder spans;
     /// Enqueue wall time of the sampled packet currently being inspected
     /// (worker-owned plain slot; lets the alert callback attribute an
     /// ingest→alert latency to the span). 0 between sampled packets.
@@ -340,10 +337,6 @@ class ShardedIds {
   /// gaps — run in bounded slices with a heartbeat store per slice, so
   /// mid-batch catch-up work is visible as progress.
   void AdvanceShardClock(Shard& shard, sim::Time when);
-  /// Records a sampled packet's span: latency histograms + a kSpan flight
-  /// record. `t0` is the enqueue wall time, `t_dequeue` the worker's
-  /// dequeue wall time; called right after Inspect returns.
-  void RecordSpan(Shard& shard, int64_t t0, int64_t t_dequeue);
   // Fill-callbacks are template parameters (not std::function) so the
   // per-packet push never allocates a callable. Defined in the .cpp — only
   // that TU instantiates them.
@@ -381,9 +374,6 @@ class ShardedIds {
   /// Inserts into the retained history at its canonical position (see
   /// alerts()).
   void EmitAlert(Alert alert);
-  /// Flush-time reclamation: prunes idle owner-map entries, then advances
-  /// the coordinator Vids to `now_ns`, which runs its periodic sweeps.
-  void PruneCoordinator(int64_t now_ns);
   /// Stall detector (coordinator thread, called from DrainUp and throttled
   /// to ~threshold/8): raises one EngineHealth alert per stall episode.
   /// Every blocking loop (backpressure, Flush, Stop) drains through here,
@@ -392,8 +382,10 @@ class ShardedIds {
 
   ShardedConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Media-endpoint ownership, coordinator thread only.
+  /// Media-endpoint ownership, coordinator thread only. Ingest drains it
+  /// once per sweep_interval of ingest time.
   MediaOwnerMap owners_;
+  int64_t next_owner_drain_ns_ = 0;
   sip::LazyMessage lazy_;  // routing parser, reused across packets
   bool workers_joined_ = false;
   int64_t last_ingest_ns_ = 0;
@@ -431,18 +423,8 @@ class ShardedIds {
   int64_t last_watchdog_check_ns_ = 0;
   std::vector<ShardHealth> health_;
 
-  /// Canonical deterministic sort key of each retained alert (parallel to
-  /// alerts_): alert time, ties broken by the rendered alert text.
-  struct AlertKey {
-    int64_t when_ns = 0;
-    std::string text;
-    bool operator<(const AlertKey& o) const {
-      if (when_ns != o.when_ns) return when_ns < o.when_ns;
-      return text < o.text;
-    }
-  };
+  /// Retained alerts in canonical order (see alerts()).
   std::vector<Alert> alerts_;
-  std::vector<AlertKey> alert_keys_;
   std::function<void(const Alert&)> alert_callback_;
 
   obs::MetricsRegistry coord_metrics_;

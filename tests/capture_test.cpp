@@ -411,10 +411,14 @@ struct Replayed {
   // 600 s after the capture: the sharded engine's TrackedState(), the plain
   // engine's fact-base entries, alert signatures and behavior profiles.
   size_t tracked = 0;
+  size_t flushes = 0;  // mid-stream Flush calls
 };
 
-// Replays `bytes` into a plain Vids (shards = 0) or into ShardedIds.
-Replayed Replay(const std::string& bytes, int shards) {
+// Replays `bytes` into a plain Vids (shards = 0) or into ShardedIds. With
+// `flush_every` > 0 the sharded replay also calls Flush just before the
+// instant of every flush_every-th packet, when that packet starts a new
+// instant (post-Flush ingest must carry later times).
+Replayed Replay(const std::string& bytes, int shards, size_t flush_every = 0) {
   PcapReadOptions read;
   read.inside = corpus::InsideSubnet();
   PcapFileSource source(bytes, read);
@@ -424,10 +428,24 @@ Replayed Replay(const std::string& bytes, int shards) {
     config.shards = shards;
     config.watchdog_stall_ms = 0;
     ids::ShardedIds engine(config);
-    const ReplayStats replay = RunSource(source, engine);
-    EXPECT_TRUE(replay.ok);
+    if (flush_every == 0) {
+      EXPECT_TRUE(RunSource(source, engine).ok);
+    } else {
+      const std::vector<TimedPacket> packets = AllPackets(source);
+      EXPECT_TRUE(source.ok());
+      for (size_t i = 0; i < packets.size(); ++i) {
+        if ((i + 1) % flush_every == 0 && i > 0 &&
+            packets[i].when > packets[i - 1].when) {
+          engine.Flush(packets[i].when - sim::Duration::Nanos(1));
+          ++out.flushes;
+        }
+        engine.Ingest(packets[i].dgram, packets[i].from_outside,
+                      packets[i].when);
+      }
+      engine.Flush(source.clock());
+    }
     out.alerts = engine.alerts();
-    engine.Flush(replay.end + sim::Duration::Seconds(600));
+    engine.Flush(source.clock() + sim::Duration::Seconds(600));
     out.tracked = engine.TrackedState();
   } else {
     sim::Scheduler scheduler;
@@ -465,24 +483,47 @@ std::vector<std::pair<int64_t, std::string>> Canonical(
   return out;
 }
 
+struct Differential {
+  int shard_mismatches = 0;  // shard counts that disagreed with plain
+  int flush_mismatches = 0;  // flushing runs that disagreed with the run
+                             // without
+  size_t flushes = 0;        // mid-stream Flush calls made
+};
+
 // ShardedIds at 1 and 4 shards must raise the plain Vids's alerts, and
-// every engine must drain all tracked state past the idle horizon. Returns
-// how many shard counts disagreed with the plain engine.
-int ExpectEnginesAgree(const std::string& bytes, const std::string& label) {
+// every engine must drain all tracked state past the idle horizon. With
+// `flush_every` > 0 one more 4-shard run flushes mid-stream (Replay) and
+// must raise the same alerts as the 4-shard run without those flushes.
+Differential ExpectEnginesAgree(const std::string& bytes,
+                                const std::string& label,
+                                size_t flush_every = 0) {
   const Replayed direct = Replay(bytes, 0);
   EXPECT_EQ(direct.tracked, 0u) << label << ", direct";
-  int mismatches = 0;
+  Differential out;
+  std::vector<std::pair<int64_t, std::string>> four;
   for (const int shards : {1, 4}) {
     const Replayed sharded = Replay(bytes, shards);
     EXPECT_EQ(sharded.tracked, 0u) << label << ", " << shards << " shards";
     if (Canonical(sharded.alerts) != Canonical(direct.alerts)) {
-      ++mismatches;
+      ++out.shard_mismatches;
       ADD_FAILURE() << label << ": " << shards << " shards raised "
                     << sharded.alerts.size() << " alerts, direct "
                     << direct.alerts.size();
     }
+    if (shards == 4) four = Canonical(sharded.alerts);
   }
-  return mismatches;
+  if (flush_every > 0) {
+    const Replayed flushed = Replay(bytes, 4, flush_every);
+    EXPECT_EQ(flushed.tracked, 0u) << label << ", flushing";
+    out.flushes = flushed.flushes;
+    if (Canonical(flushed.alerts) != four) {
+      ++out.flush_mismatches;
+      ADD_FAILURE() << label << ": 4 shards flushing every " << flush_every
+                    << " packets raised " << flushed.alerts.size()
+                    << " alerts, without the flushes " << four.size();
+    }
+  }
+  return out;
 }
 
 TEST(Corpus, RegenerationIsByteDeterministic) {
@@ -607,13 +648,15 @@ void CrossDispatchBoundary(std::string& payload, common::Stream& rng) {
 
 // The router and the shard-side classifier make one dispatch decision, so
 // bytes crafted across its boundaries must not split the engines. Each
-// seeded copy of a corpus capture mutates 1-4 packets. DIFFERENTIAL_COPIES
-// sets the copies per capture (default 32, about 1 s in a Release build);
-// the nightly lane runs 3200.
+// seeded copy of a corpus capture mutates 1-4 packets. Routing must not
+// depend on Flush either: a 4-shard run that flushes before every 64th
+// packet must raise the alerts of the run that does not.
+// DIFFERENTIAL_COPIES sets the copies per capture (default 32, about 1 s
+// in a Release build); the nightly lane runs 3200.
 TEST(DispatchDifferential, EnginesAgreeOnMutatedCorpus) {
   const char* env = std::getenv("DIFFERENTIAL_COPIES");
   const int copies = env != nullptr ? std::max(1, std::atoi(env)) : 32;
-  int mismatches = 0;
+  Differential total;
   for (const auto& file : corpus::BuildAll()) {
     PcapFileSource source(file.bytes);
     const std::vector<TimedPacket> packets = AllPackets(source);
@@ -627,12 +670,18 @@ TEST(DispatchDifferential, EnginesAgreeOnMutatedCorpus) {
       }
       PcapWriter writer;
       for (const auto& packet : mutated) writer.Add(packet.when, packet.dgram);
-      mismatches += ExpectEnginesAgree(
-          writer.bytes(), file.name + " copy " + std::to_string(copy));
+      const Differential copy_result = ExpectEnginesAgree(
+          writer.bytes(), file.name + " copy " + std::to_string(copy),
+          /*flush_every=*/64);
+      total.shard_mismatches += copy_result.shard_mismatches;
+      total.flush_mismatches += copy_result.flush_mismatches;
+      total.flushes += copy_result.flushes;
     }
   }
-  std::printf("%d mutated copies per corpus capture, %d mismatches\n",
-              copies, mismatches);
+  std::printf(
+      "%d mutated copies per corpus capture, %d mismatches; %zu mid-stream "
+      "flushes, %d mismatches with them\n",
+      copies, total.shard_mismatches, total.flushes, total.flush_mismatches);
 }
 
 // ------------------------------------------- torn-packet parser hardening
