@@ -1,6 +1,13 @@
 #include "capture/pcap.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string_view>
 
 namespace vids::capture {
@@ -25,6 +32,14 @@ constexpr uint8_t kIpProtoUdp = 17;
 
 /// Largest UDP payload an IPv4 datagram can carry (65535 - 20 - 8).
 constexpr size_t kMaxUdpPayload = 65507;
+
+/// The most bytes of one record that decoding reads: an Ethernet header
+/// with two VLAN tags, a 60-byte IPv4 header, the UDP header and the
+/// largest UDP payload. Every check on a longer record reads the same
+/// answer from its first kFrameBytes.
+constexpr size_t kFrameBytes = 14 + 2 * 4 + 60 + 8 + kMaxUdpPayload;
+static_assert(kFrameBytes <= PcapFileSource::kWindowBytes,
+              "the largest UDP/IPv4 frame must fit in one window");
 
 uint32_t Bswap32(uint32_t v) {
   return ((v & 0xFF000000U) >> 24) | ((v & 0x00FF0000U) >> 8) |
@@ -57,19 +72,44 @@ uint32_t FrameU32(std::string_view frame, size_t offset) {
 // ----------------------------------------------------------------- reader
 
 PcapFileSource::PcapFileSource(std::string bytes, PcapReadOptions options)
-    : data_(std::move(bytes)), options_(options) {
-  if (data_.size() < 24) {
-    error_ = "pcap: file truncated inside the 24-byte global header (" +
-             std::to_string(data_.size()) + " bytes)";
+    : PcapFileSource(options) {
+  window_ = std::make_unique_for_overwrite<char[]>(bytes.size());
+  std::memcpy(window_.get(), bytes.data(), bytes.size());
+  capacity_ = end_ = bytes.size();
+  read_ = size_ = bytes.size();
+  ReadGlobalHeader();
+}
+
+std::unique_ptr<PcapFileSource> PcapFileSource::Open(
+    const std::string& path, PcapReadOptions options) {
+  std::unique_ptr<PcapFileSource> source(new PcapFileSource(options));
+  source->path_ = path;
+  source->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (source->fd_ < 0 || ::fstat(source->fd_, &st) != 0) {
+    source->Fail("pcap: cannot read " + path);
+    return source;
+  }
+  if (S_ISREG(st.st_mode)) source->size_ = static_cast<uint64_t>(st.st_size);
+  source->window_ = std::make_unique_for_overwrite<char[]>(kWindowBytes);
+  source->capacity_ = kWindowBytes;
+  source->ReadGlobalHeader();
+  return source;
+}
+
+PcapFileSource::~PcapFileSource() { CloseFile(); }
+
+void PcapFileSource::ReadGlobalHeader() {
+  if (!Fill(24)) {
+    if (ok()) {
+      Fail("pcap: file truncated inside the 24-byte global header (" +
+           std::to_string(end_ - begin_) + " bytes)");
+    }
     return;
   }
   // Read the magic little-endian; the byte-swapped constants then identify
   // big-endian files, so detection is host-order independent.
-  const uint32_t magic =
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[3])) << 24) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[2])) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[1])) << 8) |
-      static_cast<uint32_t>(static_cast<uint8_t>(data_[0]));
+  const uint32_t magic = ReadU32(0);
   switch (magic) {
     case kMagicMicroLe: swapped_ = false; nanosecond_ = false; break;
     case kMagicNanoLe: swapped_ = false; nanosecond_ = true; break;
@@ -78,93 +118,157 @@ PcapFileSource::PcapFileSource(std::string bytes, PcapReadOptions options)
     default: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "0x%08x", magic);
-      error_ = std::string("pcap: bad magic ") + buf +
-               " (not a classic pcap savefile)";
+      Fail(std::string("pcap: bad magic ") + buf +
+           " (not a classic pcap savefile)");
       return;
     }
   }
   linktype_ = ReadU32(20);
   if (linktype_ != kLinktypeEthernet && linktype_ != kLinktypeRawIp) {
-    error_ = "pcap: unsupported linktype " + std::to_string(linktype_) +
-             " (supported: 1 Ethernet, 101 raw IPv4)";
+    Fail("pcap: unsupported linktype " + std::to_string(linktype_) +
+         " (supported: 1 Ethernet, 101 raw IPv4)");
     return;
   }
-  offset_ = 24;
+  begin_ = 24;
 }
 
-std::unique_ptr<PcapFileSource> PcapFileSource::Open(
-    const std::string& path, PcapReadOptions options) {
-  std::string bytes;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (!read_error) {
-      return std::make_unique<PcapFileSource>(std::move(bytes), options);
-    }
+void PcapFileSource::Fail(std::string message) {
+  error_ = std::move(message);
+  CloseFile();
+}
+
+bool PcapFileSource::FailPastEnd(uint32_t incl_len, uint64_t left) {
+  // An I/O error that ended the read keeps its own description.
+  if (ok()) {
+    Fail("pcap: record " + std::to_string(stats_.records + 1) +
+         " runs past end of file (incl_len " + std::to_string(incl_len) +
+         ", " + std::to_string(left) + " bytes left)");
   }
-  auto source = std::make_unique<PcapFileSource>(std::string(), options);
-  source->error_ = "pcap: cannot read " + path;
-  return source;
+  return false;
 }
 
-uint32_t PcapFileSource::ReadU32(size_t offset) const {
+void PcapFileSource::CloseFile() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+bool PcapFileSource::Fill(size_t n) {
+  if (end_ - begin_ >= n) return true;
+  if (fd_ < 0) return false;
+  Compact();
+  while (end_ < n) {
+    if (!ReadMore()) return false;
+  }
+  return true;
+}
+
+void PcapFileSource::Compact() {
+  std::memmove(window_.get(), window_.get() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+}
+
+bool PcapFileSource::ReadMore() {
+  if (fd_ < 0) return false;
+  // Never past the size fstat reported: a regular file ends there.
+  const auto room =
+      static_cast<size_t>(std::min<uint64_t>(capacity_ - end_, size_ - read_));
+  ssize_t n = 0;
+  if (room > 0) {
+    do {
+      n = ::read(fd_, window_.get() + end_, room);
+    } while (n < 0 && errno == EINTR);
+  }
+  if (n > 0) {
+    end_ += static_cast<size_t>(n);
+    read_ += static_cast<uint64_t>(n);
+    return true;
+  }
+  if (n < 0) {
+    Fail("pcap: cannot read " + path_);
+  } else {
+    CloseFile();
+  }
+  return false;
+}
+
+uint32_t PcapFileSource::ReadU32(size_t pos) const {
+  const char* p = window_.get() + pos;
   const uint32_t v =
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[offset + 3])) << 24) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[offset + 2])) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(data_[offset + 1])) << 8) |
-      static_cast<uint32_t>(static_cast<uint8_t>(data_[offset]));
+      (static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24) |
+      (static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16) |
+      (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8) |
+      static_cast<uint32_t>(static_cast<uint8_t>(p[0]));
   return swapped_ ? Bswap32(v) : v;
 }
 
-uint16_t PcapFileSource::ReadU16(size_t offset) const {
-  const auto v = static_cast<uint16_t>(
-      (static_cast<uint16_t>(static_cast<uint8_t>(data_[offset + 1])) << 8) |
-      static_cast<uint16_t>(static_cast<uint8_t>(data_[offset])));
-  return swapped_ ? Bswap16(v) : v;
+size_t PcapFileSource::PullBatch(std::vector<TimedPacket>& out, size_t max) {
+  size_t n = 0;
+  while (n < max) {
+    if (n == out.size()) out.emplace_back();
+    if (!DecodeNext(out[n])) break;
+    ++n;
+  }
+  out.resize(n);
+  return n;
 }
 
-size_t PcapFileSource::PullBatch(std::vector<TimedPacket>& out, size_t max) {
-  out.clear();
-  while (out.size() < max) {
-    TimedPacket packet;
-    if (!DecodeNext(packet)) break;
-    out.push_back(std::move(packet));
+bool PcapFileSource::TakeFrame(uint32_t incl_len, std::string_view& frame) {
+  const size_t keep = std::min<size_t>(incl_len, kFrameBytes);
+  if (!Fill(keep)) return FailPastEnd(incl_len, end_ - begin_);
+  const uint64_t tail = incl_len - keep;  // bytes no decoder reads
+  if (end_ - begin_ - keep >= tail) {  // the whole record is in the window
+    frame = std::string_view(window_.get() + begin_, keep);
+    begin_ += incl_len;
+    return true;
   }
-  return out.size();
+  // A record longer than any UDP/IPv4 frame runs past the window: keep its
+  // first kFrameBytes at the front and drop the rest as it is read.
+  Compact();
+  uint64_t dropped = 0;
+  for (;;) {
+    const size_t behind = end_ - keep;
+    const auto drop = static_cast<size_t>(
+        std::min<uint64_t>(behind, tail - dropped));
+    std::memmove(window_.get() + keep, window_.get() + keep + drop,
+                 behind - drop);
+    end_ -= drop;
+    dropped += drop;
+    if (dropped == tail) break;
+    if (!ReadMore()) return FailPastEnd(incl_len, keep + dropped);
+  }
+  frame = std::string_view(window_.get(), keep);
+  begin_ = keep;
+  return true;
 }
 
 bool PcapFileSource::DecodeNext(TimedPacket& out) {
-  while (error_.empty()) {
-    const size_t remaining = data_.size() - offset_;
-    if (remaining == 0) return false;  // clean EOF
-    if (remaining < 16) {
-      error_ = "pcap: record " + std::to_string(stats_.records + 1) +
-               " truncated inside the record header (offset " +
-               std::to_string(offset_) + ", " + std::to_string(remaining) +
-               " bytes left)";
-      return false;
+  while (ok()) {
+    if (!Fill(16)) {
+      const size_t left = end_ - begin_;
+      if (left != 0 && ok()) {
+        Fail("pcap: record " + std::to_string(stats_.records + 1) +
+             " truncated inside the record header (offset " +
+             std::to_string(read_ - left) + ", " + std::to_string(left) +
+             " bytes left)");
+      }
+      return false;  // clean EOF when nothing is left and no fault
     }
-    const uint32_t ts_sec = ReadU32(offset_);
-    const uint32_t ts_frac = ReadU32(offset_ + 4);
-    const uint32_t incl_len = ReadU32(offset_ + 8);
-    const uint32_t orig_len = ReadU32(offset_ + 12);
-    offset_ += 16;
-    if (incl_len > data_.size() - offset_) {
-      error_ = "pcap: record " + std::to_string(stats_.records + 1) +
-               " runs past end of file (incl_len " + std::to_string(incl_len) +
-               ", " + std::to_string(data_.size() - offset_) + " bytes left)";
-      return false;
-    }
-    const std::string_view frame(data_.data() + offset_, incl_len);
-    offset_ += incl_len;
+    const uint32_t ts_sec = ReadU32(begin_);
+    const uint32_t ts_frac = ReadU32(begin_ + 4);
+    const uint32_t incl_len = ReadU32(begin_ + 8);
+    const uint32_t orig_len = ReadU32(begin_ + 12);
+    begin_ += 16;
+    // read_ - (end_ - begin_) is the file offset of the record's frame.
+    const uint64_t left = size_ - (read_ - (end_ - begin_));
+    std::string_view frame;
+    if (incl_len > left) return FailPastEnd(incl_len, left);
+    if (!TakeFrame(incl_len, frame)) return false;
     ++stats_.records;
     if (orig_len < incl_len) {
-      error_ = "pcap: record " + std::to_string(stats_.records) +
-               " has orig_len " + std::to_string(orig_len) + " < incl_len " +
-               std::to_string(incl_len);
+      Fail("pcap: record " + std::to_string(stats_.records) +
+           " has orig_len " + std::to_string(orig_len) + " < incl_len " +
+           std::to_string(incl_len));
       return false;
     }
 

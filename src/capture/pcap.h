@@ -16,6 +16,11 @@
 // bytes beyond `incl_len` become `Datagram::padding_bytes`
 // (= orig_len - incl_len), so wire sizes round-trip without filler.
 //
+// A capture file is streamed, never loaded: records are decoded out of one
+// window of kWindowBytes that is refilled from the file as it drains, so
+// replaying a capture of any size holds one window of it in memory. An
+// in-memory capture takes the same path, its window holding every byte.
+//
 // The writer emits one UDP/IPv4/Ethernet frame per datagram with MACs
 // derived from the IPs, in either byte order, so recordings, the corpus
 // (tools/make_corpus) and the round-trip tests are deterministic captures.
@@ -23,10 +28,12 @@
 // `PcapReadOptions::inside`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/address.h"
@@ -64,36 +71,59 @@ struct PcapStats {
   uint64_t skipped_non_udp = 0;    ///< IPv4 but protocol != UDP
   uint64_t skipped_fragment = 0;   ///< IPv4 fragments (no reassembly)
   uint64_t skipped_malformed = 0;  ///< headers truncated inside the snap
+
+  friend bool operator==(const PcapStats&, const PcapStats&) = default;
 };
 
 /// A pull-batch iterator over the capture's UDP datagrams, and the owner
 /// of the stream's logical clock (DESIGN.md §14):
-///  - PullBatch appends up to `max` packets to `out` (cleared first) and
-///    returns how many it delivered. 0 means end of stream — permanently;
-///    callers must not retry.
+///  - PullBatch decodes up to `max` packets into `out`, refilling the
+///    TimedPackets already there in place and appending only when `out` is
+///    shorter, then resizes `out` to the count and returns it. 0 means end
+///    of stream — permanently; callers must not retry.
 ///  - Timestamps are non-decreasing across the whole stream (a backward
 ///    record is clamped to the stream clock). Ties are delivered in capture
 ///    order.
-///  - `out` is caller-owned scratch: drivers reuse one vector across calls
-///    so steady-state replay runs without per-batch allocation.
+///  - `out` is caller-owned scratch: a driver that reuses one vector across
+///    calls keeps every payload's capacity, so once its slots have held
+///    their largest payloads steady-state replay allocates nothing, per
+///    batch or per packet.
+///  - Memory: a file is read through one window of kWindowBytes, whatever
+///    its size. A regular file's size, taken by fstat at Open, bounds every
+///    record: one claiming more bytes than remain fails before any read
+///    (from a pipe, whose size is unknown, it fails at end of file).
+///    Decoding reads at most the first 65,597 bytes of a record (the
+///    largest UDP/IPv4 frame); the rest of a longer record is read past,
+///    so no header can make the reader allocate.
 ///  - `clock()` is the highest timestamp the source vouches for, so a
 ///    driver that has drained the source may advance its scheduler to
 ///    `clock()` and know that every TTL sweep, aggregate window and
 ///    watchdog deadline it fires is consistent with the traffic it saw.
 ///  - `error()` is empty while the stream is healthy. A framing or I/O
-///    fault sets it to a description naming the offending record, the
-///    packets decoded before the fault are delivered, and PullBatch then
-///    returns 0. EOF with an empty error() is a clean end of capture.
+///    fault sets it to a description naming the offending record (or
+///    `pcap: cannot read PATH` for an I/O error), the packets decoded
+///    before the fault are delivered, and PullBatch then returns 0. EOF
+///    with an empty error() is a clean end of capture.
 class PcapFileSource {
  public:
-  /// Parses the global header eagerly; on a bad header the source is
-  /// created with error() set and yields nothing.
+  /// Bytes of the window a capture file is read through.
+  static constexpr size_t kWindowBytes = size_t{1} << 20;
+
+  /// An in-memory capture: the window holds every byte and no file is
+  /// behind it. Parses the global header eagerly; on a bad header the
+  /// source is created with error() set and yields nothing.
   explicit PcapFileSource(std::string bytes, PcapReadOptions options = {});
 
-  /// Reads `path` into memory. An unreadable file yields a source with
-  /// error() set (uniform handling with in-stream faults).
+  /// Opens `path` and reads its first window, which holds the global
+  /// header; records are read as PullBatch drains the window. An unreadable
+  /// file yields a source with error() set (uniform handling with
+  /// in-stream faults).
   static std::unique_ptr<PcapFileSource> Open(const std::string& path,
                                               PcapReadOptions options = {});
+
+  ~PcapFileSource();
+  PcapFileSource(const PcapFileSource&) = delete;
+  PcapFileSource& operator=(const PcapFileSource&) = delete;
 
   size_t PullBatch(std::vector<TimedPacket>& out, size_t max);
   sim::Time clock() const { return clock_; }
@@ -106,16 +136,49 @@ class PcapFileSource {
   uint32_t linktype() const { return linktype_; }
 
  private:
+  explicit PcapFileSource(PcapReadOptions options) : options_(options) {}
+
+  void ReadGlobalHeader();
+
   /// Decodes records until one UDP packet materializes. Returns false at
   /// end of stream (clean EOF or fault — error_ distinguishes).
   bool DecodeNext(TimedPacket& out);
 
-  uint32_t ReadU32(size_t offset) const;
-  uint16_t ReadU16(size_t offset) const;
+  /// Consumes the next record's `incl_len` bytes and points `frame` at the
+  /// ones decoding reads, valid until the next read. False, with error_
+  /// set, when the source ends inside the record.
+  bool TakeFrame(uint32_t incl_len, std::string_view& frame);
 
-  std::string data_;
+  /// Makes `n` (<= the window's size) unread bytes available at
+  /// window_[begin_], reading the file as needed. False when the source
+  /// ends first; an I/O error also sets error_.
+  bool Fill(size_t n);
+  /// Moves the unread bytes to the front of the window.
+  void Compact();
+  /// Reads the file into the free end of the window. False at end of file
+  /// or on an I/O error (which sets error_); either closes the file.
+  bool ReadMore();
+  void Fail(std::string message);
+  /// Fails the record that claims `incl_len` bytes where `left` remain;
+  /// returns false.
+  bool FailPastEnd(uint32_t incl_len, uint64_t left);
+  void CloseFile();
+
+  /// The header field at window_[pos], in the file's byte order.
+  uint32_t ReadU32(size_t pos) const;
+
+  std::unique_ptr<char[]> window_;
+  size_t capacity_ = 0;  ///< window_'s size
+  size_t begin_ = 0;     ///< first unread byte in window_
+  size_t end_ = 0;       ///< one past the last byte read into window_
+  uint64_t read_ = 0;    ///< bytes read from the source so far
+  /// Bytes the source holds: a regular file's size at Open, an in-memory
+  /// capture's length, or unknown (the maximum) for a pipe.
+  uint64_t size_ = UINT64_MAX;
+  int fd_ = -1;          ///< the open file, or -1 (in memory, or ended)
+  std::string path_;
+
   PcapReadOptions options_;
-  size_t offset_ = 0;
   bool swapped_ = false;
   bool nanosecond_ = false;
   uint32_t linktype_ = 0;

@@ -309,11 +309,13 @@ void ShardedIds::AdvanceShardClock(Shard& shard, sim::Time when) {
   // messages, and every sweep/timer inside the gap runs here — mid-batch,
   // before the post-batch heartbeat store is reached. One monolithic
   // RunUntil would freeze the heartbeat for the whole catch-up and let the
-  // watchdog mis-score genuine progress as a wedged worker. Bounded slices
-  // keep the heartbeat live.
-  constexpr int64_t kSliceNs = 60'000'000'000;  // one simulated minute
-  while (when.nanos() - scheduler.Now().nanos() > kSliceNs) {
-    scheduler.RunUntil(scheduler.Now() + sim::Duration::Nanos(kSliceNs));
+  // watchdog mis-score genuine progress as a wedged worker. A slice of one
+  // sweep interval runs at most one sweep plus the timers due with it, so a
+  // heartbeat follows every sweep; the slices run the events of one
+  // RunUntil(when), in the same order.
+  const sim::Duration slice = config_.detection.sweep_interval;
+  while (when - scheduler.Now() > slice) {
+    scheduler.RunUntil(scheduler.Now() + slice);
     shard.last_progress_ns.store(obs::MonotonicNanos(),
                                  std::memory_order_release);
   }

@@ -1,14 +1,21 @@
 // Tests for the capture front end (DESIGN.md §14): the pcap reader/writer
-// pair and its pull-batch contract, the corpus generator, the RunSource
-// replay driver, the sharded engine's clock-domain hardening under
-// faster-than-real-time replay, and plain-vs-sharded agreement on corpus
-// captures mutated across the protocol-dispatch boundaries.
+// pair and its pull-batch contract, the streaming file reader against the
+// in-memory one, the corpus generator, the RunSource replay driver, the
+// sharded engine's clock-domain hardening under faster-than-real-time
+// replay, and plain-vs-sharded agreement on corpus captures mutated across
+// the protocol-dispatch boundaries.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -402,6 +409,305 @@ TEST(PcapReader, RebaseDisabledKeepsAbsoluteEpoch) {
   ASSERT_EQ(packets.size(), 1u);
   EXPECT_EQ(packets[0].when.nanos(),
             1'600'000'000LL * 1'000'000'000LL + 5'000'000LL);
+}
+
+// ---------------------------------------------------- streaming reader
+// Open(path) streams a file through one window; the in-memory constructor
+// holds every byte. Both must read any byte string the same way.
+
+struct Drained {
+  std::vector<TimedPacket> packets;
+  PcapStats stats;
+  int64_t clock_ns = 0;
+  bool ok = false;
+  std::string error;
+};
+
+Drained Drain(PcapFileSource& source) {
+  Drained out;
+  out.packets = AllPackets(source);
+  out.stats = source.stats();
+  out.clock_ns = source.clock().nanos();
+  out.ok = source.ok();
+  out.error = source.error();
+  return out;
+}
+
+// The first difference between two drains, or "" when they agree.
+std::string FirstDifference(const Drained& want, const Drained& got) {
+  if (want.ok != got.ok || want.error != got.error) {
+    return "error '" + want.error + "' vs '" + got.error + "'";
+  }
+  if (want.stats != got.stats) return "stats";
+  if (want.clock_ns != got.clock_ns) return "clock";
+  if (want.packets.size() != got.packets.size()) {
+    return std::to_string(want.packets.size()) + " packets vs " +
+           std::to_string(got.packets.size());
+  }
+  for (size_t i = 0; i < want.packets.size(); ++i) {
+    const TimedPacket& a = want.packets[i];
+    const TimedPacket& b = got.packets[i];
+    if (a.when != b.when || a.from_outside != b.from_outside ||
+        a.dgram.src != b.dgram.src || a.dgram.dst != b.dgram.dst ||
+        a.dgram.payload != b.dgram.payload ||
+        a.dgram.padding_bytes != b.dgram.padding_bytes) {
+      return "packet " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+std::string StreamTempPath() {
+  static int next = 0;
+  return testing::TempDir() + "pcap_stream_" + std::to_string(::getpid()) +
+         "_" + std::to_string(next++);
+}
+
+// Drains `bytes` written to a regular file, whose size bounds each record.
+Drained DrainFile(const std::string& bytes) {
+  const std::string path = StreamTempPath();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return {};
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  const auto source = PcapFileSource::Open(path);
+  Drained out = Drain(*source);
+  std::remove(path.c_str());
+  return out;
+}
+
+// Drains `bytes` fed through a FIFO, where the reader learns the size only
+// at end of file.
+Drained DrainFifo(const std::string& bytes) {
+  const std::string path = StreamTempPath();
+  EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+  // A reader that stops at a fault closes its end; the writer then gets
+  // EPIPE rather than a fatal SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&path, &bytes] {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    for (size_t at = 0; fd >= 0 && at < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + at, bytes.size() - at);
+      if (n <= 0) break;
+      at += static_cast<size_t>(n);
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  auto source = PcapFileSource::Open(path);
+  Drained out = Drain(*source);
+  source.reset();
+  writer.join();
+  std::remove(path.c_str());
+  return out;
+}
+
+// A capture of at least three windows: payloads of 0 to 1,500 bytes, some
+// torn, and every 500th the largest a UDP datagram carries, so records
+// straddle every window boundary. Big-endian, µs and VLAN-tagged, unlike
+// the writer's defaults.
+std::string MultiWindowCapture(common::Stream& rng) {
+  PcapWriteOptions options;
+  options.big_endian = true;
+  options.nanosecond = false;
+  options.vlan = true;
+  PcapWriter writer(options);
+  sim::Time at;
+  for (uint32_t i = 0;
+       writer.bytes().size() < 3 * PcapFileSource::kWindowBytes + 4096; ++i) {
+    std::string payload(i % 500 == 499 ? 65'507 : rng.NextInRange(0, 1500),
+                        '\0');
+    for (size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<char>(i * 131 + b * 7);
+    }
+    const auto padding = static_cast<uint32_t>(
+        rng.NextInRange(0, 7) == 0 && payload.size() <= 1500
+            ? rng.NextInRange(1, 300)
+            : 0);
+    at = at + sim::Duration::Micros(static_cast<int64_t>(
+                  rng.NextInRange(0, 2000)));
+    writer.Add(at, Dg(i % 2 == 0 ? kOutA : kInB, i % 2 == 0 ? kInB : kOutA,
+                      std::move(payload), padding));
+  }
+  return writer.bytes();
+}
+
+void PutU32At(std::string& bytes, size_t pos, uint32_t v, bool big_endian) {
+  for (int i = 0; i < 4; ++i) {
+    const int shift = big_endian ? 24 - 8 * i : 8 * i;
+    bytes[pos + i] = static_cast<char>((v >> shift) & 0xFF);
+  }
+}
+
+// One seeded framing fault: a truncation, a rewritten incl_len or
+// orig_len, or broken magic or linktype bytes.
+void MutateFraming(std::string& bytes, const std::vector<size_t>& records,
+                   bool big_endian, common::Stream& rng) {
+  const uint64_t fault = rng.NextInRange(0, 4);
+  switch (fault) {
+    case 0:  // truncation, now and then inside the global header
+      bytes.resize(rng.NextInRange(0, 3) == 0
+                       ? rng.NextInRange(0, 24)
+                       : rng.NextInRange(0, bytes.size()));
+      return;
+    case 1:    // incl_len
+    case 2: {  // orig_len
+      if (records.empty()) return;
+      const size_t pos = records[rng.NextInRange(0, records.size() - 1)] +
+                         (fault == 1 ? 8 : 12);
+      if (pos + 4 > bytes.size()) return;
+      const uint32_t values[] = {0,          13,
+                                 1500,       65'597,
+                                 65'598,     2'000'000,
+                                 0x7FFF'FFFF, 0xFFFF'FFFF,
+                                 static_cast<uint32_t>(rng.Next())};
+      PutU32At(bytes, pos, values[rng.NextInRange(0, 8)], big_endian);
+      return;
+    }
+    case 3:  // magic
+      if (bytes.size() >= 4) {
+        bytes[rng.NextInRange(0, 3)] = static_cast<char>(rng.Next());
+      }
+      return;
+    default: {  // linktype
+      if (bytes.size() < 24) return;
+      const uint32_t values[] = {0, 1, 101, 113,
+                                 static_cast<uint32_t>(rng.Next())};
+      PutU32At(bytes, 20, values[rng.NextInRange(0, 4)], big_endian);
+      return;
+    }
+  }
+}
+
+// Offsets of the record headers in a well-formed capture.
+std::vector<size_t> RecordOffsets(const std::string& bytes, bool big_endian) {
+  std::vector<size_t> out;
+  for (size_t pos = 24; pos + 16 <= bytes.size();) {
+    out.push_back(pos);
+    uint32_t incl_len = 0;
+    for (int i = 0; i < 4; ++i) {
+      const int shift = big_endian ? 24 - 8 * i : 8 * i;
+      incl_len |= static_cast<uint32_t>(
+                      static_cast<uint8_t>(bytes[pos + 8 + i]))
+                  << shift;
+    }
+    pos += 16 + incl_len;
+  }
+  return out;
+}
+
+// PCAP_STREAM_CASES sets the case count (default 700, about 1 s in a
+// Release build); the nightly lane runs 100x. Each case is one of the
+// bases (the multi-window capture or a corpus capture), clean or with one
+// or two framing faults; every fourth case is fed through a FIFO, the rest
+// through a regular file.
+TEST(PcapStream, FileMatchesMemory) {
+  const char* env = std::getenv("PCAP_STREAM_CASES");
+  const int cases = env != nullptr ? std::max(1, std::atoi(env)) : 700;
+  common::Stream rng(25, "pcap-stream");
+  struct Base {
+    std::string name;
+    std::string bytes;
+    bool big_endian = false;
+    std::vector<size_t> records;
+  };
+  std::vector<Base> bases;
+  bases.push_back({"multi-window", MultiWindowCapture(rng), false, {}});
+  ASSERT_GE(bases[0].bytes.size(), 3 * PcapFileSource::kWindowBytes);
+  for (auto& file : corpus::BuildAll()) {
+    bases.push_back({file.name, std::move(file.bytes), false, {}});
+  }
+  for (Base& base : bases) {
+    base.big_endian = PcapFileSource(base.bytes).swapped();
+    base.records = RecordOffsets(base.bytes, base.big_endian);
+  }
+
+  int mismatches = 0;
+  int fifo_cases = 0;
+  int faulted = 0;
+  for (int c = 0; c < cases; ++c) {
+    // A third of the cases on the multi-window capture.
+    const Base& base =
+        bases[rng.NextInRange(0, 2) == 0 ? 0
+                                         : rng.NextInRange(1, bases.size() - 1)];
+    std::string bytes = base.bytes;
+    for (uint64_t n = rng.NextInRange(0, 2); n > 0; --n) {
+      MutateFraming(bytes, base.records, base.big_endian, rng);
+    }
+    PcapFileSource memory_source(bytes);
+    const Drained memory = Drain(memory_source);
+    const bool fifo = c % 4 == 3;
+    fifo_cases += fifo ? 1 : 0;
+    faulted += memory.ok ? 0 : 1;
+    const Drained file = fifo ? DrainFifo(bytes) : DrainFile(bytes);
+    const std::string difference = FirstDifference(memory, file);
+    if (!difference.empty()) {
+      ++mismatches;
+      ADD_FAILURE() << "case " << c << " on " << base.name
+                    << (fifo ? " through a FIFO" : "") << ": " << difference;
+    }
+  }
+  std::printf("%d cases (%d through a FIFO, %d faulted), %d mismatches\n",
+              cases, fifo_cases, faulted, mismatches);
+}
+
+TEST(PcapStream, LongRecordDecodesTheLargestFrame) {
+  // The most a record's decoding reads: two VLAN tags, an IPv4 header with
+  // 40 bytes of options and a 65,507-byte UDP payload, 65,597 bytes. A
+  // trailer then makes the record three windows long, so the file reader
+  // keeps the frame and reads past the rest; the next record must follow.
+  std::string frame(12, static_cast<char>(0x02));
+  PutBe16(frame, 0x88A8);
+  PutBe16(frame, 10);
+  PutBe16(frame, 0x8100);
+  PutBe16(frame, 20);
+  PutBe16(frame, 0x0800);
+  frame += static_cast<char>(0x4F);  // version 4, IHL 15
+  frame += '\0';
+  PutBe16(frame, 0xFFFF);  // total length (the reader reads the UDP length)
+  PutBe16(frame, 7);
+  PutBe16(frame, 0x4000);
+  frame += static_cast<char>(0x40);
+  frame += static_cast<char>(17);
+  PutBe16(frame, 0);
+  PutBe32(frame, kOutA.ip.bits());
+  PutBe32(frame, kInB.ip.bits());
+  frame.append(40, static_cast<char>(0x01));  // NOP options
+  PutBe16(frame, kOutA.port);
+  PutBe16(frame, kInB.port);
+  PutBe16(frame, 8 + 65'507);
+  PutBe16(frame, 0);
+  std::string payload(65'507, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 13);
+  }
+  frame += payload;
+  ASSERT_EQ(frame.size(), 65'597u);
+  frame.resize(3 * PcapFileSource::kWindowBytes, static_cast<char>(0xEE));
+  std::string file = GlobalHeader(1);
+  AddRecord(file, 1, 0, frame);
+  AddRecord(file, 1, 10, EthFrame(0x0800, Ipv4Packet(kInB, kOutA, "after")));
+
+  PcapFileSource memory_source(file);
+  const Drained memory = Drain(memory_source);
+  ASSERT_TRUE(memory.ok) << memory.error;
+  ASSERT_EQ(memory.packets.size(), 2u);
+  EXPECT_TRUE(memory.packets[0].dgram.payload == payload);
+  EXPECT_EQ(memory.packets[0].dgram.padding_bytes, 0u);
+  EXPECT_EQ(memory.packets[1].dgram.payload, "after");
+  EXPECT_EQ(FirstDifference(memory, DrainFile(file)), "");
+  EXPECT_EQ(FirstDifference(memory, DrainFifo(file)), "");
+}
+
+TEST(PcapStream, UnreadablePathFailsClosed) {
+  for (const std::string& path :
+       {testing::TempDir() + "pcap_stream_missing.pcap", testing::TempDir()}) {
+    const auto source = PcapFileSource::Open(path);
+    EXPECT_FALSE(source->ok());
+    EXPECT_EQ(source->error(), "pcap: cannot read " + path);
+    std::vector<TimedPacket> batch;
+    EXPECT_EQ(source->PullBatch(batch, 4), 0u);
+  }
 }
 
 // -------------------------------------------------------------- corpus

@@ -1,8 +1,10 @@
 // Steady-state allocation tests: once a call's media session is established
 // and the per-endpoint pattern groups exist, inspecting an in-session RTP
 // packet must not touch the heap, and under steady call or alert churn a
-// sweep must neither allocate nor free. Global operator new/delete are
-// replaced with counting forwarders; the counters are armed only around the
+// sweep must neither allocate nor free. Replaying a capture file holds one
+// window of it and refills the caller's batch in place. Global operator
+// new/delete are replaced with counting forwarders that also track the
+// largest single allocation; the counters are armed only around the
 // measured code, so gtest internals and the warmup phase are free to
 // allocate.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "capture/pcap.h"
 #include "rtp/packet.h"
 #include "sdp/sdp.h"
 #include "sip/message.h"
@@ -22,7 +25,17 @@
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 std::atomic<uint64_t> g_free_count{0};
+std::atomic<size_t> g_alloc_max{0};
 std::atomic<bool> g_counting{false};
+
+void CountedAlloc(std::size_t size) noexcept {
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  size_t seen = g_alloc_max.load(std::memory_order_relaxed);
+  while (size > seen && !g_alloc_max.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+}
 
 void CountedFree(void* p) noexcept {
   if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
@@ -33,17 +46,13 @@ void CountedFree(void* p) noexcept {
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountedAlloc(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountedAlloc(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -403,6 +412,84 @@ TEST(ZeroAlloc, AlertSignatureExpiryNeitherAllocatesNorFrees) {
         << "the sweep freed, interval " << interval;
   }
   EXPECT_EQ(vids.alerts().size(), 12u * 2 * kPerBatch);
+}
+
+// Writes `writer`'s capture under the test temp dir; returns its path.
+std::string WriteTempCapture(const capture::PcapWriter& writer,
+                             const char* name) {
+  const std::string path = testing::TempDir() + name;
+  EXPECT_TRUE(writer.WriteFile(path)) << path;
+  return path;
+}
+
+// Replay refills the caller's batch in place: once every slot has held its
+// payload, pulling a full batch of SIP-sized datagrams from a capture file
+// neither allocates nor frees, across window refills too. Each slot sees
+// one payload size, as a steady capture's slots settle on their largest.
+TEST(ZeroAlloc, PcapPullBatchRefillsInPlace) {
+  constexpr size_t kBatch = 64;
+  constexpr size_t kBatches = 60;  // about three windows
+  capture::PcapWriter writer;
+  for (size_t i = 0; i < kBatch * kBatches; ++i) {
+    net::Datagram dgram;
+    dgram.src = kProxyA;
+    dgram.dst = kProxyB;
+    dgram.payload.assign(400 + (i % kBatch) * 11, 'S');
+    writer.Add(sim::Time::FromNanos(static_cast<int64_t>(i) * 1000), dgram);
+  }
+  ASSERT_GT(writer.bytes().size(), 2 * capture::PcapFileSource::kWindowBytes);
+  const std::string path = WriteTempCapture(writer, "zero_alloc_pull.pcap");
+  const auto source = capture::PcapFileSource::Open(path);
+  std::vector<capture::TimedPacket> batch;
+  batch.reserve(kBatch);
+  ASSERT_EQ(source->PullBatch(batch, kBatch), kBatch);  // slots take payloads
+
+  for (size_t b = 1; b < kBatches; ++b) {
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(true);
+    const size_t n = source->PullBatch(batch, kBatch);
+    g_counting.store(false);
+    ASSERT_EQ(n, kBatch) << "batch " << b;
+    EXPECT_EQ(g_alloc_count.load(), 0u) << "batch " << b << " allocated";
+    EXPECT_EQ(g_free_count.load(), 0u) << "batch " << b << " freed";
+    EXPECT_EQ(batch.back().dgram.payload.size(), 400 + (kBatch - 1) * 11);
+  }
+  EXPECT_EQ(source->PullBatch(batch, kBatch), 0u);
+  EXPECT_TRUE(source->ok()) << source->error();
+  std::remove(path.c_str());
+}
+
+// Opening and draining a capture of eight windows holds one window of it:
+// no single allocation, from Open to end of stream, exceeds kWindowBytes.
+TEST(ZeroAlloc, PcapOpenHoldsOneWindow) {
+  constexpr size_t kWindow = capture::PcapFileSource::kWindowBytes;
+  capture::PcapWriter writer;
+  uint64_t written = 0;
+  while (writer.bytes().size() < 8 * kWindow + 4096) {
+    // An ordinary mix: four 172-byte RTP packets to one SIP-sized message.
+    net::Datagram dgram;
+    dgram.src = written % 5 == 0 ? kProxyA : kCallerMedia;
+    dgram.dst = written % 5 == 0 ? kProxyB : kCalleeMedia;
+    dgram.payload.assign(written % 5 == 0 ? 700 : 172, 'x');
+    writer.Add(sim::Time::FromNanos(static_cast<int64_t>(written) * 20'000),
+               dgram);
+    ++written;
+  }
+  const std::string path = WriteTempCapture(writer, "zero_alloc_open.pcap");
+  g_alloc_max.store(0);
+  g_counting.store(true);
+  const auto source = capture::PcapFileSource::Open(path);
+  std::vector<capture::TimedPacket> batch;
+  uint64_t delivered = 0;
+  while (const size_t n = source->PullBatch(batch, 64)) delivered += n;
+  g_counting.store(false);
+  EXPECT_TRUE(source->ok()) << source->error();
+  EXPECT_EQ(delivered, written);
+  EXPECT_LE(g_alloc_max.load(), kWindow)
+      << "an allocation outgrew the window on an "
+      << writer.bytes().size() << "-byte capture";
+  std::remove(path.c_str());
 }
 
 }  // namespace
