@@ -186,7 +186,7 @@ void BM_EfsmTransition(benchmark::State& state) {
   offer.args["ip"] = std::string("10.1.0.10");
   offer.args["port"] = int64_t{20000};
   offer.args["pt"] = int64_t{18};
-  machine.Deliver(offer);
+  group.DeliverData(machine, offer);
 
   efsm::Event rtp_event;
   rtp_event.name = std::string(ids::kRtpEvent);
@@ -198,11 +198,11 @@ void BM_EfsmTransition(benchmark::State& state) {
   rtp_event.args["seq"] = int64_t{1};
   rtp_event.args["ts"] = int64_t{80};
   rtp_event.args["pt"] = int64_t{18};
-  machine.Deliver(rtp_event);  // warmup: compile the dispatch tables
+  group.DeliverData(machine, rtp_event);  // warmup: compile dispatch tables
 
   AllocCounter allocs(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(machine.Deliver(rtp_event));
+    benchmark::DoNotOptimize(group.DeliverData(machine, rtp_event));
   }
 }
 BENCHMARK(BM_EfsmTransition);

@@ -33,6 +33,14 @@ std::string ToLower(std::string_view s);
 /// In-place ASCII lower-casing — no temporary string.
 void AsciiLowerInPlace(std::string& s);
 
+/// The heap block `s` holds, for memory accounting: 0 while its characters
+/// fit the string's inline buffer, else its capacity and terminator.
+inline size_t StringHeapBytes(const std::string& s) {
+  const auto data = reinterpret_cast<uintptr_t>(s.data());
+  const auto self = reinterpret_cast<uintptr_t>(&s);
+  return data >= self && data < self + sizeof(s) ? 0 : s.capacity() + 1;
+}
+
 /// Transparent hash for unordered containers keyed by std::string that want
 /// heterogeneous (string_view) lookup without materializing a key string.
 struct StringHash {

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace vids::efsm {
 
@@ -14,6 +15,7 @@ EngineMetrics EngineMetrics::Registered(obs::MetricsRegistry& registry) {
   m.transitions = &registry.GetCounter("efsm.transitions");
   m.deviations = &registry.GetCounter("efsm.deviations");
   m.sync_sends = &registry.GetCounter("efsm.sync_sends");
+  m.sync_dropped = &registry.GetCounter("efsm.sync_dropped");
   m.nondeterminism = &registry.GetCounter("efsm.nondeterminism");
   m.retired = &registry.GetCounter("efsm.machines_retired");
   m.transition_ns = &registry.GetHistogram("efsm.transition_ns");
@@ -48,8 +50,7 @@ void GroupShape::RouteChannel(std::string channel, size_t dst) {
   if (dst >= machines_.size()) {
     throw std::invalid_argument("route '" + channel + "' to unknown machine");
   }
-  // Name order keeps the sync pump's channel order what it was when
-  // channels lived in a name-keyed map.
+  // Name order: a channel's id does not depend on the order of the routes.
   const auto it = std::lower_bound(
       channels_.begin(), channels_.end(), channel,
       [](const Channel& c, const std::string& name) { return c.name < name; });
@@ -74,6 +75,17 @@ size_t GroupShape::ChannelId(std::string_view channel) const {
   return npos;
 }
 
+size_t GroupShape::SharedBytes() const {
+  return flight_pool_.MemoryBytes() -
+         flight_pool_.in_use() * sizeof(obs::FlightChunk) +
+         sync_queue_.capacity() * sizeof(SyncEntry);
+}
+
+void GroupShape::ReleaseShared() {
+  flight_pool_.Release();
+  std::vector<SyncEntry>().swap(sync_queue_);
+}
+
 // ----------------------------------------------------- MachineInstance
 
 MachineInstance::MachineInstance(Key, const MachineDef& def,
@@ -87,7 +99,7 @@ const std::string& MachineInstance::name() const {
       static_cast<size_t>(this - group_.machines_.data()));
 }
 
-MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
+MachineInstance::DeliverResult MachineInstance::Step(const Event& event) {
   if (retired_) return DeliverResult::kRetired;
 
   // 1-in-kLatencySamplePeriod deliveries measure wall-clock latency into
@@ -153,8 +165,21 @@ MachineInstance::DeliverResult MachineInstance::Deliver(const Event& event) {
   }
 
   if (enabled->action) {
-    Context ctx(event, local_, group_.global(), *this);
+    // Stores reserve what their definition's instances (the shape's groups,
+    // for globals) have needed so far, so a fresh store allocates once and
+    // a recycled one keeps its slots; the action's sizes then update that.
+    GroupShape& shape = *group_.shape_;
+    VariableStore& global = group_.global_;
+    local_.Reserve(def_.local_slots_);
+    global.Reserve(shape.global_slots_);
+    Context ctx(event, local_, global, *this);
     enabled->action(ctx);
+    if (local_.size() > def_.local_slots_) {
+      def_.local_slots_ = static_cast<uint32_t>(local_.size());
+    }
+    if (global.size() > shape.global_slots_) {
+      shape.global_slots_ = static_cast<uint32_t>(global.size());
+    }
   }
   const StateId prev = state_;
   state_ = enabled->to;
@@ -205,7 +230,7 @@ void MachineInstance::CancelTimers() {
 }
 
 size_t MachineInstance::MemoryBytes() const {
-  return sizeof(*this) + local_.MemoryBytes();
+  return sizeof(*this) + local_.HeapBytes();
 }
 
 void MachineInstance::EmitFrom(std::string_view channel, Event event) {
@@ -251,12 +276,13 @@ sim::Time MachineInstance::Now() const { return group_.scheduler_.Now(); }
 
 // -------------------------------------------------------- MachineGroup
 
-MachineGroup::MachineGroup(const GroupShape& shape, std::string name,
+MachineGroup::MachineGroup(GroupShape& shape, std::string name,
                            sim::Scheduler& scheduler, Observer* observer,
                            const EngineMetrics* metrics)
     : shape_(&shape),
       scheduler_(scheduler),
       observer_(observer),
+      recorder_(shape.flight_pool_),
       name_(std::move(name)) {
   if (metrics != nullptr) metrics_ = *metrics;
   uint32_t timer_base = 0;
@@ -270,9 +296,6 @@ MachineGroup::MachineGroup(const GroupShape& shape, std::string name,
     return MachineInstance(MachineInstance::Key(), def, *this, index, base);
   });
   timers_.Build(timer_base, [](size_t) { return sim::Scheduler::EventId(); });
-  channels_.Build(shape.channel_count(), [&](size_t id) {
-    return Channel(&machines_[shape.channel_dst(id)]);
-  });
 }
 
 MachineGroup::~MachineGroup() { Reclaim(); }
@@ -286,12 +309,7 @@ void MachineGroup::Reset(std::string_view name) {
   name_.assign(name);
   global_.Clear();
   for (auto& machine : machines_) machine.Reset();
-  for (auto& channel : channels_) {
-    channel.queue.clear();
-    channel.head = 0;
-  }
   recorder_.Reset();
-  pumping_ = false;
 }
 
 MachineInstance* MachineGroup::Find(std::string_view instance_name) {
@@ -299,12 +317,15 @@ MachineInstance* MachineGroup::Find(std::string_view instance_name) {
   return index == GroupShape::npos ? nullptr : &machines_[index];
 }
 
-void MachineGroup::DeliverData(MachineInstance& machine, const Event& event) {
-  // Paper §4.2: synchronization events waiting in FIFO queues have priority
-  // over data packet events.
-  PumpSyncQueues();
-  machine.Deliver(event);
-  PumpSyncQueues();
+MachineInstance::DeliverResult MachineGroup::DeliverData(
+    MachineInstance& machine, const Event& event) {
+  if (pumping_) return machine.Step(event);  // joins the running delivery
+  const size_t base = shape_->sync_queue_.size();
+  pumping_ = true;
+  const MachineInstance::DeliverResult result = machine.Step(event);
+  if (shape_->sync_queue_.size() != base) PumpSyncQueue(base);
+  pumping_ = false;
+  return result;
 }
 
 void MachineGroup::Enqueue(const MachineInstance& from,
@@ -324,33 +345,44 @@ void MachineGroup::Enqueue(const MachineInstance& from,
   rec.a = ArgKey::Intern(event.name).id();
   rec.aux = id;
   recorder_.Record(rec);
-  channels_[id].queue.push_back(std::move(event));
+  shape_->sync_queue_.push_back(
+      GroupShape::SyncEntry{this, static_cast<uint32_t>(id), std::move(event)});
 }
 
-void MachineGroup::PumpSyncQueues() {
-  if (pumping_) return;  // re-entrant Emit during a sync delivery
-  pumping_ = true;
-  // Bounded pump: a cyclic emit chain cannot livelock the IDS.
-  constexpr int kMaxSyncEvents = 1000;
-  int processed = 0;
-  bool progressed = true;
-  while (progressed && processed < kMaxSyncEvents) {
-    progressed = false;
-    for (auto& channel : channels_) {
-      while (channel.head < channel.queue.size() &&
-             processed < kMaxSyncEvents) {
-        Event event = std::move(channel.queue[channel.head]);
-        if (++channel.head == channel.queue.size()) {
-          channel.queue.clear();  // keeps capacity for the next emit
-          channel.head = 0;
-        }
-        ++processed;
-        progressed = true;
-        channel.dst->Deliver(event);
+void MachineGroup::PumpSyncQueue(size_t base) {
+  // Indexes, not iterators: a delivery may grow the queue. Every entry at
+  // `base` or after was queued by this delivery or by one nested in it; a
+  // nested delivery of another group pumped and dropped its own before
+  // returning, so the only foreign entries left are those of an enclosing
+  // delivery's group, delivered again from inside this one.
+  std::vector<GroupShape::SyncEntry>& queue = shape_->sync_queue_;
+  size_t delivered = 0;
+  bool foreign = false;
+  for (size_t i = base; i < queue.size(); ++i) {
+    if (queue[i].group != this) {
+      foreign = true;
+      continue;
+    }
+    if (delivered == kMaxSyncEvents) {
+      metrics_.sync_dropped->Inc();
+      continue;
+    }
+    ++delivered;
+    MachineInstance& dst = machines_[shape_->channel_dst(queue[i].channel)];
+    const Event event = std::move(queue[i].event);
+    dst.Step(event);
+  }
+  size_t kept = base;
+  if (foreign) {
+    // Keep them, in order, for the enclosing delivery's pump.
+    for (size_t i = base; i < queue.size(); ++i) {
+      if (queue[i].group != this) {
+        if (kept != i) queue[kept] = std::move(queue[i]);
+        ++kept;
       }
     }
   }
-  pumping_ = false;
+  queue.erase(queue.begin() + static_cast<ptrdiff_t>(kept), queue.end());
 }
 
 bool MachineGroup::AllRetired() const {
@@ -367,15 +399,10 @@ size_t MachineGroup::PendingTimers() const {
 }
 
 size_t MachineGroup::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + name_.capacity() + global_.MemoryBytes() +
-                 machines_.HeapBytes() + channels_.HeapBytes() +
-                 timers_.HeapBytes();
-  for (const auto& machine : machines_) {
-    bytes += machine.local().MemoryBytes();
-  }
-  for (const auto& channel : channels_) {
-    bytes += channel.queue.capacity() * sizeof(Event);
-  }
+  size_t bytes = sizeof(*this) + common::StringHeapBytes(name_) +
+                 global_.HeapBytes() + machines_.HeapBytes() +
+                 timers_.HeapBytes() + recorder_.MemoryBytes();
+  for (const auto& machine : machines_) bytes += machine.local().HeapBytes();
   return bytes;
 }
 

@@ -201,6 +201,14 @@ class MachineDef {
   /// once and delivered as is by every instance.
   const Event& TimerEvent(TimerId id) const;
 
+  /// The most variables one instance's local store has held so far: each
+  /// instance reserves that many slots before an action runs, so a fresh
+  /// store allocates once and a recycled one not at all. A measurement of
+  /// the instances, not a setting; like the compiled tables it changes
+  /// through a const definition, and one thread runs all the instances of
+  /// a definition (DESIGN.md §11).
+  size_t local_slots() const { return local_slots_; }
+
   /// Renders the machine as a Graphviz digraph: initial state with a bold
   /// border, attack states filled red, final states double-circled, edges
   /// labeled "event [label]". This regenerates the paper's Figures 2/4/5/6
@@ -218,6 +226,7 @@ class MachineDef {
 
  private:
   friend class TransitionBuilder;
+  friend class MachineInstance;  // updates local_slots_
   struct State {
     std::string name;
     StateKind kind;
@@ -248,6 +257,7 @@ class MachineDef {
   bool report_deviations_ = true;
   mutable Compiled compiled_;
   mutable bool compiled_valid_ = false;
+  mutable uint32_t local_slots_ = 0;
 };
 
 }  // namespace vids::efsm

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/strings.h"
+
 namespace vids::efsm {
 
 namespace {
@@ -210,10 +212,6 @@ void VariableStore::Set(ArgKey key, Value value) {
       return;
     }
   }
-  // A scope holds ~10 variables at steady state (TAB-MEM); one up-front
-  // reservation replaces the doubling growth a fresh call would otherwise
-  // pay while its first INVITE populates every scope.
-  if (values_.capacity() == 0) values_.reserve(8);
   values_.emplace_back(key, std::move(value));
 }
 
@@ -260,12 +258,11 @@ std::optional<bool> VariableStore::GetBool(ArgKey key) const {
   return v ? std::optional<bool>(*v) : std::nullopt;
 }
 
-size_t VariableStore::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += values_.capacity() * sizeof(std::pair<ArgKey, Value>);
+size_t VariableStore::HeapBytes() const {
+  size_t bytes = values_.capacity() * sizeof(std::pair<ArgKey, Value>);
   for (const auto& [key, value] : values_) {
     if (const auto* s = std::get_if<std::string>(&value)) {
-      bytes += s->capacity();
+      bytes += common::StringHeapBytes(*s);
     }
   }
   return bytes;

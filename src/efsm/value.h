@@ -137,9 +137,11 @@ class EventArgs {
 };
 
 /// One variable scope (local or global). Same flat interned-key layout as
-/// EventArgs: the per-call variable count observed in TAB-MEM runs is ~10,
-/// where a linear scan over 16-bit ids is both the fastest and the smallest
-/// representation.
+/// EventArgs: a scope holds 1 to 12 variables (TAB-MEM), where a linear scan
+/// over 16-bit ids is both the fastest and the smallest representation. Its
+/// owner sizes it: a machine instance reserves what its definition's
+/// instances have needed (MachineDef::local_slots), a group what its shape's
+/// groups have (GroupShape::global_slots).
 class VariableStore {
  public:
   void Set(ArgKey key, Value value);
@@ -156,8 +158,15 @@ class VariableStore {
   bool Has(std::string_view name) const { return Has(ArgKey::Intern(name)); }
   void Erase(ArgKey key);
   void Erase(std::string_view name) { Erase(ArgKey::Intern(name)); }
+  /// Keeps the slots: a recycled store reuses them.
   void Clear() { values_.clear(); }
   size_t size() const { return values_.size(); }
+  /// Slots reserved: the values the store holds before it must grow.
+  size_t capacity() const { return values_.capacity(); }
+  /// Grows the store to hold `slots` values without growing again.
+  void Reserve(size_t slots) {
+    if (values_.capacity() < slots) values_.reserve(slots);
+  }
 
   // Typed readers returning nullopt when absent or of another type.
   std::optional<int64_t> GetInt(ArgKey key) const;
@@ -178,7 +187,10 @@ class VariableStore {
   }
 
   /// Approximate heap + inline footprint, for the TAB-MEM experiment.
-  size_t MemoryBytes() const;
+  size_t MemoryBytes() const { return sizeof(*this) + HeapBytes(); }
+  /// The reserved slots and the string values' heap, beyond the store
+  /// object (what a store inside a group adds to the group's record).
+  size_t HeapBytes() const;
 
   /// The variables in insertion order (traces, memory accounting).
   const std::vector<std::pair<ArgKey, Value>>& values() const {

@@ -1,4 +1,5 @@
-// Per-call flight recorder: a preallocated ring of compact binary events.
+// Per-call flight recorder: a ring of compact binary events, stored in
+// chunks drawn from a pool.
 //
 // Every machine group (one per monitored call / keyed pattern) owns one
 // ring. Producers write 24-byte records — EFSM transitions with
@@ -7,16 +8,26 @@
 // kCapacity events of its call explain *why*: the cross-protocol
 // "interacting state machines" story made inspectable after the fact.
 //
-// The ring is inline storage (no heap beyond the owning group) and Record()
-// is an array store plus a head increment, so recording every transition on
-// the per-packet hot path stays allocation-free. Records hold only integer
-// ids; the producer layer (which owns the machine definitions and intern
-// tables) decodes them back to names when a human-readable report is built.
+// A ring holds its records in up to kCapacity / kFlightChunkRecords chunks
+// of kFlightChunkRecords records each. It takes a chunk from its pool when
+// it writes the first record of a chunk it does not hold yet, keeps its
+// chunks while it wraps, and gives them all back when it is reset. Most
+// groups write far fewer than kCapacity records (a media endpoint's group
+// holds about seven), so a ring costs what its group recorded, not the
+// whole window. Record() is a chunk lookup, an array store and a head
+// increment; it allocates only when the pool has no free chunk and grows
+// by one slab. Records hold only integer ids; the producer layer (which owns
+// the machine definitions and intern tables) decodes them back to names
+// when a human-readable report is built.
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace vids::obs {
 
@@ -45,21 +56,148 @@ struct Record {
 };
 static_assert(sizeof(Record) == 24, "flight record must stay compact");
 
+/// Records per chunk: the unit a ring takes from its pool.
+inline constexpr size_t kFlightChunkRecords = 8;
+using FlightChunk = std::array<Record, kFlightChunkRecords>;
+static_assert(sizeof(FlightChunk) == 192);
+
+/// The chunks of many rings. Chunks are addressed by index and allocated
+/// in slabs of kSlabChunks that never move, as FlatTable grows its slab.
+/// Take() hands out the free chunk with the lowest index, so live chunks
+/// gather in the low slabs and the high ones empty out; Trim() frees empty
+/// slabs from the top. One thread uses a pool (DESIGN.md §11).
+class FlightRecordPool {
+ public:
+  static constexpr uint32_t kNoChunk = UINT32_MAX;
+  static constexpr size_t kSlabChunks = 64;  // one bit word per slab
+
+  FlightRecordPool() = default;
+  FlightRecordPool(const FlightRecordPool&) = delete;
+  FlightRecordPool& operator=(const FlightRecordPool&) = delete;
+  FlightRecordPool(FlightRecordPool&&) = default;
+  FlightRecordPool& operator=(FlightRecordPool&&) = default;
+
+  /// The lowest free chunk, after adding a slab when none is free.
+  uint32_t Take() {
+    if (in_use_ == slabs_.size() * kSlabChunks) AddSlab();
+    size_t word = lowest_;
+    while (slabs_with_free_[word] == 0) ++word;
+    lowest_ = word;
+    const size_t slab = word * 64 + std::countr_zero(slabs_with_free_[word]);
+    uint64_t& free = free_[slab];
+    const unsigned bit = std::countr_zero(free);
+    free &= free - 1;
+    if (free == 0) slabs_with_free_[word] &= ~(uint64_t{1} << (slab & 63));
+    ++in_use_;
+    return static_cast<uint32_t>(slab * kSlabChunks + bit);
+  }
+
+  /// Returns a chunk Take() handed out.
+  void Give(uint32_t chunk) {
+    const size_t slab = chunk / kSlabChunks;
+    uint64_t& free = free_[slab];
+    const uint64_t bit = uint64_t{1} << (chunk % kSlabChunks);
+    assert((free & bit) == 0 && "chunk returned twice");
+    if (free == 0) slabs_with_free_[slab / 64] |= uint64_t{1} << (slab & 63);
+    free |= bit;
+    if (slab / 64 < lowest_) lowest_ = slab / 64;
+    --in_use_;
+  }
+
+  FlightChunk& operator[](uint32_t chunk) {
+    return slabs_[chunk / kSlabChunks][chunk % kSlabChunks];
+  }
+  const FlightChunk& operator[](uint32_t chunk) const {
+    return slabs_[chunk / kSlabChunks][chunk % kSlabChunks];
+  }
+
+  /// Chunks handed out and not returned.
+  size_t in_use() const { return in_use_; }
+  /// Chunks the slabs hold, handed out or free.
+  size_t capacity() const { return slabs_.size() * kSlabChunks; }
+  /// True if `chunk` lies in a slab and is not handed out.
+  bool IsFree(uint32_t chunk) const {
+    return chunk < capacity() &&
+           (free_[chunk / kSlabChunks] >> (chunk % kSlabChunks) & 1) != 0;
+  }
+
+  /// Frees empty slabs from the top while at least `keep` free chunks stay.
+  void Trim(size_t keep) {
+    while (!slabs_.empty() && free_.back() == ~uint64_t{0} &&
+           capacity() - in_use_ >= keep + kSlabChunks) {
+      const size_t slab = slabs_.size() - 1;
+      slabs_.pop_back();
+      free_.pop_back();
+      slabs_with_free_[slab / 64] &= ~(uint64_t{1} << (slab & 63));
+      if (slab % 64 == 0) slabs_with_free_.pop_back();
+    }
+  }
+
+  /// Frees every slab. No chunk may be handed out.
+  void Release() {
+    assert(in_use_ == 0);
+    std::vector<std::unique_ptr<FlightChunk[]>>().swap(slabs_);
+    std::vector<uint64_t>().swap(free_);
+    std::vector<uint64_t>().swap(slabs_with_free_);
+    lowest_ = 0;
+  }
+
+  /// The slabs and their bookkeeping, handed-out chunks included.
+  size_t MemoryBytes() const {
+    return capacity() * sizeof(FlightChunk) +
+           slabs_.capacity() * sizeof(slabs_[0]) +
+           (free_.capacity() + slabs_with_free_.capacity()) * sizeof(uint64_t);
+  }
+
+ private:
+  void AddSlab() {
+    const size_t slab = slabs_.size();
+    slabs_.push_back(std::make_unique<FlightChunk[]>(kSlabChunks));
+    free_.push_back(~uint64_t{0});
+    if (slab % 64 == 0) slabs_with_free_.push_back(0);
+    slabs_with_free_[slab / 64] |= uint64_t{1} << (slab & 63);
+    if (slab / 64 < lowest_) lowest_ = slab / 64;
+  }
+
+  std::vector<std::unique_ptr<FlightChunk[]>> slabs_;
+  std::vector<uint64_t> free_;             // per slab: bit i = chunk i free
+  std::vector<uint64_t> slabs_with_free_;  // bit s % 64 of word s / 64
+  size_t lowest_ = 0;  // no word of slabs_with_free_ below it is nonzero
+  size_t in_use_ = 0;
+};
+
 class FlightRecorder {
  public:
   /// Ring capacity — also the "preceding <= 32 events" provenance window.
   static constexpr size_t kCapacity = 32;
-  static_assert((kCapacity & (kCapacity - 1)) == 0, "power of two");
+  static constexpr size_t kChunks = kCapacity / kFlightChunkRecords;
+  static_assert((kChunks & (kChunks - 1)) == 0, "power of two");
+
+  /// `pool` must outlive the ring.
+  explicit FlightRecorder(FlightRecordPool& pool) : pool_(&pool) {
+    chunks_.fill(FlightRecordPool::kNoChunk);
+  }
+  ~FlightRecorder() { Reset(); }
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   void Record(const obs::Record& r) {
-    ring_[head_ & (kCapacity - 1)] = r;
+    uint32_t& chunk = chunks_[(head_ / kFlightChunkRecords) & (kChunks - 1)];
+    if (chunk == FlightRecordPool::kNoChunk) chunk = pool_->Take();
+    (*pool_)[chunk][head_ % kFlightChunkRecords] = r;
     ++head_;
   }
 
-  /// Forgets all records — used when a recycled machine group is reset for
-  /// a new call, so provenance never leaks across calls. Stale ring slots
-  /// are unreachable (size() derives from the head counter).
-  void Reset() { head_ = 0; }
+  /// Forgets all records and gives the chunks back to the pool — used when
+  /// a recycled machine group is reset for a new call, so provenance never
+  /// leaks across calls.
+  void Reset() {
+    for (uint32_t& chunk : chunks_) {
+      if (chunk != FlightRecordPool::kNoChunk) pool_->Give(chunk);
+      chunk = FlightRecordPool::kNoChunk;
+    }
+    head_ = 0;
+  }
 
   /// Records currently held (saturates at kCapacity).
   size_t size() const { return head_ < kCapacity ? head_ : kCapacity; }
@@ -71,14 +209,31 @@ class FlightRecorder {
   void ForEach(Fn&& fn) const {
     const uint64_t begin = head_ < kCapacity ? 0 : head_ - kCapacity;
     for (uint64_t i = begin; i < head_; ++i) {
-      fn(ring_[i & (kCapacity - 1)]);
+      fn((*pool_)[chunks_[(i / kFlightChunkRecords) & (kChunks - 1)]]
+                 [i % kFlightChunkRecords]);
     }
   }
 
-  void Clear() { head_ = 0; }
+  /// Pool indexes of the chunks the ring holds.
+  template <typename Fn>
+  void ForEachChunk(Fn&& fn) const {
+    for (const uint32_t chunk : chunks_) {
+      if (chunk != FlightRecordPool::kNoChunk) fn(chunk);
+    }
+  }
+  /// Chunks the ring holds: one per kFlightChunkRecords records written,
+  /// at most kChunks.
+  size_t chunk_count() const {
+    const uint64_t needed =
+        (head_ + kFlightChunkRecords - 1) / kFlightChunkRecords;
+    return needed < kChunks ? needed : kChunks;
+  }
+  /// The pool memory the ring holds, beyond the ring object.
+  size_t MemoryBytes() const { return chunk_count() * sizeof(FlightChunk); }
 
  private:
-  std::array<obs::Record, kCapacity> ring_{};
+  FlightRecordPool* pool_;
+  std::array<uint32_t, kChunks> chunks_;
   uint64_t head_ = 0;
 };
 

@@ -60,8 +60,8 @@ void ReclaimPrefetched(const Table& table, std::span<const uint32_t> indexes,
       const uint32_t ahead = indexes[k + kAhead];
       const auto& entry = table[ahead];
       if (entry.group != nullptr) {
-        // Parking a group reads its first two lines (shape, timer
-        // handles).
+        // Parking a group reads its first two lines (shape, ring head,
+        // timer handles).
         __builtin_prefetch(entry.group);
         __builtin_prefetch(reinterpret_cast<const char*>(entry.group) + 64);
       }
@@ -153,6 +153,8 @@ void CallStateFactBase::ReleaseGroup(efsm::MachineGroup* group,
   recycler.free.push_back(group);
   if (in_sweep) {
     ++recycler.swept;
+    // The chunks stay with the group until it is reset.
+    recycler.swept_chunks += group->flight_recorder().chunk_count();
     swept_groups_.push_back(group);
   }
 }
@@ -533,6 +535,7 @@ void CallStateFactBase::ReleaseDrainedStorage() {
        {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
     for (efsm::MachineGroup* group : recycler->free) delete group;
     std::vector<efsm::MachineGroup*>().swap(recycler->free);
+    recycler->shape.ReleaseShared();
   }
 }
 
@@ -612,7 +615,9 @@ void CallStateFactBase::Sweep(sim::Time now) {
         }
         free.erase(free.begin(), free.begin() + excess);
       }
+      recycler->shape.TrimFlightPool(recycler->swept_chunks);
       recycler->swept = 0;
+      recycler->swept_chunks = 0;
     }
   } else {
     ReleaseDrainedStorage();
@@ -629,18 +634,22 @@ size_t CallStateFactBase::MemoryBytes() const {
     if (entry.group != nullptr) bytes += entry.group->MemoryBytes();
   };
   calls_.ForEachEntry([&](const CallEntry& entry) {  // calls and tombstones
-    bytes += entry.call_id.capacity() +
+    bytes += common::StringHeapBytes(entry.call_id) +
              entry.media.capacity() * sizeof(uint32_t);
     group_bytes(entry);
   });
   keyed_str_.ForEachEntry([&](const auto& entry) {
-    bytes += entry.key.capacity();
+    bytes += common::StringHeapBytes(entry.key);
     group_bytes(entry);
   });
   keyed_bin_.ForEachEntry(group_bytes);
   bytes += calls_.MemoryBytes() + keyed_str_.MemoryBytes() +
            keyed_bin_.MemoryBytes() + media_index_.MemoryBytes();
   bytes += FreeListBytes();
+  for (const Recycler* recycler :
+       {&call_groups_, &media_groups_, &flood_groups_, &drdos_groups_}) {
+    bytes += recycler->shape.SharedBytes();
+  }
   bytes += wheel_.MemoryBytes() +
            completion_candidates_.capacity() * sizeof(uint32_t) +
            swept_groups_.capacity() * sizeof(const efsm::MachineGroup*);

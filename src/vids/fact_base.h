@@ -42,9 +42,12 @@
 // Groups are recycled records (DESIGN.md §7): each group kind has one
 // efsm::GroupShape and a free list. Reclaiming a group cancels its timers
 // and parks it; creating one pops a parked group and resets it, so churn
-// stops paying for building and freeing machines. Each sweep trims every
-// free list to the groups that sweep reclaimed, and a drained fact base
-// frees them and the tables.
+// stops paying for building and freeing machines. A shape also holds its
+// groups' shared parts: the δ queue and the pool of flight-ring chunks,
+// which a group gives back when it is reset. Each sweep trims every free
+// list to the groups that sweep reclaimed and every pool to the chunks
+// those groups hold, and a drained fact base frees them, the pools, the
+// queues and the tables.
 #pragma once
 
 #include <array>
@@ -197,10 +200,12 @@ class CallStateFactBase : private efsm::RetirementListener {
   uint64_t calls_deleted() const { return calls_deleted_; }
 
   /// Total footprint of all tracked state, the tables (erased entries'
-  /// key and media-list capacity included), the reclamation index and the
-  /// parked groups — the §7.3 memory metric. Once a sweep finds nothing
-  /// left to track it frees the tables, the index and every free list, so
-  /// a drained fact base is back at its freshly built footprint.
+  /// key and media-list capacity included), the reclamation index, the
+  /// parked groups and the shapes' shared parts (the chunk pools' free
+  /// chunks and the δ queues) — the §7.3 memory metric. Once a sweep finds
+  /// nothing left to track it frees the tables, the index, every free list
+  /// and the shared parts, so a drained fact base is back at its freshly
+  /// built footprint.
   size_t MemoryBytes() const;
   /// The part of MemoryBytes() held by reclaimed groups parked on the free
   /// lists — reusable capacity, not state of any tracked call.
@@ -219,6 +224,7 @@ class CallStateFactBase : private efsm::RetirementListener {
     efsm::GroupShape shape;
     std::vector<efsm::MachineGroup*> free;  // newest last; popped first
     size_t swept = 0;  // groups the running sweep reclaimed into `free`
+    size_t swept_chunks = 0;  // flight-ring chunks those groups hold
   };
 
   // A calls_ entry. A live call owns `group`; an entry without a group is
@@ -374,7 +380,9 @@ class CallStateFactBase : private efsm::RetirementListener {
   // that sweep reclaimed: at a steady call rate that is what the next
   // interval admits, so churn reuses every parked group, while a burst
   // that stops leaves at most one sweep's worth parked — and an INVITE
-  // flood cannot pin more than the state it already had.
+  // flood cannot pin more than the state it already had. It trims each
+  // shape's chunk pool the same way, to as many free chunks as the groups
+  // it reclaimed hold.
   Recycler call_groups_;
   Recycler media_groups_;
   Recycler flood_groups_;

@@ -107,13 +107,13 @@ TEST_F(EngineFixture, BasicTransitionWithPredicateAndAction) {
 
   Event blocked = Ev("go");
   blocked.args["x"] = int64_t{2};
-  EXPECT_EQ(machine.Deliver(blocked),
+  EXPECT_EQ(group.DeliverData(machine, blocked),
             MachineInstance::DeliverResult::kDeviation);
   EXPECT_EQ(machine.StateName(), "S0");
 
   Event pass = Ev("go");
   pass.args["x"] = int64_t{1};
-  EXPECT_EQ(machine.Deliver(pass),
+  EXPECT_EQ(group.DeliverData(machine, pass),
             MachineInstance::DeliverResult::kTransitioned);
   EXPECT_EQ(machine.StateName(), "S1");
   EXPECT_EQ(machine.local().GetInt("saw"), 1);
@@ -129,7 +129,7 @@ TEST_F(EngineFixture, EventOutsideAlphabetIsIgnored) {
   shape.AddMachine(def, "m1");
   MachineGroup group(shape, "g", scheduler_, &observer_);
   auto& machine = group.machine(0);
-  EXPECT_EQ(machine.Deliver(Ev("unknown")),
+  EXPECT_EQ(group.DeliverData(machine, Ev("unknown")),
             MachineInstance::DeliverResult::kNotInAlphabet);
   EXPECT_TRUE(observer_.deviations.empty());
 }
@@ -146,7 +146,7 @@ TEST_F(EngineFixture, DeviationSuppressedWhenConfigured) {
   shape.AddMachine(def, "m1");
   MachineGroup group(shape, "g", scheduler_, &observer_);
   auto& machine = group.machine(0);
-  EXPECT_EQ(machine.Deliver(Ev("e")),
+  EXPECT_EQ(group.DeliverData(machine, Ev("e")),
             MachineInstance::DeliverResult::kDeviation);
   EXPECT_TRUE(observer_.deviations.empty());  // reported nowhere
 }
@@ -168,14 +168,14 @@ TEST_F(EngineFixture, UnpredicatedTransitionIsElseBranch) {
   auto& m1 = group.machine(0);
   Event matching = Ev("e");
   matching.args["x"] = int64_t{1};
-  m1.Deliver(matching);
+  group.DeliverData(m1, matching);
   EXPECT_EQ(m1.StateName(), "HIT");
   EXPECT_EQ(observer_.nondeterminism, 0);  // else branch doesn't compete
 
   auto& m2 = group.machine(1);
   Event not_matching = Ev("e");
   not_matching.args["x"] = int64_t{9};
-  m2.Deliver(not_matching);
+  group.DeliverData(m2, not_matching);
   EXPECT_EQ(m2.StateName(), "OTHER");
 }
 
@@ -189,7 +189,7 @@ TEST_F(EngineFixture, OverlappingPredicatesReportNondeterminism) {
   shape.AddMachine(def, "m1");
   MachineGroup group(shape, "g", scheduler_, &observer_);
   auto& machine = group.machine(0);
-  machine.Deliver(Ev("e"));
+  group.DeliverData(machine, Ev("e"));
   EXPECT_EQ(observer_.nondeterminism, 1);
   EXPECT_EQ(machine.StateName(), "S1");  // first in definition order wins
 }
@@ -203,7 +203,7 @@ TEST_F(EngineFixture, AttackStateRaisesObserver) {
   shape.AddMachine(def, "m1");
   MachineGroup group(shape, "g", scheduler_, &observer_);
   auto& machine = group.machine(0);
-  machine.Deliver(Ev("boom"));
+  group.DeliverData(machine, Ev("boom"));
   ASSERT_EQ(observer_.attacks.size(), 1u);
   EXPECT_EQ(observer_.attacks[0], "m1:evil");
 }
@@ -217,10 +217,10 @@ TEST_F(EngineFixture, FinalStateRetiresMachine) {
   shape.AddMachine(def, "m1");
   MachineGroup group(shape, "g", scheduler_, &observer_);
   auto& machine = group.machine(0);
-  machine.Deliver(Ev("end"));
+  group.DeliverData(machine, Ev("end"));
   EXPECT_TRUE(machine.retired());
   EXPECT_EQ(observer_.retired, 1);
-  EXPECT_EQ(machine.Deliver(Ev("end")),
+  EXPECT_EQ(group.DeliverData(machine, Ev("end")),
             MachineInstance::DeliverResult::kRetired);
   EXPECT_TRUE(group.AllRetired());
 }
@@ -330,7 +330,10 @@ TEST_F(EngineFixture, SyncChainsAreDeliveredTransitively) {
 
 TEST_F(EngineFixture, CyclicEmitChainIsBounded) {
   // Two machines that bounce a sync event forever: the pump's cap must
-  // break the livelock instead of hanging the IDS.
+  // break the livelock instead of hanging the IDS. A delivery runs exactly
+  // kMaxSyncEvents sync events; the one the last of them emits is dropped
+  // and counted, so the next delivery starts from an empty queue instead of
+  // resuming the chain.
   MachineDef def_ping("ping");
   const auto p0 = def_ping.AddState("P0", StateKind::kInitial);
   def_ping.On(p0, "ball")
@@ -346,10 +349,122 @@ TEST_F(EngineFixture, CyclicEmitChainIsBounded) {
   const size_t ping_index = shape.AddMachine(def_ping, "ping");
   shape.RouteChannel("to_pong", shape.AddMachine(def_pong, "pong"));
   shape.RouteChannel("to_ping", ping_index);
-  MachineGroup group(shape, "g", scheduler_, &observer_);
+  obs::MetricsRegistry registry;
+  const EngineMetrics metrics = EngineMetrics::Registered(registry);
+  MachineGroup group(shape, "g", scheduler_, &observer_, &metrics);
   auto& ping = group.machine(ping_index);
+  const obs::Counter& dropped = registry.GetCounter("efsm.sync_dropped");
+  const obs::Counter& transitions = registry.GetCounter("efsm.transitions");
+
   group.DeliverData(ping, Ev("ball"));  // must return, not livelock
-  SUCCEED();
+  EXPECT_EQ(transitions.value(), 1 + MachineGroup::kMaxSyncEvents);
+  EXPECT_EQ(dropped.value(), 1u);
+  group.DeliverData(ping, Ev("ball"));
+  EXPECT_EQ(transitions.value(), 2 * (1 + MachineGroup::kMaxSyncEvents));
+  EXPECT_EQ(dropped.value(), 2u);
+  EXPECT_GT(shape.SharedBytes(), 0u);  // the queue kept its buffer
+}
+
+// Two groups of one shape share its δ queue. A delivery nested inside
+// another group's pump (here: an observer that feeds group B while group A
+// pumps) must see only its own sync events, and A's must all reach A's
+// machines in emission order — also the one A's machine emits when B's
+// delivery feeds A again from inside.
+TEST_F(EngineFixture, NestedDeliveriesSeeOnlyTheirOwnSyncEvents) {
+  MachineDef def_src("src");
+  const auto s0 = def_src.AddState("S0", StateKind::kInitial);
+  def_src.On(s0, "go")
+      .Do([](Context& c) {
+        for (int64_t n = 1; n <= 2; ++n) {
+          Event sync;
+          sync.name = "delta";
+          sync.args["n"] = n;
+          c.Emit("ch", std::move(sync));
+        }
+      })
+      .To(s0, "emit two");
+  def_src.On(s0, "again")
+      .Do([](Context& c) {
+        Event sync;
+        sync.name = "delta";
+        sync.args["n"] = int64_t{3};
+        c.Emit("ch", std::move(sync));
+      })
+      .To(s0, "emit one");
+  MachineDef def_dst("dst");
+  const auto d0 = def_dst.AddState("D0", StateKind::kInitial);
+  def_dst.On(d0, "delta").To(d0, "got");
+
+  struct Feeder : Observer {
+    MachineGroup* a = nullptr;
+    MachineGroup* b = nullptr;
+    std::vector<std::string> log;
+    void OnTransition(const MachineInstance& machine, const Transition&,
+                      const Event& event) override {
+      std::string line = machine.group().name() + "." + machine.name() + " " +
+                         event.name;
+      if (const auto n = event.ArgInt("n")) line += std::to_string(*n);
+      log.push_back(line);
+      // A's first sync event feeds B; B's first feeds A again, from inside
+      // B's pump.
+      if (&machine.group() == a && event.ArgInt("n") == 1) {
+        b->DeliverData(b->machine(0), Ev("go"));
+      } else if (&machine.group() == b && event.ArgInt("n") == 1) {
+        a->DeliverData(a->machine(0), Ev("again"));
+      }
+    }
+  } feeder;
+
+  GroupShape shape;
+  shape.AddMachine(def_src, "src");
+  shape.RouteChannel("ch", shape.AddMachine(def_dst, "dst"));
+  MachineGroup a(shape, "A", scheduler_, &feeder);
+  MachineGroup b(shape, "B", scheduler_, &feeder);
+  feeder.a = &a;
+  feeder.b = &b;
+  a.DeliverData(a.machine(0), Ev("go"));
+  const std::vector<std::string> expected = {
+      "A.src go",     "A.dst delta1",  // A's pump: first sync event
+      "B.src go",     "B.dst delta1",  // B's nested delivery and pump
+      "A.src again",                   // A fed again inside B's pump
+      "B.dst delta2",                  // B's pump skips A's event
+      "A.dst delta2", "A.dst delta3",  // A's pump, emission order
+  };
+  EXPECT_EQ(feeder.log, expected);
+  // Every entry was delivered or dropped: a new delivery queues from empty.
+  feeder.a = feeder.b = nullptr;
+  feeder.log.clear();
+  b.DeliverData(b.machine(0), Ev("again"));
+  EXPECT_EQ(feeder.log,
+            (std::vector<std::string>{"B.src again", "B.dst delta3"}));
+}
+
+TEST_F(EngineFixture, SyncEventsAcrossChannelsFollowEmissionOrder) {
+  // One queue per shape: a delivery's sync events run in the order they
+  // were emitted, so each channel is FIFO and channels interleave as sent.
+  MachineDef def_a("a");
+  const auto a0 = def_a.AddState("A0", StateKind::kInitial);
+  def_a.On(a0, "go")
+      .Do([](Context& c) {
+        c.Emit("x", Event{.name = "x1", .args = {}});
+        c.Emit("y", Event{.name = "y1", .args = {}});
+        c.Emit("x", Event{.name = "x2", .args = {}});
+      })
+      .To(a0);
+  MachineDef def_sink("sink");
+  const auto k0 = def_sink.AddState("K0", StateKind::kInitial);
+  for (const char* name : {"x1", "x2", "y1"}) def_sink.On(k0, name).To(k0);
+
+  GroupShape shape;
+  shape.AddMachine(def_a, "A");
+  shape.RouteChannel("x", shape.AddMachine(def_sink, "X"));
+  shape.RouteChannel("y", shape.AddMachine(def_sink, "Y"));
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  group.DeliverData(group.machine(0), Ev("go"));
+  ASSERT_EQ(observer_.transitions.size(), 4u);
+  EXPECT_EQ(observer_.transitions[1], "X:K0--x1-->K0");
+  EXPECT_EQ(observer_.transitions[2], "Y:K0--y1-->K0");
+  EXPECT_EQ(observer_.transitions[3], "X:K0--x2-->K0");
 }
 
 TEST_F(EngineFixture, EmitOnUnroutedChannelIsDroppedSilently) {
@@ -468,6 +583,64 @@ TEST_F(EngineFixture, RetiringCancelsPendingTimers) {
   scheduler_.RunUntil(sim::Time{} + sim::Duration::Seconds(1));
   // No pending events leaked from the retired machine's timer.
   EXPECT_EQ(scheduler_.PendingEvents(), 0u);
+}
+
+TEST_F(EngineFixture, StoresReserveWhatTheirDefinitionNeeded) {
+  // The first group learns how many variables each scope needs; a later
+  // fresh group reserves exactly that before its first action, and a reset
+  // group keeps the slots it had.
+  MachineDef def("m");
+  const auto s0 = def.AddState("S0", StateKind::kInitial);
+  def.On(s0, "set")
+      .Do([](Context& c) {
+        for (const char* name : {"a", "b", "c", "d", "e"}) {
+          c.mutable_local().Set(name, int64_t{1});
+        }
+        for (const char* name : {"g1", "g2", "g3"}) {
+          c.mutable_global().Set(name, int64_t{2});
+        }
+      })
+      .To(s0);
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  {
+    MachineGroup first(shape, "first", scheduler_, &observer_);
+    first.DeliverData(first.machine(0), Ev("set"));
+  }
+  EXPECT_EQ(def.local_slots(), 5u);
+  EXPECT_EQ(shape.global_slots(), 3u);
+
+  MachineGroup fresh(shape, "fresh", scheduler_, &observer_);
+  EXPECT_EQ(fresh.machine(0).local().capacity(), 0u);  // nothing eagerly
+  fresh.DeliverData(fresh.machine(0), Ev("set"));
+  EXPECT_EQ(fresh.machine(0).local().capacity(), 5u);
+  EXPECT_EQ(fresh.global().capacity(), 3u);
+  fresh.Reset("recycled");
+  EXPECT_EQ(fresh.machine(0).local().size(), 0u);
+  EXPECT_EQ(fresh.machine(0).local().capacity(), 5u);
+  EXPECT_EQ(fresh.global().capacity(), 3u);
+}
+
+TEST_F(EngineFixture, FlightRingTakesChunksAsItRecordsAndReturnsThemOnReset) {
+  MachineDef def("m");
+  const auto s0 = def.AddState("S0", StateKind::kInitial);
+  def.On(s0, "tick").To(s0);
+  GroupShape shape;
+  shape.AddMachine(def, "m1");
+  MachineGroup group(shape, "g", scheduler_, &observer_);
+  const size_t empty = group.MemoryBytes();
+  EXPECT_EQ(shape.flight_pool().in_use(), 0u);
+  for (int i = 0; i < 9; ++i) group.DeliverData(group.machine(0), Ev("tick"));
+  // Nine records span two chunks, which the group counts.
+  EXPECT_EQ(shape.flight_pool().in_use(), 2u);
+  EXPECT_EQ(group.MemoryBytes(), empty + 2 * sizeof(obs::FlightChunk));
+  for (int i = 0; i < 40; ++i) group.DeliverData(group.machine(0), Ev("tick"));
+  EXPECT_EQ(shape.flight_pool().in_use(), obs::FlightRecorder::kChunks);
+  EXPECT_EQ(group.ExplainFlight().size(), obs::FlightRecorder::kCapacity);
+  group.Reset("g2");
+  EXPECT_EQ(shape.flight_pool().in_use(), 0u);
+  EXPECT_EQ(group.MemoryBytes(), empty);
+  EXPECT_TRUE(group.ExplainFlight().empty());
 }
 
 TEST_F(EngineFixture, GroupMemoryAccountsInstances) {

@@ -2,6 +2,13 @@
 // per-call flight recorder, and alert provenance end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -273,7 +280,8 @@ TEST(MetricsRegistry, ToPrometheusTurnsShardPrefixesIntoLabels) {
 // --------------------------------------------------------- flight recorder
 
 TEST(FlightRecorder, RingKeepsNewestRecords) {
-  FlightRecorder ring;
+  FlightRecordPool pool;
+  FlightRecorder ring(pool);
   EXPECT_EQ(ring.size(), 0u);
   for (int i = 0; i < 40; ++i) {
     Record r;
@@ -290,8 +298,116 @@ TEST(FlightRecorder, RingKeepsNewestRecords) {
   EXPECT_EQ(seen.back(), 39);
   for (size_t i = 1; i < seen.size(); ++i) EXPECT_LT(seen[i - 1], seen[i]);
 
-  ring.Clear();
+  ring.Reset();
   EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+// Chunked rings against a plain 32-slot array: seeded interleavings of
+// Record bursts and Resets over 64 rings that share one pool. After every
+// step the ring touched must report the model's size, total and records in
+// order, and the rings must hold exactly the chunks the pool handed out;
+// every so often all rings are checked and no chunk may be held twice. Once
+// every ring is reset, every chunk the pool handed out is back. Each case
+// also trims the pool between rounds. FLIGHT_RING_CASES sets the number of
+// cases (the nightly job runs 100x the default).
+TEST(FlightRecorder, ChunkedRingsMatchAnArrayModel) {
+  size_t cases = 200;
+  if (const char* env = std::getenv("FLIGHT_RING_CASES")) {
+    cases = std::strtoull(env, nullptr, 10);
+  }
+  constexpr size_t kRings = 64;
+  constexpr size_t kSteps = 600;
+  struct Model {
+    std::array<Record, FlightRecorder::kCapacity> slots{};
+    uint64_t head = 0;
+  };
+  const auto matches = [](const FlightRecorder& ring, const Model& model) {
+    if (ring.total_recorded() != model.head) return false;
+    const size_t held = std::min<uint64_t>(model.head, FlightRecorder::kCapacity);
+    if (ring.size() != held) return false;
+    std::vector<Record> seen;
+    ring.ForEach([&seen](const Record& r) { seen.push_back(r); });
+    if (seen.size() != held) return false;
+    for (size_t k = 0; k < held; ++k) {
+      const Record& want =
+          model.slots[(model.head - held + k) % FlightRecorder::kCapacity];
+      if (std::memcmp(&seen[k], &want, sizeof(Record)) != 0) return false;
+    }
+    return true;
+  };
+
+  for (size_t c = 0; c < cases; ++c) {
+    std::mt19937_64 rng(c + 1);
+    FlightRecordPool pool;
+    std::vector<std::unique_ptr<FlightRecorder>> rings;
+    for (size_t r = 0; r < kRings; ++r) {
+      rings.push_back(std::make_unique<FlightRecorder>(pool));
+    }
+    std::vector<Model> models(kRings);
+    // Each case favors a few hot rings and its own reset rate.
+    const size_t hot = 1 + rng() % kRings;
+    const uint64_t reset_odds = 4 + rng() % 60;
+    for (int round = 0; round < 3; ++round) {
+      for (size_t step = 0; step < kSteps; ++step) {
+        const size_t r = rng() % 4 != 0 ? rng() % hot : rng() % kRings;
+        if (rng() % reset_odds == 0) {
+          rings[r]->Reset();
+          models[r].head = 0;
+        } else {
+          const size_t burst = 1 + rng() % 12;
+          for (size_t k = 0; k < burst; ++k) {
+            Record rec;
+            rec.when_ns = static_cast<int64_t>(rng());
+            rec.aux = rng();
+            rec.a = static_cast<uint16_t>(r);
+            rec.machine = static_cast<uint8_t>(k);
+            rec.type = RecordType::kTransition;
+            rings[r]->Record(rec);
+            Model& model = models[r];
+            model.slots[model.head % FlightRecorder::kCapacity] = rec;
+            ++model.head;
+          }
+        }
+        ASSERT_TRUE(matches(*rings[r], models[r]))
+            << "case " << c << " round " << round << " step " << step;
+        if (step % 64 != 0) continue;
+        size_t held = 0;
+        std::set<uint32_t> owned;
+        for (size_t q = 0; q < kRings; ++q) {
+          ASSERT_TRUE(matches(*rings[q], models[q])) << "case " << c;
+          held += rings[q]->chunk_count();
+          rings[q]->ForEachChunk([&](uint32_t chunk) {
+            EXPECT_TRUE(owned.insert(chunk).second)
+                << "chunk " << chunk << " held twice, case " << c;
+            EXPECT_FALSE(pool.IsFree(chunk)) << "case " << c;
+          });
+        }
+        ASSERT_EQ(owned.size(), held) << "case " << c;
+        ASSERT_EQ(pool.in_use(), held) << "case " << c;
+      }
+      // Between rounds some rings reset and the pool trims to what the
+      // next round might take; the records of the rest survive it.
+      for (size_t r = 0; r < kRings; ++r) {
+        if (rng() % 2 == 0) {
+          rings[r]->Reset();
+          models[r].head = 0;
+        }
+      }
+      pool.Trim(rng() % 64);
+      for (size_t r = 0; r < kRings; ++r) {
+        ASSERT_TRUE(matches(*rings[r], models[r])) << "case " << c;
+      }
+    }
+    const size_t capacity = pool.capacity();
+    for (auto& ring : rings) ring->Reset();
+    ASSERT_EQ(pool.in_use(), 0u) << "case " << c;
+    for (uint32_t chunk = 0; chunk < capacity; ++chunk) {
+      ASSERT_TRUE(pool.IsFree(chunk)) << "chunk " << chunk << " lost, case " << c;
+    }
+    pool.Trim(0);
+    EXPECT_EQ(pool.capacity(), 0u) << "case " << c;
+  }
 }
 
 // --------------------------------------------------------- instrumentation

@@ -6,8 +6,12 @@
 // new/delete are replaced with counting forwarders that also track the
 // largest single allocation; the counters are armed only around the
 // measured code, so gtest internals and the warmup phase are free to
-// allocate.
+// allocate. The forwarders also keep the live heap (malloc's usable size of
+// every block), always, against which the fact base's memory accounting is
+// checked.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdio>
@@ -27,35 +31,36 @@ std::atomic<uint64_t> g_alloc_count{0};
 std::atomic<uint64_t> g_free_count{0};
 std::atomic<size_t> g_alloc_max{0};
 std::atomic<bool> g_counting{false};
+std::atomic<int64_t> g_live_bytes{0};
 
-void CountedAlloc(std::size_t size) noexcept {
-  if (!g_counting.load(std::memory_order_relaxed)) return;
+void* CountedAlloc(std::size_t size) {
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc{};
+  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  if (!g_counting.load(std::memory_order_relaxed)) return p;
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   size_t seen = g_alloc_max.load(std::memory_order_relaxed);
   while (size > seen && !g_alloc_max.compare_exchange_weak(
                             seen, size, std::memory_order_relaxed)) {
   }
+  return p;
 }
 
 void CountedFree(void* p) noexcept {
-  if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  if (g_counting.load(std::memory_order_relaxed)) {
     g_free_count.fetch_add(1, std::memory_order_relaxed);
   }
   std::free(p);
 }
 }  // namespace
 
-void* operator new(std::size_t size) {
-  CountedAlloc(size);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
+void* operator new(std::size_t size) { return CountedAlloc(size); }
 
-void* operator new[](std::size_t size) {
-  CountedAlloc(size);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
 
 // GCC pairs allocation functions by body and flags free() on a pointer
 // from the malloc-backed replacement operator new above — a false
@@ -339,6 +344,238 @@ TEST(ZeroAlloc, FactBaseSweepUnderSteadyChurnNeitherAllocatesNorFrees) {
     EXPECT_EQ(g_free_count.load(), 0u)
         << "admitting calls freed, interval " << interval;
   }
+}
+
+// The same steady churn with the machines running: every call group takes
+// at least 40 flight records — past each chunk boundary and around the
+// ring — and one SIP->RTP sync event, and every media group at least 9
+// records. Rings take chunks from their shape's pool as they fill and give
+// them back when the group is reset for the next call, and the sync event
+// waits in the shape's one δ queue, so once warm neither a sweep nor an
+// admission allocates or frees.
+TEST(ZeroAlloc, FlightRingsAndSyncUnderSteadyChurnNeitherAllocateNorFree) {
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(3);
+  config.keyed_idle_timeout = sim::Duration::Seconds(2);
+  config.tombstone_ttl = sim::Duration::Seconds(2);
+  sim::Scheduler scheduler;
+  CallStateFactBase fact_base(scheduler, config, nullptr);
+
+  // Every string argument fits std::string's inline buffer, so the
+  // variables the machines copy out of the events hold no heap block.
+  efsm::Event invite;
+  invite.name = std::string(kSipEvent);
+  invite.args[argkey::kKind] = std::string("request");
+  invite.args[argkey::kMethod] = std::string("INVITE");
+  invite.args[argkey::kCallId] = std::string("c");
+  invite.args[argkey::kFromTag] = std::string("f");
+  invite.args[argkey::kBranch] = std::string("z9hG4bK1");
+  invite.args[argkey::kSrcIp] = std::string("10.1.0.1");
+  invite.args[argkey::kDstIp] = std::string("10.2.0.1");
+  invite.args[argkey::kSdpIp] = std::string("10.1.0.10");
+  invite.args[argkey::kSdpPort] = int64_t{20000};
+  invite.args[argkey::kSdpPt] = int64_t{0};
+  invite.args[argkey::kSdpCodec] = std::string("PCMU");
+  efsm::Event rtp;
+  rtp.name = std::string(kRtpEvent);
+  rtp.args[argkey::kSrcIp] = std::string("10.1.0.10");
+  rtp.args[argkey::kSrcPort] = int64_t{20000};
+  rtp.args[argkey::kDstIp] = std::string("10.2.0.10");
+  rtp.args[argkey::kDstPort] = int64_t{30000};
+  rtp.args[argkey::kSsrc] = int64_t{7};
+  rtp.args[argkey::kPt] = int64_t{0};
+  rtp.args[argkey::kMarker] = false;
+
+  constexpr size_t kCallsPerInterval = 128;
+  uint64_t next_call = 0;
+  char call_id[33];
+  uint64_t least_call_records = UINT64_MAX;
+  uint64_t least_media_records = UINT64_MAX;
+  const auto admit = [&](size_t calls) {
+    for (size_t i = 0; i < calls; ++i, ++next_call) {
+      std::snprintf(call_id, sizeof(call_id), "ring-%027llu",
+                    static_cast<unsigned long long>(next_call));
+      bool created = false;
+      efsm::MachineGroup& call = fact_base.GetOrCreateCall(call_id, created);
+      // The INVITE exports its offer to the RTP machine (one sync event);
+      // its retransmissions are self-loops, one record each.
+      for (int k = 0; k < 36; ++k) {
+        call.DeliverData(call.machine(kCallSip), invite);
+      }
+      const auto host = static_cast<uint8_t>(100 + next_call % 100);
+      const auto port = static_cast<uint16_t>(20000 + 2 * (next_call / 100));
+      const net::Endpoint offer{net::IpAddress(10, 1, 0, host), port};
+      const net::Endpoint answer{net::IpAddress(10, 2, 0, host), port};
+      fact_base.IndexMedia(offer, call_id);
+      fact_base.IndexMedia(answer, call_id);
+      least_call_records = std::min(
+          least_call_records, call.flight_recorder().total_recorded());
+      for (const net::Endpoint& endpoint : {offer, answer}) {
+        efsm::MachineGroup& media = fact_base.GetOrCreateMediaGroup(endpoint);
+        for (int k = 0; k < 3; ++k) {
+          rtp.args[argkey::kSeq] = static_cast<int64_t>(k + 1);
+          rtp.args[argkey::kTs] = static_cast<int64_t>(160 * (k + 1));
+          for (const size_t index : {kMediaSpam, kMediaRtpFlood, kMediaRtcpBye}) {
+            media.DeliverData(media.machine(index), rtp);
+          }
+        }
+        least_media_records = std::min(
+            least_media_records, media.flight_recorder().total_recorded());
+      }
+    }
+  };
+
+  sim::Time at = sim::Time::FromNanos(500'000'000);
+  scheduler.RunUntil(at);
+  admit(kCallsPerInterval);
+  ASSERT_EQ(fact_base.FindCall(call_id)->machine(kCallRtp).StateName(),
+            std::string_view("RTP Open"))
+      << "the INVITE's offer reached the RTP machine";
+  size_t to_admit = kCallsPerInterval;
+  for (int interval = 1; interval <= 12; ++interval) {
+    at = at + config.sweep_interval;
+    const uint64_t deleted_before = fact_base.calls_deleted();
+    const bool measured = interval >= 10;
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(measured);
+    scheduler.RunUntil(at);  // the sweep
+    g_counting.store(false);
+    const uint64_t sweep_allocs = g_alloc_count.load();
+    const uint64_t sweep_frees = g_free_count.load();
+    const uint64_t calls_reclaimed = fact_base.calls_deleted() - deleted_before;
+    if (calls_reclaimed != 0) to_admit = calls_reclaimed;
+
+    least_call_records = least_media_records = UINT64_MAX;
+    g_alloc_count.store(0);
+    g_free_count.store(0);
+    g_counting.store(measured);
+    admit(to_admit);
+    g_counting.store(false);
+    if (!measured) continue;
+    ASSERT_GE(calls_reclaimed, 100u) << "interval " << interval;
+    ASSERT_GE(least_call_records, 40u) << "interval " << interval;
+    ASSERT_GE(least_media_records, 9u) << "interval " << interval;
+    EXPECT_EQ(sweep_allocs, 0u) << "the sweep allocated, interval " << interval;
+    EXPECT_EQ(sweep_frees, 0u) << "the sweep freed, interval " << interval;
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "admitting calls allocated, interval " << interval;
+    EXPECT_EQ(g_free_count.load(), 0u)
+        << "admitting calls freed, interval " << interval;
+  }
+}
+
+// One established call (INVITE with an SDP offer, 200 with the answer, ACK)
+// between caller and callee AOR `index % 10`, under a Call-ID too long for
+// std::string's inline buffer.
+void EstablishCall(Vids& vids, int index) {
+  char call_id[32];
+  std::snprintf(call_id, sizeof(call_id), "acct-%06d@example.com", index);
+  const std::string caller =
+      "sip:caller-" + std::to_string(index % 10) + "@a.example.com";
+  const std::string callee =
+      "sip:callee-" + std::to_string(index % 10) + "@b.example.com";
+  const auto port = static_cast<uint16_t>(20000 + 2 * (index % 20000));
+  auto invite = sip::Message::MakeRequest(sip::Method::kInvite,
+                                          *sip::SipUri::Parse(callee));
+  sip::Via via;
+  via.sent_by = kProxyA;
+  via.branch = std::string("z9hG4bK") + call_id;
+  invite.PushVia(via);
+  sip::NameAddr from;
+  from.uri = *sip::SipUri::Parse(caller);
+  from.SetTag("tag-caller");
+  invite.SetFrom(from);
+  sip::NameAddr to;
+  to.uri = *sip::SipUri::Parse(callee);
+  invite.SetTo(to);
+  invite.SetCallId(call_id);
+  invite.SetCseq(sip::CSeq{1, sip::Method::kInvite});
+  invite.SetBody(sdp::MakeAudioOffer(net::Endpoint{net::IpAddress(10, 1, 0, 10),
+                                                   port})
+                     .Serialize(),
+                 "application/sdp");
+  vids.Inspect(SipDgram(invite, kProxyA, kProxyB), true);
+  auto ok = sip::Message::MakeResponse(200);
+  for (const auto hop : invite.Headers("Via")) ok.AddHeader("Via", hop);
+  ok.SetFrom(from);
+  to.SetTag("tag-callee");
+  ok.SetTo(to);
+  ok.SetCallId(call_id);
+  ok.SetCseq(*invite.Cseq());
+  ok.SetBody(sdp::MakeAudioOffer(net::Endpoint{net::IpAddress(10, 2, 0, 10),
+                                               port})
+                 .Serialize(),
+             "application/sdp");
+  vids.Inspect(SipDgram(ok, kProxyB, kProxyA), false);
+  auto ack = sip::Message::MakeRequest(sip::Method::kAck,
+                                       *sip::SipUri::Parse(callee));
+  via.branch = std::string("z9hG4bKack") + call_id;
+  ack.PushVia(via);
+  ack.SetFrom(from);
+  ack.SetTo(to);
+  ack.SetCallId(call_id);
+  ack.SetCseq(sip::CSeq{1, sip::Method::kAck});
+  vids.Inspect(SipDgram(ack, kProxyA, kProxyB), true);
+}
+
+// The fact base's memory accounting follows the heap. 5,000 established
+// calls arrive through Vids at 10 per simulated second, spread over 10
+// caller and 10 callee AORs so that no detector fires; the growth of
+// fact_base().MemoryBytes() must stay within 15 % of the growth of the live
+// heap (the usable size of every block operator new handed out). Once the
+// calls idle out and the fact base drains, both must be back within 4 KB of
+// where they started. A pool, queue or buffer that MemoryBytes() leaves
+// out — and so does perfbench's fact_base.state_mb_peak — shows up as a
+// gap. A first round runs and drains before the measured one, so what
+// lives outside the fact base and keeps its capacity (the scheduler's
+// slots, Vids's scratch) is at its peak before the baseline is taken.
+TEST(MemoryAccounting, FactBaseBytesFollowTheLiveHeap) {
+  DetectionConfig config;
+  config.call_idle_timeout = sim::Duration::Seconds(1000);
+  sim::Scheduler scheduler;
+  Vids vids(scheduler, config);
+  constexpr int kCalls = 5000;
+  const sim::Duration gap = sim::Duration::Millis(100);
+  int next = 0;
+  const auto run_calls = [&] {
+    for (int i = 0; i < kCalls; ++i, ++next) {
+      scheduler.RunUntil(scheduler.Now() + gap);
+      EstablishCall(vids, next);
+    }
+  };
+  const auto drain = [&] {
+    scheduler.RunUntil(scheduler.Now() + config.call_idle_timeout +
+                       config.tombstone_ttl + sim::Duration::Seconds(300));
+    ASSERT_EQ(vids.fact_base().call_count(), 0u);
+    ASSERT_EQ(vids.fact_base().tombstone_count(), 0u);
+    ASSERT_EQ(vids.fact_base().keyed_count(), 0u);
+  };
+
+  run_calls();
+  drain();
+  const int64_t heap_start = g_live_bytes.load();
+  const auto fact_start = static_cast<int64_t>(vids.fact_base().MemoryBytes());
+
+  run_calls();
+  ASSERT_EQ(vids.fact_base().call_count(), static_cast<size_t>(kCalls));
+  ASSERT_TRUE(vids.alerts().empty()) << vids.alerts().front().classification;
+  const int64_t heap_grew = g_live_bytes.load() - heap_start;
+  const int64_t fact_grew =
+      static_cast<int64_t>(vids.fact_base().MemoryBytes()) - fact_start;
+  std::printf("5000 calls: live heap +%lld B, fact base +%lld B (%.3f)\n",
+              static_cast<long long>(heap_grew),
+              static_cast<long long>(fact_grew),
+              static_cast<double>(fact_grew) / static_cast<double>(heap_grew));
+  EXPECT_GE(fact_grew, heap_grew * 85 / 100);
+  EXPECT_LE(fact_grew, heap_grew * 115 / 100);
+
+  drain();
+  const int64_t heap_left = g_live_bytes.load() - heap_start;
+  const int64_t fact_left =
+      static_cast<int64_t>(vids.fact_base().MemoryBytes()) - fact_start;
+  EXPECT_LE(std::abs(heap_left), 4096) << "live heap after the drain";
+  EXPECT_LE(std::abs(fact_left), 4096) << "fact base after the drain";
 }
 
 // A steady stream of distinct deviation alerts: each dialog-less BYE under
