@@ -940,8 +940,7 @@ std::vector<std::string> Observe(const efsm::MachineGroup& group) {
     lines.push_back(std::move(line));
   }
   std::string globals = "globals";
-  for (const auto& [key, value] :
-       const_cast<efsm::MachineGroup&>(group).global().values()) {
+  for (const auto& [key, value] : group.global().values()) {
     globals += " " + std::string(key.name()) + "=" + efsm::ToString(value);
   }
   lines.push_back(std::move(globals));
